@@ -3,11 +3,13 @@
 // for. Not a paper figure; complements the experiment harnesses.
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "common/parallel_sort.h"
 
 namespace {
 
@@ -121,15 +123,60 @@ void BM_SampleMerge(benchmark::State& state) {
   Rng rng(6);
   const auto base = SampleRowsWithReplacement(
       SharedValueSet().sorted_values(), 100000, rng);
-  const auto batch = SampleRowsWithReplacement(
-      SharedValueSet().sorted_values(), 100000, rng);
+  auto batch = SampleRowsWithReplacement(SharedValueSet().sorted_values(),
+                                         100000, rng);
+  std::sort(batch.begin(), batch.end());
   for (auto _ : state) {
     Sample sample(base);
-    sample.Merge(batch);
+    sample.MergeSorted(batch);
     benchmark::DoNotOptimize(sample);
   }
 }
 BENCHMARK(BM_SampleMerge);
+
+// Sorting one sample batch on the calling thread (null pool), as CVB does
+// for every fresh batch. Arguments: sorter (0 = std::sort, 1 = the radix
+// sort with no size cutoff, 2 = ParallelSort, which runs std::sort below
+// parallel_internal::kRadixMinElements and the radix sort from it on),
+// keys (0 = Zipf over n/100 values, the shape of perfbench's columns;
+// 1 = full-width random 64-bit keys, the radix sort's worst case) and n.
+// Where sorter 1 overtakes sorter 0 sets the cutoff. Every iteration also
+// copies the unsorted keys in, the same cost for each sorter.
+void BM_ParallelSort(benchmark::State& state) {
+  const std::int64_t sorter = state.range(0);
+  const auto n = static_cast<std::uint64_t>(state.range(2));
+  Rng rng(10);
+  std::vector<Value> keys(n);
+  if (state.range(1) == 0) {
+    const auto zipf =
+        MakeZipf({.n = n, .domain_size = std::max<std::uint64_t>(n / 100, 1)});
+    const ValueSet column = ValueSet::FromFrequencies(*zipf);
+    keys = SampleRowsWithReplacement(column.sorted_values(), n, rng);
+  } else {
+    for (Value& key : keys) key = static_cast<Value>(rng.Next());
+  }
+  std::vector<Value> data;
+  std::vector<Value> scratch(n);
+  for (auto _ : state) {
+    data = keys;
+    if (sorter == 0) {
+      std::sort(data.begin(), data.end());
+    } else if (sorter == 1) {
+      parallel_internal::RadixSort(data.data(), data.size(), scratch.data());
+    } else {
+      ParallelSort(data, nullptr);
+    }
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ParallelSort)
+    ->ArgNames({"sorter", "keys", "n"})
+    ->ArgsProduct({{0, 1, 2},
+                   {0, 1},
+                   {256, 512, 1024, 2048, 4096, 1 << 18, 1 << 21}});
 
 void BM_FractionalError(benchmark::State& state) {
   Rng rng(7);

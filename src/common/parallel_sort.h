@@ -1,7 +1,6 @@
 #ifndef EQUIHIST_COMMON_PARALLEL_SORT_H_
 #define EQUIHIST_COMMON_PARALLEL_SORT_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -10,11 +9,12 @@
 
 namespace equihist {
 
-// Parallel sorting primitives for the sample pipeline. All functions
-// produce output identical to their sequential std:: counterparts for any
-// thread count (sorting a multiset of scalars has a unique result), so the
-// histogram engine stays bit-reproducible however it is scheduled. With a
-// null/size-1 pool or small inputs they fall back to the sequential path.
+// Sorting primitives for the sample pipeline, over 64-bit signed keys (the
+// library's `Value`). All functions produce output identical to their
+// sequential std:: counterparts for any thread count (sorting a multiset of
+// scalars has a unique result), so the histogram engine stays
+// bit-reproducible however it is scheduled. With a null/size-1 pool or small
+// inputs they fall back to the sequential path.
 
 namespace parallel_internal {
 
@@ -22,132 +22,38 @@ namespace parallel_internal {
 // beats the win on small data.
 inline constexpr std::size_t kMinParallelElements = 1u << 14;
 
-// Merge-path split: the number of elements to take from `a` so that the
-// first `t` elements of merge(a, b) are a[0..i) and b[0..t-i).
-template <typename T>
-std::size_t MergeSplit(const T* a, std::size_t na, const T* b, std::size_t nb,
-                       std::size_t t) {
-  std::size_t lo = t > nb ? t - nb : 0;
-  std::size_t hi = std::min(t, na);
-  while (lo < hi) {
-    const std::size_t i = lo + (hi - lo) / 2;
-    const std::size_t j = t - i;
-    if (j > 0 && a[i] < b[j - 1]) {
-      lo = i + 1;
-    } else {
-      hi = i;
-    }
-  }
-  return lo;
-}
+// Runs below this size are sorted with std::sort: the radix sort's fixed
+// cost (a min/max scan and a 256-bucket histogram per digit) loses to a
+// comparison sort on short runs of full-width keys (bench_micro
+// BM_ParallelSort: 1.4x slower at 1024 elements, on par at 2048).
+inline constexpr std::size_t kRadixMinElements = 1u << 11;
+
+// LSD radix sort of data[0, n): 8-bit digits of the key x - min taken as
+// unsigned, with as many passes as the observed range max - min needs (two
+// below 2^16, at most eight). A pass whose digit is the same for every
+// element is skipped. `scratch` holds n elements; the sorted result ends in
+// `data`. No size cutoff: ParallelSort applies kRadixMinElements.
+void RadixSort(std::int64_t* data, std::size_t n, std::int64_t* scratch);
 
 }  // namespace parallel_internal
 
 // Merges two sorted ranges into `out` (which must hold na + nb elements),
 // splitting the output into pool-sized chunks along the merge path.
-template <typename T>
-void ParallelMergeSorted(const T* a, std::size_t na, const T* b,
-                         std::size_t nb, T* out, ThreadPool* pool) {
-  const std::size_t total = na + nb;
-  const std::size_t parts = pool == nullptr ? 1 : pool->size();
-  if (parts <= 1 || total < parallel_internal::kMinParallelElements) {
-    std::merge(a, a + na, b, b + nb, out);
-    return;
-  }
-  std::vector<std::size_t> ai(parts + 1), bi(parts + 1);
-  ai[0] = 0;
-  bi[0] = 0;
-  ai[parts] = na;
-  bi[parts] = nb;
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::size_t t = total * p / parts;
-    ai[p] = parallel_internal::MergeSplit(a, na, b, nb, t);
-    bi[p] = t - ai[p];
-  }
-  pool->ParallelFor(0, parts, parts,
-                    [&](std::size_t lo, std::size_t hi, std::size_t) {
-                      for (std::size_t p = lo; p < hi; ++p) {
-                        std::merge(a + ai[p], a + ai[p + 1], b + bi[p],
-                                   b + bi[p + 1], out + ai[p] + bi[p]);
-                      }
-                    });
-}
+void ParallelMergeSorted(const std::int64_t* a, std::size_t na,
+                         const std::int64_t* b, std::size_t nb,
+                         std::int64_t* out, ThreadPool* pool);
 
-// Sorts `v` ascending. Parallel plan: pool-sized sorted runs, then pairwise
-// parallel merges (each merge itself split along the merge path).
-template <typename T>
-void ParallelSort(std::vector<T>& v, ThreadPool* pool) {
-  const std::size_t n = v.size();
-  const std::size_t width = pool == nullptr ? 1 : pool->size();
-  if (width <= 1 || n < parallel_internal::kMinParallelElements) {
-    std::sort(v.begin(), v.end());
-    return;
-  }
-
-  const std::size_t runs = width;
-  std::vector<std::size_t> bounds(runs + 1);
-  for (std::size_t r = 0; r <= runs; ++r) bounds[r] = n * r / runs;
-  pool->ParallelFor(0, runs, runs,
-                    [&](std::size_t lo, std::size_t hi, std::size_t) {
-                      for (std::size_t r = lo; r < hi; ++r) {
-                        std::sort(v.begin() + bounds[r],
-                                  v.begin() + bounds[r + 1]);
-                      }
-                    });
-
-  std::vector<T> scratch(n);
-  T* src = v.data();
-  T* dst = scratch.data();
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> next;
-    next.reserve(bounds.size() / 2 + 2);
-    next.push_back(0);
-    const std::size_t num_runs = bounds.size() - 1;
-    std::size_t r = 0;
-    for (; r + 1 < num_runs; r += 2) {
-      const std::size_t a0 = bounds[r], a1 = bounds[r + 1],
-                        b1 = bounds[r + 2];
-      ParallelMergeSorted(src + a0, a1 - a0, src + a1, b1 - a1, dst + a0,
-                          pool);
-      next.push_back(b1);
-    }
-    if (r < num_runs) {  // odd run carries over unmerged
-      std::copy(src + bounds[r], src + bounds[r + 1], dst + bounds[r]);
-      next.push_back(bounds[r + 1]);
-    }
-    std::swap(src, dst);
-    bounds = std::move(next);
-  }
-  if (src != v.data()) std::copy(src, src + n, v.data());
-}
+// Sorts `v` ascending using one scratch buffer of v.size() elements.
+// Sequential plan: one radix sort. Parallel plan: pool-sized runs, each
+// radix-sorted in its own slice of the scratch buffer, then pairwise
+// parallel merges (each merge itself split along the merge path) that
+// ping-pong between `v` and the same buffer.
+void ParallelSort(std::vector<std::int64_t>& v, ThreadPool* pool);
 
 // Number of distinct values in a sorted range, with per-shard partial
 // counts summed in shard order (deterministic).
-template <typename T>
-std::uint64_t CountDistinctSorted(const T* data, std::size_t n,
-                                  ThreadPool* pool) {
-  if (n == 0) return 0;
-  const std::size_t shards = pool == nullptr ? 1 : pool->size();
-  if (shards <= 1 || n < parallel_internal::kMinParallelElements) {
-    std::uint64_t distinct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == 0 || data[i] != data[i - 1]) ++distinct;
-    }
-    return distinct;
-  }
-  std::vector<std::uint64_t> partial(shards, 0);
-  pool->ParallelFor(0, n, shards,
-                    [&](std::size_t lo, std::size_t hi, std::size_t s) {
-                      std::uint64_t count = 0;
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        if (i == 0 || data[i] != data[i - 1]) ++count;
-                      }
-                      partial[s] = count;
-                    });
-  std::uint64_t distinct = 0;
-  for (std::uint64_t c : partial) distinct += c;
-  return distinct;
-}
+std::uint64_t CountDistinctSorted(const std::int64_t* data, std::size_t n,
+                                  ThreadPool* pool);
 
 }  // namespace equihist
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/parallel_sort.h"
@@ -34,27 +35,21 @@ Status ValidateOptions(const Table& table, const CvbOptions& options) {
   return Status::OK();
 }
 
-// Extracts the validation subset of a fresh batch per the configured style:
-// either all tuples or one uniformly chosen tuple per sampled block. The
-// result is sorted.
-std::vector<Value> ValidationSubset(const std::vector<Value>& batch,
+// One uniformly chosen tuple per sampled block, sorted. `offsets` index the
+// pages of `batch`, so the batch must still be in page order. The picks
+// consume the sequential rng stream regardless of the pool, keeping the
+// subset thread-count independent.
+std::vector<Value> OneTuplePerBlock(const std::vector<Value>& batch,
                                     const std::vector<std::size_t>& offsets,
-                                    CvbValidationStyle style, Rng& rng,
-                                    ThreadPool* pool) {
+                                    Rng& rng, ThreadPool* pool) {
   std::vector<Value> subset;
-  if (style == CvbValidationStyle::kAllTuples) {
-    subset = batch;
-  } else {
-    // The per-block picks consume the sequential rng stream regardless of
-    // the pool, keeping the subset thread-count independent.
-    subset.reserve(offsets.size());
-    for (std::size_t p = 0; p < offsets.size(); ++p) {
-      const std::size_t begin = offsets[p];
-      const std::size_t end =
-          (p + 1 < offsets.size()) ? offsets[p + 1] : batch.size();
-      if (end <= begin) continue;
-      subset.push_back(batch[begin + rng.NextBounded(end - begin)]);
-    }
+  subset.reserve(offsets.size());
+  for (std::size_t p = 0; p < offsets.size(); ++p) {
+    const std::size_t begin = offsets[p];
+    const std::size_t end =
+        (p + 1 < offsets.size()) ? offsets[p + 1] : batch.size();
+    if (end <= begin) continue;
+    subset.push_back(batch[begin + rng.NextBounded(end - begin)]);
   }
   ParallelSort(subset, pool);
   return subset;
@@ -171,8 +166,17 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     entry.fresh_blocks = batch_io.pages_read;
     entry.fresh_tuples = batch.size();
 
-    const std::vector<Value> validation =
-        ValidationSubset(batch, offsets, options.style, rng, pool);
+    // Each fresh tuple is sorted once. The one-tuple-per-block picks need
+    // the batch in page order, so they are drawn first; the batch is then
+    // sorted in place, validated against directly (all-tuples style) and
+    // merged below.
+    std::vector<Value> picks;
+    if (options.style == CvbValidationStyle::kOneTuplePerBlock) {
+      picks = OneTuplePerBlock(batch, offsets, rng, pool);
+    }
+    ParallelSort(batch, pool);
+    const std::span<const Value> validation =
+        options.style == CvbValidationStyle::kAllTuples ? batch : picks;
 
     // Stopping statistic, normalized so the pass threshold is f itself.
     switch (options.metric) {
@@ -213,7 +217,7 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     // Step 4(c): merge and rebuild regardless of the outcome — the fresh
     // sample improves the histogram either way, and the paper's output is
     // H_i (post-merge).
-    accumulated.Merge(std::move(batch), pool);
+    accumulated.MergeSorted(batch, pool);
     EQUIHIST_ASSIGN_OR_RETURN(
         current, BuildHistogramFromSample(accumulated, options.k, n, pool));
 
@@ -252,11 +256,11 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   result.tuples_sampled = result.io.tuples_read;
   result.sampling_fraction =
       static_cast<double>(result.tuples_sampled) / static_cast<double>(n);
-  result.sample_distinct = accumulated.DistinctCount();
   result.density_estimate =
       EstimateDensityFromSample(accumulated.sorted_values());
   result.sample_profile =
       FrequencyProfile::FromSorted(accumulated.sorted_values());
+  result.sample_distinct = result.sample_profile.distinct_in_sample();
 
   // Heavy hitters: values with sample multiplicity above one ideal sample
   // bucket r/k, with counts scaled to the table (Section 5's compressed-

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/parallel_sort.h"
 #include "common/rng.h"
 #include "stats/wire_format.h"
 
@@ -127,7 +128,7 @@ double BackingReservoir::fill_fraction() const {
 
 std::vector<Value> BackingReservoir::SortedSample() const {
   std::vector<Value> sorted = reservoir_;
-  std::sort(sorted.begin(), sorted.end());
+  ParallelSort(sorted, nullptr);
   return sorted;
 }
 

@@ -9,17 +9,15 @@ namespace equihist {
 Sample::Sample(std::vector<Value> values, ThreadPool* pool)
     : values_(std::move(values)) {
   ParallelSort(values_, pool);
-  distinct_ = CountDistinctSorted(values_.data(), values_.size(), pool);
 }
 
-void Sample::Merge(std::vector<Value> batch, ThreadPool* pool) {
-  if (batch.empty()) return;
-  ParallelSort(batch, pool);
-  std::vector<Value> merged(values_.size() + batch.size());
-  ParallelMergeSorted(values_.data(), values_.size(), batch.data(),
-                      batch.size(), merged.data(), pool);
+void Sample::MergeSorted(std::span<const Value> sorted_batch,
+                         ThreadPool* pool) {
+  if (sorted_batch.empty()) return;
+  std::vector<Value> merged(values_.size() + sorted_batch.size());
+  ParallelMergeSorted(values_.data(), values_.size(), sorted_batch.data(),
+                      sorted_batch.size(), merged.data(), pool);
   values_ = std::move(merged);
-  distinct_ = CountDistinctSorted(values_.data(), values_.size(), pool);
 }
 
 std::uint64_t Sample::CountLessEqual(Value x) const {

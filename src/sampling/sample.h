@@ -31,9 +31,12 @@ class Sample {
   std::uint64_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
 
-  // Merges an unsorted batch into the sample: sorts the batch and merges
-  // the two sorted runs in linear time (both steps parallel with a pool).
-  void Merge(std::vector<Value> batch, ThreadPool* pool = nullptr);
+  // Merges a batch that is already sorted ascending into the sample in
+  // linear time (merge-path parallel with a pool). The caller sorts the
+  // batch: CVB sorts each fresh batch once, validates against it, then
+  // merges it here.
+  void MergeSorted(std::span<const Value> sorted_batch,
+                   ThreadPool* pool = nullptr);
 
   // Sorted ascending.
   const std::vector<Value>& sorted_values() const { return values_; }
@@ -44,14 +47,8 @@ class Sample {
   // The i-th smallest sampled value, 0-based.
   Value ValueAtRank(std::uint64_t rank) const { return values_[rank]; }
 
-  // Number of distinct values currently in the sample. Maintained during
-  // sort/merge rather than recomputed per call — this sits inside the CVB
-  // iteration loop.
-  std::uint64_t DistinctCount() const { return distinct_; }
-
  private:
   std::vector<Value> values_;
-  std::uint64_t distinct_ = 0;  // distinct values in values_, kept in sync
 };
 
 }  // namespace equihist

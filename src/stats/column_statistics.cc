@@ -339,14 +339,8 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
         stats.distinct_estimate,
         PaperEstimator(FrequencyProfile::FromSorted(values), n));
   } else {
-    std::uint64_t distinct = 0;
-    for (std::size_t i = 0; i < values.size();) {
-      std::size_t j = i;
-      while (j < values.size() && values[j] == values[i]) ++j;
-      ++distinct;
-      i = j;
-    }
-    stats.distinct_estimate = static_cast<double>(distinct);
+    stats.distinct_estimate = static_cast<double>(
+        CountDistinctSorted(values.data(), values.size(), pool));
   }
   stats.row_count = n;
   stats.from_full_scan = !options.prefer_sampling;

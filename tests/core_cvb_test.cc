@@ -1,5 +1,9 @@
 #include "core/cvb.h"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/error_metrics.h"
@@ -268,6 +272,85 @@ TEST(CvbTest, ConstantColumnConvergesImmediately) {
   const auto result = RunCvb(table, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged || result->exhausted_table);
+}
+
+// Golden CVB output on a fixed table and seed, for both validation styles
+// and every metric. Sorting, merging and validation must reproduce it bit
+// for bit. It guards in particular that the one-tuple-per-block picks come
+// from each fresh batch in page order: picks drawn from a sorted batch
+// change the errors below.
+TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
+  struct Golden {
+    CvbValidationStyle style;
+    CvbValidationMetric metric;
+    std::uint64_t iterations;
+    std::uint64_t tuples_sampled;
+    std::vector<double> validation_errors;  // log[i].validation_error
+    std::vector<Value> separators;
+    std::vector<std::uint64_t> counts;
+  };
+  const Golden goldens[] = {
+      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kFractionalMaxError,
+       4, 36864,
+       {0x1.78e38e38e38e4p-1, 0x1.7cc0532ae21cap-2, 0x1.1b8e38e38e398p-2,
+        0x1.8638e38e38e38p-3},
+       {863, 1543, 3123, 4660, 6169, 7603, 8140},
+       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995}},
+      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kRelativeDeviation,
+       7, 200000,
+       {0x1.78e38e38e38e4p-1, 0x1.5eaaaaaaaaaabp+0, 0x1.8f8e38e38e38ep-1,
+        0x1.8838e38e38e39p-1, 0x1.6855555555555p-1, 0x1.71c3f2a7b37d4p-1,
+        0x1.6c4d3c6b2242p-1},
+       {863, 1573, 3228, 4660, 6227, 7603, 8197},
+       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000}},
+      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kClaimedDeviation,
+       4, 36864,
+       {0x1.78e38e38e38e4p-1, 0x1.37fcf110315ecp-1, 0x1.439214e1684d9p-2,
+        0x1.bf122d58e6c2bp-3},
+       {863, 1543, 3123, 4660, 6169, 7603, 8140},
+       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995}},
+      {CvbValidationStyle::kOneTuplePerBlock,
+       CvbValidationMetric::kFractionalMaxError, 3, 18432,
+       {0x1p+0, 0x1.c977ab2bedd27p-1, 0x1.93da7ce841727p-3},
+       {863, 1657, 3365, 4660, 6232, 7603, 8064},
+       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946}},
+      {CvbValidationStyle::kOneTuplePerBlock,
+       CvbValidationMetric::kRelativeDeviation, 7, 200000,
+       {0x1p+0, 0x1.2aaaaaaaaaaabp+1, 0x1.8e38e38e38e39p-1,
+        0x1.aaaaaaaaaaaabp-1, 0x1.71c71c71c71c7p-1, 0x1.8p-1,
+        0x1.9ed5059b184acp-1},
+       {863, 1573, 3228, 4660, 6227, 7603, 8197},
+       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000}},
+      {CvbValidationStyle::kOneTuplePerBlock,
+       CvbValidationMetric::kClaimedDeviation, 3, 18432,
+       {0x1.08e368f08462p+0, 0x1.92a92332c35a1p+0, 0x1.fe409b89ed0cep-3},
+       {863, 1657, 3365, 4660, 6232, 7603, 8064},
+       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946}},
+  };
+  Table table = MakeZipfTable(200000, 1.0, LayoutKind::kPartiallyClustered);
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(testing::Message()
+                 << "style " << static_cast<int>(golden.style) << " metric "
+                 << static_cast<int>(golden.metric));
+    CvbOptions options;
+    options.k = 8;
+    options.f = 0.25;
+    options.seed = 2024;
+    options.style = golden.style;
+    options.metric = golden.metric;
+    const auto result = RunCvb(table, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->iterations, golden.iterations);
+    EXPECT_EQ(result->tuples_sampled, golden.tuples_sampled);
+    ASSERT_EQ(result->log.size(), golden.validation_errors.size());
+    for (std::size_t i = 0; i < result->log.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result->log[i].validation_error),
+                std::bit_cast<std::uint64_t>(golden.validation_errors[i]))
+          << "iteration " << i + 1;
+    }
+    EXPECT_EQ(result->histogram.separators(), golden.separators);
+    EXPECT_EQ(result->histogram.counts(), golden.counts);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -128,15 +129,54 @@ std::vector<Value> RandomValues(std::size_t n, std::uint64_t seed,
 }
 
 TEST(ParallelSortTest, MatchesStdSort) {
-  ThreadPool pool(4);
-  for (const std::size_t n : {0ul, 1ul, 100ul, 40000ul, 100001ul}) {
-    // Heavy duplication (domain 1000) exercises tie handling in the
-    // merge-path splits.
-    std::vector<Value> a = RandomValues(n, 11 + n, 1000);
-    std::vector<Value> b = a;
-    std::sort(a.begin(), a.end());
-    ParallelSort(b, &pool);
-    EXPECT_EQ(a, b) << "n=" << n;
+  using parallel_internal::kMinParallelElements;
+  using parallel_internal::kRadixMinElements;
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  const std::size_t sizes[] = {0,
+                               1,
+                               100,
+                               kRadixMinElements - 1,
+                               kRadixMinElements,
+                               kRadixMinElements + 1,
+                               kMinParallelElements - 1,
+                               kMinParallelElements,
+                               kMinParallelElements + 1,
+                               40000,
+                               100001};
+  for (const std::size_t n : sizes) {
+    Rng rng(13 + n);
+    std::vector<Value> full_width(n);
+    for (Value& x : full_width) x = static_cast<Value>(rng.Next());
+    // INT64_MIN beside INT64_MAX: max - min is 2^64 - 1, all eight passes.
+    std::vector<Value> extremes = full_width;
+    if (n >= 2) {
+      extremes[0] = std::numeric_limits<Value>::max();
+      extremes[n / 2] = std::numeric_limits<Value>::min();
+    }
+    std::vector<Value> negative = RandomValues(n, 17 + n, 1u << 20);
+    for (Value& x : negative) x = -1 - std::abs(x);
+    const std::vector<std::vector<Value>> inputs = {
+        // Heavy duplication (domain 1000) exercises tie handling in the
+        // merge-path splits.
+        RandomValues(n, 11 + n, 1000),
+        full_width,
+        extremes,
+        std::vector<Value>(n, -42),
+        negative,
+    };
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      std::vector<Value> expected = inputs[k];
+      std::sort(expected.begin(), expected.end());
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                               &pool4}) {
+        std::vector<Value> actual = inputs[k];
+        ParallelSort(actual, pool);
+        EXPECT_EQ(actual, expected)
+            << "n=" << n << " input=" << k
+            << " pool=" << (pool == nullptr ? 0 : pool->size());
+      }
+    }
   }
 }
 
@@ -245,13 +285,13 @@ TEST(ParallelSampleTest, PoolSortAndMergeMatchSequential) {
   ThreadPool pool(4);
   std::vector<Value> init = RandomValues(50000, 21, 3000);
   std::vector<Value> batch = RandomValues(30000, 22, 3000);
+  std::sort(batch.begin(), batch.end());
   Sample serial(init);
   Sample parallel(init, &pool);
   EXPECT_EQ(serial.sorted_values(), parallel.sorted_values());
-  serial.Merge(batch);
-  parallel.Merge(batch, &pool);
+  serial.MergeSorted(batch);
+  parallel.MergeSorted(batch, &pool);
   EXPECT_EQ(serial.sorted_values(), parallel.sorted_values());
-  EXPECT_EQ(serial.DistinctCount(), parallel.DistinctCount());
 }
 
 // --- End-to-end determinism ------------------------------------------------

@@ -22,19 +22,20 @@ TEST(SampleTest, DefaultIsEmpty) {
 
 TEST(SampleTest, MergeKeepsSortedMultiset) {
   Sample sample({4, 2, 9});
-  sample.Merge({3, 10, 2});
-  EXPECT_EQ(sample.sorted_values(), (std::vector<Value>{2, 2, 3, 4, 9, 10}));
+  sample.MergeSorted(std::vector<Value>{-5, 2, 3, 10});
+  EXPECT_EQ(sample.sorted_values(),
+            (std::vector<Value>{-5, 2, 2, 3, 4, 9, 10}));
 }
 
 TEST(SampleTest, MergeIntoEmpty) {
   Sample sample;
-  sample.Merge({7, 1});
+  sample.MergeSorted(std::vector<Value>{1, 7});
   EXPECT_EQ(sample.sorted_values(), (std::vector<Value>{1, 7}));
 }
 
 TEST(SampleTest, MergeEmptyBatchIsNoop) {
   Sample sample({1, 2});
-  sample.Merge({});
+  sample.MergeSorted({});
   EXPECT_EQ(sample.size(), 2u);
 }
 
@@ -52,37 +53,11 @@ TEST(SampleTest, ValueAtRank) {
   EXPECT_EQ(sample.ValueAtRank(3), 9);
 }
 
-TEST(SampleTest, DistinctCount) {
-  Sample sample({2, 2, 2, 5, 5, 8});
-  EXPECT_EQ(sample.DistinctCount(), 3u);
-  Sample empty;
-  EXPECT_EQ(empty.DistinctCount(), 0u);
-}
-
-TEST(SampleTest, DistinctCountCacheTracksMerges) {
-  // DistinctCount is maintained incrementally during construction and
-  // Merge (no per-call rescan); verify the cache against a recount of the
-  // sorted values after every batch.
-  Sample sample({4, 4, 1});
-  EXPECT_EQ(sample.DistinctCount(), 2u);
-  sample.Merge({4, 9, 9, 1});
-  EXPECT_EQ(sample.DistinctCount(), 3u);  // {1, 4, 9}
-  sample.Merge({});
-  EXPECT_EQ(sample.DistinctCount(), 3u);
-  sample.Merge({-5, 9, 12});
-  const auto& sorted = sample.sorted_values();
-  std::uint64_t recount = 0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i == 0 || sorted[i] != sorted[i - 1]) ++recount;
-  }
-  EXPECT_EQ(sample.DistinctCount(), recount);
-  EXPECT_EQ(sample.DistinctCount(), 5u);  // {-5, 1, 4, 9, 12}
-}
-
 TEST(SampleTest, ManyMergesStaySorted) {
   Sample sample;
   for (int i = 0; i < 20; ++i) {
-    sample.Merge({static_cast<Value>(100 - i), static_cast<Value>(i)});
+    sample.MergeSorted(
+        std::vector<Value>{static_cast<Value>(i), static_cast<Value>(100 - i)});
   }
   EXPECT_EQ(sample.size(), 40u);
   EXPECT_TRUE(std::is_sorted(sample.sorted_values().begin(),
