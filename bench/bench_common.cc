@@ -54,6 +54,12 @@ unsigned HostConcurrency() {
   return cores;
 }
 
+std::string HostJson() {
+  return "{\"hardware_concurrency\": " + std::to_string(HostConcurrency()) +
+         ", \"compiler\": \"" EQUIHIST_BENCH_COMPILER
+         "\", \"build_type\": \"" EQUIHIST_BENCH_BUILD_TYPE "\"}";
+}
+
 void WriteBenchJson(const std::string& path, const std::string& json) {
   if (json.find("\"hardware_concurrency\"") == std::string::npos) {
     std::fprintf(stderr,

@@ -48,6 +48,10 @@ Scale GetScale(int argc = 0, char** argv = nullptr);
 // scaling sections measure scheduling overhead rather than parallelism.
 unsigned HostConcurrency();
 
+// The JSON `host` object every bench report carries:
+// {"hardware_concurrency", "compiler", "build_type"}.
+std::string HostJson();
+
 // Writes a bench's JSON artifact to `path`. Enforces the reporting
 // contract every throughput bench must honour: the JSON records the
 // host's hardware_concurrency (the perf-regression CI job and

@@ -176,8 +176,7 @@ std::string ToJson(const std::vector<KReport>& reports,
   os << "  \"bench\": \"estimator_throughput\",\n";
   os << "  \"n\": " << n << ",\n";
   os << "  \"queries_per_class\": " << queries_per_class << ",\n";
-  os << "  \"host\": {\"hardware_concurrency\": " << bench::HostConcurrency()
-     << "},\n";
+  os << "  \"host\": " << bench::HostJson() << ",\n";
   os << "  \"simd_available\": "
      << (CompiledEstimator::SimdAvailable() ? "true" : "false") << ",\n";
   os << "  \"batch_multi_column\": [\n";

@@ -6,8 +6,6 @@
 //
 //   qps               client batches served per second (all workers)
 //   p99_us            99th-percentile client batch latency
-//   coalescing_ratio  fraction of client batches that rode a group-commit
-//                     wave with at least one other batch
 //
 // Two guards make the bench fail loudly instead of rotting:
 //   - every fleet estimate is cross-checked bitwise against a single
@@ -79,8 +77,8 @@ std::vector<std::string> Columns(std::size_t n) {
   return columns;
 }
 
-// One worker's rotating multi-column batch (distinct rotations per worker
-// so coalesced waves mix genuinely different requests).
+// One worker's rotating multi-column batch (distinct rotations per worker,
+// so concurrent workers send genuinely different requests).
 std::vector<BatchEstimateRequest> WorkerBatch(
     const std::vector<std::string>& columns, std::uint64_t domain,
     int worker) {
@@ -102,8 +100,6 @@ struct SweepRow {
   std::uint64_t batches = 0;
   double qps = 0.0;
   double p99_us = 0.0;
-  double coalescing_ratio = 0.0;
-  std::uint64_t coalesced_batches = 0;
   std::uint64_t scheduled_builds = 0;
 };
 
@@ -172,15 +168,12 @@ std::string ToJson(const std::vector<SweepRow>& rows,
   os << "  \"workers\": " << kWorkers << ",\n";
   os << "  \"scale\": \""
      << (scale.smoke ? "smoke" : (scale.full ? "full" : "fast")) << "\",\n";
-  os << "  \"host\": {\"hardware_concurrency\": " << bench::HostConcurrency()
-     << "},\n";
+  os << "  \"host\": " << bench::HostJson() << ",\n";
   os << "  \"shard_sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
     os << "    {\"shards\": " << row.shards << ", \"qps\": " << row.qps
        << ", \"p99_us\": " << row.p99_us
-       << ", \"coalescing_ratio\": " << row.coalescing_ratio
-       << ", \"coalesced_batches\": " << row.coalesced_batches
        << ", \"batches\": " << row.batches
        << ", \"scheduled_builds\": " << row.scheduled_builds << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -313,23 +306,10 @@ int main(int argc, char** argv) {
                     : all[std::min(all.size() - 1,
                                    static_cast<std::size_t>(
                                        0.99 * static_cast<double>(all.size())))];
-    const std::uint64_t client_batches = fleet.fleet_metrics().counter(
-        metrics::Counter::kEstimateBatches);
-    const std::uint64_t coalesced_requests = fleet.fleet_metrics().counter(
-        metrics::Counter::kCoalescedRequests);
-    row.coalesced_batches =
-        fleet.fleet_metrics().counter(metrics::Counter::kCoalescedBatches);
-    row.coalescing_ratio =
-        client_batches > 0
-            ? static_cast<double>(coalesced_requests) /
-                  static_cast<double>(client_batches)
-            : 0.0;
     row.scheduled_builds = scheduled;
     rows.push_back(row);
     std::cerr << "shards=" << shards << " qps=" << row.qps
-              << " p99_us=" << row.p99_us
-              << " coalescing_ratio=" << row.coalescing_ratio
-              << " coalesced_batches=" << row.coalesced_batches << "\n";
+              << " p99_us=" << row.p99_us << "\n";
   }
 
   // Scalar serving guard: fleet routing + metrics must not tax

@@ -107,8 +107,7 @@ std::string ToJson(const std::vector<Run>& runs, double rebuild_ms,
   os << "  \"n\": " << scale.default_n << ",\n";
   os << "  \"buckets\": " << scale.k << ",\n";
   os << "  \"reservoir_capacity\": " << capacity << ",\n";
-  os << "  \"host\": {\"hardware_concurrency\": " << bench::HostConcurrency()
-     << "},\n";
+  os << "  \"host\": " << bench::HostJson() << ",\n";
   os << "  \"full_rebuild\": {\"best_ms\": " << rebuild_ms
      << ", \"ns_per_table_row\": " << rebuild_ns_per_row << "},\n";
   // The smallest churn the manager answered with a fallback rebuild (the

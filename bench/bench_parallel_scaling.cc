@@ -95,8 +95,7 @@ std::string ToJson(const std::vector<WorkloadReport>& workloads,
   os << "  \"full_scale\": " << (scale.full ? "true" : "false") << ",\n";
   os << "  \"n\": " << scale.default_n << ",\n";
   os << "  \"buckets\": " << scale.k << ",\n";
-  os << "  \"host\": {\"hardware_concurrency\": " << bench::HostConcurrency()
-     << "},\n";
+  os << "  \"host\": " << bench::HostJson() << ",\n";
   os << "  \"workloads\": [\n";
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     const WorkloadReport& report = workloads[w];

@@ -41,7 +41,6 @@ struct LiveFleet {
         fleet(equihist::StatisticsFleet::Options{
             .shards = 2,
             .shard = {.buckets = 8, .f = 0.5, .seed = 17, .threads = 1},
-            .coalesce = false,
         }) {}
 
   static equihist::Table MakeTable() {

@@ -8,12 +8,14 @@
 //            EncodeEnvelope to a message whose payload decodes back to
 //            the same fields with checksum_ok (encode/decode coherence).
 //   mode 1 — the streaming path: the bytes are written into a socketpair
-//            and RecvEnvelopePayload reads them back under a real
-//            deadline — the exact server framing path (varint length
-//            prefix, the 1 MiB admission cap, bounded reads). Whatever
-//            arrives, the call must return a typed Status within the
-//            deadline; a received payload must byte-match what the
-//            length prefix framed.
+//            and one EnvelopeReader reads envelopes back under a real
+//            deadline until it errors — the exact framing path of the
+//            client and every server connection (varint length prefix,
+//            the 1 MiB admission cap, bytes carried over from one
+//            envelope to the next). Every call must return within the
+//            deadline; each payload must byte-match the next envelope an
+//            offline rescan of the same bytes finds, and the reader may
+//            stop short of a whole envelope only on a timeout.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -71,6 +73,7 @@ void FuzzDecode(std::span<const std::uint8_t> bytes, bool expect_budget) {
 }
 
 void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
+  constexpr std::size_t kMaxFrameBytes = 1 << 20;
   int fds[2];
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
 
@@ -84,24 +87,33 @@ void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
     written += static_cast<std::size_t>(rc);
   }
   shutdown(fds[1], SHUT_WR);  // EOF after the fuzz bytes
+  const std::span<const std::uint8_t> stream(bytes.data(), written);
 
   const std::uint64_t deadline = NowMicros() + 200'000;
-  const auto payload = equihist::transport::RecvEnvelopePayload(
-      fds[0], /*max_frame_bytes=*/1 << 20, deadline, nullptr);
-  FUZZ_CHECK(NowMicros() <= deadline + 1'000'000,
-             "RecvEnvelopePayload overran its deadline");
-  if (payload.ok()) {
-    // The framing really came off the stream: re-parse the prefix the
-    // reader consumed and check the payload is exactly what it framed.
-    equihist::wire::Reader reader(
-        std::span<const std::uint8_t>(bytes.data(), written));
-    const auto length = reader.Varint();
-    FUZZ_CHECK(length.ok() && *length == payload->size(),
+  equihist::transport::EnvelopeReader envelopes(kMaxFrameBytes);
+  std::size_t offset = 0;  // where the offline rescan expects the next one
+  while (true) {
+    equihist::wire::Reader rescan(stream.subspan(offset));
+    const auto length = rescan.Varint();
+    const bool whole = length.ok() && *length > 0 &&
+                       *length <= kMaxFrameBytes &&
+                       *length <= rescan.remaining();
+    const auto payload = envelopes.Next(fds[0], deadline, nullptr);
+    FUZZ_CHECK(NowMicros() <= deadline + 1'000'000,
+               "EnvelopeReader overran its deadline");
+    if (!payload.ok()) {
+      FUZZ_CHECK(!whole || payload.status().code() ==
+                               equihist::StatusCode::kDeadlineExceeded,
+                 "EnvelopeReader rejected a whole envelope");
+      break;
+    }
+    FUZZ_CHECK(whole && *length == payload->size(),
                "received payload disagrees with the length prefix");
     FUZZ_CHECK(std::equal(payload->begin(), payload->end(),
-                          bytes.begin() +
-                              static_cast<std::ptrdiff_t>(reader.position())),
+                          stream.begin() + static_cast<std::ptrdiff_t>(
+                                               offset + rescan.position())),
                "received payload bytes differ from the stream");
+    offset += rescan.position() + payload->size();
     // And the production next step must be total: decode both ways.
     (void)equihist::transport::DecodeEnvelopePayload(*payload, true);
     (void)equihist::transport::DecodeEnvelopePayload(*payload, false);

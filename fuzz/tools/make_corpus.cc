@@ -169,6 +169,17 @@ void EnvelopeSeeds(const std::filesystem::path& root) {
   // selector bit0=1 -> socket stream mode gets the whole framed message.
   WriteSeed(root, "fuzz_transport_envelope", "framed_stream",
             WithMode(1, message));
+  // Two whole envelopes and a truncated third in one stream: the reader
+  // carries bytes from one envelope into the next.
+  Bytes pipelined = message;
+  const Bytes reply = equihist::transport::EncodeEnvelope(
+      /*request_id=*/8, /*budget_micros=*/0, /*include_budget=*/false, frame);
+  pipelined.insert(pipelined.end(), reply.begin(), reply.end());
+  pipelined.insert(pipelined.end(), message.begin(),
+                   message.begin() +
+                       static_cast<std::ptrdiff_t>(message.size() / 2));
+  WriteSeed(root, "fuzz_transport_envelope", "pipelined_stream",
+            WithMode(1, pipelined));
 }
 
 void EstimatorSeeds(const std::filesystem::path& root) {

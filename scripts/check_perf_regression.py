@@ -12,9 +12,10 @@ serving core got 2x slower" (an accidental O(k) loop, a dropped fast
 path), not 5% drift.
 
 Skips (exit 0, reason recorded) when the runner reports fewer cores than
---min-cores: single-core CI runners are typically shared/throttled enough
-that even the wide band false-positives, and the parallel sections are
-meaningless there.
+--min-cores or than the baseline's host recorded: single-core CI runners
+are typically shared/throttled enough that even the wide band
+false-positives, and a baseline measured with more cores than the runner
+has (thread hand-offs, socket round trips) is not comparable to it.
 """
 
 import argparse
@@ -135,6 +136,14 @@ def main():
             f"PERF GATE SKIPPED: runner reports hardware_concurrency={cores} "
             f"(< {args.min_cores}); shared single-core runners are too noisy "
             "for even the wide tolerance band. No comparison performed."
+        )
+        return 0
+    baseline_cores = baseline.get("host", {}).get("hardware_concurrency", 0)
+    if cores < baseline_cores:
+        record(
+            f"PERF GATE SKIPPED: runner reports hardware_concurrency={cores}, "
+            f"fewer than the {baseline_cores} the baseline was measured on; "
+            "its timings are not comparable. No comparison performed."
         )
         return 0
 

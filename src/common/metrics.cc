@@ -22,8 +22,6 @@ const char* Name(Counter counter) {
       return "fallback_publishes";
     case Counter::kDmlRecords:
       return "dml_records";
-    case Counter::kCoalescedBatches:
-      return "coalesced_batches";
     case Counter::kCoalescedRequests:
       return "coalesced_requests";
     case Counter::kWireFramesServed:

@@ -31,8 +31,9 @@ enum class Counter : std::size_t {
   kIncrementalRefreshes,    // O(delta) reservoir-backed publishes
   kFallbackPublishes,       // uniform-fallback snapshots published
   kDmlRecords,              // RecordModifications/Insert/Delete calls
-  kCoalescedBatches,        // combined executions covering >1 submission
-  kCoalescedRequests,       // requests that rode a combined execution
+  // Always 0: the fleet no longer combines concurrent batches. Kept so
+  // readers of the metrics plane and its JSON see the same names.
+  kCoalescedRequests,
   kWireFramesServed,        // wire frames dispatched successfully
   kWireFrameErrors,         // wire frames rejected (corrupt or failed)
   kSchedulerEnqueued,       // build requests admitted to the queue
@@ -62,7 +63,7 @@ enum class Counter : std::size_t {
 enum class Gauge : std::size_t {
   kQueueDepth = 0,         // build requests waiting for admission
   kInflightBuilds,         // builds currently running under the budget
-  kServerQueueDepth,       // transport work items waiting for a worker
+  kServerQueueDepth,       // transport frames waiting for a serving slot
   kServerActiveConnections,  // transport connections currently open
   kCount,
 };
@@ -73,9 +74,9 @@ enum class Gauge : std::size_t {
 enum class Hist : std::size_t {
   kBuildLatencyMicros = 0,  // wall time of one published build
   kEstimateBatchSize,       // requests per EstimateBatch call
-  kCoalescedBatchSize,      // requests per combined coalescer execution
+  kCoalescedBatchSize,      // always empty, like kCoalescedRequests
   kTransportRoundTripMicros,  // client-observed wall time per exchange
-  kServerQueueWaitMicros,     // enqueue-to-dequeue wait per work item
+  kServerQueueWaitMicros,     // decode-to-serve wait per admitted frame
   kCount,
 };
 

@@ -52,7 +52,6 @@ inline constexpr Rank kSocketTransport{"SocketTransport::mu_", 30};
 inline constexpr Rank kExchange{"TransportClient::Exchange::mu", 40};
 inline constexpr Rank kConnectionWrite{
     "SocketTransportServer::Connection::write_mu", 50};
-inline constexpr Rank kCoalescer{"BatchCoalescer::mu_", 60};
 inline constexpr Rank kBuildScheduler{"BuildScheduler::mu_", 70};
 inline constexpr Rank kShardBuild{"StatisticsShard::Entry::build_mu", 80};
 // Leaf: the PR-7 invariant "maintenance.mu never nests with the shard's
@@ -261,8 +260,8 @@ class CondVar {
   // Predicate form: waits until pred() holds or `timeout` elapses. Returns
   // pred()'s final value — false means the deadline fired with the
   // condition still unmet. The deadline-bounded waits of the fleet
-  // transport layer (coalescer followers, hedged exchanges) all go through
-  // this: no wait in that stack may ever be unbounded.
+  // transport client (hedged exchanges) all go through this: no wait in
+  // that stack may ever be unbounded.
   template <typename Rep, typename Period, typename Predicate>
   bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout,
                Predicate pred) REQUIRES(mu) {

@@ -1,7 +1,6 @@
 #include "stats/statistics_fleet.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <utility>
@@ -10,118 +9,13 @@
 
 namespace equihist {
 
-// -- BatchCoalescer ----------------------------------------------------------
-
-void BatchCoalescer::ServeWave(
-    StatisticsShard& shard, const std::vector<std::shared_ptr<Pending>>& wave,
-    metrics::MetricsPlane* metrics) {
-  // One combined shard call per distinct table in the wave (waves almost
-  // always reference a single table; the map keeps mixed waves correct).
-  std::map<const Table*, std::vector<Pending*>> by_table;
-  for (const auto& pending : wave) {
-    by_table[pending->table].push_back(pending.get());
-  }
-  for (auto& [table, group] : by_table) {
-    std::vector<BatchEstimateRequest> combined;
-    std::size_t total = 0;
-    for (const Pending* pending : group) total += pending->requests.size();
-    combined.reserve(total);
-    for (const Pending* pending : group) {
-      combined.insert(combined.end(), pending->requests.begin(),
-                      pending->requests.end());
-    }
-    BatchEstimateResult result;
-    const Status status = shard.EstimateBatch(*table, combined, &result);
-    if (status.ok()) {
-      std::size_t offset = 0;
-      for (Pending* pending : group) {
-        std::copy_n(
-            result.estimates.begin() + static_cast<std::ptrdiff_t>(offset),
-            pending->requests.size(), pending->answers.begin());
-        pending->status = Status::OK();
-        offset += pending->requests.size();
-      }
-    } else {
-      for (Pending* pending : group) pending->status = status;
-    }
-    if (metrics != nullptr && group.size() > 1) {
-      metrics->Increment(metrics::Counter::kCoalescedBatches);
-      metrics->Increment(metrics::Counter::kCoalescedRequests, group.size());
-      metrics->Observe(metrics::Hist::kCoalescedBatchSize, total);
-    }
-  }
-}
-
-Status BatchCoalescer::Submit(StatisticsShard& shard, const Table& table,
-                              std::span<const BatchEstimateRequest> requests,
-                              double* out, metrics::MetricsPlane* metrics,
-                              std::uint64_t wait_micros) {
-  auto self = std::make_shared<Pending>();
-  self->table = &table;
-  self->requests.assign(requests.begin(), requests.end());
-  self->answers.assign(requests.size(), 0.0);
-  mu_.Lock();
-  queue_.push_back(self);
-  if (leader_active_) {
-    // A leader is serving waves; it will pick this up and flip done.
-    bool served = true;
-    if (wait_micros == 0) {
-      cv_.Wait(mu_, [&self]() { return self->done; });
-    } else {
-      served = cv_.WaitFor(mu_, std::chrono::microseconds(wait_micros),
-                           [&self]() { return self->done; });
-    }
-    if (!served) {
-      // Abandon. If the leader has not dequeued us yet, withdraw so it
-      // never will; if it has, our shared_ptr copy dies here and the
-      // leader's copy keeps the storage alive — it completes the wave
-      // into memory nobody reads. Either way the caller gets a typed
-      // timeout instead of an unbounded block.
-      auto it = std::find(queue_.begin(), queue_.end(), self);
-      if (it != queue_.end()) queue_.erase(it);
-      mu_.Unlock();
-      return Status::DeadlineExceeded(
-          "coalesced batch abandoned: leader did not complete in time");
-    }
-    Status status = std::move(self->status);
-    mu_.Unlock();
-    if (status.ok()) {
-      std::copy(self->answers.begin(), self->answers.end(), out);
-    }
-    return status;
-  }
-  leader_active_ = true;
-  while (!queue_.empty()) {
-    std::vector<std::shared_ptr<Pending>> wave;
-    wave.swap(queue_);
-    mu_.Unlock();
-    // Only the leader touches a pending between dequeue and done, so the
-    // wave is served lock-free; submitters that arrive meanwhile queue up
-    // for the next wave.
-    ServeWave(shard, wave, metrics);
-    mu_.Lock();
-    for (const auto& pending : wave) pending->done = true;
-    cv_.NotifyAll();
-  }
-  leader_active_ = false;
-  Status status = std::move(self->status);
-  mu_.Unlock();
-  if (status.ok()) {
-    std::copy(self->answers.begin(), self->answers.end(), out);
-  }
-  return status;
-}
-
 // -- StatisticsFleet ---------------------------------------------------------
 
-StatisticsFleet::StatisticsFleet(const Options& options)
-    : options_(options) {
+StatisticsFleet::StatisticsFleet(const Options& options) {
   const std::uint64_t n = std::max<std::uint64_t>(options.shards, 1);
   shards_.reserve(n);
-  coalescers_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<StatisticsShard>(options.shard));
-    coalescers_.push_back(std::make_unique<BatchCoalescer>());
   }
   scheduler_ = std::make_unique<BuildScheduler>(options.scheduler, &metrics_);
 }
@@ -136,8 +30,6 @@ std::size_t StatisticsFleet::ShardIndex(const std::string& column) const {
 Result<double> StatisticsFleet::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
-  // Scalar estimates skip the coalescer: the serving path is lock-free
-  // already, and plan-time point lookups must not pay a queue round-trip.
   return shards_[ShardIndex(column)]->EstimateRange(column, table, query);
 }
 
@@ -152,7 +44,7 @@ Status StatisticsFleet::EstimateBatch(
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, requests.size());
   result->estimates.assign(requests.size(), 0.0);
   if (requests.empty()) return Status::OK();
-  if (shards_.size() == 1 && !options_.coalesce) {
+  if (shards_.size() == 1) {
     return shards_[0]->EstimateBatch(table, requests, result);
   }
   return EstimateBatchPartitioned(table, requests, result);
@@ -183,26 +75,17 @@ Status StatisticsFleet::EstimateBatchPartitioned(
     gathered[slot] = requests[i];
     original_index[slot] = i;
   }
-  std::vector<double> answers(n, 0.0);
+  BatchEstimateResult sub_result;  // reused across shards
   for (std::size_t s = 0; s < num_shards; ++s) {
     const std::size_t begin = offsets[s];
     const std::size_t count = offsets[s + 1] - begin;
     if (count == 0) continue;
     const std::span<const BatchEstimateRequest> sub(&gathered[begin], count);
-    if (options_.coalesce) {
-      EQUIHIST_RETURN_IF_ERROR(
-          coalescers_[s]->Submit(*shards_[s], table, sub, &answers[begin],
-                                 &metrics_, options_.coalesce_wait_micros));
-    } else {
-      BatchEstimateResult sub_result;
-      EQUIHIST_RETURN_IF_ERROR(
-          shards_[s]->EstimateBatch(table, sub, &sub_result));
-      std::copy(sub_result.estimates.begin(), sub_result.estimates.end(),
-                answers.begin() + static_cast<std::ptrdiff_t>(begin));
+    EQUIHIST_RETURN_IF_ERROR(
+        shards_[s]->EstimateBatch(table, sub, &sub_result));
+    for (std::size_t j = 0; j < count; ++j) {
+      result->estimates[original_index[begin + j]] = sub_result.estimates[j];
     }
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    result->estimates[original_index[slot]] = answers[slot];
   }
   return Status::OK();
 }

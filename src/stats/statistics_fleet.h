@@ -8,72 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/metrics.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "stats/build_scheduler.h"
 #include "stats/statistics_shard.h"
 #include "storage/table.h"
 
 namespace equihist {
-
-// Group-commit front-end for one shard's EstimateBatch (DESIGN.md §16).
-// Concurrent submitters enqueue; the first becomes the leader, drains the
-// queue in waves, and serves each wave as ONE combined EstimateBatch call
-// against the shard — later arrivals piggyback on the wave in flight.
-// Under contention this turns k lock-free-cache resolutions + k backend
-// dispatches into one of each; under no contention it degenerates to a
-// direct call with one uncontended lock round-trip.
-//
-// Correctness: every estimate in a batch is computed independently
-// (estimates[i] depends only on requests[i] and the column snapshot), so
-// combining batches and scattering the answers back is bitwise-neutral.
-class BatchCoalescer {
- public:
-  BatchCoalescer() = default;
-  BatchCoalescer(const BatchCoalescer&) = delete;
-  BatchCoalescer& operator=(const BatchCoalescer&) = delete;
-
-  // Serves `requests` against `shard` (all rows reference `table`),
-  // writing requests.size() answers to `out`. Blocks until served —
-  // either by this thread as the leader or by a concurrent leader's wave —
-  // or, when `wait_micros` > 0, until that bound expires, in which case
-  // the submission is abandoned and kDeadlineExceeded returned: a wedged
-  // leader (e.g. a backend stuck in I/O) can never pin follower threads
-  // forever. `wait_micros` == 0 waits unboundedly. The bound applies to
-  // followers only; the leader runs the shard call on its own thread and
-  // is bounded by that call, not by this queue.
-  // `metrics` (optional) receives the coalescing counters.
-  Status Submit(StatisticsShard& shard, const Table& table,
-                std::span<const BatchEstimateRequest> requests, double* out,
-                metrics::MetricsPlane* metrics = nullptr,
-                std::uint64_t wait_micros = 0) EXCLUDES(mu_);
-
- private:
-  // Owned by shared_ptr so an abandoning follower can return while the
-  // leader still serves (or later completes) its wave: the leader's copy
-  // keeps the requests and answer storage alive, and the dead follower's
-  // stack is never touched.
-  struct Pending {
-    const Table* table = nullptr;
-    std::vector<BatchEstimateRequest> requests;
-    std::vector<double> answers;
-    Status status;
-    bool done = false;
-  };
-
-  // Serves one drained wave (leader only, no lock held): one combined
-  // EstimateBatch per distinct table in the wave, answers scattered back.
-  static void ServeWave(StatisticsShard& shard,
-                        const std::vector<std::shared_ptr<Pending>>& wave,
-                        metrics::MetricsPlane* metrics);
-
-  Mutex mu_{lockrank::kCoalescer};
-  CondVar cv_;
-  std::vector<std::shared_ptr<Pending>> queue_ GUARDED_BY(mu_);
-  bool leader_active_ GUARDED_BY(mu_) = false;
-};
 
 // A fleet of StatisticsShards behind one facade (DESIGN.md §16): columns
 // hash-partition across `shards` independent StatisticsShard instances
@@ -84,8 +25,8 @@ class BatchCoalescer {
 //
 // On top of the shards the fleet adds:
 //   - a batched front-end: EstimateBatch partitions a mixed-column batch
-//     across shards with a counting sort and (optionally) coalesces
-//     concurrent callers per shard through BatchCoalescer;
+//     across shards with a counting sort and serves each sub-batch on the
+//     calling thread through the shard's lock-free EstimateBatch;
 //   - an async BuildScheduler with priority admission (degraded > stale >
 //     fresh, then DML pressure) on the PR-1 ThreadPool;
 //   - the fleetwire frame protocol (ServeFrame) for estimate and
@@ -106,16 +47,6 @@ class StatisticsFleet {
     // the determinism note above).
     StatisticsShard::Options shard{};
     BuildScheduler::Options scheduler{};
-    // Group-commit batching of concurrent EstimateBatch callers. Off, the
-    // fleet still partitions batches across shards but each caller calls
-    // the shard directly.
-    bool coalesce = true;
-    // Upper bound a coalescer follower waits on a concurrent leader's
-    // wave before abandoning with kDeadlineExceeded (0 = unbounded). The
-    // default is far above any healthy serve time; it exists so a wedged
-    // leader degrades into typed errors instead of a pile of stuck
-    // threads.
-    std::uint64_t coalesce_wait_micros = 60'000'000;
   };
 
   explicit StatisticsFleet(const Options& options);
@@ -134,8 +65,8 @@ class StatisticsFleet {
                                const RangeQuery& query);
 
   // Cross-shard batch: requests are counting-sorted by owning shard,
-  // gathered into per-shard contiguous sub-batches, served (through the
-  // coalescer when enabled), and scattered back into request order.
+  // gathered into per-shard contiguous sub-batches, served one shard
+  // after another, and scattered back into request order.
   // Same contract as StatisticsShard::EstimateBatch, including the
   // first-error behavior.
   Status EstimateBatch(const Table& table,
@@ -189,10 +120,8 @@ class StatisticsFleet {
       const Table& table, std::span<const BatchEstimateRequest> requests,
       BatchEstimateResult* result);
 
-  const Options options_;
-  metrics::MetricsPlane metrics_;  // fleet-level: coalescing, wire, scheduler
+  metrics::MetricsPlane metrics_;  // fleet-level: batches, wire, scheduler
   std::vector<std::unique_ptr<StatisticsShard>> shards_;
-  std::vector<std::unique_ptr<BatchCoalescer>> coalescers_;
   std::unique_ptr<BuildScheduler> scheduler_;
 };
 

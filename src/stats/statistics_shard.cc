@@ -637,64 +637,61 @@ StatisticsShard::CachedServing* StatisticsShard::FindCachedServing(
   return nullptr;
 }
 
-Result<StatisticsShard::CachedServing*> StatisticsShard::RefreshServing(
+StatisticsShard::CachedServing* StatisticsShard::CaptureServing(
+    const std::string& column) {
+  CachedServing fresh;
+  {
+    ReaderMutexLock lock(mu_);
+    const auto it = entries_.find(column);
+    if (it == entries_.end()) return nullptr;
+    it->second->AssertReaderHeld();
+    if (it->second->stats == nullptr) return nullptr;
+    // Counter and snapshot are mutually consistent here: publishes mutate
+    // both under the exclusive lock we are sharing against.
+    fresh.published = it->second->published.load(std::memory_order_acquire);
+    fresh.stats = it->second->stats;
+    fresh.model = it->second->model;
+    fresh.entry = it->second;
+  }
+  fresh.shard_id = shard_id_;
+  fresh.column = column;
+  std::vector<CachedServing>& cache = ServingCache();
+  CachedServing* slot = FindCachedServing(column);
+  if (slot == nullptr) {
+    if (cache.size() >= kMaxServingSlots) cache.erase(cache.begin());
+    slot = &cache.emplace_back();
+  }
+  *slot = std::move(fresh);
+  return slot;
+}
+
+Result<HistogramModelPtr> StatisticsShard::RefreshServing(
     const std::string& column, const Table& table) {
   metrics_.Increment(metrics::Counter::kServingCacheRefreshes);
-  // Capture always resolves through the entry map, never through a cached
-  // entry pointer: an entry detached by Drop must not be re-validated, or
-  // a thread could serve a dropped column forever.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    std::shared_ptr<Entry> entry;
-    CachedServing fresh;
-    {
-      ReaderMutexLock lock(mu_);
-      const auto it = entries_.find(column);
-      if (it != entries_.end()) {
-        it->second->AssertReaderHeld();
-        if (it->second->stats != nullptr) {
-          entry = it->second;
-          // Counter and snapshot are mutually consistent here: publishes
-          // mutate both under the exclusive lock we are sharing against.
-          fresh.published = entry->published.load(std::memory_order_acquire);
-          fresh.stats = it->second->stats;
-          fresh.model = it->second->model;
-        }
-      }
-    }
-    if (entry != nullptr) {
-      fresh.shard_id = shard_id_;
-      fresh.column = column;
-      fresh.entry = std::move(entry);
-      std::vector<CachedServing>& cache = ServingCache();
-      CachedServing* slot = FindCachedServing(column);
-      if (slot == nullptr) {
-        if (cache.size() >= kMaxServingSlots) cache.erase(cache.begin());
-        slot = &cache.emplace_back();
-      }
-      *slot = std::move(fresh);
-      return slot;
-    }
-    // Missing or never-built column: build through the normal path, then
-    // re-capture. Another thread may Drop between the build and the
-    // capture, hence the (bounded) retry loop.
-    const std::shared_ptr<Entry> node = GetEntry(column);
-    EQUIHIST_ASSIGN_OR_RETURN(
-        const auto built,
-        BuildAndPublish(column, node.get(), table, /*require_fresh=*/false));
-    (void)built;
-  }
-  return Status::Internal(
-      "statistics were repeatedly dropped while refreshing the serving path");
+  if (const CachedServing* slot = CaptureServing(column)) return slot->model;
+  // Missing or never-built column: build through the normal path, then
+  // capture again.
+  const std::shared_ptr<Entry> node = GetEntry(column);
+  EQUIHIST_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const ColumnStatistics> built,
+      BuildAndPublish(column, node.get(), table, /*require_fresh=*/false));
+  if (const CachedServing* slot = CaptureServing(column)) return slot->model;
+  // A concurrent Drop removed the column after the build: answer this
+  // call from the snapshot the build returned, but leave it out of the
+  // cache, so the dropped column is not served again without a rebuild.
+  return built->model;
 }
 
 Result<double> StatisticsShard::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
   metrics_.Increment(metrics::Counter::kEstimateQueries);
-  CachedServing* slot = FindCachedServing(column);
+  const CachedServing* slot = FindCachedServing(column);
   if (slot == nullptr || slot->entry->published.load(
                              std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(slot, RefreshServing(column, table));
+    EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr model,
+                              RefreshServing(column, table));
+    return model->EstimateRangeCount(query);
   }
   return slot->model->EstimateRangeCount(query);
 }
@@ -708,13 +705,14 @@ Status StatisticsShard::EstimateRanges(const std::string& column,
         "output span smaller than the query batch");
   }
   metrics_.Increment(metrics::Counter::kEstimateQueries, queries.size());
-  CachedServing* slot = FindCachedServing(column);
+  const CachedServing* slot = FindCachedServing(column);
+  HistogramModelPtr refreshed;
   if (slot == nullptr || slot->entry->published.load(
                              std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(slot, RefreshServing(column, table));
+    EQUIHIST_ASSIGN_OR_RETURN(refreshed, RefreshServing(column, table));
   }
-  slot->model->EstimateRangeCounts(queries, out,
-                                   use_pool ? pool() : nullptr);
+  const HistogramModel& model = refreshed ? *refreshed : *slot->model;
+  model.EstimateRangeCounts(queries, out, use_pool ? pool() : nullptr);
   return Status::OK();
 }
 
@@ -754,14 +752,18 @@ Status StatisticsShard::EstimateBatch(
     std::size_t g = 0;
     while (g < groups.size() && *groups[g].column != requests[i].column) ++g;
     if (g == groups.size()) {
-      CachedServing* slot = FindCachedServing(requests[i].column);
+      const CachedServing* slot = FindCachedServing(requests[i].column);
+      HistogramModelPtr model;
       if (slot == nullptr ||
           slot->entry->published.load(std::memory_order_acquire) !=
               slot->published) {
-        EQUIHIST_ASSIGN_OR_RETURN(slot,
+        EQUIHIST_ASSIGN_OR_RETURN(model,
                                   RefreshServing(requests[i].column, table));
+      } else {
+        model = slot->model;
       }
-      groups.push_back(ColumnGroup{&requests[i].column, slot->model, 0, 0});
+      groups.push_back(
+          ColumnGroup{&requests[i].column, std::move(model), 0, 0});
     }
     ++groups[g].count;
     group_of[i] = g;

@@ -454,11 +454,15 @@ class StatisticsShard {
   static std::vector<CachedServing>& ServingCache();
   // Cache probe for (this manager, column); null on miss.
   CachedServing* FindCachedServing(const std::string& column);
-  // Slow path: resolves the column's current snapshot via the entry map
-  // (building on first access), installs it in this thread's cache, and
-  // returns the slot.
-  Result<CachedServing*> RefreshServing(const std::string& column,
-                                        const Table& table);
+  // Resolves the column's published snapshot through the entry map (never
+  // through a cached entry pointer, so a column detached by Drop is never
+  // re-validated) and installs it in this thread's cache; null when the
+  // column is missing or was never built.
+  CachedServing* CaptureServing(const std::string& column);
+  // Slow path: captures the column, building it first when the capture
+  // misses, and returns the model to serve.
+  Result<HistogramModelPtr> RefreshServing(const std::string& column,
+                                           const Table& table);
 
   const Options options_;
   const std::uint64_t shard_id_;  // process-unique, assigned at construction

@@ -50,6 +50,12 @@ void SleepBounded(std::uint64_t micros, std::uint64_t deadline_micros,
   }
 }
 
+std::size_t VarintSize(std::uint64_t value) {
+  std::size_t size = 1;
+  for (; value >= 0x80; value >>= 7) ++size;
+  return size;
+}
+
 }  // namespace
 
 // -- Envelope ---------------------------------------------------------------
@@ -59,16 +65,18 @@ std::vector<std::uint8_t> EncodeEnvelope(std::uint64_t request_id,
                                          std::uint64_t budget_micros,
                                          bool include_budget,
                                          std::span<const std::uint8_t> frame) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(frame.size() + 24);
-  wire::PutVarint(request_id, &payload);
-  if (include_budget) wire::PutVarint(budget_micros, &payload);
-  wire::PutVarint(ChecksumBytes(frame), &payload);
-  payload.insert(payload.end(), frame.begin(), frame.end());
+  const std::uint64_t checksum = ChecksumBytes(frame);
+  const std::size_t payload =
+      VarintSize(request_id) +
+      (include_budget ? VarintSize(budget_micros) : 0) +
+      VarintSize(checksum) + frame.size();
   std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 4);
-  wire::PutVarint(payload.size(), &out);
-  out.insert(out.end(), payload.begin(), payload.end());
+  out.reserve(VarintSize(payload) + payload);
+  wire::PutVarint(payload, &out);
+  wire::PutVarint(request_id, &out);
+  if (include_budget) wire::PutVarint(budget_micros, &out);
+  wire::PutVarint(checksum, &out);
+  out.insert(out.end(), frame.begin(), frame.end());
   return out;
 }
 
@@ -157,57 +165,66 @@ Status SendAll(int fd, std::span<const std::uint8_t> bytes,
   return Status::OK();
 }
 
-// Exactly `n` bytes or an error; EOF surfaces as kUnavailable.
-Status RecvExact(int fd, std::uint8_t* out, std::size_t n,
-                 std::uint64_t deadline_micros,
-                 const std::atomic<bool>* stop) {
-  std::size_t received = 0;
-  while (received < n) {
-    const ssize_t rc = recv(fd, out + received, n - received, 0);
+// Smallest receive buffer: one recv takes a whole small envelope and
+// whatever follows it.
+constexpr std::size_t kMinRecvBuffer = 4096;
+
+}  // namespace
+
+Result<std::span<const std::uint8_t>> EnvelopeReader::Next(
+    int fd, std::uint64_t deadline_micros, const std::atomic<bool>* stop) {
+  while (true) {
+    // Parse the length varint (at most 10 bytes) from the buffered bytes.
+    const std::size_t available = end_ - begin_;
+    std::uint64_t length = 0;
+    std::size_t prefix = 0;  // varint bytes; 0 = incomplete
+    for (std::size_t i = 0; i < std::min<std::size_t>(available, 10); ++i) {
+      const std::uint8_t byte = buffer_[begin_ + i];
+      length |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        prefix = i + 1;
+        break;
+      }
+    }
+    std::size_t needed = available + 1;
+    if (prefix == 0 && available >= 10) {
+      return Status::Unavailable("oversized varint on transport stream");
+    }
+    if (prefix != 0) {
+      if (length == 0 || length > max_frame_bytes_) {
+        return Status::Unavailable("transport envelope length out of bounds");
+      }
+      needed = prefix + static_cast<std::size_t>(length);
+      if (available >= needed) {
+        const std::span<const std::uint8_t> payload(
+            buffer_.data() + begin_ + prefix, static_cast<std::size_t>(length));
+        begin_ += needed;
+        return payload;
+      }
+    }
+    // Make room for the rest of this envelope: unconsumed bytes move to
+    // the front, and the buffer grows only to a length already checked
+    // against the cap.
+    if (begin_ > 0) {
+      std::copy(buffer_.begin() + static_cast<std::ptrdiff_t>(begin_),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(end_),
+                buffer_.begin());
+      end_ = available;
+      begin_ = 0;
+    }
+    buffer_.resize(std::max({buffer_.size(), needed, kMinRecvBuffer}));
+    EQUIHIST_RETURN_IF_ERROR(PollFd(fd, POLLIN, deadline_micros, stop));
+    const ssize_t rc =
+        recv(fd, buffer_.data() + end_, buffer_.size() - end_, 0);
     if (rc > 0) {
-      received += static_cast<std::size_t>(rc);
+      end_ += static_cast<std::size_t>(rc);
       continue;
     }
     if (rc == 0) return Status::Unavailable("peer closed the connection");
     if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       return Status::Unavailable("recv failed");
     }
-    EQUIHIST_RETURN_IF_ERROR(PollFd(fd, POLLIN, deadline_micros, stop));
   }
-  return Status::OK();
-}
-
-// A varint read byte-at-a-time off the stream (at most 10 bytes).
-Result<std::uint64_t> RecvVarint(int fd, std::uint64_t deadline_micros,
-                                 const std::atomic<bool>* stop) {
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (int i = 0; i < 10; ++i) {
-    std::uint8_t byte = 0;
-    EQUIHIST_RETURN_IF_ERROR(RecvExact(fd, &byte, 1, deadline_micros, stop));
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-  return Status::Unavailable("oversized varint on transport stream");
-}
-
-}  // namespace
-
-// One whole envelope payload off the stream (length prefix consumed and
-// validated against `max_frame_bytes`).
-Result<std::vector<std::uint8_t>> RecvEnvelopePayload(
-    int fd, std::size_t max_frame_bytes, std::uint64_t deadline_micros,
-    const std::atomic<bool>* stop) {
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t length,
-                            RecvVarint(fd, deadline_micros, stop));
-  if (length == 0 || length > max_frame_bytes) {
-    return Status::Unavailable("transport envelope length out of bounds");
-  }
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
-  EQUIHIST_RETURN_IF_ERROR(
-      RecvExact(fd, payload.data(), payload.size(), deadline_micros, stop));
-  return payload;
 }
 
 std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes) {
@@ -465,8 +482,8 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
 
   // -- Receive leg ----------------------------------------------------------
   while (true) {
-    Result<std::vector<std::uint8_t>> payload =
-        RecvEnvelopePayload(fd_, 1 << 20, deadline, nullptr);
+    Result<std::span<const std::uint8_t>> payload =
+        reader_.Next(fd_, deadline, nullptr);
     if (!payload.ok()) {
       // Timeout or stream failure mid-message: the link may still deliver
       // a stale reply later, so it must never be reused.
@@ -528,12 +545,17 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
 // -- SocketTransportServer --------------------------------------------------
 
 struct SocketTransportServer::Connection {
+  explicit Connection(std::size_t max_frame_bytes)
+      : envelopes(max_frame_bytes) {}
+
   int fd = -1;
   std::uint64_t id = 0;
   Mutex write_mu{lockrank::kConnectionWrite};
   std::atomic<bool> done{false};  // reader thread exited
   std::thread reader;
-  std::uint64_t serve_index = 0;  // frames read, reader thread only
+  // Reader thread only:
+  EnvelopeReader envelopes;
+  std::uint64_t serve_index = 0;  // frames read
 };
 
 SocketTransportServer::SocketTransportServer(StatisticsFleet* fleet,
@@ -596,10 +618,6 @@ Status SocketTransportServer::Start() {
   }
   std::ignore = SetNonBlocking(wake_pipe_[0]);
   accept_thread_ = std::thread([this]() { AcceptLoop(); });
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
   return Status::OK();
 }
 
@@ -608,10 +626,8 @@ void SocketTransportServer::Stop() {
   std::vector<std::shared_ptr<Connection>> connections;
   {
     MutexLock lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
+    if (stopping_.exchange(true)) return;
     connections.swap(connections_);
-    work_cv_.NotifyAll();
   }
   if (wake_pipe_[1] >= 0) {
     const char byte = 'x';
@@ -625,10 +641,6 @@ void SocketTransportServer::Stop() {
     if (connection->reader.joinable()) connection->reader.join();
     close(connection->fd);
   }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
   if (listen_fd_ >= 0) {
     close(listen_fd_);
     listen_fd_ = -1;
@@ -671,7 +683,7 @@ void SocketTransportServer::AcceptLoop() {
       close(fd);
       continue;
     }
-    auto connection = std::make_shared<Connection>();
+    auto connection = std::make_shared<Connection>(options_.max_frame_bytes);
     connection->fd = fd;
     {
       MutexLock lock(mu_);
@@ -694,31 +706,15 @@ void SocketTransportServer::AcceptLoop() {
 }
 
 void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
-  // The server must stay responsive to shutdown while a connection idles,
-  // so reads run in 100ms slices, re-checking the stopping flag between
-  // them rather than holding any deadline (clients bound their own waits).
+  // No deadline on the read: clients bound their own waits, and an idle
+  // or half-sent connection costs only this thread, which the stop flag
+  // releases within one poll slice (a partial envelope stays buffered).
   while (true) {
-    {
-      MutexLock lock(mu_);
-      if (stopping_) break;
-    }
-    // Idle slice: wait for the first byte only, so a timeout here can
-    // never fire mid-envelope and desync the stream.
-    const Status ready =
-        PollFd(connection->fd, POLLIN, NowMicros() + 100'000, nullptr);
-    if (!ready.ok()) {
-      if (ready.code() == StatusCode::kDeadlineExceeded) continue;
-      break;
-    }
-    // A message has begun; read it to completion. The bound exists so a
-    // peer that stalls mid-envelope (e.g. an injected truncation) parks
-    // this reader for at most 30s — Stop()'s shutdown() unblocks it
-    // earlier either way.
-    Result<std::vector<std::uint8_t>> payload = RecvEnvelopePayload(
-        connection->fd, options_.max_frame_bytes, NowMicros() + 30'000'000,
-        nullptr);
+    Result<std::span<const std::uint8_t>> payload =
+        connection->envelopes.Next(connection->fd, /*deadline_micros=*/0,
+                                   &stopping_);
     if (!payload.ok()) {
-      break;  // EOF, hostile length, or a desynced stream: drop the link
+      break;  // stop, EOF, hostile length, or a desynced stream
     }
     Result<DecodedEnvelope> decoded =
         DecodeEnvelopePayload(*payload, /*expect_budget=*/true);
@@ -742,7 +738,7 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     // Stash the per-connection frame index for the serve-direction chaos
     // decision; request ids restart per connection so they cannot key it.
     item.serve_index = serve_index;
-    EnqueueWork(std::move(item));
+    Admit(std::move(item));
   }
   connection->done.store(true, std::memory_order_relaxed);
   if (options_.metrics != nullptr) {
@@ -750,30 +746,35 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
   }
 }
 
-void SocketTransportServer::EnqueueWork(WorkItem item) {
+void SocketTransportServer::Admit(WorkItem item) {
+  bool queued = false;
   WorkItem shed;
   bool have_shed = false;
   {
     MutexLock lock(mu_);
     if (stopping_) return;
-    queue_.push_back(std::move(item));
-    if (queue_.size() > options_.queue_capacity) {
-      // Shed the entry with the OLDEST remaining deadline: it is the one
-      // most likely already dead on arrival, and dropping it preserves
-      // the most future work. The incoming item competes like any other.
-      auto oldest = queue_.begin();
-      for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-        if (it->deadline_micros < oldest->deadline_micros) oldest = it;
+    if (serving_ < options_.workers) {
+      ++serving_;
+    } else {
+      queued = true;
+      queue_.push_back(std::move(item));
+      if (queue_.size() > options_.queue_capacity) {
+        // Shed the entry with the OLDEST remaining deadline: it is the one
+        // most likely already dead on arrival, and dropping it preserves
+        // the most future work. The incoming item competes like any other.
+        auto oldest = queue_.begin();
+        for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
+          if (it->deadline_micros < oldest->deadline_micros) oldest = it;
+        }
+        shed = std::move(*oldest);
+        queue_.erase(oldest);
+        have_shed = true;
       }
-      shed = std::move(*oldest);
-      queue_.erase(oldest);
-      have_shed = true;
+      if (options_.metrics != nullptr) {
+        options_.metrics->GaugeSet(metrics::Gauge::kServerQueueDepth,
+                                   queue_.size());
+      }
     }
-    if (options_.metrics != nullptr) {
-      options_.metrics->GaugeSet(metrics::Gauge::kServerQueueDepth,
-                                 queue_.size());
-    }
-    work_cv_.NotifyOne();
   }
   if (have_shed) {
     if (options_.metrics != nullptr) {
@@ -783,70 +784,65 @@ void SocketTransportServer::EnqueueWork(WorkItem item) {
                Status::ResourceExhausted("server work queue full"),
                metrics::Counter::kServerRejects);
   }
+  if (queued) return;
+  // This thread holds a serving slot: its own frame first, then whatever
+  // queued meanwhile. The slot is released in the same critical section
+  // that sees the queue empty, so a reader that queues a frame either
+  // finds the slot free or leaves the frame to a holder that will pop it.
+  while (true) {
+    Serve(std::move(item));
+    MutexLock lock(mu_);
+    if (queue_.empty() || stopping_) {
+      --serving_;
+      return;
+    }
+    item = std::move(queue_.front());
+    queue_.pop_front();
+    if (options_.metrics != nullptr) {
+      options_.metrics->GaugeSet(metrics::Gauge::kServerQueueDepth,
+                                 queue_.size());
+    }
+  }
 }
 
-void SocketTransportServer::WorkerLoop() {
-  while (true) {
-    WorkItem item;
-    {
-      MutexLock lock(mu_);
-      work_cv_.Wait(mu_, [this]() REQUIRES(mu_) {
-        return stopping_ || !queue_.empty();
-      });
-      if (stopping_) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      if (options_.metrics != nullptr) {
-        options_.metrics->GaugeSet(metrics::Gauge::kServerQueueDepth,
-                                   queue_.size());
-      }
-    }
-    const std::uint64_t now = NowMicros();
-    if (options_.metrics != nullptr) {
-      options_.metrics->Observe(metrics::Hist::kServerQueueWaitMicros,
-                                now - item.enqueued_micros);
-    }
-    // Admission: serving a request whose client already gave up burns
-    // worker time nobody benefits from — answer with the typed expiry.
-    if (now >= item.deadline_micros) {
-      if (options_.metrics != nullptr) {
-        options_.metrics->Increment(metrics::Counter::kServerExpiredDrops);
-      }
-      RejectWith(item.connection, item.request_id,
-                 Status::DeadlineExceeded("deadline expired before serving"),
-                 metrics::Counter::kServerRejects);
-      continue;
-    }
-    if (options_.injector != nullptr) {
-      const LinkFaultPlan plan = options_.injector->Decide(
-          item.connection->id, item.serve_index, LinkDirection::kServe);
-      if (plan.delay_micros > 0) {
-        // A slow handler: sleeps through the client's deadline if the
-        // spec says so (sliced so shutdown stays prompt).
-        bool stop_now = false;
-        const std::uint64_t until = NowMicros() + plan.delay_micros;
-        while (NowMicros() < until && !stop_now) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          MutexLock lock(mu_);
-          stop_now = stopping_;
-        }
-      }
-      if (plan.kind == LinkFaultKind::kDrop) {
-        continue;  // a wedged handler: never replies at all
-      }
-    }
-    Result<std::vector<std::uint8_t>> response =
-        fleet_->ServeFrame(item.frame, *table_);
-    if (!response.ok()) {
-      RejectWith(item.connection, item.request_id, response.status(),
-                 metrics::Counter::kServerRejects);
-      continue;
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics->Increment(metrics::Counter::kServerFramesServed);
-    }
-    Reply(item.connection, item.request_id, *response);
+void SocketTransportServer::Serve(WorkItem item) {
+  const std::uint64_t now = NowMicros();
+  if (options_.metrics != nullptr) {
+    options_.metrics->Observe(metrics::Hist::kServerQueueWaitMicros,
+                              now - item.enqueued_micros);
   }
+  // Admission: serving a request whose client already gave up burns
+  // serve time nobody benefits from — answer with the typed expiry.
+  if (now >= item.deadline_micros) {
+    if (options_.metrics != nullptr) {
+      options_.metrics->Increment(metrics::Counter::kServerExpiredDrops);
+    }
+    RejectWith(item.connection, item.request_id,
+               Status::DeadlineExceeded("deadline expired before serving"),
+               metrics::Counter::kServerRejects);
+    return;
+  }
+  if (options_.injector != nullptr) {
+    const LinkFaultPlan plan = options_.injector->Decide(
+        item.connection->id, item.serve_index, LinkDirection::kServe);
+    // A slow handler: sleeps through the client's deadline if the spec
+    // says so (sliced so shutdown stays prompt).
+    if (plan.delay_micros > 0) SleepBounded(plan.delay_micros, 0, &stopping_);
+    if (plan.kind == LinkFaultKind::kDrop) {
+      return;  // a wedged handler: never replies at all
+    }
+  }
+  Result<std::vector<std::uint8_t>> response =
+      fleet_->ServeFrame(item.frame, *table_);
+  if (!response.ok()) {
+    RejectWith(item.connection, item.request_id, response.status(),
+               metrics::Counter::kServerRejects);
+    return;
+  }
+  if (options_.metrics != nullptr) {
+    options_.metrics->Increment(metrics::Counter::kServerFramesServed);
+  }
+  Reply(item.connection, item.request_id, *response);
 }
 
 void SocketTransportServer::Reply(
@@ -855,8 +851,9 @@ void SocketTransportServer::Reply(
   const std::vector<std::uint8_t> envelope =
       EncodeEnvelope(request_id, 0, /*include_budget=*/false, frame);
   MutexLock lock(connection->write_mu);
-  // A stuck client must not pin a worker: bound the write and abandon the
-  // link on failure (the client's own deadline covers the loss).
+  // A stuck client must not pin a serving thread: bound the write and
+  // abandon the link on failure (the client's own deadline covers the
+  // loss).
   if (!SendAll(connection->fd, envelope, NowMicros() + 1'000'000, nullptr)
            .ok()) {
     shutdown(connection->fd, SHUT_RDWR);

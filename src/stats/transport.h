@@ -70,6 +70,7 @@ std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes);
 // drive the exact production decode path with hostile bytes.
 
 // payload := request_id [budget] checksum frame; message := len payload.
+// Written into one buffer sized up front: one allocation, one frame copy.
 std::vector<std::uint8_t> EncodeEnvelope(std::uint64_t request_id,
                                          std::uint64_t budget_micros,
                                          bool include_budget,
@@ -89,12 +90,35 @@ struct DecodedEnvelope {
 Result<DecodedEnvelope> DecodeEnvelopePayload(
     std::span<const std::uint8_t> payload, bool expect_budget);
 
-// Reads one whole envelope payload off `fd` — the length-prefix leg of
-// the server reader loop and the client receive path (prefix consumed
-// and validated against `max_frame_bytes` before any allocation).
-Result<std::vector<std::uint8_t>> RecvEnvelopePayload(
-    int fd, std::size_t max_frame_bytes, std::uint64_t deadline_micros,
-    const std::atomic<bool>* stop);
+// Reads whole envelope payloads off one stream socket — the receive leg
+// of the client and of every server connection. Each recv takes as many
+// bytes as the socket holds; the length varint is parsed from the buffer,
+// and bytes past the current envelope (a duplicated or stale reply, a
+// second request) stay buffered for the next call. The length is checked
+// against `max_frame_bytes` before the buffer grows to hold the payload.
+// Not thread-safe: one reader per connection, used by one thread at a
+// time.
+class EnvelopeReader {
+ public:
+  explicit EnvelopeReader(std::size_t max_frame_bytes)
+      : max_frame_bytes_(max_frame_bytes) {}
+
+  // The next envelope payload (everything after the length prefix),
+  // valid until the next call. Waits are poll()-bounded by
+  // `deadline_micros` (absolute steady-clock micros, 0 = none) and `stop`
+  // (optional, checked between poll slices). A timeout keeps any partial
+  // envelope buffered, so a later call resumes it; EOF, socket errors,
+  // an oversized varint and an out-of-bounds length are kUnavailable.
+  Result<std::span<const std::uint8_t>> Next(int fd,
+                                             std::uint64_t deadline_micros,
+                                             const std::atomic<bool>* stop);
+
+ private:
+  std::size_t max_frame_bytes_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t begin_ = 0;  // first unconsumed byte
+  std::size_t end_ = 0;    // one past the last received byte
+};
 
 // Where a SocketTransport connects / a SocketTransportServer listens.
 struct Endpoint {
@@ -202,6 +226,7 @@ class SocketTransport final : public Transport {
   std::uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
   std::uint64_t send_index_ GUARDED_BY(mu_) = 0;     // frames sent
   std::uint64_t receive_index_ GUARDED_BY(mu_) = 0;  // frames received
+  EnvelopeReader reader_ GUARDED_BY(mu_){1 << 20};
   std::atomic<bool> broken_{false};
 };
 
@@ -213,12 +238,16 @@ class SocketTransport final : public Transport {
 //   - accept thread + one reader thread per connection, capped by
 //     `max_connections` (excess connections are accepted and immediately
 //     closed — cheaper than a SYN backlog of unknowable depth);
-//   - a bounded work queue between readers and `workers` serving
-//     threads. On overflow the queue sheds the entry with the OLDEST
-//     remaining deadline (the request most likely to be dead on arrival
-//     anyway) and answers it with a typed kResourceExhausted rejection —
-//     explicit backpressure clients must not retry;
-//   - admission check at dequeue: a request whose propagated deadline
+//   - the reader serves the frame it decoded on its own thread, as long
+//     as fewer than `workers` frames are being served. Otherwise it
+//     queues the frame and goes back to reading; a serving reader drains
+//     the queue after its own reply and gives its slot back only once it
+//     sees the queue empty. The queue is bounded: on overflow it sheds
+//     the entry with the OLDEST remaining deadline (the request most
+//     likely to be dead on arrival anyway) and answers it with a typed
+//     kResourceExhausted rejection — explicit backpressure clients must
+//     not retry;
+//   - admission check before serving: a request whose propagated deadline
 //     already expired is answered with a kDeadlineExceeded rejection
 //     instead of burning serve time on an answer nobody is waiting for.
 //
@@ -231,9 +260,9 @@ class SocketTransportServer {
  public:
   struct Options {
     Endpoint endpoint{};
-    // Serving threads draining the work queue.
+    // Frames served at once (each on the reader thread that read it).
     std::size_t workers = 2;
-    // Work items admitted before shedding starts.
+    // Frames queued behind busy serving slots before shedding starts.
     std::size_t queue_capacity = 64;
     // Concurrent connections before new ones are turned away.
     std::size_t max_connections = 32;
@@ -252,7 +281,7 @@ class SocketTransportServer {
   SocketTransportServer(const SocketTransportServer&) = delete;
   SocketTransportServer& operator=(const SocketTransportServer&) = delete;
 
-  // Binds, listens, and spawns the accept/worker threads. On success
+  // Binds, listens, and spawns the accept thread. On success
   // endpoint() reports the bound address (with any ephemeral TCP port
   // resolved).
   Status Start();
@@ -280,10 +309,12 @@ class SocketTransportServer {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> connection);
-  void WorkerLoop();
-  // Enqueue with oldest-deadline-first shedding; shed items get a typed
-  // rejection reply.
-  void EnqueueWork(WorkItem item) EXCLUDES(mu_);
+  // Serves `item` on the calling thread if a serving slot is free, then
+  // drains the queue before releasing the slot; otherwise queues it with
+  // oldest-deadline-first shedding (shed items get a typed rejection).
+  void Admit(WorkItem item) EXCLUDES(mu_);
+  // Admission deadline check, kServe fault hooks, ServeFrame and reply.
+  void Serve(WorkItem item) EXCLUDES(mu_);
   void Reply(const std::shared_ptr<Connection>& connection,
              std::uint64_t request_id, std::span<const std::uint8_t> frame);
   void RejectWith(const std::shared_ptr<Connection>& connection,
@@ -295,16 +326,16 @@ class SocketTransportServer {
   Options options_;
 
   Mutex mu_{lockrank::kTransportServer};
-  CondVar work_cv_;
   std::deque<WorkItem> queue_ GUARDED_BY(mu_);
-  bool stopping_ GUARDED_BY(mu_) = false;
+  std::size_t serving_ GUARDED_BY(mu_) = 0;  // slots taken, <= workers
   std::vector<std::shared_ptr<Connection>> connections_ GUARDED_BY(mu_);
   std::uint64_t next_connection_id_ GUARDED_BY(mu_) = 1;
+  // Set once by Stop(); readers and serve delays poll it lock-free.
+  std::atomic<bool> stopping_{false};
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  // self-pipe: unblocks the accept poll
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
   std::atomic<bool> started_{false};
 };
 

@@ -1,5 +1,5 @@
 // StatisticsFleet tests (DESIGN.md §16): shard routing, the cross-shard
-// batch front-end and its group-commit coalescer, bitwise identity with a
+// batch front-end under concurrent callers, bitwise identity with a
 // single StatisticsManager, the fleetwire frame protocol (round-trips and
 // the byte-level corruption matrix), ServeFrame dispatch, and the metrics
 // plane. The concurrency cases run under TSan in CI (label `fleet`).
@@ -98,25 +98,22 @@ TEST(StatisticsFleetTest, FleetMatchesSingleManagerBitwise) {
   ASSERT_TRUE(manager.EstimateBatch(table, requests, &expected).ok());
 
   for (const std::uint64_t shards : {1u, 3u, 4u, 7u}) {
-    for (const bool coalesce : {false, true}) {
-      StatisticsFleet fleet(
-          {.shards = shards, .shard = ShardOptions(), .coalesce = coalesce});
-      ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
-      BatchEstimateResult got;
-      ASSERT_TRUE(fleet.EstimateBatch(table, requests, &got).ok());
-      ASSERT_EQ(got.estimates.size(), expected.estimates.size());
-      for (std::size_t i = 0; i < expected.estimates.size(); ++i) {
-        // Bitwise: build seeds depend only on (seed, column, generation),
-        // never on shard placement.
-        EXPECT_EQ(got.estimates[i], expected.estimates[i])
-            << "shards=" << shards << " coalesce=" << coalesce << " i=" << i;
-      }
-      // Scalar path agrees too.
-      for (const std::string& column : columns) {
-        const RangeQuery query{0, static_cast<Value>(table.tuple_count())};
-        EXPECT_EQ(*fleet.EstimateRange(column, table, query),
-                  *manager.EstimateRange(column, table, query));
-      }
+    StatisticsFleet fleet({.shards = shards, .shard = ShardOptions()});
+    ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+    BatchEstimateResult got;
+    ASSERT_TRUE(fleet.EstimateBatch(table, requests, &got).ok());
+    ASSERT_EQ(got.estimates.size(), expected.estimates.size());
+    for (std::size_t i = 0; i < expected.estimates.size(); ++i) {
+      // Bitwise: build seeds depend only on (seed, column, generation),
+      // never on shard placement.
+      EXPECT_EQ(got.estimates[i], expected.estimates[i])
+          << "shards=" << shards << " i=" << i;
+    }
+    // Scalar path agrees too.
+    for (const std::string& column : columns) {
+      const RangeQuery query{0, static_cast<Value>(table.tuple_count())};
+      EXPECT_EQ(*fleet.EstimateRange(column, table, query),
+                *manager.EstimateRange(column, table, query));
     }
   }
 }
@@ -190,9 +187,9 @@ TEST(StatisticsFleetTest, NeverBuiltColumnsBuildOnFirstBatch) {
   EXPECT_EQ(fleet.size(), columns.size());
 }
 
-// -- Coalescer ---------------------------------------------------------------
+// -- Concurrent serving ------------------------------------------------------
 
-TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
+TEST(StatisticsFleetTest, ConcurrentBatchesServedDirectlyStayCorrect) {
   Table table = SmallTable();
   const auto columns = Columns(6);
   StatisticsFleet fleet({.shards = 2, .shard = ShardOptions()});
@@ -209,8 +206,8 @@ TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
-      // Each thread's batch starts at a different column rotation so
-      // coalesced waves genuinely mix distinct requests.
+      // Each thread's batch starts at a different column rotation, so
+      // concurrent callers hit every shard with distinct sub-batches.
       std::vector<std::string> rotated(columns.begin() + t % columns.size(),
                                        columns.end());
       rotated.insert(rotated.end(), columns.begin(),
@@ -232,10 +229,12 @@ TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  // Every query was served (coalesced or not — scheduling-dependent).
+  // Every query was served, each caller's batch on its own.
   EXPECT_GE(fleet.fleet_metrics().counter(metrics::Counter::kEstimateQueries),
             static_cast<std::uint64_t>(kThreads) * kRounds *
                 columns.size() * 3);
+  EXPECT_EQ(
+      fleet.fleet_metrics().counter(metrics::Counter::kCoalescedRequests), 0u);
 }
 
 // -- Wire protocol -----------------------------------------------------------

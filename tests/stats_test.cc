@@ -296,5 +296,47 @@ TEST(StatisticsManagerTest, PublishConsumesOnlyCapturedModifications) {
   EXPECT_FALSE(manager.IsStale("t.x"));
 }
 
+// Regression: a Drop landing between a first-access build and the serving
+// path's capture made the capture miss; the serving path rebuilt and
+// recaptured up to three times, then failed the call with kInternal (the
+// TSan flake in ConcurrentBatchServingDuringRebuildsAndDrops). The build
+// here drops its own column every time, so every capture misses: the call
+// must answer from the snapshot it built, and must not cache it.
+TEST(StatisticsManagerTest, BatchServesItsOwnBuildWhenDropWinsTheCapture) {
+  RegisterMidBuildHookBackendOnce();
+  Table table = SkewedTable();
+  StatisticsManager::Options options;
+  options.buckets = 16;
+  options.f = 0.2;
+  options.threads = 1;
+  options.column_backends["t.x"] = kMidBuildHookId;
+  StatisticsManager manager(options);
+  int builds = 0;
+  MidBuildHook() = [&manager, &builds] {
+    ++builds;
+    manager.Drop("t.x");
+  };
+  const RangeQuery query{0, static_cast<Value>(table.tuple_count())};
+  const std::vector<BatchEstimateRequest> requests{{"t.x", query}};
+  BatchEstimateResult dropped;
+  const Status first = manager.EstimateBatch(table, requests, &dropped);
+  EXPECT_EQ(builds, 1);
+  EXPECT_FALSE(manager.Has("t.x"));
+  // Nothing cached: the next call builds (and drops) again.
+  const Result<double> second = manager.EstimateRange("t.x", table, query);
+  EXPECT_EQ(builds, 2);
+  MidBuildHook() = nullptr;
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  // The same build (generation 0, same seed) published normally.
+  const Result<double> built = manager.EstimateRange("t.x", table, query);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(dropped.estimates.size(), 1u);
+  EXPECT_EQ(dropped.estimates[0], *built);
+  EXPECT_EQ(*second, *built);
+  EXPECT_TRUE(manager.Has("t.x"));
+}
+
 }  // namespace
 }  // namespace equihist

@@ -2,8 +2,8 @@
 // and socket paths with ServeFrame, the envelope checksum, server-side
 // load shedding with typed kResourceExhausted rejections, client retries
 // with jittered backoff, per-peer circuit breakers, hedged reads, deadline
-// propagation (a slow server handler costs no retry), and the bounded
-// coalescer follower wait. Runs under TSan and ASan/UBSan in CI (label
+// propagation (a slow server handler costs no retry), and the server's cap
+// on frames served at once. Runs under TSan and ASan/UBSan in CI (label
 // `transport`).
 
 #include <unistd.h>
@@ -26,7 +26,6 @@
 #include "common/status.h"
 #include "data/distribution.h"
 #include "stats/fleet_wire.h"
-#include "stats/histogram_model.h"
 #include "stats/link_fault_injection.h"
 #include "stats/statistics_fleet.h"
 #include "stats/transport.h"
@@ -274,6 +273,77 @@ TEST(TransportTest, OverloadedServerShedsWithTypedRejection) {
   EXPECT_EQ(plane.counter(metrics::Counter::kServerShedDrops),
             static_cast<std::uint64_t>(shed.load()));
   EXPECT_NE(plane.ToJson().find("\"server_shed_drops\":"), std::string::npos);
+}
+
+// -- Serving cap --------------------------------------------------------------
+
+TEST(TransportTest, FramesBeyondTheServingCapQueueForASlotHolder) {
+  Table table = SmallTable();
+  StatisticsFleet fleet(FleetOptions());
+  BuildFleet(fleet, table);
+
+  // Two serving slots, three connections whose first frame stalls 200ms:
+  // two readers serve their own frames at once, the third frame queues
+  // and is served by whichever slot holder replies first.
+  constexpr std::uint64_t kDelayMicros = 200'000;
+  LinkFaultSpec spec;
+  spec.delay_micros = kDelayMicros;
+  spec.triggers.push_back({transport::kAnyConnection, 0, LinkDirection::kServe,
+                           LinkFaultKind::kDelay});
+  LinkFaultInjector injector(spec);
+
+  metrics::MetricsPlane plane;
+  SocketTransportServer::Options server_options;
+  server_options.endpoint = {Endpoint::Kind::kUnix, UnixSocketPath(), 0};
+  server_options.workers = 2;
+  server_options.injector = &injector;
+  server_options.metrics = &plane;
+  SocketTransportServer server(&fleet, &table, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto frame = fleetwire::Encode(
+      fleetwire::EstimateBatchRequestFrame{EstimateRequests(table)});
+  const auto expected = fleet.ServeFrame(frame, table);
+  ASSERT_TRUE(expected.ok());
+
+  constexpr int kClients = 3;
+  std::vector<std::unique_ptr<SocketTransport>> connections;
+  for (int i = 0; i < kClients; ++i) {
+    auto conn = SocketTransport::Connect(server.endpoint(), 2'000'000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    connections.push_back(std::move(conn).value());
+  }
+  std::vector<double> elapsed_ms(kClients, 0.0);
+  std::atomic<int> mismatches{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      const auto reply = connections[i]->RoundTrip(frame, 5'000'000);
+      elapsed_ms[i] = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+      if (!reply.ok() || *reply != *expected) mismatches.fetch_add(1);
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.Stop();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  std::sort(elapsed_ms.begin(), elapsed_ms.end());
+  const double delay_ms = static_cast<double>(kDelayMicros) / 1000.0;
+  // Two replies after about one delay...
+  EXPECT_GE(elapsed_ms[0], delay_ms);
+  EXPECT_LT(elapsed_ms[1], 2 * delay_ms);
+  // ...and the queued one after two: its serve starts only once a slot
+  // holder has replied to its own stalled frame.
+  EXPECT_GE(elapsed_ms[2], 2 * delay_ms);
+  EXPECT_EQ(plane.hist_count(metrics::Hist::kServerQueueWaitMicros), 3u);
+  // The queued frame waited out most of a slot holder's stall.
+  EXPECT_GE(plane.hist_sum(metrics::Hist::kServerQueueWaitMicros),
+            kDelayMicros / 2);
+  EXPECT_EQ(plane.counter(metrics::Counter::kServerShedDrops), 0u);
+  EXPECT_EQ(plane.counter(metrics::Counter::kServerFramesServed), 3u);
 }
 
 // -- Client resilience over fake transports -----------------------------------
@@ -603,121 +673,6 @@ TEST(TransportTest, ServerDropsWorkWhoseDeadlineExpiredInQueue) {
     EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   }
   EXPECT_EQ(plane.counter(metrics::Counter::kServerExpiredDrops), 1u);
-}
-
-// -- Bounded coalescer follower wait (satellite) ------------------------------
-
-// A backend whose build blocks on a test-controlled gate: lets the test
-// wedge a coalescer leader mid-wave at an exact point (same pattern as the
-// mid-build hook in stats_test.cc; external id from the >= 128 range).
-constexpr auto kGatedBackendId = static_cast<HistogramBackendId>(202);
-
-std::atomic<bool>& GateEntered() {
-  static std::atomic<bool> entered{false};
-  return entered;
-}
-std::atomic<bool>& GateReleased() {
-  static std::atomic<bool> released{false};
-  return released;
-}
-
-class GatedModel final : public HistogramModel {
- public:
-  GatedModel(std::uint64_t total, Value lo, Value hi)
-      : total_(total), lo_(lo), hi_(hi) {}
-  HistogramBackendId backend_id() const override { return kGatedBackendId; }
-  double EstimateRangeCount(const RangeQuery& query) const override {
-    return (query.hi > lo_ && query.lo < hi_) ? static_cast<double>(total_)
-                                              : 0.0;
-  }
-  std::uint64_t bucket_count() const override { return 1; }
-  std::uint64_t total() const override { return total_; }
-  Value lower_fence() const override { return lo_; }
-  Value upper_fence() const override { return hi_; }
-  std::size_t MemoryBytes() const override { return sizeof(*this); }
-  std::string Describe() const override { return "Gated"; }
-  void SerializePayload(std::vector<std::uint8_t>*) const override {}
-
- private:
-  std::uint64_t total_;
-  Value lo_;
-  Value hi_;
-};
-
-void RegisterGatedBackendOnce() {
-  static const bool registered = [] {
-    HistogramBackendRegistry::Backend backend;
-    backend.name = "gated";
-    backend.build_from_sample =
-        [](std::span<const Value> sample, std::uint64_t,
-           std::uint64_t population_size) -> Result<HistogramModelPtr> {
-      if (sample.empty()) {
-        return Status::InvalidArgument("gated backend needs a sample");
-      }
-      GateEntered().store(true);
-      while (!GateReleased().load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return HistogramModelPtr(std::make_shared<GatedModel>(
-          population_size, sample.front() - 1, sample.back()));
-    };
-    backend.deserialize_payload =
-        [](std::span<const std::uint8_t>,
-           std::size_t* consumed) -> Result<HistogramModelPtr> {
-      *consumed = 0;
-      return HistogramModelPtr(std::make_shared<GatedModel>(0, 0, 1));
-    };
-    const Status status = HistogramBackendRegistry::Global().Register(
-        kGatedBackendId, std::move(backend));
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return true;
-  }();
-  (void)registered;
-}
-
-TEST(BatchCoalescerTest, FollowerTimesOutWhenLeaderWedges) {
-  RegisterGatedBackendOnce();
-  GateEntered().store(false);
-  GateReleased().store(false);
-
-  Table table = SmallTable();
-  StatisticsFleet::Options options;
-  options.shards = 1;
-  options.shard = {.buckets = 32, .f = 0.25, .seed = 17, .threads = 1};
-  options.shard.column_backends["t.w"] = kGatedBackendId;
-  options.coalesce = true;
-  options.coalesce_wait_micros = 50'000;  // followers give up after 50ms
-  StatisticsFleet fleet(options);
-
-  const std::vector<BatchEstimateRequest> requests{
-      {"t.w", {0, static_cast<Value>(table.tuple_count())}}};
-
-  // Leader: first submitter; its wave wedges inside the gated build.
-  Status leader_status = Status::Internal("unset");
-  std::thread leader([&] {
-    BatchEstimateResult result;
-    leader_status = fleet.EstimateBatch(table, requests, &result);
-  });
-  while (!GateEntered().load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // Follower: sees leader_active_, waits its bound, abandons with a typed
-  // kDeadlineExceeded instead of hanging on the wedged leader.
-  const auto start = std::chrono::steady_clock::now();
-  BatchEstimateResult follower_result;
-  const Status follower_status =
-      fleet.EstimateBatch(table, requests, &follower_result);
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  EXPECT_EQ(follower_status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(waited.count(), 45);
-  EXPECT_LT(waited.count(), 5'000);  // bounded, not wedged
-
-  // Unwedge: the leader completes normally, unharmed by the abandonment.
-  GateReleased().store(true);
-  leader.join();
-  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
 }
 
 }  // namespace
