@@ -119,20 +119,68 @@ void BM_RangeEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeEstimate);
 
+// Merging a 100K-tuple batch into a 100K-tuple sample of the shared Zipf
+// column (10K values), as CVB's runs merge does. Argument: the batch's
+// view (0 = counted runs, 1 = the sorted batch as runs of one). Each
+// iteration also copies the sample's runs, the same cost for both.
 void BM_SampleMerge(benchmark::State& state) {
   Rng rng(6);
-  const auto base = SampleRowsWithReplacement(
-      SharedValueSet().sorted_values(), 100000, rng);
+  const Sample base(SampleRowsWithReplacement(
+      SharedValueSet().sorted_values(), 100000, rng));
   auto batch = SampleRowsWithReplacement(SharedValueSet().sorted_values(),
                                          100000, rng);
-  std::sort(batch.begin(), batch.end());
+  Runs counted;
+  SortedView view;
+  if (state.range(0) == 0) {
+    view = SortOrCount(batch, counted);
+  } else {
+    std::sort(batch.begin(), batch.end());
+    view = batch;
+  }
   for (auto _ : state) {
-    Sample sample(base);
-    sample.MergeSorted(batch);
+    Sample sample = base;
+    sample.Merge(view);
     benchmark::DoNotOptimize(sample);
   }
 }
-BENCHMARK(BM_SampleMerge);
+BENCHMARK(BM_SampleMerge)->ArgNames({"sorted"})->Arg(0)->Arg(1);
+
+// Turning one unsorted batch of n keys into a sorted view, keys uniform
+// over range + 1 values with range = n * ratio / 100. Arguments: path
+// (0 = count, 1 = sort with the scanned bounds, 2 = SortOrCount, which
+// counts when range < n and sorts otherwise), ratio (percent) and n.
+// Where path 0 stops beating path 1 sets SortOrCount's cutoff. Every
+// iteration also copies the unsorted keys in, the same cost for each path.
+void BM_BatchToView(benchmark::State& state) {
+  const std::int64_t path = state.range(0);
+  const auto n = static_cast<std::uint64_t>(state.range(2));
+  const std::uint64_t range =
+      n * static_cast<std::uint64_t>(state.range(1)) / 100;
+  Rng rng(11);
+  std::vector<Value> keys(n);
+  for (Value& key : keys) key = static_cast<Value>(rng.NextBounded(range + 1));
+  std::vector<Value> data;
+  Runs counted;
+  for (auto _ : state) {
+    data = keys;
+    if (path == 0) {
+      sample_internal::CountRuns(data, ScanKeyBounds(data.data(), n),
+                                 counted);
+    } else if (path == 1) {
+      ParallelSort(data, ScanKeyBounds(data.data(), n), nullptr);
+    } else {
+      benchmark::DoNotOptimize(SortOrCount(data, counted));
+    }
+    benchmark::DoNotOptimize(data.data());
+    benchmark::DoNotOptimize(counted.values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_BatchToView)
+    ->ArgNames({"path", "ratio", "n"})
+    ->ArgsProduct({{0, 1, 2}, {10, 50, 100, 200}, {1 << 13, 1 << 15, 1 << 17}});
 
 // Sorting one sample batch on the calling thread (null pool), as CVB does
 // for every fresh batch. Arguments: sorter (0 = std::sort, 1 = the radix
@@ -162,7 +210,8 @@ void BM_ParallelSort(benchmark::State& state) {
     if (sorter == 0) {
       std::sort(data.begin(), data.end());
     } else if (sorter == 1) {
-      parallel_internal::RadixSort(data.data(), data.size(), scratch.data());
+      parallel_internal::RadixSort(data.data(), data.size(), scratch.data(),
+                                   ScanKeyBounds(data.data(), data.size()));
     } else {
       ParallelSort(data, nullptr);
     }
@@ -204,17 +253,36 @@ void BM_DistinctEstimators(benchmark::State& state) {
 }
 BENCHMARK(BM_DistinctEstimators);
 
+// A 1M-row table of duplicate-free keys 1..n on a random layout.
+const Table& DistinctTable() {
+  static const Table* table = [] {
+    auto frequencies = MakeAllDistinct(1000000);
+    auto result = Table::Create(*frequencies, PageConfig{8192, 64},
+                                {.kind = LayoutKind::kRandom});
+    return new Table(std::move(*result));
+  }();
+  return *table;
+}
+
+// A whole CVB build, k = 200, f = 0.2. Arguments: keys (0 = the shared
+// Zipf column over n/100 values, 1 = duplicate-free keys) and threads
+// (CvbOptions::threads: 1 = this thread only, 0 = one per core).
 void BM_CvbEndToEnd(benchmark::State& state) {
+  const Table& table = state.range(0) == 0 ? SharedTable() : DistinctTable();
   for (auto _ : state) {
     CvbOptions options;
     options.k = 200;
     options.f = 0.2;
     options.seed = 9;
-    auto result = RunCvb(SharedTable(), options);
+    options.threads = static_cast<std::uint64_t>(state.range(1));
+    auto result = RunCvb(table, options);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_CvbEndToEnd)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CvbEndToEnd)
+    ->ArgNames({"keys", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -16,6 +16,21 @@ namespace equihist {
 // bit-reproducible however it is scheduled. With a null/size-1 pool or small
 // inputs they fall back to the sequential path.
 
+// The smallest and largest key of a non-empty range.
+struct KeyBounds {
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+
+  // max - min taken as unsigned: exact even where it overflows int64 (a
+  // range holding INT64_MIN and INT64_MAX is 2^64 - 1).
+  std::uint64_t range() const {
+    return static_cast<std::uint64_t>(max) - static_cast<std::uint64_t>(min);
+  }
+};
+
+// Bounds of data[0, n) in one scan. Precondition: n > 0.
+KeyBounds ScanKeyBounds(const std::int64_t* data, std::size_t n);
+
 namespace parallel_internal {
 
 // Inputs below this size are sorted/merged sequentially: fork-join overhead
@@ -28,12 +43,14 @@ inline constexpr std::size_t kMinParallelElements = 1u << 14;
 // BM_ParallelSort: 1.4x slower at 1024 elements, on par at 2048).
 inline constexpr std::size_t kRadixMinElements = 1u << 11;
 
-// LSD radix sort of data[0, n): 8-bit digits of the key x - min taken as
-// unsigned, with as many passes as the observed range max - min needs (two
-// below 2^16, at most eight). A pass whose digit is the same for every
-// element is skipped. `scratch` holds n elements; the sorted result ends in
-// `data`. No size cutoff: ParallelSort applies kRadixMinElements.
-void RadixSort(std::int64_t* data, std::size_t n, std::int64_t* scratch);
+// LSD radix sort of data[0, n): 8-bit digits of the key x - bounds.min
+// taken as unsigned, with as many passes as bounds.range() needs (two below
+// 2^16, at most eight). `bounds` must hold every element; the caller has
+// scanned them already. A pass whose digit is the same for every element is
+// skipped. `scratch` holds n elements; the sorted result ends in `data`. No
+// size cutoff: ParallelSort applies kRadixMinElements.
+void RadixSort(std::int64_t* data, std::size_t n, std::int64_t* scratch,
+               KeyBounds bounds);
 
 }  // namespace parallel_internal
 
@@ -49,6 +66,11 @@ void ParallelMergeSorted(const std::int64_t* a, std::size_t na,
 // parallel merges (each merge itself split along the merge path) that
 // ping-pong between `v` and the same buffer.
 void ParallelSort(std::vector<std::int64_t>& v, ThreadPool* pool);
+
+// The same sort when the caller has already scanned v's bounds: the radix
+// sort takes them instead of scanning again.
+void ParallelSort(std::vector<std::int64_t>& v, KeyBounds bounds,
+                  ThreadPool* pool);
 
 // Number of distinct values in a sorted range, with per-shard partial
 // counts summed in shard order (deterministic).

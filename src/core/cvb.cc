@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "common/parallel_sort.h"
@@ -133,11 +132,11 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   }
   Sample accumulated(std::move(batch), pool);
   EQUIHIST_ASSIGN_OR_RETURN(
-      Histogram current,
-      BuildHistogramFromSample(accumulated, options.k, n, pool));
+      Histogram current, BuildHistogramFromSample(accumulated, options.k, n));
 
   // Step 4: iterate cross-validation rounds.
   std::vector<std::size_t> offsets;
+  Runs counted;  // a fresh batch's runs, when it is counted
   std::uint64_t accumulated_blocks = result.io.pages_read;
   double last_error = -1.0;  // < 0 until the first validation ran
   for (std::uint64_t i = 1; i <= options.max_iterations; ++i) {
@@ -166,23 +165,25 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     entry.fresh_blocks = batch_io.pages_read;
     entry.fresh_tuples = batch.size();
 
-    // Each fresh tuple is sorted once. The one-tuple-per-block picks need
-    // the batch in page order, so they are drawn first; the batch is then
-    // sorted in place, validated against directly (all-tuples style) and
-    // merged below.
+    // Each fresh batch becomes one sorted view: counted when its key range
+    // is smaller than the batch, sorted in place otherwise. The
+    // one-tuple-per-block picks need the batch in page order, so they are
+    // drawn first. All-tuples validation reads the view directly, and the
+    // view is merged below.
     std::vector<Value> picks;
     if (options.style == CvbValidationStyle::kOneTuplePerBlock) {
       picks = OneTuplePerBlock(batch, offsets, rng, pool);
     }
-    ParallelSort(batch, pool);
-    const std::span<const Value> validation =
-        options.style == CvbValidationStyle::kAllTuples ? batch : picks;
+    const SortedView fresh = SortOrCount(batch, counted, pool);
+    const SortedView validation =
+        options.style == CvbValidationStyle::kAllTuples ? fresh
+                                                        : SortedView(picks);
 
     // Stopping statistic, normalized so the pass threshold is f itself.
     switch (options.metric) {
       case CvbValidationMetric::kFractionalMaxError:
-        entry.validation_error = FractionalMaxError(
-            current, accumulated.sorted_values(), validation);
+        entry.validation_error =
+            FractionalMaxError(current, accumulated.view(), validation);
         break;
       case CvbValidationMetric::kRelativeDeviation: {
         const double ideal = static_cast<double>(validation.size()) /
@@ -217,9 +218,9 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     // Step 4(c): merge and rebuild regardless of the outcome — the fresh
     // sample improves the histogram either way, and the paper's output is
     // H_i (post-merge).
-    accumulated.MergeSorted(batch, pool);
+    accumulated.Merge(fresh);
     EQUIHIST_ASSIGN_OR_RETURN(
-        current, BuildHistogramFromSample(accumulated, options.k, n, pool));
+        current, BuildHistogramFromSample(accumulated, options.k, n));
 
     entry.accumulated_tuples = accumulated.size();
     result.log.push_back(entry);
@@ -248,7 +249,7 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     // Fold in whatever was read; with the whole file sampled the
     // accumulated sample equals the column and the histogram is perfect.
     EQUIHIST_ASSIGN_OR_RETURN(
-        current, BuildHistogramFromSample(accumulated, options.k, n, pool));
+        current, BuildHistogramFromSample(accumulated, options.k, n));
   }
 
   result.histogram = std::move(current);
@@ -256,31 +257,17 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   result.tuples_sampled = result.io.tuples_read;
   result.sampling_fraction =
       static_cast<double>(result.tuples_sampled) / static_cast<double>(n);
-  result.density_estimate =
-      EstimateDensityFromSample(accumulated.sorted_values());
-  result.sample_profile =
-      FrequencyProfile::FromSorted(accumulated.sorted_values());
+  // Sample statistics come from the runs (Section 7.1 notes 3-4). Heavy
+  // hitters have a sample multiplicity above one ideal sample bucket r/k,
+  // with counts scaled to the table (Section 5's compressed-histogram
+  // candidates).
+  const SortedView sample = accumulated.view();
+  result.density_estimate = EstimateDensityFromSample(sample);
+  result.sample_profile = FrequencyProfile::FromSorted(sample);
   result.sample_distinct = result.sample_profile.distinct_in_sample();
-
-  // Heavy hitters: values with sample multiplicity above one ideal sample
-  // bucket r/k, with counts scaled to the table (Section 5's compressed-
-  // histogram candidates).
-  const double sample_bucket = static_cast<double>(accumulated.size()) /
-                               static_cast<double>(options.k);
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(accumulated.size());
-  const auto& sorted = accumulated.sorted_values();
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    const auto multiplicity = static_cast<double>(j - i);
-    if (multiplicity > sample_bucket) {
-      result.heavy_hitters.push_back(CompressedHistogram::Singleton{
-          sorted[i], static_cast<std::uint64_t>(
-                         std::llround(multiplicity * scale))});
-    }
-    i = j;
-  }
+  result.heavy_hitters = CollectHeavyHitters(
+      sample, options.k,
+      static_cast<double>(n) / static_cast<double>(sample.size()));
   return result;
 }
 

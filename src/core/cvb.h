@@ -105,13 +105,13 @@ struct CvbOptions {
   // Override for the initial block batch g0 (0 = derive from Theorem 4).
   // Used by the schedule-ablation bench to start from 5*sqrt(n) tuples.
   std::uint64_t initial_blocks_override = 0;
-  // Worker threads for the build pipeline (block reads, sample sort/merge,
-  // separator partitioning): 0 = one per hardware thread, 1 = fully
-  // sequential (no pool is created); larger values are clamped to the
-  // hardware thread count (the stages are CPU-bound, so over-subscription
-  // strictly regresses). Histograms are bit-identical for every setting —
-  // the parallel stages shard work by problem size, not thread count, and
-  // all RNG streams stay sequential.
+  // Worker threads for the build pipeline (block reads, sorts of
+  // wide-range batches): 0 = one per hardware thread, 1 = fully sequential
+  // (no pool is created); larger values are clamped to the hardware thread
+  // count (the stages are CPU-bound, so over-subscription strictly
+  // regresses). Histograms are bit-identical for every setting — the
+  // parallel stages shard work by problem size, not thread count, and all
+  // RNG streams stay sequential.
   std::uint64_t threads = 0;
   // Fault tolerance (DESIGN.md §11). Transient read faults are retried per
   // `retry`; blocks that stay unreadable are skipped and replaced with

@@ -4,25 +4,18 @@
 
 namespace equihist {
 
-double ComputeDensity(std::span<const Value> sorted_values) {
+double ComputeDensity(SortedView sorted_values) {
   const std::uint64_t n = sorted_values.size();
   if (n <= 1) return 0.0;
   KahanSum sq_sum;
-  std::uint64_t run = 0;
-  for (std::size_t i = 0; i < sorted_values.size(); ++i) {
-    ++run;
-    const bool run_ends = (i + 1 == sorted_values.size()) ||
-                          (sorted_values[i + 1] != sorted_values[i]);
-    if (run_ends) {
-      sq_sum.Add(static_cast<double>(run) * static_cast<double>(run));
-      run = 0;
-    }
-  }
+  sorted_values.ForEachDistinct([&](Value, std::uint64_t run) {
+    sq_sum.Add(static_cast<double>(run) * static_cast<double>(run));
+  });
   const double nd = static_cast<double>(n);
   return (sq_sum.Value() - nd) / (nd * nd - nd);
 }
 
-double EstimateDensityFromSample(std::span<const Value> sorted_sample) {
+double EstimateDensityFromSample(SortedView sorted_sample) {
   return ComputeDensity(sorted_sample);
 }
 

@@ -1,10 +1,7 @@
 #ifndef EQUIHIST_CORE_DENSITY_H_
 #define EQUIHIST_CORE_DENSITY_H_
 
-#include <cstdint>
-#include <span>
-
-#include "data/distribution.h"
+#include "data/sorted_view.h"
 
 namespace equihist {
 
@@ -16,13 +13,13 @@ namespace equihist {
 //   density = (sum_i c_i^2 - n) / (n^2 - n)
 // over the distinct-value multiplicities c_i. Returns 0 for n <= 1.
 //
-// Both overloads take the multiset sorted ascending.
-double ComputeDensity(std::span<const Value> sorted_values);
+// Both functions take the multiset sorted ascending.
+double ComputeDensity(SortedView sorted_values);
 
 // Density estimated from a sorted sample: the same formula applied to the
 // sample multiplicities. The paper notes this estimate "was extremely
 // accurate whenever the CVB algorithm converges".
-double EstimateDensityFromSample(std::span<const Value> sorted_sample);
+double EstimateDensityFromSample(SortedView sorted_sample);
 
 }  // namespace equihist
 

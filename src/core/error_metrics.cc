@@ -86,8 +86,7 @@ Result<std::uint64_t> SeparationError(const Histogram& a, const Histogram& b,
   return worst;
 }
 
-double RelativeDeviation(const Histogram& histogram,
-                         std::span<const Value> sorted_sample) {
+double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample) {
   const std::vector<std::uint64_t> counts =
       histogram.PartitionSorted(sorted_sample);
   const double ideal = static_cast<double>(sorted_sample.size()) /
@@ -100,8 +99,8 @@ double RelativeDeviation(const Histogram& histogram,
 }
 
 double FractionalMaxError(const Histogram& histogram,
-                          std::span<const Value> sorted_reference,
-                          std::span<const Value> sorted_validation) {
+                          SortedView sorted_reference,
+                          SortedView sorted_validation) {
   if (sorted_reference.empty() || sorted_validation.empty()) return 0.0;
 
   // Distinct separator values d_1 < d_2 < ... < d_m.
@@ -111,10 +110,9 @@ double FractionalMaxError(const Histogram& histogram,
     if (distinct.empty() || distinct.back() != s) distinct.push_back(s);
   }
 
-  auto fraction_leq = [](std::span<const Value> sorted, Value x) {
-    const auto cum = static_cast<double>(
-        std::upper_bound(sorted.begin(), sorted.end(), x) - sorted.begin());
-    return cum / static_cast<double>(sorted.size());
+  auto fraction_leq = [](SortedView sorted, Value x) {
+    return static_cast<double>(sorted.CountLessEqual(x)) /
+           static_cast<double>(sorted.size());
   };
 
   // Denominator floor: one ideal bucket's share. Definition 4 scales each

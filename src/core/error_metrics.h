@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "core/histogram.h"
+#include "data/sorted_view.h"
 #include "data/value_set.h"
 
 namespace equihist {
@@ -50,8 +51,7 @@ Result<std::uint64_t> SeparationError(const Histogram& a, const Histogram& b,
 // (Definition 3): partition the (sorted) sample with the histogram's
 // separators and return max_j | |S_j| - |S|/k |. The cross-validation test
 // of the CVB algorithm compares this against f * |S| / k.
-double RelativeDeviation(const Histogram& histogram,
-                         std::span<const Value> sorted_sample);
+double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample);
 
 // The duplicate-tolerant fractional max error f' (Definition 4).
 // `separators` come from the accumulated sample; f_j / p_j are the
@@ -73,8 +73,8 @@ double RelativeDeviation(const Histogram& histogram,
 // `sorted_validation` is the fresh sample (R_i). With all-distinct values
 // this reduces to RelativeDeviation normalized by |S|/k (tested).
 double FractionalMaxError(const Histogram& histogram,
-                          std::span<const Value> sorted_reference,
-                          std::span<const Value> sorted_validation);
+                          SortedView sorted_reference,
+                          SortedView sorted_validation);
 
 // Deviations of the histogram's *claimed* per-bucket counts from the true
 // counts obtained by partitioning `population` with its separators. For a

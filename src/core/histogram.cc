@@ -67,42 +67,11 @@ Value Histogram::BucketUpperBound(std::uint64_t j) const {
 
 std::vector<std::uint64_t> Histogram::PartitionCounts(
     const ValueSet& population) const {
-  const std::uint64_t k = bucket_count();
-  std::vector<std::uint64_t> result(k, 0);
-  std::uint64_t prev = 0;
-  for (std::uint64_t j = 0; j + 1 < k; ++j) {
-    // A separator's own value counts into bucket j only if j is the last
-    // bucket of its (possibly duplicated) run — see BucketIndexForValue.
-    const bool run_continues =
-        (j + 1 < separators_.size()) && separators_[j + 1] == separators_[j];
-    const std::uint64_t cum = run_continues
-                                  ? population.CountLess(separators_[j])
-                                  : population.CountLessEqual(separators_[j]);
-    result[j] = cum - prev;
-    prev = cum;
-  }
-  result[k - 1] = population.size() - prev;
-  return result;
+  return PartitionSorted(population.sorted_values());
 }
 
-std::vector<std::uint64_t> Histogram::PartitionSorted(
-    std::span<const Value> sorted) const {
-  const std::uint64_t k = bucket_count();
-  std::vector<std::uint64_t> result(k, 0);
-  std::uint64_t prev = 0;
-  for (std::uint64_t j = 0; j + 1 < k; ++j) {
-    const bool run_continues =
-        (j + 1 < separators_.size()) && separators_[j + 1] == separators_[j];
-    const auto bound =
-        run_continues
-            ? std::lower_bound(sorted.begin(), sorted.end(), separators_[j])
-            : std::upper_bound(sorted.begin(), sorted.end(), separators_[j]);
-    const auto cum = static_cast<std::uint64_t>(bound - sorted.begin());
-    result[j] = cum - prev;
-    prev = cum;
-  }
-  result[k - 1] = sorted.size() - prev;
-  return result;
+std::vector<std::uint64_t> Histogram::PartitionSorted(SortedView sorted) const {
+  return SamplePartitionCounts(sorted, separators_);
 }
 
 Histogram Histogram::MeasuredAgainst(const ValueSet& population) const {
@@ -128,6 +97,25 @@ std::string Histogram::ToString(std::size_t max_buckets) const {
   }
   if (show < k) os << "  ... (" << k - show << " more buckets)\n";
   return os.str();
+}
+
+std::vector<std::uint64_t> SamplePartitionCounts(
+    SortedView sorted, std::span<const Value> separators) {
+  std::vector<std::uint64_t> counts(separators.size() + 1, 0);
+  std::uint64_t prev = 0;
+  for (std::size_t j = 0; j < separators.size(); ++j) {
+    // A separator's own value counts into bucket j only if j is the last
+    // bucket of its (possibly duplicated) run — see BucketIndexForValue.
+    const bool run_continues =
+        j + 1 < separators.size() && separators[j + 1] == separators[j];
+    const std::uint64_t cum = run_continues
+                                  ? sorted.CountLess(separators[j])
+                                  : sorted.CountLessEqual(separators[j]);
+    counts[j] = cum - prev;
+    prev = cum;
+  }
+  counts.back() = sorted.size() - prev;
+  return counts;
 }
 
 }  // namespace equihist

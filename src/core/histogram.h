@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "data/distribution.h"
+#include "data/sorted_view.h"
 #include "data/value_set.h"
 
 namespace equihist {
@@ -70,9 +71,9 @@ class Histogram {
   // the resulting per-bucket counts — the b_j of the error metrics. O(k log n).
   std::vector<std::uint64_t> PartitionCounts(const ValueSet& population) const;
 
-  // Same for an arbitrary sorted multiset given as a span (used to
-  // partition validation samples without building a ValueSet).
-  std::vector<std::uint64_t> PartitionSorted(std::span<const Value> sorted) const;
+  // Same for an arbitrary sorted multiset (used to partition validation
+  // samples without building a ValueSet). O(k log entries).
+  std::vector<std::uint64_t> PartitionSorted(SortedView sorted) const;
 
   // Returns a copy of this histogram whose claimed bucket counts are the
   // true counts under `population` (for reporting / estimation with
@@ -92,6 +93,15 @@ class Histogram {
   Value lower_fence_ = 0;
   Value upper_fence_ = 0;
 };
+
+// Partitions a sorted multiset by non-decreasing separators, under the rule
+// of Histogram::BucketIndexForValue: a run of duplicated separators puts the
+// repeated value's mass in the run's *last*, zero-width bucket, so the spike
+// is never smeared by in-bucket interpolation. Returns separators.size() + 1
+// counts summing to sorted.size(); each separator's cumulative rank is one
+// binary search.
+std::vector<std::uint64_t> SamplePartitionCounts(
+    SortedView sorted, std::span<const Value> separators);
 
 }  // namespace equihist
 

@@ -12,8 +12,7 @@ namespace equihist {
 namespace {
 
 // Separator s_j (1-based j = 1..k-1) sits at sorted rank ceil(j*m/k) - 1.
-std::vector<Value> QuantileSeparators(std::span<const Value> sorted,
-                                      std::uint64_t k) {
+std::vector<Value> QuantileSeparators(SortedView sorted, std::uint64_t k) {
   const std::uint64_t m = sorted.size();
   std::vector<Value> separators;
   separators.reserve(k - 1);
@@ -22,7 +21,7 @@ std::vector<Value> QuantileSeparators(std::span<const Value> sorted,
     std::uint64_t rank = (j * m + k - 1) / k;
     if (rank == 0) rank = 1;
     if (rank > m) rank = m;
-    separators.push_back(sorted[rank - 1]);
+    separators.push_back(sorted.ValueAtRank(rank - 1));
   }
   return separators;
 }
@@ -64,64 +63,30 @@ Status ValidateInputs(std::uint64_t m, std::uint64_t k) {
 
 }  // namespace
 
-std::vector<std::uint64_t> SamplePartitionCounts(
-    std::span<const Value> sorted, const std::vector<Value>& separators,
-    ThreadPool* pool) {
-  const std::size_t k = separators.size() + 1;
-  // Cumulative rank at each separator; each entry is an independent binary
-  // search, so the separator range shards cleanly.
-  std::vector<std::uint64_t> cum(k - 1, 0);
-  auto fill_range = [&](std::size_t lo, std::size_t hi, std::size_t) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      const bool run_continues =
-          (j + 1 < separators.size()) && separators[j + 1] == separators[j];
-      const auto bound =
-          run_continues
-              ? std::lower_bound(sorted.begin(), sorted.end(), separators[j])
-              : std::upper_bound(sorted.begin(), sorted.end(), separators[j]);
-      cum[j] = static_cast<std::uint64_t>(bound - sorted.begin());
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1 || k - 1 < 2) {
-    fill_range(0, k - 1, 0);
-  } else {
-    pool->ParallelFor(0, k - 1, pool->size(), fill_range);
-  }
-  std::vector<std::uint64_t> counts(k, 0);
-  std::uint64_t prev = 0;
-  for (std::size_t j = 0; j + 1 < k; ++j) {
-    counts[j] = cum[j] - prev;
-    prev = cum[j];
-  }
-  counts[k - 1] = sorted.size() - prev;
-  return counts;
-}
-
 Result<Histogram> BuildPerfectHistogram(const ValueSet& population,
-                                        std::uint64_t k, ThreadPool* pool) {
+                                        std::uint64_t k) {
   EQUIHIST_RETURN_IF_ERROR(ValidateInputs(population.size(), k));
-  std::span<const Value> sorted = population.sorted_values();
+  const SortedView sorted = population.sorted_values();
   std::vector<Value> separators = QuantileSeparators(sorted, k);
 
   // True counts per bucket, under the run-aware partition rule.
   std::vector<std::uint64_t> counts =
-      SamplePartitionCounts(sorted, separators, pool);
+      SamplePartitionCounts(sorted, separators);
 
   return Histogram::Create(std::move(separators), std::move(counts),
                            LowerFenceFor(population.min()), population.max());
 }
 
-Result<Histogram> BuildHistogramFromSample(std::span<const Value> sorted_sample,
+Result<Histogram> BuildHistogramFromSample(SortedView sorted_sample,
                                            std::uint64_t k,
-                                           std::uint64_t population_size,
-                                           ThreadPool* pool) {
+                                           std::uint64_t population_size) {
   EQUIHIST_RETURN_IF_ERROR(ValidateInputs(sorted_sample.size(), k));
   if (population_size == 0) {
     return Status::InvalidArgument("population_size must be positive");
   }
   std::vector<Value> separators = QuantileSeparators(sorted_sample, k);
   std::vector<std::uint64_t> claimed = ScaledCounts(
-      SamplePartitionCounts(sorted_sample, separators, pool),
+      SamplePartitionCounts(sorted_sample, separators),
       sorted_sample.size(), population_size);
   return Histogram::Create(std::move(separators), std::move(claimed),
                            LowerFenceFor(sorted_sample.front()),
@@ -130,11 +95,8 @@ Result<Histogram> BuildHistogramFromSample(std::span<const Value> sorted_sample,
 
 Result<Histogram> BuildHistogramFromSample(const Sample& sample,
                                            std::uint64_t k,
-                                           std::uint64_t population_size,
-                                           ThreadPool* pool) {
-  return BuildHistogramFromSample(
-      std::span<const Value>(sample.sorted_values()), k, population_size,
-      pool);
+                                           std::uint64_t population_size) {
+  return BuildHistogramFromSample(sample.view(), k, population_size);
 }
 
 }  // namespace equihist

@@ -2,12 +2,10 @@
 #define EQUIHIST_CORE_HISTOGRAM_BUILDER_H_
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/histogram.h"
+#include "data/sorted_view.h"
 #include "data/value_set.h"
 #include "sampling/sample.h"
 
@@ -19,29 +17,14 @@ namespace equihist {
 // of the m values they see (1-based), i.e. the j-th k-quantile, which makes
 // each bucket's size as close to m/k as duplicate values permit. When a
 // value's multiplicity exceeds m/k, adjacent separators coincide — the
-// duplicated-separator representation of Section 5.
-//
-// All builders accept an optional ThreadPool; the separator partition is
-// then computed over separator shards concurrently, with output identical
-// to the sequential path.
-
-// Partitions the sorted values by the separators (same rule as
-// Histogram::PartitionSorted: a run of duplicated separators puts the
-// repeated value's mass in the run's *last*, zero-width bucket, so the
-// spike is never smeared by in-bucket interpolation). Returns
-// separators.size() + 1 counts summing to sorted.size(). Each separator's
-// cumulative rank is an independent binary search, so shards of the
-// separator range run concurrently.
-std::vector<std::uint64_t> SamplePartitionCounts(
-    std::span<const Value> sorted, const std::vector<Value>& separators,
-    ThreadPool* pool = nullptr);
+// duplicated-separator representation of Section 5. Both partition with
+// SamplePartitionCounts (core/histogram.h) on the calling thread.
 
 // The perfect histogram: separators from the full sorted value set, claimed
 // counts equal to the true partition counts. Requires k >= 1 and a
 // non-empty population; k may exceed n (trailing buckets are then empty).
 Result<Histogram> BuildPerfectHistogram(const ValueSet& population,
-                                        std::uint64_t k,
-                                        ThreadPool* pool = nullptr);
+                                        std::uint64_t k);
 
 // The approximate histogram of Section 3.1: separators from a sorted random
 // sample; claimed counts are the sample's per-bucket counts scaled to
@@ -52,16 +35,14 @@ Result<Histogram> BuildPerfectHistogram(const ValueSet& population,
 // its true scaled share instead of a fictitious n/k. The claimed counts are
 // what an optimizer would use; measure true counts with
 // Histogram::PartitionCounts / MeasuredAgainst.
-Result<Histogram> BuildHistogramFromSample(std::span<const Value> sorted_sample,
+Result<Histogram> BuildHistogramFromSample(SortedView sorted_sample,
                                            std::uint64_t k,
-                                           std::uint64_t population_size,
-                                           ThreadPool* pool = nullptr);
+                                           std::uint64_t population_size);
 
 // Convenience overload for an accumulated Sample.
 Result<Histogram> BuildHistogramFromSample(const Sample& sample,
                                            std::uint64_t k,
-                                           std::uint64_t population_size,
-                                           ThreadPool* pool = nullptr);
+                                           std::uint64_t population_size);
 
 }  // namespace equihist
 

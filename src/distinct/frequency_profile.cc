@@ -4,23 +4,16 @@
 
 namespace equihist {
 
-FrequencyProfile FrequencyProfile::FromSorted(
-    std::span<const Value> sorted_sample) {
+FrequencyProfile FrequencyProfile::FromSorted(SortedView sorted_sample) {
   FrequencyProfile profile;
   profile.sample_size_ = sorted_sample.size();
-  for (std::size_t i = 0; i < sorted_sample.size();) {
-    std::size_t j = i;
-    while (j < sorted_sample.size() && sorted_sample[j] == sorted_sample[i]) {
-      ++j;
-    }
-    const std::uint64_t multiplicity = j - i;
+  sorted_sample.ForEachDistinct([&](Value, std::uint64_t multiplicity) {
     if (multiplicity >= profile.counts_.size()) {
       profile.counts_.resize(multiplicity + 1, 0);
     }
     ++profile.counts_[multiplicity];
     ++profile.distinct_;
-    i = j;
-  }
+  });
   return profile;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/distribution.h"
+#include "data/sorted_view.h"
 
 namespace equihist {
 
@@ -19,7 +20,7 @@ class FrequencyProfile {
   FrequencyProfile() = default;
 
   // Builds the profile of a sorted sample.
-  static FrequencyProfile FromSorted(std::span<const Value> sorted_sample);
+  static FrequencyProfile FromSorted(SortedView sorted_sample);
 
   // Builds the profile of an unsorted sample (sorts a copy).
   static FrequencyProfile FromUnsorted(std::vector<Value> sample);

@@ -24,43 +24,16 @@
 namespace equihist {
 namespace {
 
-// Values whose multiplicity in `sorted` exceeds the ideal bucket size
-// become pinned heavy hitters, counts scaled by `scale` (1.0 for a full
-// scan).
-std::vector<CompressedHistogram::Singleton> CollectHeavyHitters(
-    std::span<const Value> sorted, std::uint64_t buckets, double scale) {
-  std::vector<CompressedHistogram::Singleton> hitters;
-  const double ideal =
-      static_cast<double>(sorted.size()) / static_cast<double>(buckets);
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    if (static_cast<double>(j - i) > ideal) {
-      const auto scaled = static_cast<std::uint64_t>(
-          std::llround(static_cast<double>(j - i) * scale));
-      hitters.push_back(CompressedHistogram::Singleton{
-          sorted[i], std::max<std::uint64_t>(scaled, 1)});
-    }
-    i = j;
-  }
-  return hitters;
-}
-
 // Estimated distinct count over a sorted sample: the paper's estimator for
-// a proper sample, the exact run count for a full scan.
+// a proper sample, the exact count for a full scan.
 Result<double> EstimateDistinct(std::span<const Value> sorted, bool sampled,
-                                std::uint64_t population) {
+                                std::uint64_t population,
+                                ThreadPool* pool = nullptr) {
   if (sampled) {
     return PaperEstimator(FrequencyProfile::FromSorted(sorted), population);
   }
-  std::uint64_t distinct = 0;
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    ++distinct;
-    i = j;
-  }
-  return static_cast<double>(distinct);
+  return static_cast<double>(
+      CountDistinctSorted(sorted.data(), sorted.size(), pool));
 }
 
 // The incremental-equi-depth build (DESIGN.md §15): a paper-§4 block
@@ -128,7 +101,7 @@ Result<ColumnStatistics> BuildIncrementalStatistics(
   stats.density = ComputeDensity(values);
   EQUIHIST_ASSIGN_OR_RETURN(
       stats.distinct_estimate,
-      EstimateDistinct(values, options.prefer_sampling, n));
+      EstimateDistinct(values, options.prefer_sampling, n, pool));
   stats.row_count = n;
   stats.from_full_scan = !options.prefer_sampling;
   stats.sample_size = values.size();
@@ -240,7 +213,7 @@ Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
     return Status::FailedPrecondition("table is empty");
   }
   EQUIHIST_ASSIGN_OR_RETURN(Histogram histogram,
-                            BuildPerfectHistogram(data, buckets, pool));
+                            BuildPerfectHistogram(data, buckets));
 
   ColumnStatistics stats;
   stats.SetEquiHeight(std::move(histogram));

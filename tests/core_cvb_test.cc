@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,13 +275,30 @@ TEST(CvbTest, ConstantColumnConvergesImmediately) {
   EXPECT_TRUE(result->converged || result->exhausted_table);
 }
 
-// Golden CVB output on a fixed table and seed, for both validation styles
-// and every metric. Sorting, merging and validation must reproduce it bit
-// for bit. It guards in particular that the one-tuple-per-block picks come
-// from each fresh batch in page order: picks drawn from a sorted batch
-// change the errors below.
+// FNV-1a over a frequency profile's dense f_j: pins every entry of a
+// profile too long to spell out.
+std::uint64_t ProfileHash(std::span<const std::uint64_t> dense) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::uint64_t f : dense) {
+    hash ^= f;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Golden CVB output on fixed tables and seed, for both validation styles
+// and every metric. The values come from a build that sorted every batch
+// and merged tuple vectors, so counting, the runs merge and validation
+// must reproduce it bit for bit, and so must the statistics read off the
+// final sample. It guards in particular that the one-tuple-per-block picks
+// come from each fresh batch in page order: picks drawn from a sorted
+// batch change the errors below.
+// Table 0 is Zipf(1) over n/20 values: fresh batches below 10K tuples are
+// sorted, larger ones counted. Table 1 is duplicate-free, so every batch is
+// sorted. Table 2 is Zipf(2), the only one with heavy hitters at k = 8.
 TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
   struct Golden {
+    int table;
     CvbValidationStyle style;
     CvbValidationMetric metric;
     std::uint64_t iterations;
@@ -288,49 +306,82 @@ TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
     std::vector<double> validation_errors;  // log[i].validation_error
     std::vector<Value> separators;
     std::vector<std::uint64_t> counts;
+    double density_estimate;
+    std::uint64_t sample_distinct;
+    std::size_t profile_size;    // sample_profile.dense().size()
+    std::uint64_t profile_hash;  // ProfileHash(sample_profile.dense())
+    std::vector<CompressedHistogram::Singleton> heavy_hitters;
   };
   const Golden goldens[] = {
-      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kFractionalMaxError,
-       4, 36864,
+      {0, CvbValidationStyle::kAllTuples,
+       CvbValidationMetric::kFractionalMaxError, 4, 36864,
        {0x1.78e38e38e38e4p-1, 0x1.7cc0532ae21cap-2, 0x1.1b8e38e38e398p-2,
         0x1.8638e38e38e38p-3},
        {863, 1543, 3123, 4660, 6169, 7603, 8140},
-       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995}},
-      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kRelativeDeviation,
-       7, 200000,
+       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995},
+       0x1.2b0bbcb936397p-6, 6194, 3764, 0xe3ab1c878fe2314bull, {}},
+      {0, CvbValidationStyle::kAllTuples,
+       CvbValidationMetric::kRelativeDeviation, 7, 200000,
        {0x1.78e38e38e38e4p-1, 0x1.5eaaaaaaaaaabp+0, 0x1.8f8e38e38e38ep-1,
         0x1.8838e38e38e39p-1, 0x1.6855555555555p-1, 0x1.71c3f2a7b37d4p-1,
         0x1.6c4d3c6b2242p-1},
        {863, 1573, 3228, 4660, 6227, 7603, 8197},
-       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000}},
-      {CvbValidationStyle::kAllTuples, CvbValidationMetric::kClaimedDeviation,
-       4, 36864,
+       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000},
+       0x1.193bceb864fdap-6, 10000, 20435, 0xc01dbf8c1a633683ull, {}},
+      {0, CvbValidationStyle::kAllTuples,
+       CvbValidationMetric::kClaimedDeviation, 4, 36864,
        {0x1.78e38e38e38e4p-1, 0x1.37fcf110315ecp-1, 0x1.439214e1684d9p-2,
         0x1.bf122d58e6c2bp-3},
        {863, 1543, 3123, 4660, 6169, 7603, 8140},
-       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995}},
-      {CvbValidationStyle::kOneTuplePerBlock,
+       {28158, 21842, 25000, 28863, 21137, 43316, 6689, 24995},
+       0x1.2b0bbcb936397p-6, 6194, 3764, 0xe3ab1c878fe2314bull, {}},
+      {0, CvbValidationStyle::kOneTuplePerBlock,
        CvbValidationMetric::kFractionalMaxError, 3, 18432,
        {0x1p+0, 0x1.c977ab2bedd27p-1, 0x1.93da7ce841727p-3},
        {863, 1657, 3365, 4660, 6232, 7603, 8064},
-       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946}},
-      {CvbValidationStyle::kOneTuplePerBlock,
+       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946},
+       0x1.388489bdf6643p-6, 4116, 1954, 0x4a27b891118629e9ull, {}},
+      {0, CvbValidationStyle::kOneTuplePerBlock,
        CvbValidationMetric::kRelativeDeviation, 7, 200000,
        {0x1p+0, 0x1.2aaaaaaaaaaabp+1, 0x1.8e38e38e38e39p-1,
         0x1.aaaaaaaaaaaabp-1, 0x1.71c71c71c71c7p-1, 0x1.8p-1,
         0x1.9ed5059b184acp-1},
        {863, 1573, 3228, 4660, 6227, 7603, 8197},
-       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000}},
-      {CvbValidationStyle::kOneTuplePerBlock,
+       {26957, 23048, 25043, 28278, 22519, 41283, 7872, 25000},
+       0x1.193bceb864fdap-6, 10000, 20435, 0xc01dbf8c1a633683ull, {}},
+      {0, CvbValidationStyle::kOneTuplePerBlock,
        CvbValidationMetric::kClaimedDeviation, 3, 18432,
        {0x1.08e368f08462p+0, 0x1.92a92332c35a1p+0, 0x1.fe409b89ed0cep-3},
        {863, 1657, 3365, 4660, 6232, 7603, 8064},
-       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946}},
+       {28223, 21799, 24978, 26563, 23470, 44368, 5653, 24946},
+       0x1.388489bdf6643p-6, 4116, 1954, 0x4a27b891118629e9ull, {}},
+      {1, CvbValidationStyle::kAllTuples,
+       CvbValidationMetric::kFractionalMaxError, 7, 200000,
+       {0x1.38e38e38e38e4p+0, 0x1.8e38e38e38e3ap-1, 0x1p+0,
+        0x1.38e38e38e38e4p-1, 0x1.5555555555554p-2, 0x1.a4cf4a8255dap-2,
+        0x1.4b5e0db4027ep-2},
+       {25000, 50000, 75000, 100000, 125000, 150000, 175000},
+       {25000, 25000, 25000, 25000, 25000, 25000, 25000, 25000},
+       0x0p+0, 200000, 2, 0x9354807b6a31c2dull, {}},
+      {2, CvbValidationStyle::kAllTuples,
+       CvbValidationMetric::kFractionalMaxError, 1, 4608,
+       {0x1.71c71c71c71cp-5},
+       {863, 933, 4660, 7603, 7603, 7603, 7603},
+       {30512, 30556, 15234, 4123, 0, 0, 116710, 2865},
+       0x1.7c45c4aa87e4dp-2, 89, 2690, 0xa0a34e1111fa35ecull,
+       {{933, 29991}, {7603, 116710}}},
   };
-  Table table = MakeZipfTable(200000, 1.0, LayoutKind::kPartiallyClustered);
+  const Table tables[] = {
+      MakeZipfTable(200000, 1.0, LayoutKind::kPartiallyClustered),
+      Table::Create(*MakeAllDistinct(200000), kPage,
+                    {.kind = LayoutKind::kSorted, .seed = 7})
+          .value(),
+      MakeZipfTable(200000, 2.0, LayoutKind::kPartiallyClustered),
+  };
   for (const Golden& golden : goldens) {
     SCOPED_TRACE(testing::Message()
-                 << "style " << static_cast<int>(golden.style) << " metric "
+                 << "table " << golden.table << " style "
+                 << static_cast<int>(golden.style) << " metric "
                  << static_cast<int>(golden.metric));
     CvbOptions options;
     options.k = 8;
@@ -338,7 +389,7 @@ TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
     options.seed = 2024;
     options.style = golden.style;
     options.metric = golden.metric;
-    const auto result = RunCvb(table, options);
+    const auto result = RunCvb(tables[golden.table], options);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->iterations, golden.iterations);
     EXPECT_EQ(result->tuples_sampled, golden.tuples_sampled);
@@ -350,6 +401,13 @@ TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
     }
     EXPECT_EQ(result->histogram.separators(), golden.separators);
     EXPECT_EQ(result->histogram.counts(), golden.counts);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result->density_estimate),
+              std::bit_cast<std::uint64_t>(golden.density_estimate));
+    EXPECT_EQ(result->sample_distinct, golden.sample_distinct);
+    EXPECT_EQ(result->sample_profile.dense().size(), golden.profile_size);
+    EXPECT_EQ(ProfileHash(result->sample_profile.dense()),
+              golden.profile_hash);
+    EXPECT_EQ(result->heavy_hitters, golden.heavy_hitters);
   }
 }
 

@@ -103,10 +103,11 @@ TEST(SampleHistogramTest, SeparatorsAreSampleQuantiles) {
 }
 
 TEST(SampleHistogramTest, SampleOverloadMatchesSpanOverload) {
-  Sample sample({9, 3, 7, 1, 5});
+  Sample sample({9, 3, 7, 1, 5, 3});
+  const std::vector<Value> sorted = {1, 3, 3, 5, 7, 9};
   const auto a = BuildHistogramFromSample(sample, 2, 50);
-  const auto b = BuildHistogramFromSample(
-      std::span<const Value>(sample.sorted_values()), 2, 50);
+  const auto b =
+      BuildHistogramFromSample(std::span<const Value>(sorted), 2, 50);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->separators(), b->separators());

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -175,6 +176,11 @@ TEST(ParallelSortTest, MatchesStdSort) {
         EXPECT_EQ(actual, expected)
             << "n=" << n << " input=" << k
             << " pool=" << (pool == nullptr ? 0 : pool->size());
+        if (n == 0) continue;
+        // The same sort with the bounds scanned by the caller.
+        actual = inputs[k];
+        ParallelSort(actual, ScanKeyBounds(actual.data(), n), pool);
+        EXPECT_EQ(actual, expected) << "bounded n=" << n << " input=" << k;
       }
     }
   }
@@ -281,24 +287,34 @@ TEST(ParallelSamplingTest, DeriveStreamSeedIsStable) {
 
 // --- Sample with pool ------------------------------------------------------
 
+// Narrow keys are counted and wide keys sorted (in pool-sized runs with a
+// pool); either way the runs match the sequential build.
 TEST(ParallelSampleTest, PoolSortAndMergeMatchSequential) {
   ThreadPool pool(4);
-  std::vector<Value> init = RandomValues(50000, 21, 3000);
-  std::vector<Value> batch = RandomValues(30000, 22, 3000);
-  std::sort(batch.begin(), batch.end());
-  Sample serial(init);
-  Sample parallel(init, &pool);
-  EXPECT_EQ(serial.sorted_values(), parallel.sorted_values());
-  serial.MergeSorted(batch);
-  parallel.MergeSorted(batch, &pool);
-  EXPECT_EQ(serial.sorted_values(), parallel.sorted_values());
+  for (const std::uint64_t domain : {3000ull, 1ull << 40}) {
+    const std::vector<Value> init = RandomValues(50000, 21, domain);
+    const std::vector<Value> batch = RandomValues(30000, 22, domain);
+    Sample serial(init);
+    Sample parallel(init, &pool);
+    EXPECT_EQ(serial.runs().values, parallel.runs().values);
+    EXPECT_EQ(serial.runs().cumulative, parallel.runs().cumulative);
+    std::vector<Value> serial_batch = batch;
+    std::vector<Value> parallel_batch = batch;
+    Runs serial_counted;
+    Runs parallel_counted;
+    serial.Merge(SortOrCount(serial_batch, serial_counted, nullptr));
+    parallel.Merge(SortOrCount(parallel_batch, parallel_counted, &pool));
+    EXPECT_EQ(serial.runs().values, parallel.runs().values);
+    EXPECT_EQ(serial.runs().cumulative, parallel.runs().cumulative);
+    EXPECT_EQ(serial.size(), 80000u);
+  }
 }
 
 // --- End-to-end determinism ------------------------------------------------
 
 // The acceptance property of the parallel engine: same seed => bit-identical
-// histogram (separators, counts, fences) and identical sampling trajectory
-// at 1, 2, and 8 threads.
+// histogram (separators, counts, fences), sample statistics and sampling
+// trajectory at 1, 2, 4 and 8 threads.
 TEST(ParallelCvbTest, BitIdenticalAcrossThreadCounts) {
   for (const LayoutKind layout : {LayoutKind::kRandom, LayoutKind::kSorted}) {
     Table table = MakeTable(150000, 1.0, layout);
@@ -309,7 +325,7 @@ TEST(ParallelCvbTest, BitIdenticalAcrossThreadCounts) {
     options.threads = 1;
     const auto baseline = RunCvb(table, options);
     ASSERT_TRUE(baseline.ok());
-    for (const std::uint64_t threads : {2ull, 8ull}) {
+    for (const std::uint64_t threads : {2ull, 4ull, 8ull}) {
       options.threads = threads;
       const auto result = RunCvb(table, options);
       ASSERT_TRUE(result.ok());
@@ -325,6 +341,11 @@ TEST(ParallelCvbTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(result->blocks_sampled, baseline->blocks_sampled);
       EXPECT_EQ(result->iterations, baseline->iterations);
       EXPECT_EQ(result->sample_distinct, baseline->sample_distinct);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result->density_estimate),
+                std::bit_cast<std::uint64_t>(baseline->density_estimate));
+      EXPECT_TRUE(std::ranges::equal(result->sample_profile.dense(),
+                                     baseline->sample_profile.dense()));
+      EXPECT_EQ(result->heavy_hitters, baseline->heavy_hitters);
     }
   }
 }
