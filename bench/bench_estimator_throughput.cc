@@ -65,11 +65,6 @@ struct SingleThreadRow {
   double reference_ns_per_query = 0.0;
   double speedup = 0.0;
   std::uint64_t reference_queries = 0;  // the O(k) loop runs a subset
-  // Per-kernel ns/query through the batch entry point with the kernel
-  // pinned (no pool): the vectorized serving core's breakdown.
-  double scalar_kernel_ns_per_query = 0.0;
-  double eytzinger_ns_per_query = 0.0;
-  double simd_ns_per_query = 0.0;  // 0 when the CPU lacks AVX2
 };
 
 struct BatchRow {
@@ -177,8 +172,6 @@ std::string ToJson(const std::vector<KReport>& reports,
   os << "  \"n\": " << n << ",\n";
   os << "  \"queries_per_class\": " << queries_per_class << ",\n";
   os << "  \"host\": " << bench::HostJson() << ",\n";
-  os << "  \"simd_available\": "
-     << (CompiledEstimator::SimdAvailable() ? "true" : "false") << ",\n";
   os << "  \"batch_multi_column\": [\n";
   for (std::size_t i = 0; i < multi_column.size(); ++i) {
     const MultiColumnRow& row = multi_column[i];
@@ -219,11 +212,7 @@ std::string ToJson(const std::vector<KReport>& reports,
          << "\", \"compiled_ns_per_query\": " << row.compiled_ns_per_query
          << ", \"reference_ns_per_query\": " << row.reference_ns_per_query
          << ", \"reference_queries\": " << row.reference_queries
-         << ", \"speedup\": " << row.speedup << ",\n"
-         << "       \"kernels\": {\"scalar_ns_per_query\": "
-         << row.scalar_kernel_ns_per_query
-         << ", \"eytzinger_ns_per_query\": " << row.eytzinger_ns_per_query
-         << ", \"simd_ns_per_query\": " << row.simd_ns_per_query << "}}"
+         << ", \"speedup\": " << row.speedup << "}"
          << (i + 1 < report.single_thread.size() ? "," : "") << "\n";
     }
     os << "    ], \"batch\": [\n";
@@ -332,35 +321,11 @@ int main(int argc, char** argv) {
       row.speedup = row.compiled_ns_per_query > 0.0
                         ? row.reference_ns_per_query / row.compiled_ns_per_query
                         : 0.0;
-      // Per-kernel breakdown: the same queries through the batch entry
-      // point with the kernel pinned. All three produce bitwise-identical
-      // estimates (the differential test suite's guarantee); this records
-      // what each layout/instruction set buys.
-      std::vector<double> kernel_out(qc.queries.size());
-      const double count = static_cast<double>(qc.queries.size());
-      const auto kernel_ns = [&](EstimatorKernel kernel) {
-        return BestNs(
-                   [&]() {
-                     compiled.EstimateRangeCounts(qc.queries, kernel_out,
-                                                  nullptr, kernel);
-                     return kernel_out[0];
-                   },
-                   &sink) /
-               count;
-      };
-      row.scalar_kernel_ns_per_query = kernel_ns(EstimatorKernel::kScalar);
-      row.eytzinger_ns_per_query = kernel_ns(EstimatorKernel::kEytzinger);
-      row.simd_ns_per_query = CompiledEstimator::SimdAvailable()
-                                  ? kernel_ns(EstimatorKernel::kSimd)
-                                  : 0.0;
       report.single_thread.push_back(row);
       std::cerr << "  k=" << k << " " << row.query_class
                 << ": compiled=" << row.compiled_ns_per_query
                 << " ns/q, reference=" << row.reference_ns_per_query
-                << " ns/q, speedup=" << row.speedup
-                << "x | kernels scalar=" << row.scalar_kernel_ns_per_query
-                << " eytzinger=" << row.eytzinger_ns_per_query
-                << " simd=" << row.simd_ns_per_query << " ns/q\n";
+                << " ns/q, speedup=" << row.speedup << "x\n";
     }
 
     // -- batch QPS scaling ------------------------------------------------
@@ -391,10 +356,10 @@ int main(int argc, char** argv) {
   // -- multi-column batch estimation ----------------------------------------
   //
   // A planner estimating a predicate list touches several columns at once.
-  // EstimateBatch groups the interleaved requests per column, resolves each
-  // serving slot once, and runs every group through the vectorized batch
-  // kernel — vs the per-request loop that re-enters the manager (slot
-  // lookup, staleness check) for every single predicate.
+  // EstimateBatch pins each column's serving snapshot at its first request
+  // and answers every request in order from the pinned models, in one
+  // loop — vs the per-request loop that re-enters the manager (slot
+  // lookup, publication-counter check) for every single predicate.
   std::vector<MultiColumnRow> multi_column;
   {
     const std::uint64_t mc_n = std::min<std::uint64_t>(scale.default_n,

@@ -1,4 +1,4 @@
-// Structure-aware differential fuzz target for the serving kernels
+// Structure-aware differential fuzz target for the compiled estimator
 // (core/compiled_estimator.h). The input decodes into a *valid* histogram
 // spec — bucket count, fences (moderate or full-domain extreme), a
 // non-decreasing separator sequence with forced duplicate runs (the
@@ -6,12 +6,10 @@
 // in-domain, separator-aligned, reversed and fence-overshooting ranges.
 // Properties:
 //
-//   - kScalar, kEytzinger and kSimd agree BITWISE, single-query and
-//     batch, per the kernel identity guarantee (same comparison sequence,
-//     same interpolation arithmetic, contraction disabled);
-//   - every kernel agrees with the reference bucket-walking loop
-//     (core/range_estimator.h) within the documented tolerance of a few
-//     ulps of the largest bucket count;
+//   - the single-query estimate agrees with the reference bucket-walking
+//     loop (core/range_estimator.h) within the documented tolerance of a
+//     few ulps of the largest bucket count;
+//   - the batch path agrees BITWISE with the single-query path;
 //   - estimates are finite, non-negative, and bounded by the total.
 
 #include <algorithm>
@@ -145,37 +143,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     queries.push_back(DecodeQuery(stream, histogram));
   }
 
-  // Single-query kernels: bitwise identity, reference agreement, sanity.
+  // Single queries: reference agreement and sanity.
   for (const auto& query : queries) {
-    const double scalar = compiled.EstimateRangeCount(query);
-    const double eytzinger = compiled.EstimateRangeCountEytzinger(query);
-    FUZZ_CHECK(BitEqual(scalar, eytzinger),
-               "Eytzinger kernel diverged from scalar");
-    FUZZ_CHECK(std::isfinite(scalar), "non-finite estimate");
-    FUZZ_CHECK(scalar >= 0.0, "negative estimate");
-    FUZZ_CHECK(scalar <= static_cast<double>(histogram.total()) + tolerance,
+    const double estimate = compiled.EstimateRangeCount(query);
+    FUZZ_CHECK(std::isfinite(estimate), "non-finite estimate");
+    FUZZ_CHECK(estimate >= 0.0, "negative estimate");
+    FUZZ_CHECK(estimate <= static_cast<double>(histogram.total()) + tolerance,
                "estimate exceeds the histogram total");
     const double reference = equihist::EstimateRangeCount(histogram, query);
-    FUZZ_CHECK(std::abs(scalar - reference) <= tolerance,
+    FUZZ_CHECK(std::abs(estimate - reference) <= tolerance,
                "compiled estimate outside the documented reference tolerance");
   }
 
-  // Batch kernels: every explicit kernel and kAuto, bitwise equal to the
-  // single-query path element by element.
-  const equihist::EstimatorKernel kernels[] = {
-      equihist::EstimatorKernel::kScalar,
-      equihist::EstimatorKernel::kEytzinger,
-      equihist::EstimatorKernel::kSimd,
-      equihist::EstimatorKernel::kAuto,
-  };
-  std::vector<double> out(queries.size());
-  for (const auto kernel : kernels) {
-    std::fill(out.begin(), out.end(), -1.0);
-    compiled.EstimateRangeCounts(queries, out, nullptr, kernel);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      FUZZ_CHECK(BitEqual(out[i], compiled.EstimateRangeCount(queries[i])),
-                 "batch kernel diverged from the single-query path");
-    }
+  // Batch: bitwise equal to the single-query path element by element.
+  std::vector<double> out(queries.size(), -1.0);
+  compiled.EstimateRangeCounts(queries, out);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    FUZZ_CHECK(BitEqual(out[i], compiled.EstimateRangeCount(queries[i])),
+               "batch diverged from the single-query path");
   }
   return 0;
 }

@@ -38,13 +38,6 @@ def single_thread_metrics(doc):
             base = f"k={k}/{row.get('class')}"
             if "compiled_ns_per_query" in row:
                 metrics[f"{base}/compiled"] = row["compiled_ns_per_query"]
-            kernels = row.get("kernels", {})
-            for kernel in ("scalar", "eytzinger", "simd"):
-                value = kernels.get(f"{kernel}_ns_per_query")
-                # simd reports 0 when the CPU lacks AVX2; a 0 on either
-                # side makes the ratio meaningless, so callers filter.
-                if value:
-                    metrics[f"{base}/{kernel}"] = value
         for row in config.get("batch", []):
             if row.get("threads") == 1 and row.get("qps"):
                 # Stored inverted (ns/query) so "bigger is worse" holds

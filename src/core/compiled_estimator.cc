@@ -1,7 +1,6 @@
 #include "core/compiled_estimator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -48,21 +47,6 @@ std::size_t LowerBoundIndex(const std::vector<Value>& seps, Value x) {
   return BranchlessBound<true>(seps.data(), seps.size(), x);
 }
 
-// Fills the 1-indexed Eytzinger array by in-order traversal of the
-// implicit tree: descending left-first visits BFS slots in exactly sorted
-// order, so slot `slot` receives sorted element `*next` and the rank map
-// records the inverse permutation. Depth is ceil(log2 s) — safe to recurse.
-void FillEytzinger(const std::vector<Value>& sorted, std::size_t slot,
-                   std::size_t* next, std::vector<Value>* eytz,
-                   std::vector<std::uint32_t>* rank) {
-  if (slot > sorted.size()) return;
-  FillEytzinger(sorted, 2 * slot, next, eytz, rank);
-  (*eytz)[slot] = sorted[*next];
-  (*rank)[slot] = static_cast<std::uint32_t>(*next);
-  ++*next;
-  FillEytzinger(sorted, 2 * slot + 1, next, eytz, rank);
-}
-
 }  // namespace
 
 CompiledEstimator::CompiledEstimator(const Histogram& histogram)
@@ -107,22 +91,6 @@ CompiledEstimator::CompiledEstimator(const Histogram& histogram)
     }
     i = j + 1;
   }
-
-  // Eytzinger layout: slots 1..s hold the separators in implicit-BFS
-  // order; slot 0 is the descent's "ran off the right edge" terminal, so
-  // its rank is the whole-array upper bound s.
-  eytz_.assign(s + 1, Value{0});
-  eytz_rank_.assign(s + 1, static_cast<std::uint32_t>(s));
-  std::size_t next = 0;
-  FillEytzinger(separators_, 1, &next, &eytz_, &eytz_rank_);
-}
-
-double CompiledEstimator::InterpolateCdf(std::size_t j, Value x) const {
-  // The one interpolation expression every kernel funnels through; its FP
-  // operation order (mul, mul, add — contraction disabled for this TU)
-  // defines the bitwise identity all kernels must reproduce.
-  return cum_[j] +
-         counts_[j] * (ValueDistance(bucket_lo_[j], x) * inv_width_[j]);
 }
 
 double CompiledEstimator::Cdf(Value x) const {
@@ -131,37 +99,11 @@ double CompiledEstimator::Cdf(Value x) const {
   // bucket_lo_[j] <= x < bucket_hi(j): it is never a zero-width spike and
   // its inv_width_ is a true inverse. Everything before it — including
   // whole duplicated-separator runs whose value is <= x — is covered by
-  // the exact prefix sum.
-  return InterpolateCdf(UpperBoundIndex(separators_, x), x);
-}
-
-std::size_t CompiledEstimator::EytzingerUpperBound(Value x) const {
-  const std::size_t limit = eytz_.size();  // s + 1
-  const Value* eytz = eytz_.data();
-  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(eytz);
-  std::size_t j = 1;
-  while (j < limit) {
-    // Pull the great-great-grandchildren's cache line pair in early. The
-    // address is computed in integer space so no out-of-bounds pointer is
-    // ever formed (prefetch itself is a no-op hint that cannot fault);
-    // clamping the index instead costs a dependent cmp+cmov per level and
-    // measurably erases the prefetch win on DRAM-resident trees.
-    __builtin_prefetch(
-        reinterpret_cast<const void*>(base + j * 16 * sizeof(Value)));
-    j = 2 * j + static_cast<std::size_t>(eytz[j] <= x);
-  }
-  // The descent's bit trail encodes the answer: strip the trailing 1s
-  // ("went right" steps past qualifying separators) and the final 0 to
-  // recover the slot of the last subtree rooted at a separator > x, i.e.
-  // the upper bound. j == 0 means every separator was <= x; the rank
-  // table's slot 0 carries the sentinel s for exactly that case.
-  j >>= (std::countr_one(j) + 1);
-  return eytz_rank_[j];
-}
-
-double CompiledEstimator::CdfEytzinger(Value x) const {
-  if (x >= upper_fence_) return total_;
-  return InterpolateCdf(EytzingerUpperBound(x), x);
+  // the exact prefix sum. The operation order is mul, mul, add
+  // (contraction is disabled for this TU).
+  const std::size_t j = UpperBoundIndex(separators_, x);
+  return cum_[j] +
+         counts_[j] * (ValueDistance(bucket_lo_[j], x) * inv_width_[j]);
 }
 
 double CompiledEstimator::EstimateRangeCount(const RangeQuery& query) const {
@@ -173,14 +115,6 @@ double CompiledEstimator::EstimateRangeCount(const RangeQuery& query) const {
   // in-order prefix evaluations is clamped like the reference estimator's
   // term-by-term sum, which is non-negative by construction.
   return std::max(Cdf(hi) - Cdf(lo), 0.0);
-}
-
-double CompiledEstimator::EstimateRangeCountEytzinger(
-    const RangeQuery& query) const {
-  const Value lo = std::max(query.lo, lower_fence_);
-  const Value hi = std::min(query.hi, upper_fence_);
-  if (hi <= lo) return 0.0;
-  return std::max(CdfEytzinger(hi) - CdfEytzinger(lo), 0.0);
 }
 
 double CompiledEstimator::EstimateRangeSelectivity(
@@ -213,93 +147,25 @@ std::uint64_t CompiledEstimator::BucketIndexForValue(Value v) const {
   return i;
 }
 
-bool CompiledEstimator::SimdAvailable() {
-  return internal::SimdKernelAvailable();
-}
-
-EstimatorKernel CompiledEstimator::ResolveKernel(
-    EstimatorKernel requested) const {
-  if (requested == EstimatorKernel::kAuto) {
-    // Measured crossover (see DESIGN.md §14): the flat branchless search
-    // wins while the separator array is cache-resident — fewer
-    // instructions, and the hot top levels stay in L1 either way. Once
-    // the array spills past L2 the memory-level parallelism of the SIMD
-    // gather kernel (or the Eytzinger layout's deep prefetch without
-    // AVX2) overtakes it.
-    if (separators_.size() < kAutoVectorThreshold) {
-      return EstimatorKernel::kScalar;
-    }
-    return SimdAvailable() ? EstimatorKernel::kSimd
-                           : EstimatorKernel::kEytzinger;
-  }
-  if (requested == EstimatorKernel::kSimd && !SimdAvailable()) {
-    return EstimatorKernel::kEytzinger;
-  }
-  return requested;
-}
-
-internal::EstimatorSoA CompiledEstimator::SoAView() const {
-  internal::EstimatorSoA soa;
-  soa.separators = separators_.data();
-  soa.separator_count = separators_.size();
-  soa.bucket_lo = bucket_lo_.data();
-  soa.counts = counts_.data();
-  soa.inv_width = inv_width_.data();
-  soa.cum = cum_.data();
-  soa.total = total_;
-  soa.lower_fence = lower_fence_;
-  soa.upper_fence = upper_fence_;
-  return soa;
-}
-
-void CompiledEstimator::EstimateRangeCountsWithKernel(
-    const RangeQuery* queries, double* out, std::size_t n,
-    EstimatorKernel kernel) const {
-  switch (kernel) {
-    case EstimatorKernel::kScalar:
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = EstimateRangeCount(queries[i]);
-      }
-      return;
-    case EstimatorKernel::kSimd: {
-      // The vector kernel covers whole 8-query groups; the tail runs on
-      // the Eytzinger path. Because kernels are bitwise identical, where
-      // the seam falls is unobservable in the output.
-      const std::size_t done =
-          internal::EstimateRangeCountsSimd(SoAView(), queries, out, n);
-      for (std::size_t i = done; i < n; ++i) {
-        out[i] = EstimateRangeCountEytzinger(queries[i]);
-      }
-      return;
-    }
-    case EstimatorKernel::kAuto:  // resolved by the caller; treat as the
-    case EstimatorKernel::kEytzinger:  // default layout if it leaks through
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = EstimateRangeCountEytzinger(queries[i]);
-      }
-      return;
-  }
-}
-
 void CompiledEstimator::EstimateRangeCounts(std::span<const RangeQuery> queries,
                                             std::span<double> out,
-                                            ThreadPool* pool,
-                                            EstimatorKernel kernel) const {
+                                            ThreadPool* pool) const {
   assert(out.size() >= queries.size());
   const std::size_t n = queries.size();
-  const EstimatorKernel resolved = ResolveKernel(kernel);
+  const auto estimate = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i] = EstimateRangeCount(queries[i]);
+    }
+  };
   if (pool == nullptr || pool->size() <= 1 || n < kParallelBatchThreshold) {
-    EstimateRangeCountsWithKernel(queries.data(), out.data(), n, resolved);
+    estimate(0, n);
     return;
   }
-  // Over-decompose for load balance; per-query results are independent and
-  // kernels are bitwise identical, so neither the shard layout nor where a
-  // shard's SIMD/scalar seam falls can affect the output.
+  // Over-decompose for load balance; per-query results are independent,
+  // so the shard layout cannot affect the output.
   pool->ParallelFor(0, n, pool->size() * 8,
                     [&](std::size_t lo, std::size_t hi, std::size_t) {
-                      EstimateRangeCountsWithKernel(queries.data() + lo,
-                                                    out.data() + lo, hi - lo,
-                                                    resolved);
+                      estimate(lo, hi);
                     });
 }
 
@@ -309,9 +175,7 @@ std::size_t CompiledEstimator::MemoryBytes() const {
          counts_.size() * sizeof(double) +
          inv_width_.size() * sizeof(double) + cum_.size() * sizeof(double) +
          run_first_.size() * sizeof(std::uint32_t) +
-         run_last_.size() * sizeof(std::uint32_t) +
-         eytz_.size() * sizeof(Value) +
-         eytz_rank_.size() * sizeof(std::uint32_t);
+         run_last_.size() * sizeof(std::uint32_t);
 }
 
 }  // namespace equihist

@@ -12,51 +12,6 @@
 
 namespace equihist {
 
-// Which code path a batch estimate runs through (DESIGN.md section 14).
-// Every kernel computes bitwise-identical estimates — the choice is purely
-// a throughput knob, like the thread pool — so requests degrade gracefully
-// when the hardware lacks a kernel (kSimd on a non-AVX2 host runs the
-// Eytzinger path).
-enum class EstimatorKernel : std::uint8_t {
-  kAuto = 0,       // best available: SIMD when the CPU supports it, else
-                   // the Eytzinger layout
-  kScalar = 1,     // flat branchless binary search (the portable reference)
-  kEytzinger = 2,  // implicit-BFS separator layout with software prefetch
-  kSimd = 3,       // AVX2 8-lane batch kernel (runtime CPUID dispatch)
-};
-
-namespace internal {
-
-// The flat structure-of-arrays view of a CompiledEstimator, handed to the
-// SIMD kernel translation unit (core/compiled_estimator_simd.cc) so the
-// vector code needs no access to the class internals. Pointers borrow from
-// the estimator and are valid for its lifetime.
-struct EstimatorSoA {
-  const Value* separators = nullptr;  // k-1, sorted (duplicates allowed)
-  std::size_t separator_count = 0;
-  const Value* bucket_lo = nullptr;   // k
-  const double* counts = nullptr;     // k
-  const double* inv_width = nullptr;  // k
-  const double* cum = nullptr;        // k+1
-  double total = 0.0;
-  Value lower_fence = 0;
-  Value upper_fence = 0;
-};
-
-// True when the runtime CPU can execute the SIMD batch kernel (CPUID
-// dispatch; constant after the first call).
-bool SimdKernelAvailable();
-
-// Runs the SIMD kernel over the first floor(n / lanes) * lanes queries and
-// returns how many were processed; the caller finishes the tail with a
-// scalar kernel. Returns 0 when SimdKernelAvailable() is false (the
-// guarded fallback), so callers need no separate availability branch.
-std::size_t EstimateRangeCountsSimd(const EstimatorSoA& soa,
-                                    const RangeQuery* queries, double* out,
-                                    std::size_t n);
-
-}  // namespace internal
-
 // A histogram flattened for serving: the read-side companion of the
 // parallel construction engine (DESIGN.md section 9).
 //
@@ -78,17 +33,6 @@ std::size_t EstimateRangeCountsSimd(const EstimatorSoA& soa,
 //                        maximal equal-value run — the Section 5
 //                        duplicated-separator table
 //
-// plus the vectorized serving core (DESIGN.md section 14):
-//
-//   eytz[k]              the separators rearranged into Eytzinger
-//                        (implicit-BFS) order, 1-indexed — descending the
-//                        implicit tree touches log k *consecutive-level*
-//                        cache lines instead of log k scattered ones, and
-//                        the next line pair is software-prefetched
-//   eytz_rank[k]         Eytzinger slot -> sorted separator index, so the
-//                        descent's final slot converts back to the same
-//                        upper-bound rank the flat search returns
-//
 // A range estimate then becomes two branchless binary searches, two
 // partial-bucket interpolations and one prefix-sum difference:
 //
@@ -103,16 +47,11 @@ std::size_t EstimateRangeCountsSimd(const EstimatorSoA& soa,
 // estimator counts it, and the partially covered bucket ub(x) is provably
 // never degenerate (bucket_lo[ub] <= x < bucket_hi[ub]).
 //
-// Kernel identity guarantee: the Eytzinger descent and the SIMD kernel
-// compute the same upper-bound index as the flat search (they implement
-// the same comparison sequence over the same values), and every kernel
-// finishes with the same interpolation expression evaluated with the same
-// FP operation order (this translation unit and the SIMD one build with
-// contraction disabled, so the compiler cannot fuse the scalar path into
-// FMA while the vector path stays mul+add). Estimates are therefore
-// bitwise identical across kernels — enforced by the differential tests in
-// tests/core_vectorized_estimator_test.cc over the Section-5 spike/fence
-// corpus.
+// Bitwise determinism: this translation unit builds with FP contraction
+// disabled, so the interpolation is always mul, mul, add and an estimate's
+// bits do not depend on whether the target has FMA (GCC contracts by
+// default even in ISO C++ mode). Batch and single-query calls run the same
+// code, so every shard layout of a batch returns the same bits.
 //
 // Numerical contract vs the reference loop: estimates agree with the
 // reference estimator bit-for-bit whenever every covered bucket is either
@@ -140,13 +79,6 @@ class CompiledEstimator {
   // reference EstimateRangeCount, in O(log k).
   double EstimateRangeCount(const RangeQuery& query) const;
 
-  // The same estimate computed over the Eytzinger separator layout —
-  // bitwise-identical to EstimateRangeCount by construction (same
-  // comparison sequence, same interpolation arithmetic), fewer cache
-  // misses on large k. Exposed for tests and the kernel breakdown bench;
-  // batch callers go through EstimateRangeCounts.
-  double EstimateRangeCountEytzinger(const RangeQuery& query) const;
-
   // Estimated selectivity in [0, 1]: EstimateRangeCount / total.
   double EstimateRangeSelectivity(const RangeQuery& query) const;
 
@@ -167,62 +99,26 @@ class CompiledEstimator {
 
   // Batch estimation: out[i] = EstimateRangeCount(queries[i]) for every i.
   // With a pool, large batches are sharded across it; every shard layout
-  // and every kernel produce bitwise-identical output (queries are
-  // independent and the kernels share one arithmetic), so both `pool` and
-  // `kernel` are purely throughput knobs. kAuto picks the measured-fastest
-  // kernel for this histogram's size and this CPU (see ResolveKernel); an
-  // unavailable explicit request degrades (kSimd -> kEytzinger). Requires
-  // out.size() >= queries.size().
+  // produces bitwise-identical output (queries are independent), so
+  // `pool` is purely a throughput knob. Requires out.size() >=
+  // queries.size().
   void EstimateRangeCounts(std::span<const RangeQuery> queries,
-                           std::span<double> out, ThreadPool* pool = nullptr,
-                           EstimatorKernel kernel =
-                               EstimatorKernel::kAuto) const;
-
-  // True when the AVX2 batch kernel can run on this CPU (runtime CPUID
-  // dispatch; on other architectures this is the guarded scalar fallback).
-  static bool SimdAvailable();
-
-  // kAuto dispatch threshold, in separators: at 8 bytes each this is a
-  // 2 MiB array — past per-core L2 on the parts we target. Below it the
-  // flat branchless search wins (everything is cache-resident and it runs
-  // the fewest instructions); at or above it the cache-optimal kernels
-  // pay for themselves (DESIGN.md §14 has the measurements).
-  static constexpr std::size_t kAutoVectorThreshold = std::size_t{1} << 18;
-
-  // The kernel a request resolves to on this host for THIS histogram:
-  // kAuto -> kScalar below kAutoVectorThreshold separators, else kSimd
-  // when available, else kEytzinger; an explicit kSimd without AVX2
-  // degrades to kEytzinger; everything else resolves to itself.
-  EstimatorKernel ResolveKernel(EstimatorKernel requested) const;
+                           std::span<double> out,
+                           ThreadPool* pool = nullptr) const;
 
   std::uint64_t bucket_count() const { return k_; }
   double total() const { return total_; }
   Value lower_fence() const { return lower_fence_; }
   Value upper_fence() const { return upper_fence_; }
 
-  // Heap footprint of the flattened arrays, including the Eytzinger
-  // layout (for HistogramModel::MemoryBytes accounting).
+  // Heap footprint of the flattened arrays (for
+  // HistogramModel::MemoryBytes accounting).
   std::size_t MemoryBytes() const;
 
  private:
   // F(x): estimated count in (lower_fence, x]. Precondition:
   // lower_fence_ <= x <= upper_fence_.
   double Cdf(Value x) const;
-  // F(x) computed via the Eytzinger descent; bitwise equal to Cdf.
-  double CdfEytzinger(Value x) const;
-  // The shared interpolation tail of both Cdf forms: one expression, one
-  // FP operation order, so the kernels cannot diverge.
-  double InterpolateCdf(std::size_t j, Value x) const;
-  // Index of the first separator > x via the Eytzinger descent (equals
-  // the flat search's upper-bound index).
-  std::size_t EytzingerUpperBound(Value x) const;
-  // The SoA view handed to the SIMD kernel TU.
-  internal::EstimatorSoA SoAView() const;
-  // Runs `kernel` over queries[0, n) sequentially (the per-shard body of
-  // EstimateRangeCounts).
-  void EstimateRangeCountsWithKernel(const RangeQuery* queries, double* out,
-                                     std::size_t n,
-                                     EstimatorKernel kernel) const;
 
   std::uint64_t k_ = 1;
   Value lower_fence_ = 0;
@@ -235,9 +131,6 @@ class CompiledEstimator {
   std::vector<double> cum_;                // k+1
   std::vector<std::uint32_t> run_first_;   // k-1
   std::vector<std::uint32_t> run_last_;    // k-1
-  std::vector<Value> eytz_;                // k (slot 0 unused)
-  std::vector<std::uint32_t> eytz_rank_;   // k; [0] = k-1 (the "all
-                                           // separators <= x" sentinel)
 };
 
 }  // namespace equihist

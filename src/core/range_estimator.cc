@@ -93,10 +93,8 @@ Result<RangeWorkloadReport> EvaluateRangeWorkload(
   KahanSum abs_sum;
   KahanSum rel_sum;
   // One O(k) compile pass, then the whole workload through the batch
-  // serving core in a single call (kAuto: the SIMD kernel where the CPU
-  // has one, bitwise-identical to the scalar path either way) — the same
-  // trade the serving path makes; workloads are orders of magnitude
-  // larger than k.
+  // serving core in a single call — the same trade the serving path
+  // makes; workloads are orders of magnitude larger than k.
   const CompiledEstimator compiled(histogram);
   std::vector<double> estimates(queries.size());
   compiled.EstimateRangeCounts(queries, estimates);

@@ -108,10 +108,9 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf,
-    const CostModel& cost_model, bool use_pool) {
+    const CostModel& cost_model) {
   BatchEstimateResult estimates;
-  EQUIHIST_RETURN_IF_ERROR(
-      shard.EstimateBatch(table, requests, &estimates, use_pool));
+  EQUIHIST_RETURN_IF_ERROR(shard.EstimateBatch(table, requests, &estimates));
   std::vector<PlanChoice> choices;
   choices.reserve(requests.size());
   for (const double estimate : estimates.estimates) {

@@ -74,9 +74,9 @@ PlanChoice ChooseAccessPath(const ColumnStatistics& stats,
                             const CostModel& cost_model = CostModel{});
 
 // Batch plan choice: one PlanChoice per query, with all the estimates
-// produced by a single call into the model's batch path (the vectorized
-// serving core on equi-height; `pool` shards large batches). Choices are
-// bitwise what per-query ChooseAccessPath would pick.
+// produced by a single call into the model's batch path (`pool` shards
+// large batches). Choices are bitwise what per-query ChooseAccessPath
+// would pick.
 std::vector<PlanChoice> ChooseAccessPaths(
     const HistogramModel& model, std::span<const RangeQuery> queries,
     std::uint64_t table_pages, std::uint32_t tuples_per_page,
@@ -92,11 +92,12 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf = 512,
-    const CostModel& cost_model = CostModel{}, bool use_pool = false);
+    const CostModel& cost_model = CostModel{});
 
 // Fleet variant: the predicate list routes through the fleet's
-// cross-shard batch front-end (counting-sort partition + per-shard
-// coalescing), bitwise the single-shard overload's choices.
+// cross-shard batch front-end (a counting-sort partition by owning shard,
+// then one EstimateBatch call per shard), bitwise the single-shard
+// overload's choices.
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsFleet& fleet, const Table& table,
     std::span<const BatchEstimateRequest> requests,

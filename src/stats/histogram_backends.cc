@@ -57,7 +57,7 @@ Value EquiHeightModel::upper_fence() const { return histogram_.upper_fence(); }
 std::size_t EquiHeightModel::MemoryBytes() const {
   const std::size_t k = histogram_.bucket_count();
   // Histogram: k-1 separators + k counts. The compiled read path reports
-  // its own arrays (SoA, run tables, and the Eytzinger serving layout).
+  // its own arrays (SoA and run tables).
   const std::size_t histogram_bytes = (2 * k - 1) * sizeof(std::uint64_t);
   return sizeof(*this) + histogram_bytes + compiled_.MemoryBytes();
 }

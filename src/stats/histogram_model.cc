@@ -101,8 +101,8 @@ Result<RangeWorkloadReport> EvaluateRangeWorkload(
   KahanSum abs_sum;
   KahanSum rel_sum;
   // The whole workload estimates through the backend's batch path in one
-  // call (the compiled vectorized core on equi-height, the scalar batched
-  // form elsewhere) — bitwise what the per-query loop produced.
+  // call (the compiled estimator on equi-height, the per-query loop
+  // elsewhere) — bitwise what the per-query loop produced.
   std::vector<double> estimates(queries.size());
   model.EstimateRangeCounts(queries, estimates);
   for (std::size_t i = 0; i < queries.size(); ++i) {

@@ -55,8 +55,9 @@ Status StatisticsFleet::EstimateBatchPartitioned(
     BatchEstimateResult* result) {
   const std::size_t n = requests.size();
   const std::size_t num_shards = shards_.size();
-  // Counting sort by owning shard: count, prefix-sum into offsets, gather
-  // — the same grouping idiom the shard applies per column, one level up.
+  // Counting sort by owning shard: count, prefix-sum into offsets, gather.
+  // Each shard gets all of its requests in one EstimateBatch call, so it
+  // pins each of its columns once for the whole batch.
   std::vector<std::size_t> shard_of(n);
   std::vector<std::size_t> counts(num_shards, 0);
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,6 +1,5 @@
 #include "stats/statistics_shard.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -718,7 +717,7 @@ Status StatisticsShard::EstimateRanges(const std::string& column,
 
 Status StatisticsShard::EstimateBatch(
     const Table& table, std::span<const BatchEstimateRequest> requests,
-    BatchEstimateResult* result, bool use_pool) {
+    BatchEstimateResult* result) {
   if (result == nullptr) {
     return Status::InvalidArgument("null batch result");
   }
@@ -728,85 +727,36 @@ Status StatisticsShard::EstimateBatch(
   metrics_.Increment(metrics::Counter::kEstimateBatches);
   metrics_.Increment(metrics::Counter::kEstimateQueries, n);
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, n);
-  // Group the interleaved requests by column, resolving each distinct
-  // column's serving snapshot exactly once through the lock-free cache.
-  // The model shared_ptr is copied out of the thread-local slot right
-  // away: resolving the *next* column can evict or reallocate slots and
-  // invalidate the pointer (the copy also pins the snapshot for the rest
-  // of the batch, so a concurrent rebuild cannot pull it out from under
-  // the later estimation pass).
-  //
-  // A predicate list names a handful of columns, so the group table is a
-  // flat linear-scanned vector, and the per-group query lists live in one
-  // shared gather buffer (counting-sort layout) — the whole batch costs a
-  // fixed number of allocations regardless of column interleaving.
-  struct ColumnGroup {
+  // Each distinct column's serving snapshot resolves once, at its first
+  // request, through the lock-free cache, and that pinned model answers
+  // every later request for the column: the batch is a consistent cut
+  // even if a rebuild or drop lands mid-batch. The model shared_ptr is
+  // copied out of the thread-local slot right away, because resolving
+  // the next column can evict or reallocate slots. A predicate list names
+  // a handful of columns, so the pinned set is a linear-scanned vector.
+  struct PinnedColumn {
     const std::string* column = nullptr;  // borrowed from requests[]
     HistogramModelPtr model;
-    std::size_t count = 0;
-    std::size_t offset = 0;
   };
-  std::vector<ColumnGroup> groups;
-  std::vector<std::size_t> group_of(n);
+  std::vector<PinnedColumn> pinned;
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t g = 0;
-    while (g < groups.size() && *groups[g].column != requests[i].column) ++g;
-    if (g == groups.size()) {
-      const CachedServing* slot = FindCachedServing(requests[i].column);
+    const std::string& column = requests[i].column;
+    std::size_t p = 0;
+    while (p < pinned.size() && *pinned[p].column != column) ++p;
+    if (p == pinned.size()) {
+      const CachedServing* slot = FindCachedServing(column);
       HistogramModelPtr model;
       if (slot == nullptr ||
           slot->entry->published.load(std::memory_order_acquire) !=
               slot->published) {
-        EQUIHIST_ASSIGN_OR_RETURN(model,
-                                  RefreshServing(requests[i].column, table));
+        EQUIHIST_ASSIGN_OR_RETURN(model, RefreshServing(column, table));
       } else {
         model = slot->model;
       }
-      groups.push_back(
-          ColumnGroup{&requests[i].column, std::move(model), 0, 0});
+      pinned.push_back(PinnedColumn{&column, std::move(model)});
     }
-    ++groups[g].count;
-    group_of[i] = g;
-  }
-  ThreadPool* fan_out = use_pool ? pool() : nullptr;
-  // Single-column batch (the common planner case): the grouped layout is
-  // the request order, so estimate straight into the result.
-  if (groups.size() == 1) {
-    std::vector<RangeQuery> queries(n);
-    for (std::size_t i = 0; i < n; ++i) queries[i] = requests[i].query;
-    groups[0].model->EstimateRangeCounts(
-        queries, std::span<double>(result->estimates), fan_out);
-    return Status::OK();
-  }
-  // Multi-column: stable counting sort of the queries into per-group runs
-  // of one shared buffer, one batch estimation per run (all snapshots
-  // pinned above, so the answers are a consistent cut across columns),
-  // then one scatter back to request order.
-  std::size_t offset = 0;
-  for (ColumnGroup& group : groups) {
-    group.offset = offset;
-    offset += group.count;
-  }
-  std::vector<RangeQuery> queries(n);
-  std::vector<std::size_t> cursor(groups.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    queries[groups[group_of[i]].offset + cursor[group_of[i]]++] =
-        requests[i].query;
-  }
-  std::vector<double> scratch(n);
-  for (const ColumnGroup& group : groups) {
-    group.model->EstimateRangeCounts(
-        std::span<const RangeQuery>(queries.data() + group.offset,
-                                    group.count),
-        std::span<double>(scratch.data() + group.offset, group.count),
-        fan_out);
-  }
-  // Replaying the cursor walk inverts the counting sort without a
-  // positions side table.
-  std::fill(cursor.begin(), cursor.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    result->estimates[i] =
-        scratch[groups[group_of[i]].offset + cursor[group_of[i]]++];
+    result->estimates[i] = pinned[p].model->EstimateRangeCount(
+        requests[i].query);
   }
   return Status::OK();
 }

@@ -34,7 +34,8 @@ std::uint64_t HashColumnName(const std::string& column);
 // -- Multi-column batch estimation (DESIGN.md §14) ---------------------------
 
 // One predicate of a multi-column batch estimate: "lo < column <= hi".
-// Requests may interleave columns freely — the manager groups them.
+// Requests may interleave columns freely — the manager pins each column
+// once per batch.
 struct BatchEstimateRequest {
   std::string column;
   RangeQuery query{};
@@ -240,17 +241,15 @@ class StatisticsShard {
 
   // Multi-column batch variant: the planner hands over an entire predicate
   // list — columns freely interleaved — and gets every estimate back in
-  // one call. Each distinct column's snapshot resolves once through the
-  // lock-free serving cache (first access may build, exactly like
-  // EstimateRange); its queries then run through the backend's batch path,
-  // the vectorized serving core on equi-height. With use_pool, per-column
-  // sub-batches shard across the manager's pool; results are
-  // bitwise-identical at any thread count. On error (an unbuildable
-  // column), estimates already computed are unspecified and the first
-  // failure is returned.
+  // request order in one call. Each distinct column's snapshot resolves
+  // once, at its first request, through the lock-free serving cache (first
+  // access may build, exactly like EstimateRange); that pinned snapshot
+  // answers all of the column's requests, so one batch is a consistent
+  // cut across its columns. On error (an unbuildable column), estimates
+  // already computed are unspecified and the first failure is returned.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
-                       BatchEstimateResult* result, bool use_pool = false);
+                       BatchEstimateResult* result);
 
   // Per-column outcome aggregation of a BuildAll sweep: every column that
   // could be built was; the rest are reported here instead of aborting the

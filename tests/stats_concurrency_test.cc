@@ -407,8 +407,7 @@ TEST(StatsConcurrencyTest, ReadersServeStaleWhileBuildsFailAndRecover) {
 
 TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
   // The multi-column batch API answers an interleaved predicate list with
-  // exactly the per-request serving-path estimates, in request order,
-  // with or without the pool.
+  // exactly the per-request serving-path estimates, in request order.
   Table table = SmallTable();
   StatisticsManager::Options options;
   options.buckets = 40;
@@ -423,8 +422,7 @@ TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
                         {i * 17 % 40000, i * 17 % 40000 + 300 + i}});
   }
   BatchEstimateResult batch;
-  ASSERT_TRUE(
-      manager.EstimateBatch(table, requests, &batch, /*use_pool=*/false).ok());
+  ASSERT_TRUE(manager.EstimateBatch(table, requests, &batch).ok());
   ASSERT_EQ(batch.estimates.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto single =
@@ -432,11 +430,6 @@ TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(batch.estimates[i], *single) << "request " << i;
   }
-  // Pool-sharded: bitwise the same answers.
-  BatchEstimateResult pooled;
-  ASSERT_TRUE(
-      manager.EstimateBatch(table, requests, &pooled, /*use_pool=*/true).ok());
-  EXPECT_EQ(pooled.estimates, batch.estimates);
   // Each distinct column built exactly once — the whole batch rode the
   // snapshot cache.
   EXPECT_EQ(manager.rebuild_count(), columns.size());
@@ -469,8 +462,7 @@ TEST(StatsConcurrencyTest, ConcurrentBatchServingDuringRebuildsAndDrops) {
       }
       BatchEstimateResult result;
       for (int i = 0; i < 60; ++i) {
-        const Status status = manager.EstimateBatch(
-            table, requests, &result, /*use_pool=*/(i % 2) == 0);
+        const Status status = manager.EstimateBatch(table, requests, &result);
         if (!status.ok() || result.estimates.size() != requests.size()) {
           failures.fetch_add(1);
           continue;

@@ -1,6 +1,7 @@
 // Tests for the pluggable HistogramModel backend layer: golden-blob
 // compatibility with serialization format v1, per-backend container
-// round-trips, a byte-level corruption matrix over the wire format, and the
+// round-trips, every backend's batch path against its per-query loop, a
+// byte-level corruption matrix over the wire format, and the
 // end-to-end acceptance check that an externally registered backend serves
 // through StatisticsManager, the planner, and serialization without any
 // change to those components.
@@ -8,7 +9,9 @@
 #include "stats/histogram_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -17,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/histogram.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
@@ -283,6 +287,97 @@ TEST(HistogramModelRoundTripTest, TrailingGarbageIsRejected) {
     EXPECT_TRUE(DeserializeHistogramModel(bytes, &consumed).ok())
         << backend->name;
     EXPECT_EQ(consumed, bytes.size() - 1) << backend->name;
+  }
+}
+
+// -- Batch path --------------------------------------------------------------
+
+constexpr Value kValueMin = std::numeric_limits<Value>::min();
+constexpr Value kValueMax = std::numeric_limits<Value>::max();
+
+// Bit-level comparison: catches sign-of-zero and NaN-payload divergence
+// that operator== would wave through.
+::testing::AssertionResult BitEqual(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << a << " (0x" << std::hex << std::bit_cast<std::uint64_t>(a)
+         << ") != " << std::dec << b << " (0x" << std::hex
+         << std::bit_cast<std::uint64_t>(b) << ")";
+}
+
+// Separator-aligned, fence-overshooting, empty, reversed and
+// out-of-domain queries.
+RangeQuery RandomQuery(Rng& rng, Value lf, Value uf,
+                       const std::vector<Value>& seps) {
+  switch (rng.NextInRange(0, 5)) {
+    case 0: {
+      if (!seps.empty()) {
+        const Value a = seps[static_cast<std::size_t>(
+            rng.NextInRange(0, static_cast<std::int64_t>(seps.size()) - 1))];
+        const Value b = seps[static_cast<std::size_t>(
+            rng.NextInRange(0, static_cast<std::int64_t>(seps.size()) - 1))];
+        return {std::min(a, b), std::max(a, b)};
+      }
+      return {lf, uf};
+    }
+    case 1:
+      return {lf == kValueMin ? kValueMin : lf - 1,
+              uf == kValueMax ? kValueMax : uf + 1};
+    case 2: {
+      const Value v = rng.NextInRange(lf, uf);
+      return rng.NextDouble() < 0.5
+                 ? RangeQuery{v, v}
+                 : RangeQuery{std::max(v, lf + 1), std::max(v, lf + 1) - 1};
+    }
+    case 3: {
+      return rng.NextDouble() < 0.5
+                 ? RangeQuery{uf, uf == kValueMax ? kValueMax : uf + 100}
+                 : RangeQuery{lf == kValueMin ? kValueMin : lf - 100, lf};
+    }
+    default: {
+      const Value a = rng.NextInRange(lf, uf);
+      const Value b = rng.NextInRange(lf, uf);
+      return {std::min(a, b), std::max(a, b)};
+    }
+  }
+}
+
+// Every registered backend (built-ins and whatever else the process added)
+// honours the batch contract bitwise: EstimateRangeCounts over any pool
+// equals the per-query loop.
+TEST(VectorizedEstimatorTest, AllBackendsBatchBitwiseEqualsLoop) {
+  Rng rng(1337);
+  ThreadPool pool(3);
+  std::vector<Value> sample;
+  for (int i = 0; i < 4000; ++i) {
+    sample.push_back(rng.NextInRange(-100000, 100000));
+  }
+  // A heavy duplicated run so the compressed backend has a singleton.
+  for (int i = 0; i < 800; ++i) sample.push_back(777);
+  std::sort(sample.begin(), sample.end());
+
+  for (const HistogramBackendId id : HistogramBackendRegistry::Global().Ids()) {
+    const auto backend = HistogramBackendRegistry::Global().Find(id).value();
+    const auto built = backend.build_from_sample(sample, 50, 48000);
+    ASSERT_TRUE(built.ok()) << backend.name << ": " << built.status();
+    const HistogramModelPtr model = built.value();
+    std::vector<RangeQuery> queries;
+    for (int i = 0; i < 600; ++i) {
+      queries.push_back(RandomQuery(rng, model->lower_fence(),
+                                    model->upper_fence(), {}));
+    }
+    std::vector<double> batch(queries.size()), pooled(queries.size());
+    model->EstimateRangeCounts(queries, batch, nullptr);
+    model->EstimateRangeCounts(queries, pooled, &pool);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const double single = model->EstimateRangeCount(queries[i]);
+      ASSERT_TRUE(BitEqual(batch[i], single))
+          << backend.name << " batch vs loop at " << i;
+      ASSERT_TRUE(BitEqual(pooled[i], single))
+          << backend.name << " pooled batch vs loop at " << i;
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 #include "stats/column_statistics.h"
 #include "stats/statistics_manager.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/density.h"
@@ -336,6 +339,39 @@ TEST(StatisticsManagerTest, BatchServesItsOwnBuildWhenDropWinsTheCapture) {
   EXPECT_EQ(dropped.estimates[0], *built);
   EXPECT_EQ(*second, *built);
   EXPECT_TRUE(manager.Has("t.x"));
+}
+
+// EstimateBatch pins each column's snapshot at the column's first request
+// and answers all of its requests from that pin. Here the first-access
+// build of the second column drops the first column mid-batch: the third
+// request must still be answered from the snapshot pinned at the first,
+// not by a rebuild.
+TEST(StatisticsManagerTest, BatchPinsEachColumnOnceWhenADropLandsMidBatch) {
+  RegisterMidBuildHookBackendOnce();
+  Table table = SkewedTable();
+  StatisticsManager::Options options;
+  options.buckets = 16;
+  options.f = 0.2;
+  options.threads = 1;
+  options.column_backends["hook"] = kMidBuildHookId;
+  StatisticsManager manager(options);
+  ASSERT_TRUE(manager.GetOrBuild("a", table).ok());
+  EXPECT_EQ(manager.rebuild_count(), 1u);
+  MidBuildHook() = [&manager] { manager.Drop("a"); };
+  const RangeQuery query{0, static_cast<Value>(table.tuple_count() / 100)};
+  const std::vector<BatchEstimateRequest> requests{
+      {"a", query}, {"hook", query}, {"a", query}};
+  BatchEstimateResult result;
+  const Status status = manager.EstimateBatch(table, requests, &result);
+  MidBuildHook() = nullptr;
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(result.estimates.size(), requests.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.estimates[0]),
+            std::bit_cast<std::uint64_t>(result.estimates[2]));
+  EXPECT_FALSE(manager.Has("a"));
+  // One build of `a` before the batch, one of `hook` inside it; a batch
+  // that resolved every request afresh would rebuild `a` at the third.
+  EXPECT_EQ(manager.rebuild_count(), 2u);
 }
 
 }  // namespace
