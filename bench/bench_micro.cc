@@ -148,9 +148,13 @@ BENCHMARK(BM_SampleMerge)->ArgNames({"sorted"})->Arg(0)->Arg(1);
 // Turning one unsorted batch of n keys into a sorted view, keys uniform
 // over range + 1 values with range = n * ratio / 100. Arguments: path
 // (0 = count, 1 = sort with the scanned bounds, 2 = SortOrCount, which
-// counts when range < n and sorts otherwise), ratio (percent) and n.
-// Where path 0 stops beating path 1 sets SortOrCount's cutoff. Every
-// iteration also copies the unsorted keys in, the same cost for each path.
+// counts when range < n and sorts otherwise, 3 = count the batch's pages
+// in place into a key window, its bounds folded over the pages' bounds),
+// ratio (percent) and n. Where path 0 stops beating path 1 sets
+// SortOrCount's cutoff, and where path 3 stops beating path 1 the window's
+// (Sample::Stage). Paths 0-2 also copy the unsorted keys in every
+// iteration, as a batch read out of its pages; path 3 reads the pages of a
+// table of 128-tuple pages, in a shuffled order as a block sample does.
 void BM_BatchToView(benchmark::State& state) {
   const std::int64_t path = state.range(0);
   const auto n = static_cast<std::uint64_t>(state.range(2));
@@ -159,9 +163,31 @@ void BM_BatchToView(benchmark::State& state) {
   Rng rng(11);
   std::vector<Value> keys(n);
   for (Value& key : keys) key = static_cast<Value>(rng.NextBounded(range + 1));
+  const Table table =
+      Table::CreateFromValues(keys, PageConfig{8192, 64}).value();
+  std::vector<const Page*> pages;
+  for (std::uint64_t id = 0; id < table.page_count(); ++id) {
+    pages.push_back(&table.file().page(id));
+  }
+  for (std::size_t i = pages.size(); i > 1; --i) {
+    std::swap(pages[i - 1], pages[rng.NextBounded(i)]);
+  }
   std::vector<Value> data;
   Runs counted;
+  std::vector<std::uint64_t> window;
   for (auto _ : state) {
+    if (path == 3) {
+      KeyBounds bounds{.min = pages[0]->min_key(), .max = pages[0]->max_key()};
+      for (const Page* page : pages) {
+        bounds.min = std::min(bounds.min, page->min_key());
+        bounds.max = std::max(bounds.max, page->max_key());
+      }
+      window.resize(bounds.range() + 1);
+      sample_internal::CountPages(pages, bounds.min, window);
+      benchmark::DoNotOptimize(window.data());
+      benchmark::ClobberMemory();
+      continue;
+    }
     data = keys;
     if (path == 0) {
       sample_internal::CountRuns(data, ScanKeyBounds(data.data(), n),
@@ -180,7 +206,7 @@ void BM_BatchToView(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchToView)
     ->ArgNames({"path", "ratio", "n"})
-    ->ArgsProduct({{0, 1, 2}, {10, 50, 100, 200}, {1 << 13, 1 << 15, 1 << 17}});
+    ->ArgsProduct({{0, 1, 2, 3}, {10, 50, 100, 200}, {1 << 13, 1 << 15, 1 << 17}});
 
 // Sorting one sample batch on the calling thread (null pool), as CVB does
 // for every fresh batch. Arguments: sorter (0 = std::sort, 1 = the radix

@@ -277,20 +277,4 @@ Result<CompressedComparisonReport> CompareCompressed(
   return report;
 }
 
-std::vector<CompressedHistogram::Singleton> CollectHeavyHitters(
-    SortedView sorted, std::uint64_t buckets, double scale) {
-  std::vector<CompressedHistogram::Singleton> hitters;
-  const double ideal =
-      static_cast<double>(sorted.size()) / static_cast<double>(buckets);
-  sorted.ForEachDistinct([&](Value value, std::uint64_t multiplicity) {
-    if (static_cast<double>(multiplicity) > ideal) {
-      const auto scaled = static_cast<std::uint64_t>(
-          std::llround(static_cast<double>(multiplicity) * scale));
-      hitters.push_back(CompressedHistogram::Singleton{
-          value, std::max<std::uint64_t>(scaled, 1)});
-    }
-  });
-  return hitters;
-}
-
 }  // namespace equihist

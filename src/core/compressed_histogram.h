@@ -103,14 +103,6 @@ Result<CompressedComparisonReport> CompareCompressed(
     const CompressedHistogram& perfect, const CompressedHistogram& approx,
     const ValueSet& population);
 
-// Heavy hitters of a sorted multiset: every value whose multiplicity
-// exceeds one ideal bucket, sorted.size() / buckets, ascending, with its
-// multiplicity scaled by `scale` (n/r for a sample of r tuples, 1 for a
-// full scan) and rounded, at least 1. These are the compressed-histogram
-// singleton candidates of Section 5, kept by every statistics build.
-std::vector<CompressedHistogram::Singleton> CollectHeavyHitters(
-    SortedView sorted, std::uint64_t buckets, double scale);
-
 }  // namespace equihist
 
 #endif  // EQUIHIST_CORE_COMPRESSED_HISTOGRAM_H_

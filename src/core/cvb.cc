@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "common/parallel_sort.h"
 #include "common/rng.h"
 #include "core/bounds.h"
 #include "core/density.h"
@@ -34,23 +36,18 @@ Status ValidateOptions(const Table& table, const CvbOptions& options) {
   return Status::OK();
 }
 
-// One uniformly chosen tuple per sampled block, sorted. `offsets` index the
-// pages of `batch`, so the batch must still be in page order. The picks
-// consume the sequential rng stream regardless of the pool, keeping the
-// subset thread-count independent.
-std::vector<Value> OneTuplePerBlock(const std::vector<Value>& batch,
-                                    const std::vector<std::size_t>& offsets,
-                                    Rng& rng, ThreadPool* pool) {
+// One uniformly chosen tuple per sampled block, sorted. The picks take the
+// pages in the order they were sampled, one rng draw per page.
+std::vector<Value> OneTuplePerBlock(std::span<const Page* const> pages,
+                                    Rng& rng) {
   std::vector<Value> subset;
-  subset.reserve(offsets.size());
-  for (std::size_t p = 0; p < offsets.size(); ++p) {
-    const std::size_t begin = offsets[p];
-    const std::size_t end =
-        (p + 1 < offsets.size()) ? offsets[p + 1] : batch.size();
-    if (end <= begin) continue;
-    subset.push_back(batch[begin + rng.NextBounded(end - begin)]);
+  subset.reserve(pages.size());
+  for (const Page* page : pages) {
+    if (page->empty()) continue;
+    subset.push_back(
+        page->at(static_cast<std::uint32_t>(rng.NextBounded(page->size()))));
   }
-  ParallelSort(subset, pool);
+  std::sort(subset.begin(), subset.end());
   return subset;
 }
 
@@ -94,7 +91,7 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
                             StepSchedule::Create(options.schedule, g0));
 
   Rng rng(options.seed);
-  IncrementalBlockSampler sampler(&table, rng.Next(), pool);
+  IncrementalBlockSampler sampler(&table, rng.Next());
   sampler.set_retry_policy(options.retry);
 
   CvbResult result{
@@ -123,20 +120,20 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   };
 
   // Step 2/3: initial sample and histogram H0.
-  std::vector<Value> batch = sampler.NextBatch(g0, &result.io);
+  std::vector<const Page*> pages = sampler.NextPages(g0, &result.io);
   EQUIHIST_RETURN_IF_ERROR(check_fault_budget());
-  if (batch.empty()) {
+  if (pages.empty()) {
     // g0 >= 1, so an empty initial batch means every page the sampler
     // touched was permanently unreadable — nothing to build from.
     return exhausted_error();
   }
-  Sample accumulated(std::move(batch), pool);
+  Sample accumulated;
+  accumulated.Stage(pages, pool);
+  accumulated.Commit();
   EQUIHIST_ASSIGN_OR_RETURN(
       Histogram current, BuildHistogramFromSample(accumulated, options.k, n));
 
   // Step 4: iterate cross-validation rounds.
-  std::vector<std::size_t> offsets;
-  Runs counted;  // a fresh batch's runs, when it is counted
   std::uint64_t accumulated_blocks = result.io.pages_read;
   double last_error = -1.0;  // < 0 until the first validation ran
   for (std::uint64_t i = 1; i <= options.max_iterations; ++i) {
@@ -150,10 +147,10 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
                               factor)));
     }
     IoStats batch_io;
-    batch = sampler.NextBatch(want_blocks, &batch_io, &offsets);
+    pages = sampler.NextPages(want_blocks, &batch_io);
     result.io += batch_io;
     EQUIHIST_RETURN_IF_ERROR(check_fault_budget());
-    if (batch.empty()) {
+    if (pages.empty()) {
       // Table exhausted before convergence: the accumulated sample is the
       // whole *readable* table — exact when nothing was skipped.
       result.exhausted_table = true;
@@ -163,18 +160,16 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     CvbIterationLog entry;
     entry.iteration = i;
     entry.fresh_blocks = batch_io.pages_read;
-    entry.fresh_tuples = batch.size();
 
-    // Each fresh batch becomes one sorted view: counted when its key range
-    // is smaller than the batch, sorted in place otherwise. The
-    // one-tuple-per-block picks need the batch in page order, so they are
-    // drawn first. All-tuples validation reads the view directly, and the
-    // view is merged below.
+    // The fresh batch is staged as one sorted view, counted into R's key
+    // window or held as runs (Sample::Stage). All-tuples validation reads
+    // the view directly, and the view is merged below.
     std::vector<Value> picks;
     if (options.style == CvbValidationStyle::kOneTuplePerBlock) {
-      picks = OneTuplePerBlock(batch, offsets, rng, pool);
+      picks = OneTuplePerBlock(pages, rng);
     }
-    const SortedView fresh = SortOrCount(batch, counted, pool);
+    const SortedView fresh = accumulated.Stage(pages, pool);
+    entry.fresh_tuples = fresh.size();
     const SortedView validation =
         options.style == CvbValidationStyle::kAllTuples ? fresh
                                                         : SortedView(picks);
@@ -218,7 +213,7 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     // Step 4(c): merge and rebuild regardless of the outcome — the fresh
     // sample improves the histogram either way, and the paper's output is
     // H_i (post-merge).
-    accumulated.Merge(fresh);
+    accumulated.Commit();
     EQUIHIST_ASSIGN_OR_RETURN(
         current, BuildHistogramFromSample(accumulated, options.k, n));
 
@@ -257,17 +252,17 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   result.tuples_sampled = result.io.tuples_read;
   result.sampling_fraction =
       static_cast<double>(result.tuples_sampled) / static_cast<double>(n);
-  // Sample statistics come from the runs (Section 7.1 notes 3-4). Heavy
-  // hitters have a sample multiplicity above one ideal sample bucket r/k,
-  // with counts scaled to the table (Section 5's compressed-histogram
-  // candidates).
+  // Sample statistics come from the final sample (Section 7.1 notes 3-4),
+  // heavy hitters with counts scaled to the table.
   const SortedView sample = accumulated.view();
-  result.density_estimate = EstimateDensityFromSample(sample);
-  result.sample_profile = FrequencyProfile::FromSorted(sample);
-  result.sample_distinct = result.sample_profile.distinct_in_sample();
-  result.heavy_hitters = CollectHeavyHitters(
+  SampleStatistics summary = SummarizeSample(
       sample, options.k,
-      static_cast<double>(n) / static_cast<double>(sample.size()));
+      static_cast<double>(n) / static_cast<double>(sample.size()),
+      /*with_profile=*/true);
+  result.density_estimate = summary.density;
+  result.sample_profile = std::move(summary.profile);
+  result.sample_distinct = result.sample_profile.distinct_in_sample();
+  result.heavy_hitters = std::move(summary.heavy_hitters);
   return result;
 }
 

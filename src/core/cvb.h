@@ -105,11 +105,10 @@ struct CvbOptions {
   // Override for the initial block batch g0 (0 = derive from Theorem 4).
   // Used by the schedule-ablation bench to start from 5*sqrt(n) tuples.
   std::uint64_t initial_blocks_override = 0;
-  // Worker threads for the build pipeline (block reads, sorts of
-  // wide-range batches): 0 = one per hardware thread, 1 = fully sequential
-  // (no pool is created); larger values are clamped to the hardware thread
-  // count (the stages are CPU-bound, so over-subscription strictly
-  // regresses). Histograms are bit-identical for every setting — the
+  // Worker threads for the sorts of batches too wide to count: 0 = one per
+  // hardware thread, 1 = fully sequential (no pool is created); larger
+  // values are clamped to the hardware thread count (the sorts are
+  // CPU-bound, so over-subscription strictly regresses). Histograms are bit-identical for every setting — the
   // parallel stages shard work by problem size, not thread count, and all
   // RNG streams stay sequential.
   std::uint64_t threads = 0;

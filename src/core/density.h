@@ -1,7 +1,13 @@
 #ifndef EQUIHIST_CORE_DENSITY_H_
 #define EQUIHIST_CORE_DENSITY_H_
 
+#include <cstdint>
+#include <vector>
+
+#include "common/math.h"
+#include "core/compressed_histogram.h"
 #include "data/sorted_view.h"
+#include "distinct/frequency_profile.h"
 
 namespace equihist {
 
@@ -20,6 +26,42 @@ double ComputeDensity(SortedView sorted_values);
 // sample multiplicities. The paper notes this estimate "was extremely
 // accurate whenever the CVB algorithm converges".
 double EstimateDensityFromSample(SortedView sorted_sample);
+
+// The density rule, fed one distinct value's multiplicity at a time in
+// ascending value order; the order fixes the bits of its Kahan sum.
+class DensityAccumulator {
+ public:
+  void Add(std::uint64_t multiplicity) {
+    const auto c = static_cast<double>(multiplicity);
+    sq_sum_.Add(c * c);
+  }
+
+  // The density of the n elements added.
+  double Density(std::uint64_t n) const;
+
+ private:
+  KahanSum sq_sum_;
+};
+
+// What every statistics build keeps from its sorted sample or scan
+// (Section 7.1, notes 3-4), taken in one pass over its distinct values:
+//   - the density, as ComputeDensity;
+//   - with `with_profile`, the frequency profile, as
+//     FrequencyProfile::FromSorted: the distinct-value estimators' input,
+//     which a full scan, counting distinct values exactly, skips;
+//   - the heavy hitters: every value whose multiplicity exceeds one ideal
+//     bucket, sorted.size() / buckets, ascending, with its multiplicity
+//     scaled by `scale` (n/r for a sample of r tuples, 1 for a full scan)
+//     and rounded, at least 1. These are the compressed-histogram
+//     singleton candidates of Section 5.
+struct SampleStatistics {
+  double density = 0.0;
+  FrequencyProfile profile{};
+  std::vector<CompressedHistogram::Singleton> heavy_hitters{};
+};
+
+SampleStatistics SummarizeSample(SortedView sorted, std::uint64_t buckets,
+                                 double scale, bool with_profile);
 
 }  // namespace equihist
 

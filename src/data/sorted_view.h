@@ -11,11 +11,15 @@
 
 namespace equihist {
 
-// A read-only sorted multiset of values, in one of two forms:
+// A read-only sorted multiset of values, in one of three forms:
 //   - a sorted span, one element per entry (equal values repeat);
 //   - runs: ascending values, entry i standing for
 //     cumulative[i] - cumulative[i-1] copies of values[i] (cumulative[i] is
-//     the number of elements at or below values[i]).
+//     the number of elements at or below values[i]);
+//   - a key window: cumulative counts over the consecutive keys from a
+//     base, cumulative[i] being the number of elements at or below
+//     base + i. A slot may be empty (equal to the one before it), at the
+//     edges too. Rank queries are an index lookup.
 // Every rank rule of the library is written once over this view: separator
 // ranks, the run-aware partition, Definition 4's segments, density, the
 // frequency profile and heavy hitters. A sorted span or vector converts to
@@ -34,30 +38,66 @@ class SortedView {
              std::span<const std::uint64_t> cumulative)
       : values_(values), cumulative_(cumulative) {}
 
+  // The key window over base .. base + cumulative.size() - 1. Precondition:
+  // cumulative is non-empty, non-decreasing, and its last key fits a Value.
+  static SortedView Window(Value base,
+                           std::span<const std::uint64_t> cumulative) {
+    SortedView view;
+    view.cumulative_ = cumulative;
+    view.base_ = base;
+    return view;
+  }
+
   // Number of elements.
   std::uint64_t size() const {
     return cumulative_.empty() ? values_.size() : cumulative_.back();
   }
-  bool empty() const { return values_.empty(); }
+  bool empty() const { return size() == 0; }
 
-  // Entries: distinct values for runs, elements for a sorted span.
+  // Entries: distinct values for runs, elements for a sorted span, none
+  // for a window.
   std::span<const Value> values() const { return values_; }
-  Value front() const { return values_.front(); }
-  Value back() const { return values_.back(); }
+  bool is_window() const { return values_.empty() && !cumulative_.empty(); }
 
-  // Number of elements in entries [0, i).
+  // The smallest and largest element. Precondition: !empty().
+  Value front() const {
+    if (!is_window()) return values_.front();
+    return Key(static_cast<std::size_t>(
+        std::upper_bound(cumulative_.begin(), cumulative_.end(), 0) -
+        cumulative_.begin()));
+  }
+  Value back() const {
+    if (!is_window()) return values_.back();
+    return Key(static_cast<std::size_t>(
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), size()) -
+        cumulative_.begin()));
+  }
+
+  // Number of elements in entries [0, i). Not for a window.
   std::uint64_t CountBefore(std::size_t i) const {
     if (cumulative_.empty()) return i;
     return i == 0 ? 0 : cumulative_[i - 1];
   }
 
-  // Number of elements v with v < x / v <= x.
+  // Number of elements v with v < x / v <= x. A window decides whether x
+  // lies below or above it by comparing keys, so the extreme keys of the
+  // domain stay exact.
   std::uint64_t CountLess(Value x) const {
+    if (is_window()) {
+      if (x <= base_) return 0;
+      if (x > Key(cumulative_.size() - 1)) return size();
+      return cumulative_[Offset(x) - 1];
+    }
     return CountBefore(static_cast<std::size_t>(
         std::lower_bound(values_.begin(), values_.end(), x) -
         values_.begin()));
   }
   std::uint64_t CountLessEqual(Value x) const {
+    if (is_window()) {
+      if (x < base_) return 0;
+      if (x >= Key(cumulative_.size() - 1)) return size();
+      return cumulative_[Offset(x)];
+    }
     return CountBefore(static_cast<std::size_t>(
         std::upper_bound(values_.begin(), values_.end(), x) -
         values_.begin()));
@@ -66,16 +106,26 @@ class SortedView {
   // The element of 0-based rank `rank`. Precondition: rank < size().
   Value ValueAtRank(std::uint64_t rank) const {
     if (cumulative_.empty()) return values_[rank];
-    return values_[static_cast<std::size_t>(
+    const auto i = static_cast<std::size_t>(
         std::upper_bound(cumulative_.begin(), cumulative_.end(), rank) -
-        cumulative_.begin())];
+        cumulative_.begin());
+    return is_window() ? Key(i) : values_[i];
   }
 
   // Calls fn(value, multiplicity) once per distinct value, ascending.
-  // Neighbouring entries with equal values count as one value.
+  // Neighbouring entries with equal values count as one value; a window's
+  // empty slots are skipped.
   template <typename Fn>
   void ForEachDistinct(Fn&& fn) const {
     std::uint64_t before = 0;
+    if (is_window()) {
+      for (std::size_t i = 0; i < cumulative_.size(); ++i) {
+        if (cumulative_[i] == before) continue;
+        fn(Key(i), cumulative_[i] - before);
+        before = cumulative_[i];
+      }
+      return;
+    }
     for (std::size_t i = 0; i < values_.size();) {
       std::size_t j = i + 1;
       while (j < values_.size() && values_[j] == values_[i]) ++j;
@@ -87,8 +137,17 @@ class SortedView {
   }
 
  private:
+  // A window's key in slot i, and the slot of key x (base <= x).
+  Value Key(std::size_t i) const {
+    return static_cast<Value>(static_cast<std::uint64_t>(base_) + i);
+  }
+  std::uint64_t Offset(Value x) const {
+    return static_cast<std::uint64_t>(x) - static_cast<std::uint64_t>(base_);
+  }
+
   std::span<const Value> values_;
   std::span<const std::uint64_t> cumulative_;
+  Value base_ = 0;  // a window's first key
 };
 
 }  // namespace equihist

@@ -6,15 +6,16 @@ namespace equihist {
 
 FrequencyProfile FrequencyProfile::FromSorted(SortedView sorted_sample) {
   FrequencyProfile profile;
-  profile.sample_size_ = sorted_sample.size();
-  sorted_sample.ForEachDistinct([&](Value, std::uint64_t multiplicity) {
-    if (multiplicity >= profile.counts_.size()) {
-      profile.counts_.resize(multiplicity + 1, 0);
-    }
-    ++profile.counts_[multiplicity];
-    ++profile.distinct_;
-  });
+  sorted_sample.ForEachDistinct(
+      [&](Value, std::uint64_t multiplicity) { profile.Add(multiplicity); });
   return profile;
+}
+
+void FrequencyProfile::Add(std::uint64_t multiplicity) {
+  if (multiplicity >= counts_.size()) counts_.resize(multiplicity + 1, 0);
+  ++counts_[multiplicity];
+  ++distinct_;
+  sample_size_ += multiplicity;
 }
 
 FrequencyProfile FrequencyProfile::FromUnsorted(std::vector<Value> sample) {

@@ -25,6 +25,9 @@ class FrequencyProfile {
   // Builds the profile of an unsorted sample (sorts a copy).
   static FrequencyProfile FromUnsorted(std::vector<Value> sample);
 
+  // Counts one more distinct value, seen `multiplicity` >= 1 times.
+  void Add(std::uint64_t multiplicity);
+
   // Sample size r = sum_j j * f_j.
   std::uint64_t sample_size() const { return sample_size_; }
 

@@ -17,10 +17,16 @@ Status AppendPage(const Table& table, std::uint64_t page_id,
   return Status::OK();
 }
 
+// A permanent read failure caused by a checksum mismatch (a corrupt page)
+// rather than a lost one.
+bool IsChecksumFailure(const Status& status) {
+  return status.code() == StatusCode::kDataLoss &&
+         status.message().find("checksum") != std::string::npos;
+}
+
 // Outcome of the parallel read of one page-id list.
 struct ParallelReadResult {
-  std::vector<Value> values;            // successful pages, in id-list order
-  std::vector<std::size_t> offsets;     // per surviving page, into `values`
+  std::vector<Value> values;            // every page's tuples, in id order
   std::uint64_t pages_failed = 0;       // permanently unreadable
   std::uint64_t pages_corrupt = 0;      // subset: checksum failures
 };
@@ -30,10 +36,8 @@ struct ParallelReadResult {
 // offset is precomputed from the (uncharged) page sizes, so the output is
 // byte-identical to a sequential read loop; per-shard IoStats are summed
 // in shard order afterwards so the charged totals match too. Pages that
-// stay unreadable are dropped: their slots are compacted out afterwards
-// (in page-id-list order, so the surviving output is again thread-count
-// independent) and counted in the result — the caller charges the skips
-// and decides whether to resample or fail.
+// stay unreadable leave their slots unwritten and are counted in the
+// result; the caller fails the read.
 ParallelReadResult ReadPagesParallel(const Table& table,
                                      const std::vector<std::uint64_t>& page_ids,
                                      const RetryPolicy& retry, IoStats* stats,
@@ -42,7 +46,8 @@ ParallelReadResult ReadPagesParallel(const Table& table,
   for (std::size_t p = 0; p < page_ids.size(); ++p) {
     offsets[p + 1] = offsets[p] + table.file().page(page_ids[p]).size();
   }
-  std::vector<Value> out(offsets.back());
+  ParallelReadResult result;
+  result.values.resize(offsets.back());
   const std::size_t shards = pool == nullptr ? 1 : pool->size();
   std::vector<IoStats> shard_stats(shards);
   // 0 = ok, 1 = failed, 2 = failed with checksum mismatch. Written by one
@@ -54,14 +59,13 @@ ParallelReadResult ReadPagesParallel(const Table& table,
       Result<const Page*> page =
           table.file().ReadPageRetrying(page_ids[p], retry, &local);
       if (!page.ok()) {
-        const bool corrupt =
-            page.status().code() == StatusCode::kDataLoss &&
-            page.status().message().find("checksum") != std::string::npos;
-        failed[p] = corrupt ? 2 : 1;
+        failed[p] = IsChecksumFailure(page.status()) ? 2 : 1;
         continue;
       }
       const auto values = (*page)->values();
-      std::copy(values.begin(), values.end(), out.begin() + offsets[p]);
+      std::copy(values.begin(), values.end(),
+                result.values.begin() +
+                    static_cast<std::ptrdiff_t>(offsets[p]));
     }
   };
   if (pool == nullptr || shards <= 1) {
@@ -72,33 +76,10 @@ ParallelReadResult ReadPagesParallel(const Table& table,
   if (stats != nullptr) {
     for (const IoStats& s : shard_stats) *stats += s;
   }
-
-  ParallelReadResult result;
-  result.offsets.reserve(page_ids.size());
-  bool any_failed = false;
-  for (std::size_t p = 0; p < page_ids.size(); ++p) {
-    if (failed[p] != 0) {
-      any_failed = true;
-      ++result.pages_failed;
-      if (failed[p] == 2) ++result.pages_corrupt;
-    }
+  for (const std::uint8_t f : failed) {
+    result.pages_failed += f != 0 ? 1 : 0;
+    result.pages_corrupt += f == 2 ? 1 : 0;
   }
-  if (!any_failed) {
-    result.values = std::move(out);
-    result.offsets.assign(offsets.begin(), offsets.end() - 1);
-    return result;
-  }
-  // Compact the failed pages' slots out, preserving id-list order.
-  std::vector<Value> compacted;
-  compacted.reserve(out.size());
-  for (std::size_t p = 0; p < page_ids.size(); ++p) {
-    if (failed[p] != 0) continue;
-    result.offsets.push_back(compacted.size());
-    compacted.insert(compacted.end(),
-                     out.begin() + static_cast<std::ptrdiff_t>(offsets[p]),
-                     out.begin() + static_cast<std::ptrdiff_t>(offsets[p + 1]));
-  }
-  result.values = std::move(compacted);
   return result;
 }
 
@@ -193,9 +174,8 @@ Result<std::vector<Value>> SampleBlocksWithReplacement(
 }
 
 IncrementalBlockSampler::IncrementalBlockSampler(const Table* table,
-                                                 std::uint64_t seed,
-                                                 ThreadPool* pool)
-    : table_(table), pool_(pool), permutation_(table->page_count()) {
+                                                 std::uint64_t seed)
+    : table_(table), permutation_(table->page_count()) {
   assert(table_ != nullptr);
   std::iota(permutation_.begin(), permutation_.end(), 0);
   Rng rng(seed);
@@ -205,43 +185,43 @@ IncrementalBlockSampler::IncrementalBlockSampler(const Table* table,
   }
 }
 
+std::vector<const Page*> IncrementalBlockSampler::NextPages(
+    std::uint64_t num_blocks, IoStats* stats) {
+  std::vector<const Page*> pages;
+  pages.reserve(std::min(num_blocks, pages_remaining()));
+  // Every skipped page is replaced by the next permutation entry: the
+  // permutation is a uniform random order of all pages, so the pages
+  // delivered remain a uniform without-replacement sample of the readable
+  // ones.
+  while (pages.size() < num_blocks && pages_remaining() > 0) {
+    Result<const Page*> page = table_->file().ReadPageRetrying(
+        permutation_[next_++], retry_, stats);
+    if (page.ok()) {
+      pages.push_back(*page);
+      continue;
+    }
+    ++pages_skipped_;
+    if (stats != nullptr) {
+      ++stats->pages_skipped;
+      if (IsChecksumFailure(page.status())) ++stats->pages_corrupt;
+    }
+  }
+  return pages;
+}
+
 std::vector<Value> IncrementalBlockSampler::NextBatch(
     std::uint64_t num_blocks, IoStats* stats,
     std::vector<std::size_t>* page_offsets) {
+  const std::vector<const Page*> pages = NextPages(num_blocks, stats);
+  std::size_t tuples = 0;
+  for (const Page* page : pages) tuples += page->size();
   std::vector<Value> values;
-  std::vector<std::size_t> offsets;
-  std::uint64_t readable = 0;  // pages delivered so far this batch
-  // Read, then top the batch back up with the next permutation entries for
-  // every skipped page: the permutation is a uniform random order of all
-  // pages, so the pages delivered remain a uniform without-replacement
-  // sample of the readable ones.
-  while (readable < num_blocks && pages_remaining() > 0) {
-    const std::uint64_t take =
-        std::min<std::uint64_t>(num_blocks - readable, pages_remaining());
-    const std::vector<std::uint64_t> ids(
-        permutation_.begin() + static_cast<std::ptrdiff_t>(next_),
-        permutation_.begin() + static_cast<std::ptrdiff_t>(next_ + take));
-    next_ += take;
-    ParallelReadResult read =
-        ReadPagesParallel(*table_, ids, retry_, stats, pool_);
-    if (read.pages_failed > 0) {
-      pages_skipped_ += read.pages_failed;
-      if (stats != nullptr) {
-        stats->pages_skipped += read.pages_failed;
-        stats->pages_corrupt += read.pages_corrupt;
-      }
-    }
-    readable += take - read.pages_failed;
-    if (values.empty()) {
-      values = std::move(read.values);
-      offsets = std::move(read.offsets);
-    } else {
-      const std::size_t base = values.size();
-      for (const std::size_t off : read.offsets) offsets.push_back(base + off);
-      values.insert(values.end(), read.values.begin(), read.values.end());
-    }
+  values.reserve(tuples);
+  if (page_offsets != nullptr) page_offsets->clear();
+  for (const Page* page : pages) {
+    if (page_offsets != nullptr) page_offsets->push_back(values.size());
+    values.insert(values.end(), page->values().begin(), page->values().end());
   }
-  if (page_offsets != nullptr) *page_offsets = std::move(offsets);
   return values;
 }
 

@@ -60,15 +60,13 @@ Result<std::vector<Value>> SampleBlocksWithReplacement(
 // must be disjoint from the accumulated sample R.
 class IncrementalBlockSampler {
  public:
-  // Table must outlive the sampler; so must `pool` if given. The page
-  // permutation is a sequential Fisher-Yates shuffle of the seed's stream
-  // regardless of the pool (O(pages) work, negligible next to the reads),
-  // so batches are bit-identical across thread counts.
-  IncrementalBlockSampler(const Table* table, std::uint64_t seed,
-                          ThreadPool* pool = nullptr);
+  // Table must outlive the sampler and every page it hands out. The page
+  // permutation is a Fisher-Yates shuffle of the seed's stream, and pages
+  // are read in its order.
+  IncrementalBlockSampler(const Table* table, std::uint64_t seed);
 
   // Retry policy for transient read faults (default: the shared bounded
-  // policy). Set before the first NextBatch.
+  // policy). Set before the first NextPages.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   std::uint64_t pages_remaining() const {
@@ -80,13 +78,9 @@ class IncrementalBlockSampler {
   // permutation when one remained.
   std::uint64_t pages_skipped() const { return pages_skipped_; }
 
-  // Returns the tuples of the next min(num_blocks, pages_remaining()) fresh
-  // *readable* pages, charging I/O to `stats`. Returns an empty vector once
-  // the file is exhausted. If `page_offsets` is non-null it receives the
-  // start offset of each page's tuples within the returned vector (so
-  // callers can stratify by block, e.g. CVB's one-tuple-per-block
-  // validation). With a pool, pages are read concurrently into precomputed
-  // offsets; the result is byte-identical to the sequential path.
+  // Returns the next min(num_blocks, pages_remaining()) fresh *readable*
+  // pages, in permutation order, charging I/O to `stats`. Returns no pages
+  // once the file is exhausted. The pages are views into the table.
   //
   // Fault handling: transient faults are retried per the retry policy;
   // a page that stays unreadable is skipped (stats->pages_skipped,
@@ -95,12 +89,17 @@ class IncrementalBlockSampler {
   // a uniform random order of all pages, the returned batch remains a
   // uniform without-replacement sample of the *readable* pages — the
   // resample-uniformity argument of DESIGN.md §11.
+  std::vector<const Page*> NextPages(std::uint64_t num_blocks,
+                                     IoStats* stats);
+
+  // NextPages, with the pages' tuples copied out in page order. If
+  // `page_offsets` is non-null it receives the start offset of each page's
+  // tuples within the returned vector (so callers can stratify by block).
   std::vector<Value> NextBatch(std::uint64_t num_blocks, IoStats* stats,
                                std::vector<std::size_t>* page_offsets = nullptr);
 
  private:
   const Table* table_;
-  ThreadPool* pool_;
   RetryPolicy retry_{};
   std::vector<std::uint64_t> permutation_;  // random order of all page ids
   std::uint64_t next_ = 0;

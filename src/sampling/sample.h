@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "data/distribution.h"
 #include "data/sorted_view.h"
+#include "storage/page.h"
 
 namespace equihist {
 
@@ -39,33 +40,62 @@ namespace sample_internal {
 // the range is smaller than the batch).
 void CountRuns(std::span<const Value> batch, KeyBounds bounds, Runs& out);
 
+// Sample::Stage's window path: counts the tuples of `pages` into
+// `cumulative`, one slot per key from `base`, and turns the counts
+// cumulative. Precondition: cumulative is sized to a window holding every
+// key of every page.
+void CountPages(std::span<const Page* const> pages, Value base,
+                std::vector<std::uint64_t>& cumulative);
+
 }  // namespace sample_internal
 
-// The accumulated sample R of the CVB algorithm, kept as sorted runs so
-// that (a) equi-height separators can be read off by rank, and (b) a fresh
-// batch R_i can be folded in with one linear pass — the "merge algorithm"
+// The accumulated sample R of the CVB algorithm, kept so that (a)
+// equi-height separators can be read off by rank, and (b) a fresh batch
+// R_i can be folded in with one linear pass — the "merge algorithm"
 // extension the paper made to SQL Server's block sampling (Section 7.1,
-// implementation note 2). On duplicated columns the runs number the
-// distinct values seen, far fewer than the tuples, and every operation
-// scales with them.
+// implementation note 2). R takes one of two forms:
+//   - a key window: while the key range of R and the fresh batch together
+//     is smaller than their tuple count (SortOrCount's rule, applied to
+//     both), R and the batch are cumulative counts over one window of
+//     consecutive keys. Counting the batch is one pass over its pages,
+//     every rank query is an index, and merging adds two arrays, so the
+//     counters never outnumber the tuples they count;
+//   - runs: otherwise. The batch is copied out of its pages, counted or
+//     sorted by SortOrCount, and merged. On duplicated columns the runs
+//     number the distinct values seen, far fewer than the tuples.
+// Every output is a function of the multiset alone, whatever the form.
 class Sample {
  public:
   Sample() = default;
 
-  // Builds from unsorted values, counted or sorted once (SortOrCount).
+  // Builds runs from unsorted values, counted or sorted once (SortOrCount).
   explicit Sample(std::vector<Value> values, ThreadPool* pool = nullptr);
 
   std::uint64_t size() const { return view().size(); }
-  bool empty() const { return runs_.values.empty(); }
+  bool empty() const { return size() == 0; }
 
-  // Merges a sorted multiset into the sample in one sequential pass over
-  // the sample's runs and the batch's entries: each value is appended, or
-  // added to the last run when it repeats, so a sorted batch with
-  // duplicates needs no separate run-length pass.
+  // Stages the tuples of `pages` as a fresh batch and returns its sorted
+  // view, valid until the next Stage or Commit. The sample itself is
+  // unchanged until Commit: view() still answers for R alone. The batch's
+  // key bounds fold over the pages' bounds before any tuple is read, and
+  // decide the form, changing R's (never its multiset) if they must. The
+  // pool serves the sort of a batch that cannot be counted.
+  SortedView Stage(std::span<const Page* const> pages,
+                   ThreadPool* pool = nullptr);
+
+  // Adds the staged batch to the sample.
+  void Commit();
+
+  // Merges a sorted span or runs into the sample in one sequential pass
+  // over the sample's runs and the batch's entries, leaving the sample as
+  // runs: each value is appended, or added to the last run when it
+  // repeats, so a sorted batch with duplicates needs no separate
+  // run-length pass.
   void Merge(SortedView batch);
 
-  SortedView view() const { return runs_.view(); }
-  const Runs& runs() const { return runs_; }
+  SortedView view() const {
+    return window_.empty() ? runs_.view() : SortedView::Window(base_, window_);
+  }
 
   // Number of sample values v with v < x / v <= x.
   std::uint64_t CountLess(Value x) const { return view().CountLess(x); }
@@ -79,7 +109,22 @@ class Sample {
   }
 
  private:
+  // Holds R as cumulative counts over the window `bounds`, which covers it.
+  void ToWindow(KeyBounds bounds);
+  // Holds R as runs.
+  void ToRuns();
+
+  // R: runs while window_ is empty, else window_[i] elements at or below
+  // base_ + i.
   Runs runs_;
+  Value base_ = 0;
+  std::vector<std::uint64_t> window_;
+  // The staged batch: cumulative counts over R's window, or the copied
+  // tuples and SortOrCount's runs.
+  std::vector<std::uint64_t> fresh_;
+  std::vector<Value> batch_;
+  Runs counted_;
+  SortedView staged_;
 };
 
 }  // namespace equihist

@@ -13,7 +13,6 @@
 #include "core/histogram_builder.h"
 #include "core/range_estimator.h"
 #include "distinct/estimators.h"
-#include "distinct/frequency_profile.h"
 #include "sampling/block_sampler.h"
 #include "sampling/reservoir.h"
 #include "sampling/row_sampler.h"
@@ -24,16 +23,27 @@
 namespace equihist {
 namespace {
 
-// Estimated distinct count over a sorted sample: the paper's estimator for
-// a proper sample, the exact count for a full scan.
-Result<double> EstimateDistinct(std::span<const Value> sorted, bool sampled,
-                                std::uint64_t population,
-                                ThreadPool* pool = nullptr) {
+// Density, distinct estimate and heavy hitters of a column of n rows, from
+// one pass over its sorted sample (SummarizeSample) or, when !sampled, its
+// full scan. The distinct estimate is the paper's estimator for a sample
+// and the exact count for a full scan.
+Status SetSampleStatistics(std::span<const Value> sorted,
+                           std::uint64_t buckets, std::uint64_t n,
+                           bool sampled, ThreadPool* pool,
+                           ColumnStatistics& stats) {
+  SampleStatistics summary = SummarizeSample(
+      sorted, buckets,
+      static_cast<double>(n) / static_cast<double>(sorted.size()), sampled);
+  stats.density = summary.density;
   if (sampled) {
-    return PaperEstimator(FrequencyProfile::FromSorted(sorted), population);
+    EQUIHIST_ASSIGN_OR_RETURN(stats.distinct_estimate,
+                              PaperEstimator(summary.profile, n));
+  } else {
+    stats.distinct_estimate = static_cast<double>(
+        CountDistinctSorted(sorted.data(), sorted.size(), pool));
   }
-  return static_cast<double>(
-      CountDistinctSorted(sorted.data(), sorted.size(), pool));
+  stats.heavy_hitters = std::move(summary.heavy_hitters);
+  return Status::OK();
 }
 
 // The incremental-equi-depth build (DESIGN.md §15): a paper-§4 block
@@ -61,7 +71,7 @@ Result<ColumnStatistics> BuildIncrementalStatistics(
     // permanently unreadable pages skipped and replaced, a skip total over
     // the fault budget fails the build with a typed error the degraded
     // serving layer absorbs.
-    IncrementalBlockSampler sampler(&table, options.seed, pool);
+    IncrementalBlockSampler sampler(&table, options.seed);
     sampler.set_retry_policy(options.retry);
     const std::uint64_t per_page =
         std::max<std::uint64_t>(table.tuples_per_page(), 1);
@@ -94,19 +104,14 @@ Result<ColumnStatistics> BuildIncrementalStatistics(
       MakeIncrementalModelFromReservoir(std::move(reservoir),
                                         options.buckets));
 
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(values.size());
   ColumnStatistics stats;
   stats.model = std::move(model);
-  stats.density = ComputeDensity(values);
-  EQUIHIST_ASSIGN_OR_RETURN(
-      stats.distinct_estimate,
-      EstimateDistinct(values, options.prefer_sampling, n, pool));
+  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
+      values, options.buckets, n, options.prefer_sampling, pool, stats));
   stats.row_count = n;
   stats.from_full_scan = !options.prefer_sampling;
   stats.sample_size = values.size();
   stats.build_cost = io;
-  stats.heavy_hitters = CollectHeavyHitters(values, options.buckets, scale);
   return stats;
 }
 
@@ -217,16 +222,14 @@ Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
 
   ColumnStatistics stats;
   stats.SetEquiHeight(std::move(histogram));
-  stats.density = ComputeDensity(data.sorted_values());
-  stats.distinct_estimate = static_cast<double>(data.DistinctCount());
+  // Exact statistics: heavy hitters are scaled by n / n = 1.
+  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
+      data.sorted_values(), buckets, data.size(), /*sampled=*/false, pool,
+      stats));
   stats.row_count = data.size();
   stats.from_full_scan = true;
   stats.sample_size = data.size();
   stats.build_cost = io;
-
-  // Exact heavy hitters: multiplicity above the ideal bucket size.
-  stats.heavy_hitters =
-      CollectHeavyHitters(data.sorted_values(), buckets, /*scale=*/1.0);
   return stats;
 }
 
@@ -301,25 +304,14 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
   EQUIHIST_ASSIGN_OR_RETURN(HistogramModelPtr model,
                             backend.build_from_sample(values, options.buckets,
                                                       n));
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(values.size());
-
   ColumnStatistics stats;
   stats.model = std::move(model);
-  stats.density = ComputeDensity(values);
-  if (options.prefer_sampling) {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        stats.distinct_estimate,
-        PaperEstimator(FrequencyProfile::FromSorted(values), n));
-  } else {
-    stats.distinct_estimate = static_cast<double>(
-        CountDistinctSorted(values.data(), values.size(), pool));
-  }
+  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
+      values, options.buckets, n, options.prefer_sampling, pool, stats));
   stats.row_count = n;
   stats.from_full_scan = !options.prefer_sampling;
   stats.sample_size = values.size();
   stats.build_cost = io;
-  stats.heavy_hitters = CollectHeavyHitters(values, options.buckets, scale);
   return stats;
 }
 
@@ -331,21 +323,17 @@ Result<ColumnStatistics> MakeIncrementalStatistics(const Histogram& histogram,
   }
   const std::uint64_t n = histogram.total();
   const std::vector<Value> sorted = reservoir.SortedSample();
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(sorted.size());
 
   ColumnStatistics stats;
-  stats.density = ComputeDensity(sorted);
   // The reservoir is a uniform without-replacement sample of the live
   // column, so the paper's sampled estimator applies.
-  EQUIHIST_ASSIGN_OR_RETURN(stats.distinct_estimate,
-                            EstimateDistinct(sorted, /*sampled=*/true, n));
+  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
+      sorted, histogram.bucket_count(), n, /*sampled=*/true,
+      /*pool=*/nullptr, stats));
   stats.row_count = n;
   stats.from_full_scan = false;
   stats.sample_size = sorted.size();
   stats.build_cost = IoStats{};  // the whole point: zero storage I/O
-  stats.heavy_hitters =
-      CollectHeavyHitters(sorted, histogram.bucket_count(), scale);
   stats.model = std::make_shared<IncrementalEquiDepthModel>(
       histogram, std::move(reservoir));
   return stats;

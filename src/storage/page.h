@@ -1,7 +1,9 @@
 #ifndef EQUIHIST_STORAGE_PAGE_H_
 #define EQUIHIST_STORAGE_PAGE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -35,6 +37,12 @@ Status ValidatePageConfig(const PageConfig& config);
 // real page header would persist; the fault-injection read path verifies
 // it to catch corrupted payloads, and the default (injector-less) read
 // path skips verification so the hot path pays nothing.
+//
+// Every page also keeps its smallest and largest key (the zone map of
+// columnar stores), widened by every mutation, so every value of every
+// page, corrupted copies included, lies within min_key()..max_key(). A
+// reader can fold a batch's key bounds over its pages before it touches a
+// tuple.
 class Page {
  public:
   explicit Page(std::uint32_t capacity) : capacity_(capacity) {
@@ -51,6 +59,7 @@ class Page {
     if (full()) return false;
     values_.push_back(value);
     checksum_ = MixChecksum(checksum_, value);
+    Widen(value);
     return true;
   }
 
@@ -58,6 +67,10 @@ class Page {
   Value at(std::uint32_t slot) const { return values_[slot]; }
 
   std::span<const Value> values() const { return values_; }
+
+  // Bounds of the page's values. An empty page has min_key() > max_key().
+  Value min_key() const { return min_key_; }
+  Value max_key() const { return max_key_; }
 
   // The checksum recorded at write time.
   std::uint64_t checksum() const { return checksum_; }
@@ -74,9 +87,11 @@ class Page {
 
   // Flips bits of the value in `slot` *without* updating the stored
   // checksum — the corruption primitive the FaultInjector uses to produce
-  // detectably damaged page copies. Precondition: slot < size().
+  // detectably damaged page copies. The key bounds widen to the new value.
+  // Precondition: slot < size().
   void CorruptValue(std::uint32_t slot, Value xor_mask) {
     values_[slot] ^= xor_mask;
+    Widen(values_[slot]);
   }
 
  private:
@@ -92,8 +107,15 @@ class Page {
     return h;
   }
 
+  void Widen(Value value) {
+    min_key_ = std::min(min_key_, value);
+    max_key_ = std::max(max_key_, value);
+  }
+
   std::uint32_t capacity_;
   std::uint64_t checksum_ = kChecksumSeed;
+  Value min_key_ = std::numeric_limits<Value>::max();
+  Value max_key_ = std::numeric_limits<Value>::min();
   std::vector<Value> values_;
 };
 

@@ -296,6 +296,12 @@ std::uint64_t ProfileHash(std::span<const std::uint64_t> dense) {
 // Table 0 is Zipf(1) over n/20 values: fresh batches below 10K tuples are
 // sorted, larger ones counted. Table 1 is duplicate-free, so every batch is
 // sorted. Table 2 is Zipf(2), the only one with heavy hitters at k = 8.
+// Sample forms (Sample::Stage): every table-0 row holds R as runs for the
+// initial batch and iterations 1-2, then as a key window from iteration 3
+// on (R and the batch hold 18,432 tuples over 10,000 keys). The table-1 row
+// stays in runs until its last batch, which exhausts the table: 200,000
+// tuples over 200,000 keys, so R enters the window for it. The table-2 row
+// converges in runs.
 TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
   struct Golden {
     int table;

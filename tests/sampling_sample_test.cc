@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "data/distribution.h"
 #include "data/value_set.h"
 #include "sampling/row_sampler.h"
+#include "storage/page.h"
 
 namespace equihist {
 namespace {
@@ -34,19 +36,27 @@ Runs RunsOf(const std::vector<Value>& sorted) {
   return runs;
 }
 
-void ExpectRuns(const Sample& sample, const std::vector<Value>& sorted) {
-  const Runs expected = RunsOf(sorted);
-  EXPECT_EQ(sample.runs().values, expected.values);
-  EXPECT_EQ(sample.runs().cumulative, expected.cumulative);
+// The elements of a view, ascending, through ForEachDistinct.
+std::vector<Value> Elements(SortedView view) {
+  std::vector<Value> out;
+  view.ForEachDistinct([&](Value v, std::uint64_t multiplicity) {
+    out.insert(out.end(), multiplicity, v);
+  });
+  return out;
 }
 
-// Checks every rank query of `sample` against the plain sorted multiset
-// `reference`: at each element, and one below and above it.
-void ExpectMatchesReference(const Sample& sample,
+void ExpectMultiset(const Sample& sample, const std::vector<Value>& sorted) {
+  EXPECT_EQ(Elements(sample.view()), sorted);
+}
+
+// Checks every rank query of `view` against the plain sorted multiset
+// `reference`: at each element, one below and above it, and at both ends
+// of the domain.
+void ExpectMatchesReference(SortedView view,
                             const std::vector<Value>& reference) {
-  ASSERT_EQ(sample.size(), reference.size());
-  ASSERT_EQ(sample.empty(), reference.empty());
-  ExpectRuns(sample, reference);
+  ASSERT_EQ(view.size(), reference.size());
+  ASSERT_EQ(view.empty(), reference.empty());
+  EXPECT_EQ(Elements(view), reference);
   auto count_less = [&](Value x) {
     return static_cast<std::uint64_t>(
         std::lower_bound(reference.begin(), reference.end(), x) -
@@ -57,24 +67,37 @@ void ExpectMatchesReference(const Sample& sample,
         std::upper_bound(reference.begin(), reference.end(), x) -
         reference.begin());
   };
+  for (const Value x : {kMin, kMax}) {
+    ASSERT_EQ(view.CountLess(x), count_less(x)) << "x " << x;
+    ASSERT_EQ(view.CountLessEqual(x), count_less_equal(x)) << "x " << x;
+  }
+  if (reference.empty()) return;
+  EXPECT_EQ(view.front(), reference.front());
+  EXPECT_EQ(view.back(), reference.back());
   for (std::size_t rank = 0; rank < reference.size(); ++rank) {
     const Value x = reference[rank];
-    ASSERT_EQ(sample.ValueAtRank(rank), x) << "rank " << rank;
-    ASSERT_EQ(sample.CountLess(x), count_less(x)) << "x " << x;
-    ASSERT_EQ(sample.CountLessEqual(x), count_less_equal(x)) << "x " << x;
+    ASSERT_EQ(view.ValueAtRank(rank), x) << "rank " << rank;
+    ASSERT_EQ(view.CountLess(x), count_less(x)) << "x " << x;
+    ASSERT_EQ(view.CountLessEqual(x), count_less_equal(x)) << "x " << x;
     if (x != kMin) {
-      ASSERT_EQ(sample.CountLessEqual(x - 1), count_less_equal(x - 1));
+      ASSERT_EQ(view.CountLessEqual(x - 1), count_less_equal(x - 1));
     }
     if (x != kMax) {
-      ASSERT_EQ(sample.CountLess(x + 1), count_less(x + 1));
+      ASSERT_EQ(view.CountLess(x + 1), count_less(x + 1));
     }
   }
+}
+
+void ExpectMatchesReference(const Sample& sample,
+                            const std::vector<Value>& reference) {
+  ASSERT_EQ(sample.size(), reference.size());
+  ExpectMatchesReference(sample.view(), reference);
 }
 
 TEST(SampleTest, ConstructionSorts) {
   Sample sample({5, 1, 3, 3, 2});
   EXPECT_EQ(sample.size(), 5u);
-  ExpectRuns(sample, {1, 2, 3, 3, 5});
+  ExpectMultiset(sample, {1, 2, 3, 3, 5});
 }
 
 TEST(SampleTest, DefaultIsEmpty) {
@@ -87,20 +110,20 @@ TEST(SampleTest, DefaultIsEmpty) {
 TEST(SampleTest, MergeKeepsSortedMultiset) {
   Sample sample({4, 2, 9});
   sample.Merge(std::vector<Value>{-5, 2, 3, 10});
-  ExpectRuns(sample, {-5, 2, 2, 3, 4, 9, 10});
+  ExpectMultiset(sample, {-5, 2, 2, 3, 4, 9, 10});
 }
 
 TEST(SampleTest, MergeIntoEmpty) {
   Sample sample;
   sample.Merge(std::vector<Value>{1, 7});
-  ExpectRuns(sample, {1, 7});
+  ExpectMultiset(sample, {1, 7});
 }
 
 TEST(SampleTest, MergeEmptyBatchIsNoop) {
   Sample sample({1, 2});
   sample.Merge({});
   EXPECT_EQ(sample.size(), 2u);
-  ExpectRuns(sample, {1, 2});
+  ExpectMultiset(sample, {1, 2});
 }
 
 // A sorted batch that repeats values, and runs whose values the sample
@@ -108,11 +131,11 @@ TEST(SampleTest, MergeEmptyBatchIsNoop) {
 TEST(SampleTest, MergeAddsToRepeatedValues) {
   Sample sample({3, 3, 8});
   sample.Merge(std::vector<Value>{1, 3, 3, 3, 9, 9});
-  ExpectRuns(sample, {1, 3, 3, 3, 3, 3, 8, 9, 9});
+  ExpectMultiset(sample, {1, 3, 3, 3, 3, 3, 8, 9, 9});
   const std::vector<Value> values = {3, 8, 10};
   const std::vector<std::uint64_t> cumulative = {4, 5, 7};
   sample.Merge(SortedView(values, cumulative));
-  ExpectRuns(sample,
+  ExpectMultiset(sample,
              {1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 8, 8, 9, 9, 10, 10});
 }
 
@@ -253,9 +276,223 @@ TEST(SamplePropertyTest, MatchesSortedMultisetReference) {
       copy = batches[b];
       parallel.Merge(SortOrCount(copy, counted, &pool));
       ExpectMatchesReference(serial, reference);
-      EXPECT_EQ(parallel.runs().values, serial.runs().values);
-      EXPECT_EQ(parallel.runs().cumulative, serial.runs().cumulative);
+      ExpectMultiset(parallel, reference);
     }
+  }
+}
+
+// Cumulative counts of `sorted` over the `slots` keys from `base`.
+std::vector<std::uint64_t> WindowOf(const std::vector<Value>& sorted,
+                                    Value base, std::uint64_t slots) {
+  std::vector<std::uint64_t> cumulative(slots, 0);
+  for (const Value v : sorted) {
+    ++cumulative[static_cast<std::uint64_t>(v) -
+                 static_cast<std::uint64_t>(base)];
+  }
+  std::partial_sum(cumulative.begin(), cumulative.end(), cumulative.begin());
+  return cumulative;
+}
+
+// The window form answers every rank query as the runs form of the same
+// multiset does: mid-domain with INT64_MIN and INT64_MAX queries, with
+// empty slots inside and at both edges, and at both ends of the domain.
+TEST(SortedViewTest, WindowAnswersLikeRuns) {
+  struct Case {
+    std::vector<Value> sorted;
+    Value base;
+    std::uint64_t slots;
+  };
+  const Case cases[] = {
+      {{-3, -3, 0, 2, 2, 2, 5}, -6, 14},
+      {{7}, 7, 1},
+      {{kMin, kMin, kMin + 1, kMin + 3}, kMin, 6},
+      {{kMax - 2, kMax, kMax}, kMax - 4, 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "base " << c.base);
+    const Runs runs = RunsOf(c.sorted);
+    const std::vector<std::uint64_t> cumulative =
+        WindowOf(c.sorted, c.base, c.slots);
+    const SortedView window = SortedView::Window(c.base, cumulative);
+    ASSERT_TRUE(window.is_window());
+    ASSERT_FALSE(runs.view().is_window());
+    ExpectMatchesReference(window, c.sorted);
+    ExpectMatchesReference(runs.view(), c.sorted);
+    // Every key of the window and two beyond each edge, where they exist.
+    for (std::int64_t d = -2; d < static_cast<std::int64_t>(c.slots) + 2;
+         ++d) {
+      Value x = 0;
+      if (__builtin_add_overflow(c.base, d, &x)) continue;
+      EXPECT_EQ(window.CountLess(x), runs.view().CountLess(x)) << "x " << x;
+      EXPECT_EQ(window.CountLessEqual(x), runs.view().CountLessEqual(x))
+          << "x " << x;
+    }
+  }
+}
+
+TEST(SortedViewTest, WindowOfEmptySlotsIsEmpty) {
+  const std::vector<std::uint64_t> zeros(4, 0);
+  const SortedView window = SortedView::Window(10, zeros);
+  EXPECT_TRUE(window.empty());
+  EXPECT_EQ(window.CountLess(kMax), 0u);
+  EXPECT_EQ(window.CountLessEqual(12), 0u);
+  EXPECT_TRUE(Elements(window).empty());
+}
+
+// Pages holding `values` in order, `per_page` to a page.
+std::vector<Page> MakePages(const std::vector<Value>& values,
+                            std::uint32_t per_page) {
+  std::vector<Page> pages;
+  for (const Value v : values) {
+    if (pages.empty() || pages.back().full()) pages.emplace_back(per_page);
+    pages.back().Append(v);
+  }
+  return pages;
+}
+
+std::vector<const Page*> ViewsOf(const std::vector<Page>& pages) {
+  std::vector<const Page*> views;
+  for (const Page& page : pages) views.push_back(&page);
+  return views;
+}
+
+// Stages and commits `batch` as pages, checking the staged view, the
+// sample before the commit and the sample after it against plain sorted
+// multisets. Returns whether the batch was staged in a key window.
+bool StageAndCommit(Sample& sample, std::vector<Value>& reference,
+                    const std::vector<Value>& batch, ThreadPool* pool) {
+  const std::vector<Page> pages = MakePages(batch, 64);
+  std::vector<Value> sorted_batch = batch;
+  std::sort(sorted_batch.begin(), sorted_batch.end());
+  const SortedView staged = sample.Stage(ViewsOf(pages), pool);
+  const bool window = staged.is_window();
+  ExpectMatchesReference(staged, sorted_batch);
+  ExpectMatchesReference(sample, reference);  // unchanged until Commit
+  EXPECT_EQ(sample.view().is_window(), window);
+  sample.Commit();
+  reference.insert(reference.end(), batch.begin(), batch.end());
+  std::sort(reference.begin(), reference.end());
+  ExpectMatchesReference(sample, reference);
+  return window;
+}
+
+// `count` keys drawn uniformly from [lo, lo + span).
+std::vector<Value> UniformKeys(std::size_t count, Value lo, Value span,
+                               Rng& rng) {
+  std::vector<Value> keys(count);
+  for (Value& x : keys) x = lo + rng.NextInRange(0, span - 1);
+  return keys;
+}
+
+// R enters the window once its range with the batch is below their tuple
+// count, stays while batches widen it within the rule, and leaves for runs
+// when a late batch brings INT64_MAX.
+TEST(SampleStageTest, WindowEntersStaysAndLeaves) {
+  Rng rng(3);
+  Sample sample;
+  std::vector<Value> reference;
+  // Range ~200 >= 50 tuples: runs.
+  EXPECT_FALSE(
+      StageAndCommit(sample, reference, UniformKeys(50, 0, 200, rng), nullptr));
+  // Range ~200 < 350: R is scattered into a window.
+  EXPECT_TRUE(StageAndCommit(sample, reference, UniformKeys(300, 0, 200, rng),
+                             nullptr));
+  // The window grows to 300 keys, still below 650 tuples.
+  EXPECT_TRUE(StageAndCommit(sample, reference,
+                             UniformKeys(300, 100, 200, rng), nullptr));
+  EXPECT_TRUE(StageAndCommit(sample, reference,
+                             UniformKeys(100, -50, 100, rng), nullptr));
+  // INT64_MAX: back to runs, and it stays there.
+  std::vector<Value> late = UniformKeys(100, 0, 200, rng);
+  late[37] = kMax;
+  EXPECT_FALSE(StageAndCommit(sample, reference, late, nullptr));
+  EXPECT_FALSE(StageAndCommit(sample, reference,
+                              UniformKeys(2000, 0, 200, rng), nullptr));
+}
+
+// Windows at either end of the domain count keys exactly, with the extreme
+// keys present and absent.
+TEST(SampleStageTest, WindowsAtTheEndsOfTheDomain) {
+  for (const Value lo : {kMin, kMax - 40}) {
+    SCOPED_TRACE(testing::Message() << "lo " << lo);
+    Rng rng(5);
+    Sample sample;
+    std::vector<Value> reference;
+    std::vector<Value> first = UniformKeys(100, lo, 30, rng);
+    EXPECT_TRUE(StageAndCommit(sample, reference, first, nullptr));
+    std::vector<Value> second = UniformKeys(100, lo, 41, rng);
+    second[0] = lo;
+    second[1] = lo + 40;
+    EXPECT_TRUE(StageAndCommit(sample, reference, second, nullptr));
+  }
+}
+
+// The form follows SortOrCount's rule on R and the batch together: a key
+// window exactly while range(R ∪ batch) < |R| + |batch|.
+TEST(SampleStageTest, WindowWhileTheRangeIsBelowTheTupleCount) {
+  Sample sample;
+  std::vector<Value> reference;
+  EXPECT_TRUE(StageAndCommit(sample, reference,
+                             {9, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
+  EXPECT_FALSE(StageAndCommit(sample, reference, {12, 12}, nullptr));
+  EXPECT_TRUE(StageAndCommit(sample, reference, {0}, nullptr));
+  Sample fresh;
+  std::vector<Value> fresh_reference;
+  EXPECT_FALSE(StageAndCommit(fresh, fresh_reference,
+                              {10, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
+}
+
+TEST(SampleStageTest, EmptyStageIsANoop) {
+  Sample sample;
+  std::vector<Value> reference;
+  StageAndCommit(sample, reference, {4, 4, 5}, nullptr);
+  EXPECT_TRUE(sample.Stage({}, nullptr).empty());
+  sample.Commit();
+  ExpectMatchesReference(sample, reference);
+}
+
+// Property: staging random page batches in random order, with and without
+// a pool, keeps Sample equal to a plain sorted multiset through every
+// change of form. Narrow batches (shapes 0-2) enter and grow the window; a
+// wide one (shapes 3-4) in the second half sends R back to runs.
+TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
+  const auto zipf_frequencies =
+      MakeZipf({.n = 20000, .domain_size = 2000, .skew = 1.0});
+  ASSERT_TRUE(zipf_frequencies.ok());
+  const ValueSet zipf = ValueSet::FromFrequencies(*zipf_frequencies);
+  const std::size_t sizes[] = {1, 300, 2500, 6000};
+  ThreadPool pool(4);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<std::vector<Value>> batches;
+    for (int shape = 0; shape < 3; ++shape) {
+      for (const std::size_t size : sizes) {
+        batches.push_back(MakeBatch(shape, size, rng, zipf));
+      }
+    }
+    for (std::size_t i = batches.size(); i > 1; --i) {
+      std::swap(batches[i - 1], batches[rng.NextBounded(i)]);
+    }
+    const std::size_t late =
+        batches.size() / 2 + rng.NextBounded(batches.size() / 2);
+    batches.insert(batches.begin() + static_cast<std::ptrdiff_t>(late),
+                   MakeBatch(3 + static_cast<int>(seed % 2), 300, rng, zipf));
+    Sample serial;
+    Sample parallel;
+    std::vector<Value> reference;
+    std::vector<Value> parallel_reference;
+    std::vector<bool> forms;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " batch " << b
+                                      << " size " << batches[b].size());
+      forms.push_back(StageAndCommit(serial, reference, batches[b], nullptr));
+      EXPECT_EQ(StageAndCommit(parallel, parallel_reference, batches[b],
+                               &pool),
+                forms.back());
+    }
+    EXPECT_NE(std::find(forms.begin(), forms.begin() + late, true),
+              forms.begin() + static_cast<std::ptrdiff_t>(late));
+    EXPECT_EQ(std::find(forms.begin() + late, forms.end(), true), forms.end());
   }
 }
 

@@ -107,6 +107,26 @@ TEST(FaultInjectorTest, CorruptedCopyIsStableAndFailsChecksum) {
   EXPECT_TRUE(original.ChecksumOk());
 }
 
+// The corrupted copy's key bounds still hold every value it carries, the
+// flipped one included.
+TEST(FaultInjectorTest, CorruptedCopyStaysWithinItsKeyBounds) {
+  HeapFile file = SmallFile();
+  FaultSpec spec;
+  spec.seed = 3;
+  FaultInjector injector(spec);
+  for (std::uint64_t id = 0; id < file.page_count(); ++id) {
+    const Page& original = file.page(id);
+    const Page* corrupted = injector.CorruptedCopy(id, original);
+    EXPECT_FALSE(corrupted->ChecksumOk());
+    for (const Value v : corrupted->values()) {
+      EXPECT_LE(corrupted->min_key(), v) << "page " << id;
+      EXPECT_GE(corrupted->max_key(), v) << "page " << id;
+    }
+    EXPECT_LE(corrupted->min_key(), original.min_key());
+    EXPECT_GE(corrupted->max_key(), original.max_key());
+  }
+}
+
 TEST(FaultInjectorTest, LatencySelectionIsDeterministicAndCounted) {
   FaultSpec spec;
   spec.latency_probability = 1.0;

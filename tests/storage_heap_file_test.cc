@@ -1,5 +1,7 @@
 #include "storage/heap_file.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "storage/page.h"
@@ -34,6 +36,30 @@ TEST(PageTest, AppendUntilFull) {
   EXPECT_EQ(page.size(), 3u);
   EXPECT_EQ(page.at(0), 1);
   EXPECT_EQ(page.at(2), 3);
+}
+
+// Every mutation widens the key bounds, so they hold every value.
+TEST(PageTest, AppendAndCorruptValueKeepTheKeyBounds) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  Page page(4);
+  EXPECT_GT(page.min_key(), page.max_key());  // empty
+  page.Append(5);
+  EXPECT_EQ(page.min_key(), 5);
+  EXPECT_EQ(page.max_key(), 5);
+  page.Append(-3);
+  page.Append(9);
+  EXPECT_EQ(page.min_key(), -3);
+  EXPECT_EQ(page.max_key(), 9);
+  page.CorruptValue(0, 5 ^ kMax);  // 5 becomes INT64_MAX
+  EXPECT_EQ(page.at(0), kMax);
+  EXPECT_EQ(page.max_key(), kMax);
+  page.CorruptValue(1, -3 ^ kMin);  // -3 becomes INT64_MIN
+  EXPECT_EQ(page.min_key(), kMin);
+  for (const Value v : page.values()) {
+    EXPECT_LE(page.min_key(), v);
+    EXPECT_GE(page.max_key(), v);
+  }
 }
 
 TEST(HeapFileTest, PacksTuplesDensely) {
