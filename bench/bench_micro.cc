@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -155,6 +156,8 @@ BENCHMARK(BM_SampleMerge)->ArgNames({"sorted"})->Arg(0)->Arg(1);
 // (Sample::Stage). Paths 0-2 also copy the unsorted keys in every
 // iteration, as a batch read out of its pages; path 3 reads the pages of a
 // table of 128-tuple pages, in a shuffled order as a block sample does.
+// Those pages store offsets as wide as their key ranges need: 2 bytes up
+// to range 65,535 and 4 above (BM_PageWidth times each width alone).
 void BM_BatchToView(benchmark::State& state) {
   const std::int64_t path = state.range(0);
   const auto n = static_cast<std::uint64_t>(state.range(2));
@@ -207,6 +210,74 @@ void BM_BatchToView(benchmark::State& state) {
 BENCHMARK(BM_BatchToView)
     ->ArgNames({"path", "ratio", "n"})
     ->ArgsProduct({{0, 1, 2, 3}, {10, 50, 100, 200}, {1 << 13, 1 << 15, 1 << 17}});
+
+// The page kernels at each offset width, at equal tuple counts: 8,192
+// pages of 128 keys, read in a shuffled order as a block sample reads
+// them. Arguments: kernel (0 = count the pages into one key window, as
+// Sample::Stage does; 1 = decode them into one batch, as the runs path
+// and the copying samplers do) and width (bytes per stored offset). Each
+// page holds both ends of the narrowest key range its width stores (255
+// keys for 1 byte, 65,535 for 2, 65,536 for 4 and 2^32 for 8), and the
+// count rows share one window of 65,537 keys. An 8-byte page spans more
+// keys than any window holds, so it is only decoded.
+void BM_PageWidth(benchmark::State& state) {
+  const std::int64_t kernel = state.range(0);
+  const std::int64_t width = state.range(1);
+  constexpr std::uint64_t kPages = 8192;
+  constexpr std::uint64_t kTuplesPerPage = 128;
+  constexpr std::uint64_t kWindow = 65537;
+  const std::uint64_t range = width == 1   ? 255
+                              : width == 2 ? 65535
+                              : width == 4 ? 65536
+                                           : std::uint64_t{1} << 32;
+  Rng rng(12);
+  std::vector<Value> keys;
+  keys.reserve(kPages * kTuplesPerPage);
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    const Value lo =
+        width == 1 ? static_cast<Value>(rng.NextBounded(kWindow - range)) : 0;
+    keys.push_back(lo);
+    keys.push_back(lo + static_cast<Value>(range));
+    for (std::uint64_t i = 2; i < kTuplesPerPage; ++i) {
+      keys.push_back(lo + static_cast<Value>(rng.NextBounded(range + 1)));
+    }
+  }
+  const Table table =
+      Table::CreateFromValues(keys, PageConfig{8192, 64}).value();
+  std::vector<const Page*> pages;
+  for (std::uint64_t id = 0; id < table.page_count(); ++id) {
+    pages.push_back(&table.file().page(id));
+  }
+  for (std::size_t i = pages.size(); i > 1; --i) {
+    std::swap(pages[i - 1], pages[rng.NextBounded(i)]);
+  }
+  if (pages[0]->offset_width() != static_cast<std::uint32_t>(width)) {
+    state.SkipWithError("pages do not have the requested width");
+    return;
+  }
+  std::vector<std::uint64_t> window(kWindow);
+  std::vector<Value> batch(keys.size());
+  for (auto _ : state) {
+    if (kernel == 0) {
+      sample_internal::CountPages(pages, 0, window);
+      benchmark::DoNotOptimize(window.data());
+    } else {
+      std::size_t first = 0;
+      for (const Page* page : pages) {
+        page->DecodeTo(std::span<Value>(batch).subspan(first));
+        first += page->size();
+      }
+      benchmark::DoNotOptimize(batch.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_PageWidth)
+    ->ArgNames({"kernel", "width"})
+    ->ArgsProduct({{0}, {1, 2, 4}})
+    ->ArgsProduct({{1}, {1, 2, 4, 8}});
 
 // Sorting one sample batch on the calling thread (null pool), as CVB does
 // for every fresh batch. Arguments: sorter (0 = std::sort, 1 = the radix

@@ -118,8 +118,8 @@ std::string ToJson(const std::vector<WorkloadReport>& workloads,
 
 }  // namespace
 
-int main() {
-  const bench::Scale scale = bench::GetScale();
+int main(int argc, char** argv) {
+  const bench::Scale scale = bench::GetScale(argc, argv);
   bench::PrintBanner("PERF2", "Parallel engine strong scaling", scale);
 
   const Dataset random = bench::MakeZipfDataset(scale.default_n, /*skew=*/1.0,

@@ -54,8 +54,8 @@ void Row(const char* name, const Verdict& v, std::size_t queries) {
 
 }  // namespace
 
-int main() {
-  const bench::Scale scale = bench::GetScale();
+int main(int argc, char** argv) {
+  const bench::Scale scale = bench::GetScale(argc, argv);
   bench::PrintBanner("PLAN",
                      "plan quality vs statistics quality (access-path "
                      "selection)",

@@ -7,22 +7,30 @@ inline std::uint64_t RotL(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
-// splitmix64: used only for seeding, per the xoshiro reference code.
-inline std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+// The golden-ratio increment of SplitMix64's state.
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 
 }  // namespace
 
+std::uint64_t Mix64(std::uint64_t x) {
+  x += kGolden;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t HashDecision(std::uint64_t seed, std::uint32_t tag,
+                           std::initializer_list<std::uint64_t> ids) {
+  std::uint64_t h = Mix64(seed ^ (0xA0761D6478BD642FULL + tag));
+  for (const std::uint64_t id : ids) h = Mix64(h ^ id);
+  return h;
+}
+
+// The state words are the first four outputs of a SplitMix64 stream from
+// `seed`, per the xoshiro reference code: output i is
+// Mix64(seed + i * kGolden).
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  s_[0] = SplitMix64(sm);
-  s_[1] = SplitMix64(sm);
-  s_[2] = SplitMix64(sm);
-  s_[3] = SplitMix64(sm);
+  for (std::uint64_t i = 0; i < 4; ++i) s_[i] = Mix64(seed + i * kGolden);
 }
 
 std::uint64_t Rng::Next() {
@@ -74,11 +82,10 @@ bool Rng::NextBernoulli(double p) {
 }
 
 std::uint64_t DeriveStreamSeed(std::uint64_t seed, std::uint64_t stream) {
-  // Decorrelate the stream index with the golden-ratio increment, then run
-  // two SplitMix64 steps so adjacent (seed, stream) pairs land far apart.
-  std::uint64_t state = seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
-  (void)SplitMix64(state);
-  return SplitMix64(state);
+  // Decorrelate the stream index with the golden-ratio increment, then
+  // take the second output of a SplitMix64 stream from there, so adjacent
+  // (seed, stream) pairs land far apart.
+  return Mix64((seed ^ (kGolden * (stream + 1))) + kGolden);
 }
 
 Rng Rng::Split() {

@@ -2,6 +2,7 @@
 #define EQUIHIST_COMMON_RNG_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 
 namespace equihist {
@@ -54,6 +55,18 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+// The SplitMix64 finalizer: a platform-stable bijective mix of x. Rng
+// seeding and DeriveStreamSeed are built on it, and so is HashDecision.
+std::uint64_t Mix64(std::uint64_t x);
+
+// A hash of (seed, tag, ids...): Mix64 chained over the seed offset by the
+// tag, then over each id in turn. The storage and link fault injectors
+// draw every per-page or per-frame decision from it, so a decision is a
+// pure function of the spec and the address, never of attempt order or
+// thread interleaving.
+std::uint64_t HashDecision(std::uint64_t seed, std::uint32_t tag,
+                           std::initializer_list<std::uint64_t> ids);
 
 // Derives the seed of sub-stream `stream` of `seed` by SplitMix64 mixing,
 // without consuming any state from an Rng. Seeding Rng(DeriveStreamSeed(s,

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <numeric>
+#include <span>
 
 namespace equihist {
 namespace {
@@ -13,7 +14,9 @@ Status AppendPage(const Table& table, std::uint64_t page_id,
                   std::vector<Value>& out) {
   EQUIHIST_ASSIGN_OR_RETURN(
       const Page* page, table.file().ReadPageRetrying(page_id, retry, stats));
-  for (Value v : page->values()) out.push_back(v);
+  const std::size_t first = out.size();
+  out.resize(first + page->size());
+  page->DecodeTo(std::span<Value>(out).subspan(first));
   return Status::OK();
 }
 
@@ -62,10 +65,7 @@ ParallelReadResult ReadPagesParallel(const Table& table,
         failed[p] = IsChecksumFailure(page.status()) ? 2 : 1;
         continue;
       }
-      const auto values = (*page)->values();
-      std::copy(values.begin(), values.end(),
-                result.values.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[p]));
+      (*page)->DecodeTo(std::span<Value>(result.values).subspan(offsets[p]));
     }
   };
   if (pool == nullptr || shards <= 1) {
@@ -215,12 +215,13 @@ std::vector<Value> IncrementalBlockSampler::NextBatch(
   const std::vector<const Page*> pages = NextPages(num_blocks, stats);
   std::size_t tuples = 0;
   for (const Page* page : pages) tuples += page->size();
-  std::vector<Value> values;
-  values.reserve(tuples);
+  std::vector<Value> values(tuples);
   if (page_offsets != nullptr) page_offsets->clear();
+  std::size_t first = 0;
   for (const Page* page : pages) {
-    if (page_offsets != nullptr) page_offsets->push_back(values.size());
-    values.insert(values.end(), page->values().begin(), page->values().end());
+    if (page_offsets != nullptr) page_offsets->push_back(first);
+    page->DecodeTo(std::span<Value>(values).subspan(first));
+    first += page->size();
   }
   return values;
 }

@@ -92,7 +92,7 @@ class IncrementalBlockSampler {
   std::vector<const Page*> NextPages(std::uint64_t num_blocks,
                                      IoStats* stats);
 
-  // NextPages, with the pages' tuples copied out in page order. If
+  // NextPages, with the pages' tuples decoded out in page order. If
   // `page_offsets` is non-null it receives the start offset of each page's
   // tuples within the returned vector (so callers can stratify by block).
   std::vector<Value> NextBatch(std::uint64_t num_blocks, IoStats* stats,

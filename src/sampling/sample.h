@@ -60,7 +60,7 @@ void CountPages(std::span<const Page* const> pages, Value base,
 //     consecutive keys. Counting the batch is one pass over its pages,
 //     every rank query is an index, and merging adds two arrays, so the
 //     counters never outnumber the tuples they count;
-//   - runs: otherwise. The batch is copied out of its pages, counted or
+//   - runs: otherwise. The batch is decoded out of its pages, counted or
 //     sorted by SortOrCount, and merged. On duplicated columns the runs
 //     number the distinct values seen, far fewer than the tuples.
 // Every output is a function of the multiset alone, whatever the form.
@@ -119,7 +119,7 @@ class Sample {
   Runs runs_;
   Value base_ = 0;
   std::vector<std::uint64_t> window_;
-  // The staged batch: cumulative counts over R's window, or the copied
+  // The staged batch: cumulative counts over R's window, or the decoded
   // tuples and SortOrCount's runs.
   std::vector<std::uint64_t> fresh_;
   std::vector<Value> batch_;

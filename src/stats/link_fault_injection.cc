@@ -2,28 +2,9 @@
 
 #include <utility>
 
+#include "common/rng.h"
+
 namespace equihist::transport {
-namespace {
-
-// SplitMix64 finalizer — the same platform-stable mixer the storage
-// injector and the RNG seeding use.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t HashDecision(std::uint64_t seed, std::uint64_t connection,
-                           std::uint64_t frame_index,
-                           LinkDirection direction, std::uint32_t kind_tag) {
-  std::uint64_t h = Mix64(seed ^ (0xA0761D6478BD642FULL + kind_tag));
-  h = Mix64(h ^ connection);
-  h = Mix64(h ^ frame_index);
-  return Mix64(h ^ static_cast<std::uint64_t>(direction));
-}
-
-}  // namespace
 
 LinkFaultInjector::LinkFaultInjector(LinkFaultSpec spec)
     : spec_(std::move(spec)),
@@ -36,11 +17,11 @@ bool LinkFaultInjector::HashSelects(std::uint64_t connection,
                                     std::uint32_t kind_tag, double p) const {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  const double u =
-      static_cast<double>(HashDecision(spec_.seed, connection, frame_index,
-                                       direction, kind_tag) >>
-                          11) *
-      0x1.0p-53;
+  const std::uint64_t h =
+      HashDecision(spec_.seed, kind_tag,
+                   {connection, frame_index,
+                    static_cast<std::uint64_t>(direction)});
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < p;
 }
 
@@ -123,8 +104,9 @@ void LinkFaultInjector::ApplyTruncate(std::uint64_t connection,
                                       std::vector<std::uint8_t>& bytes) const {
   if (bytes.empty()) return;
   const std::uint64_t h =
-      HashDecision(spec_.seed, connection, frame_index, LinkDirection::kSend,
-                   7);
+      HashDecision(spec_.seed, 7,
+                   {connection, frame_index,
+                    static_cast<std::uint64_t>(LinkDirection::kSend)});
   // Strict prefix: [0, size) bytes survive, so at least one byte is lost.
   bytes.resize(h % bytes.size());
 }
@@ -134,8 +116,9 @@ void LinkFaultInjector::ApplyCorrupt(std::uint64_t connection,
                                      std::vector<std::uint8_t>& bytes) const {
   if (bytes.empty()) return;
   const std::uint64_t h =
-      HashDecision(spec_.seed, connection, frame_index, LinkDirection::kSend,
-                   8);
+      HashDecision(spec_.seed, 8,
+                   {connection, frame_index,
+                    static_cast<std::uint64_t>(LinkDirection::kSend)});
   const std::size_t slot = static_cast<std::size_t>(h % bytes.size());
   // A nonzero mask guarantees the byte really changes.
   bytes[slot] ^= static_cast<std::uint8_t>((h >> 32) | 1);

@@ -2,25 +2,9 @@
 
 #include <utility>
 
+#include "common/rng.h"
+
 namespace equihist {
-namespace {
-
-// SplitMix64 finalizer: the same platform-stable mixer the RNG seeding
-// uses, applied to (seed, page_id, kind) so every decision is a pure
-// function of the spec and the page.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t HashDecision(std::uint64_t seed, std::uint64_t page_id,
-                           std::uint32_t kind_tag) {
-  return Mix64(Mix64(seed ^ (0xA0761D6478BD642FULL + kind_tag)) ^ page_id);
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(FaultSpec spec)
     : spec_(std::move(spec)),
@@ -33,9 +17,8 @@ bool FaultInjector::HashSelects(std::uint64_t page_id, std::uint32_t kind_tag,
                                 double p) const {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  const double u =
-      static_cast<double>(HashDecision(spec_.seed, page_id, kind_tag) >> 11) *
-      0x1.0p-53;
+  const std::uint64_t h = HashDecision(spec_.seed, kind_tag, {page_id});
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < p;
 }
 
@@ -94,7 +77,7 @@ const Page* FaultInjector::CorruptedCopy(std::uint64_t page_id,
   if (it == corrupted_.end()) {
     auto copy = std::make_unique<Page>(page);
     if (copy->size() > 0) {
-      const std::uint64_t h = HashDecision(spec_.seed, page_id, 5);
+      const std::uint64_t h = HashDecision(spec_.seed, 5, {page_id});
       const auto slot = static_cast<std::uint32_t>(h % copy->size());
       // A nonzero mask guarantees the payload really changes, so the
       // stored checksum no longer matches.

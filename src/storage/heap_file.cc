@@ -1,7 +1,9 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -34,7 +36,18 @@ void HeapFile::Append(Value value) {
 void HeapFile::AppendAll(const std::vector<Value>& values) {
   pages_.reserve(pages_.size() +
                  (values.size() + tuples_per_page_ - 1) / tuples_per_page_);
-  for (Value v : values) Append(v);
+  std::span<const Value> rest = values;
+  while (!rest.empty()) {
+    if (pages_.empty() || pages_.back().full()) {
+      pages_.emplace_back(tuples_per_page_);
+    }
+    Page& page = pages_.back();
+    const std::size_t take =
+        std::min<std::size_t>(rest.size(), page.capacity() - page.size());
+    page.AppendAll(rest.first(take));
+    rest = rest.subspan(take);
+    tuple_count_ += take;
+  }
 }
 
 Result<const Page*> HeapFile::ReadPage(std::uint64_t page_id,

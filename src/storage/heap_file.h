@@ -29,7 +29,8 @@ class HeapFile {
   // Appends one record, opening a new page when the last one is full.
   void Append(Value value);
 
-  // Bulk-append in order.
+  // Bulk-append in order. Each page is filled from its chunk of `values`
+  // with one fold of the chunk's bounds and one encode (Page::AppendAll).
   void AppendAll(const std::vector<Value>& values);
 
   // Read access to page `page_id`, charging one page read (and the page's

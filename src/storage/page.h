@@ -1,8 +1,8 @@
 #ifndef EQUIHIST_STORAGE_PAGE_H_
 #define EQUIHIST_STORAGE_PAGE_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -43,30 +43,55 @@ Status ValidatePageConfig(const PageConfig& config);
 // page, corrupted copies included, lies within min_key()..max_key(). A
 // reader can fold a batch's key bounds over its pages before it touches a
 // tuple.
+//
+// The payload stores each record as its unsigned offset from min_key()
+// (frame-of-reference encoding), at the narrowest of 1, 2, 4 and 8 bytes
+// that holds max_key() - min_key(). A mutation that lowers the minimum or
+// widens the range re-encodes the page's slots in place; widths only grow.
+// Only Page reads this format: callers decode the records (DecodeTo),
+// count them into a key window (AddCounts) or read one slot (at).
 class Page {
  public:
-  explicit Page(std::uint32_t capacity) : capacity_(capacity) {
-    values_.reserve(capacity);
-  }
+  explicit Page(std::uint32_t capacity) : capacity_(capacity) {}
 
   std::uint32_t capacity() const { return capacity_; }
-  std::uint32_t size() const { return static_cast<std::uint32_t>(values_.size()); }
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(payload_.size() >> shift_);
+  }
   bool full() const { return size() >= capacity_; }
-  bool empty() const { return values_.empty(); }
+  bool empty() const { return payload_.empty(); }
 
   // Appends a record; returns false if the page is full.
   bool Append(Value value) {
     if (full()) return false;
-    values_.push_back(value);
-    checksum_ = MixChecksum(checksum_, value);
-    Widen(value);
+    AppendAll(std::span<const Value>(&value, 1));
     return true;
   }
 
-  // Record in slot `slot`. Precondition: slot < size().
-  Value at(std::uint32_t slot) const { return values_[slot]; }
+  // Appends `values` in order, with one fold of their bounds and one
+  // encode. Precondition: values.size() <= capacity() - size().
+  void AppendAll(std::span<const Value> values);
 
-  std::span<const Value> values() const { return values_; }
+  // Record in slot `slot`. Precondition: slot < size().
+  Value at(std::uint32_t slot) const {
+    return static_cast<Value>(static_cast<std::uint64_t>(min_key_) +
+                              LoadOffset(payload_.data(), shift_, slot));
+  }
+
+  // Writes the records to out[0, size()) in slot order. Precondition:
+  // out.size() >= size().
+  void DecodeTo(std::span<Value> out) const;
+
+  // Adds one to window[v - base] for every record v. Precondition: the
+  // window covers the page's bounds (base <= min_key() and
+  // max_key() - base < window.size()).
+  void AddCounts(Value base, std::span<std::uint64_t> window) const;
+
+  // Prefetches every cache line of the payload.
+  void Prefetch() const;
+
+  // Bytes per stored offset: 1, 2, 4 or 8.
+  std::uint32_t offset_width() const { return 1u << shift_; }
 
   // Bounds of the page's values. An empty page has min_key() > max_key().
   Value min_key() const { return min_key_; }
@@ -77,22 +102,15 @@ class Page {
 
   // Recomputes the checksum from the current payload. Differs from
   // checksum() iff the payload was altered after append.
-  std::uint64_t ComputeChecksum() const {
-    std::uint64_t h = kChecksumSeed;
-    for (const Value v : values_) h = MixChecksum(h, v);
-    return h;
-  }
+  std::uint64_t ComputeChecksum() const;
 
   bool ChecksumOk() const { return ComputeChecksum() == checksum_; }
 
   // Flips bits of the value in `slot` *without* updating the stored
   // checksum — the corruption primitive the FaultInjector uses to produce
-  // detectably damaged page copies. The key bounds widen to the new value.
-  // Precondition: slot < size().
-  void CorruptValue(std::uint32_t slot, Value xor_mask) {
-    values_[slot] ^= xor_mask;
-    Widen(values_[slot]);
-  }
+  // detectably damaged page copies. The key bounds widen to the new value,
+  // re-encoding the page if they must. Precondition: slot < size().
+  void CorruptValue(std::uint32_t slot, Value xor_mask);
 
  private:
   static constexpr std::uint64_t kChecksumSeed = 0xCBF29CE484222325ULL;
@@ -107,16 +125,59 @@ class Page {
     return h;
   }
 
-  void Widen(Value value) {
-    min_key_ = std::min(min_key_, value);
-    max_key_ = std::max(max_key_, value);
+  // Calls fn with a zero of the offset type that `shift` selects: the one
+  // branch on the width, taken once per page by the loops over records.
+  template <typename Fn>
+  static decltype(auto) WithOffsetType(std::uint8_t shift, Fn&& fn) {
+    switch (shift) {
+      case 0:
+        return fn(std::uint8_t{0});
+      case 1:
+        return fn(std::uint16_t{0});
+      case 2:
+        return fn(std::uint32_t{0});
+      default:
+        return fn(std::uint64_t{0});
+    }
   }
 
+  // Offsets are copied in and out of the byte payload with memcpy, never
+  // read through a cast pointer, which would break strict aliasing; the
+  // copy compiles to one load or store of the offset's width.
+  template <typename Offset>
+  static std::uint64_t Load(const std::uint8_t* bytes, std::size_t slot) {
+    Offset offset = 0;
+    std::memcpy(&offset, bytes + slot * sizeof(Offset), sizeof(Offset));
+    return offset;
+  }
+
+  template <typename Offset>
+  static void Store(std::uint8_t* bytes, std::size_t slot,
+                    std::uint64_t offset) {
+    const auto narrow = static_cast<Offset>(offset);
+    std::memcpy(bytes + slot * sizeof(Offset), &narrow, sizeof(Offset));
+  }
+
+  static std::uint64_t LoadOffset(const std::uint8_t* bytes,
+                                  std::uint8_t shift, std::size_t slot) {
+    return WithOffsetType(shift, [&](auto zero) {
+      return Load<decltype(zero)>(bytes, slot);
+    });
+  }
+
+  // Sets the bounds to [min, max], which hold the current ones, and sizes
+  // the payload to `slots` records at the width their range needs,
+  // re-encoding the current records if the base or the width changes.
+  void Rebase(Value min, Value max, std::size_t slots);
+
   std::uint32_t capacity_;
+  // log2 of the offset width in bytes.
+  std::uint8_t shift_ = 0;
   std::uint64_t checksum_ = kChecksumSeed;
   Value min_key_ = std::numeric_limits<Value>::max();
   Value max_key_ = std::numeric_limits<Value>::min();
-  std::vector<Value> values_;
+  // size() offsets of 1 << shift_ bytes each.
+  std::vector<std::uint8_t> payload_;
 };
 
 }  // namespace equihist

@@ -1,5 +1,7 @@
 #include "storage/scan.h"
 
+#include <span>
+
 namespace equihist {
 
 std::vector<Value> FullScan(const Table& table, IoStats* stats) {
@@ -26,20 +28,22 @@ Result<std::vector<Value>> FullScanChecked(const Table& table, IoStats* stats,
                                            ThreadPool* pool,
                                            const RetryPolicy& policy) {
   const std::uint64_t pages = table.page_count();
+  // Dense packing: page p starts at tuple p * tuples_per_page.
+  const std::uint32_t tpp = table.tuples_per_page();
+  std::vector<Value> values(table.tuple_count());
+  const auto page_values = [&](std::uint64_t page_id) {
+    return std::span<Value>(values).subspan(page_id * tpp);
+  };
   if (pool == nullptr || pool->size() <= 1) {
-    std::vector<Value> values;
-    values.reserve(table.tuple_count());
     for (std::uint64_t page_id = 0; page_id < pages; ++page_id) {
       EQUIHIST_ASSIGN_OR_RETURN(
           const Page* page,
           table.file().ReadPageRetrying(page_id, policy, stats));
-      for (Value v : page->values()) values.push_back(v);
+      page->DecodeTo(page_values(page_id));
     }
     return values;
   }
 
-  const std::uint32_t tpp = table.tuples_per_page();
-  std::vector<Value> values(table.tuple_count());
   const std::size_t shards = pool->size();
   std::vector<IoStats> shard_stats(shards);
   // First failing page per shard; the lowest page id wins afterwards so
@@ -59,11 +63,7 @@ Result<std::vector<Value>> FullScanChecked(const Table& table, IoStats* stats,
             }
             continue;
           }
-          const auto page_values = (*page)->values();
-          // Dense packing: page p starts at tuple p * tuples_per_page.
-          std::copy(page_values.begin(), page_values.end(),
-                    values.begin() + static_cast<std::ptrdiff_t>(
-                                         page_id * tpp));
+          (*page)->DecodeTo(page_values(page_id));
         }
       });
   if (stats != nullptr) {

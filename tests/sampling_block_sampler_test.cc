@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,8 +191,8 @@ TEST(IncrementalBlockSamplerTest, NextPagesAreTheTablePagesNextBatchCopies) {
   for (const Page* page : pages) {
     const std::uint64_t id = static_cast<std::uint64_t>(page->at(0)) / 4;
     EXPECT_EQ(page, &table.file().page(id));
-    concatenated.insert(concatenated.end(), page->values().begin(),
-                        page->values().end());
+    concatenated.resize(concatenated.size() + page->size());
+    page->DecodeTo(std::span<Value>(concatenated).last(page->size()));
   }
   EXPECT_EQ(concatenated, values);
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,7 +213,9 @@ TEST(SortOrCountTest, ExtremeKeysDoNotOverflow) {
   EXPECT_EQ(counted.cumulative, (std::vector<std::uint64_t>{1, 3}));
 }
 
-// A batch of `size` keys of one shape.
+// A batch of `size` keys of one shape. In full pages of 64 keys, shapes 1
+// and 5 store 1-byte offsets, shapes 0 and 2 mostly 2-byte ones, shape 6
+// 4-byte ones and shapes 3 and 4 8-byte ones.
 std::vector<Value> MakeBatch(int shape, std::size_t size, Rng& rng,
                              const ValueSet& zipf) {
   std::vector<Value> batch(size);
@@ -227,6 +230,12 @@ std::vector<Value> MakeBatch(int shape, std::size_t size, Rng& rng,
       return batch;
     case 3:  // negative only, range 2^40
       for (Value& x : batch) x = -1 - rng.NextInRange(0, Value{1} << 40);
+      return batch;
+    case 5:  // range 200
+      for (Value& x : batch) x = 5000 + rng.NextInRange(0, 200);
+      return batch;
+    case 6:  // range 2^20
+      for (Value& x : batch) x = rng.NextInRange(0, Value{1} << 20);
       return batch;
     default:  // INT64_MIN beside INT64_MAX, and full-width keys between
       for (Value& x : batch) x = static_cast<Value>(rng.Next());
@@ -453,19 +462,22 @@ TEST(SampleStageTest, EmptyStageIsANoop) {
 
 // Property: staging random page batches in random order, with and without
 // a pool, keeps Sample equal to a plain sorted multiset through every
-// change of form. Narrow batches (shapes 0-2) enter and grow the window; a
-// wide one (shapes 3-4) in the second half sends R back to runs.
+// change of form. Narrow batches (shapes 0-2 and 5) enter and grow the
+// window; a wide one (shape 3, 4 or 6) in the second half sends R back to
+// runs. Across the seeds the pages store offsets of all four widths.
 TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
   const auto zipf_frequencies =
       MakeZipf({.n = 20000, .domain_size = 2000, .skew = 1.0});
   ASSERT_TRUE(zipf_frequencies.ok());
   const ValueSet zipf = ValueSet::FromFrequencies(*zipf_frequencies);
   const std::size_t sizes[] = {1, 300, 2500, 6000};
+  const int wide_shapes[] = {6, 3, 4};
   ThreadPool pool(4);
+  std::set<std::uint32_t> widths;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
     std::vector<std::vector<Value>> batches;
-    for (int shape = 0; shape < 3; ++shape) {
+    for (const int shape : {0, 1, 2, 5}) {
       for (const std::size_t size : sizes) {
         batches.push_back(MakeBatch(shape, size, rng, zipf));
       }
@@ -476,7 +488,12 @@ TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
     const std::size_t late =
         batches.size() / 2 + rng.NextBounded(batches.size() / 2);
     batches.insert(batches.begin() + static_cast<std::ptrdiff_t>(late),
-                   MakeBatch(3 + static_cast<int>(seed % 2), 300, rng, zipf));
+                   MakeBatch(wide_shapes[seed % 3], 300, rng, zipf));
+    for (const std::vector<Value>& batch : batches) {
+      for (const Page& page : MakePages(batch, 64)) {
+        widths.insert(page.offset_width());
+      }
+    }
     Sample serial;
     Sample parallel;
     std::vector<Value> reference;
@@ -494,6 +511,7 @@ TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
               forms.begin() + static_cast<std::ptrdiff_t>(late));
     EXPECT_EQ(std::find(forms.begin() + late, forms.end(), true), forms.end());
   }
+  EXPECT_EQ(widths, (std::set<std::uint32_t>{1, 2, 4, 8}));
 }
 
 }  // namespace

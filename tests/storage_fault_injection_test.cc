@@ -118,7 +118,9 @@ TEST(FaultInjectorTest, CorruptedCopyStaysWithinItsKeyBounds) {
     const Page& original = file.page(id);
     const Page* corrupted = injector.CorruptedCopy(id, original);
     EXPECT_FALSE(corrupted->ChecksumOk());
-    for (const Value v : corrupted->values()) {
+    std::vector<Value> values(corrupted->size());
+    corrupted->DecodeTo(values);
+    for (const Value v : values) {
       EXPECT_LE(corrupted->min_key(), v) << "page " << id;
       EXPECT_GE(corrupted->max_key(), v) << "page " << id;
     }

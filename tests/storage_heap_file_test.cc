@@ -1,13 +1,54 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "storage/page.h"
 
 namespace equihist {
 namespace {
+
+constexpr Value kMin = std::numeric_limits<Value>::min();
+constexpr Value kMax = std::numeric_limits<Value>::max();
+
+// x + d in two's complement, without signed overflow.
+Value Plus(Value x, std::uint64_t d) {
+  return static_cast<Value>(static_cast<std::uint64_t>(x) + d);
+}
+
+// The page's records, decoded in slot order.
+std::vector<Value> Decoded(const Page& page) {
+  std::vector<Value> values(page.size());
+  page.DecodeTo(values);
+  return values;
+}
+
+// Checks every read of `page` against `expected`, its records in slot
+// order, and its bounds against theirs.
+void ExpectRecords(const Page& page, const std::vector<Value>& expected) {
+  ASSERT_EQ(page.size(), expected.size());
+  EXPECT_EQ(Decoded(page), expected);
+  for (std::uint32_t slot = 0; slot < page.size(); ++slot) {
+    EXPECT_EQ(page.at(slot), expected[slot]) << "slot " << slot;
+  }
+  if (expected.empty()) return;
+  const auto [min, max] = std::minmax_element(expected.begin(), expected.end());
+  EXPECT_EQ(page.min_key(), *min);
+  EXPECT_EQ(page.max_key(), *max);
+}
+
+// Two pages hold the same records, bounds and format.
+void ExpectSamePage(const Page& a, const Page& b) {
+  ExpectRecords(a, Decoded(b));
+  EXPECT_EQ(a.offset_width(), b.offset_width());
+  EXPECT_EQ(a.checksum(), b.checksum());
+}
 
 TEST(PageConfigTest, TuplesPerPage) {
   EXPECT_EQ((PageConfig{8192, 64}).TuplesPerPage(), 128u);
@@ -40,8 +81,6 @@ TEST(PageTest, AppendUntilFull) {
 
 // Every mutation widens the key bounds, so they hold every value.
 TEST(PageTest, AppendAndCorruptValueKeepTheKeyBounds) {
-  constexpr Value kMin = std::numeric_limits<Value>::min();
-  constexpr Value kMax = std::numeric_limits<Value>::max();
   Page page(4);
   EXPECT_GT(page.min_key(), page.max_key());  // empty
   page.Append(5);
@@ -56,9 +95,160 @@ TEST(PageTest, AppendAndCorruptValueKeepTheKeyBounds) {
   EXPECT_EQ(page.max_key(), kMax);
   page.CorruptValue(1, -3 ^ kMin);  // -3 becomes INT64_MIN
   EXPECT_EQ(page.min_key(), kMin);
-  for (const Value v : page.values()) {
+  for (const Value v : Decoded(page)) {
     EXPECT_LE(page.min_key(), v);
     EXPECT_GE(page.max_key(), v);
+  }
+}
+
+// A page stores offsets from its minimum at the narrowest width that holds
+// its key range: each range on either side of a width boundary, anywhere
+// in the domain, reads back exactly.
+TEST(PageTest, RoundTripsAtEveryWidthBoundary) {
+  struct Case {
+    std::uint64_t range;
+    std::uint32_t width;
+  };
+  const Case cases[] = {{0, 1},          {255, 1},          {256, 2},
+                        {65535, 2},      {65536, 4},        {0xFFFFFFFFu, 4},
+                        {1ULL << 32, 8}, {~std::uint64_t{0}, 8}};
+  for (const Case& c : cases) {
+    // The lowest, a middle and the highest minimum the range allows.
+    const Value top = Plus(kMax, -c.range);
+    for (const Value low : {kMin, std::clamp<Value>(-1000, kMin, top), top}) {
+      SCOPED_TRACE(testing::Message()
+                   << "range " << c.range << " low " << low);
+      const Value high = Plus(low, c.range);
+      const Value mid = Plus(low, c.range / 2);
+      // Neither end comes first, so the base falls and the width grows.
+      const std::vector<Value> values = {
+          mid, high, low, mid, Plus(low, std::min<std::uint64_t>(c.range, 1)),
+          high};
+      Page page(8);
+      for (const Value v : values) ASSERT_TRUE(page.Append(v));
+      ExpectRecords(page, values);
+      EXPECT_EQ(page.offset_width(), c.width);
+      EXPECT_TRUE(page.ChecksumOk());
+    }
+  }
+}
+
+// Every append that lowers the base or widens the range re-encodes the
+// earlier slots, which read back unchanged.
+TEST(PageTest, AppendWithAFallingMinimumAndAGrowingWidth) {
+  const std::vector<Value> values = {1000, 1003, 990,  760,
+                                     700,  71000, -(Value{1} << 33), 5};
+  const std::uint32_t widths[] = {1, 1, 1, 1, 2, 4, 8, 8};
+  Page page(8);
+  std::vector<Value> appended;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "append " << i);
+    ASSERT_TRUE(page.Append(values[i]));
+    appended.push_back(values[i]);
+    ExpectRecords(page, appended);
+    EXPECT_EQ(page.offset_width(), widths[i]);
+  }
+}
+
+// Bulk appends, onto an empty or a part-filled page, build the page one
+// record at a time would: same slots, bounds, width and checksum.
+TEST(PageTest, AppendAllMatchesOneByOneAppend) {
+  Rng rng(17);
+  std::vector<Value> random(8);
+  for (Value& v : random) v = static_cast<Value>(rng.Next());
+  const std::vector<std::vector<Value>> inputs = {
+      {5},
+      {7, 7, 7},
+      {300, 10, 200, 45},
+      {40000, -20000, 3, 3},
+      {1 << 20, -(1 << 20), 0},
+      {kMax, kMin, 0, 1},
+      random,
+  };
+  for (const std::vector<Value>& values : inputs) {
+    Page single(8);
+    for (const Value v : values) ASSERT_TRUE(single.Append(v));
+    for (std::size_t split = 0; split <= values.size(); ++split) {
+      SCOPED_TRACE(testing::Message()
+                   << "first value " << values[0] << " split " << split);
+      Page bulk(8);
+      for (std::size_t i = 0; i < split; ++i) {
+        ASSERT_TRUE(bulk.Append(values[i]));
+      }
+      bulk.AppendAll(std::span<const Value>(values).subspan(split));
+      ExpectSamePage(bulk, single);
+    }
+  }
+}
+
+// A corrupted value that needs a wider width re-encodes the page: the
+// other slots read back unchanged, the bounds hold the new value, and the
+// checksum no longer verifies.
+TEST(PageTest, CorruptValueGrowsTheWidth) {
+  Page page(4);
+  for (const Value v : {100, 101, 102, 103}) page.Append(v);
+  ASSERT_EQ(page.offset_width(), 1u);
+  const std::uint64_t recorded = page.checksum();
+  page.CorruptValue(2, 102 ^ (Value{1} << 40));
+  ExpectRecords(page, {100, 101, Value{1} << 40, 103});
+  EXPECT_EQ(page.offset_width(), 8u);
+  EXPECT_EQ(page.checksum(), recorded);
+  EXPECT_FALSE(page.ChecksumOk());
+  // Below the base: the minimum falls and every offset is rewritten.
+  page.CorruptValue(0, 100 ^ -5);
+  ExpectRecords(page, {-5, 101, Value{1} << 40, 103});
+  EXPECT_FALSE(page.ChecksumOk());
+}
+
+// The checksum is FNV-1a over the decoded 8-byte values, so it does not
+// depend on the width: these literals were recorded from pages that stored
+// the values themselves.
+TEST(PageTest, ChecksumMatchesTheRecordedLiterals) {
+  Page page(8);
+  for (const Value v : {Value{7}, Value{-300}, Value{70000}, Value{1} << 40,
+                        Value{-5}}) {
+    page.Append(v);
+  }
+  EXPECT_EQ(page.checksum(), 0xBD56613AA439A88FULL);
+  EXPECT_TRUE(page.ChecksumOk());
+  Page extremes(4);
+  for (const Value v : {kMin, Value{0}, kMax}) extremes.Append(v);
+  EXPECT_EQ(extremes.checksum(), 0xC4147B7B7DB72E7DULL);
+  EXPECT_TRUE(extremes.ChecksumOk());
+}
+
+// AddCounts adds one per record at its key's slot of the window, for
+// windows based below the page and at either end of the domain. An 8-byte
+// page spans at least 2^32 keys, more than any window holds, so the count
+// covers widths 1, 2 and 4.
+TEST(PageTest, AddCountsMatchesAPlainCount) {
+  struct Case {
+    std::vector<Value> values;
+    Value base;
+    std::uint64_t slots;
+    std::uint32_t width;
+  };
+  const Case cases[] = {
+      {{}, 0, 4, 1},
+      {{10, 12, 10, 200}, 3, 200, 1},
+      {{kMax}, kMax - 2, 3, 1},
+      {{kMin + 300, kMin, kMin + 7, kMin}, kMin, 301, 2},
+      {{kMax, kMax - 1000, kMax, kMax - 3}, kMax - 1200, 1201, 2},
+      {{-70000, 0, 5, -70000, 1}, -70010, 70016, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "base " << c.base);
+    Page page(8);
+    for (const Value v : c.values) page.Append(v);
+    EXPECT_EQ(page.offset_width(), c.width);
+    std::vector<std::uint64_t> window(c.slots, 1);
+    std::vector<std::uint64_t> expected(c.slots, 1);
+    for (const Value v : c.values) {
+      ++expected[static_cast<std::uint64_t>(v) -
+                 static_cast<std::uint64_t>(c.base)];
+    }
+    page.AddCounts(c.base, window);
+    EXPECT_EQ(window, expected);
   }
 }
 
@@ -70,6 +260,26 @@ TEST(HeapFileTest, PacksTuplesDensely) {
   EXPECT_EQ(file.page(0).size(), 8u);
   EXPECT_EQ(file.page(1).size(), 8u);
   EXPECT_EQ(file.page(2).size(), 4u);
+}
+
+// A bulk append onto a part-filled file builds the pages appending one
+// record at a time builds.
+TEST(HeapFileTest, AppendAllMatchesOneByOneAppend) {
+  Rng rng(5);
+  std::vector<Value> values(45);
+  for (Value& v : values) v = rng.NextInRange(-400, 70000);
+  values[20] = kMax;
+  HeapFile single(PageConfig{64, 8});  // 8 tuples per page
+  for (const Value v : values) single.Append(v);
+  HeapFile bulk(PageConfig{64, 8});
+  for (std::size_t i = 0; i < 3; ++i) bulk.Append(values[i]);
+  bulk.AppendAll({values.begin() + 3, values.end()});
+  ASSERT_EQ(bulk.page_count(), single.page_count());
+  EXPECT_EQ(bulk.tuple_count(), single.tuple_count());
+  for (std::uint64_t id = 0; id < single.page_count(); ++id) {
+    SCOPED_TRACE(testing::Message() << "page " << id);
+    ExpectSamePage(bulk.page(id), single.page(id));
+  }
 }
 
 TEST(HeapFileTest, PreservesAppendOrder) {
