@@ -152,12 +152,14 @@ BENCHMARK(BM_SampleMerge)->ArgNames({"sorted"})->Arg(0)->Arg(1);
 // counts when range < n and sorts otherwise, 3 = count the batch's pages
 // in place into a key window, its bounds folded over the pages' bounds),
 // ratio (percent) and n. Where path 0 stops beating path 1 sets
-// SortOrCount's cutoff, and where path 3 stops beating path 1 the window's
-// (Sample::Stage). Paths 0-2 also copy the unsorted keys in every
-// iteration, as a batch read out of its pages; path 3 reads the pages of a
-// table of 128-tuple pages, in a shuffled order as a block sample does.
-// Those pages store offsets as wide as their key ranges need: 2 bytes up
-// to range 65,535 and 4 above (BM_PageWidth times each width alone).
+// SortOrCount's cutoff. The ratios run past Sample::kWindowSlotsPerTuple
+// (400%), the window's cutoff, which whole builds set, since a window also
+// costs the later passes over it (DESIGN.md §8). Paths 0-2 also copy the
+// unsorted keys in every iteration, as a batch read out of its pages;
+// path 3 reads the pages of a table of 128-tuple pages, in a shuffled
+// order as a block sample does. Those pages store offsets as wide as
+// their key ranges need: 2 bytes up to range 65,535 and 4 above
+// (BM_PageWidth times each width alone).
 void BM_BatchToView(benchmark::State& state) {
   const std::int64_t path = state.range(0);
   const auto n = static_cast<std::uint64_t>(state.range(2));
@@ -209,7 +211,9 @@ void BM_BatchToView(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchToView)
     ->ArgNames({"path", "ratio", "n"})
-    ->ArgsProduct({{0, 1, 2, 3}, {10, 50, 100, 200}, {1 << 13, 1 << 15, 1 << 17}});
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {10, 50, 100, 200, 400, 800},
+                   {1 << 13, 1 << 15, 1 << 17}});
 
 // The page kernels at each offset width, at equal tuple counts: 8,192
 // pages of 128 keys, read in a shuffled order as a block sample reads
@@ -361,24 +365,41 @@ const Table& DistinctTable() {
   return *table;
 }
 
+// The shared Zipf column on the paper's partially clustered layout (a fifth
+// of each value's duplicates contiguous), where CVB reads many more pages.
+const Table& ClusteredTable() {
+  static const Table* table = [] {
+    auto result =
+        Table::Create(SharedFrequencies(), PageConfig{8192, 64},
+                      {.kind = LayoutKind::kPartiallyClustered,
+                       .clustered_fraction = 0.2});
+    return new Table(std::move(*result));
+  }();
+  return *table;
+}
+
 // A whole CVB build, k = 200, f = 0.2. Arguments: keys (0 = the shared
-// Zipf column over n/100 values, 1 = duplicate-free keys) and threads
+// Zipf column over n/100 values, 1 = duplicate-free keys), layout (0 =
+// random, 1 = partially clustered; Zipf keys only) and threads
 // (CvbOptions::threads: 1 = this thread only, 0 = one per core).
 void BM_CvbEndToEnd(benchmark::State& state) {
-  const Table& table = state.range(0) == 0 ? SharedTable() : DistinctTable();
+  const Table& table = state.range(0) == 1   ? DistinctTable()
+                       : state.range(1) == 1 ? ClusteredTable()
+                                             : SharedTable();
   for (auto _ : state) {
     CvbOptions options;
     options.k = 200;
     options.f = 0.2;
     options.seed = 9;
-    options.threads = static_cast<std::uint64_t>(state.range(1));
+    options.threads = static_cast<std::uint64_t>(state.range(2));
     auto result = RunCvb(table, options);
     benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK(BM_CvbEndToEnd)
-    ->ArgNames({"keys", "threads"})
-    ->ArgsProduct({{0, 1}, {1, 0}})
+    ->ArgNames({"keys", "layout", "threads"})
+    ->ArgsProduct({{0}, {0, 1}, {1, 0}})
+    ->ArgsProduct({{1}, {0}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -7,18 +7,6 @@
 
 namespace equihist {
 
-void KahanSum::Add(double x) {
-  // Kahan-Babuska (Neumaier) variant: handles terms larger than the
-  // running sum correctly.
-  const double t = sum_ + x;
-  if (std::abs(sum_) >= std::abs(x)) {
-    compensation_ += (sum_ - t) + x;
-  } else {
-    compensation_ += (x - t) + sum_;
-  }
-  sum_ = t;
-}
-
 double StableSum(std::span<const double> values) {
   KahanSum sum;
   for (double v : values) sum.Add(v);
@@ -101,16 +89,22 @@ std::vector<std::uint64_t> ApportionProportionally(
     assigned += counts[i];
     remainders.emplace_back(ideal - floor_val, i);
   }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
+  // The leftover units go to the largest remainders, ties to the lower
+  // index. Which entries those are is all that matters, not their order,
+  // so a selection replaces a full sort.
   std::uint64_t leftover = (assigned <= total) ? total - assigned : 0;
-  for (std::size_t i = 0; i < remainders.size() && leftover > 0; ++i) {
-    ++counts[remainders[i].second];
-    --leftover;
+  const auto top =
+      static_cast<std::size_t>(std::min<std::uint64_t>(leftover, d));
+  if (top > 0 && top < d) {
+    std::nth_element(remainders.begin(),
+                     remainders.begin() + static_cast<std::ptrdiff_t>(top),
+                     remainders.end(), [](const auto& a, const auto& b) {
+                       if (a.first != b.first) return a.first > b.first;
+                       return a.second < b.second;
+                     });
   }
+  for (std::size_t i = 0; i < top; ++i) ++counts[remainders[i].second];
+  leftover -= top;
   for (std::size_t i = 0; leftover > 0; i = (i + 1) % d) {
     ++counts[i];
     --leftover;

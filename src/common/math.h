@@ -1,6 +1,7 @@
 #ifndef EQUIHIST_COMMON_MATH_H_
 #define EQUIHIST_COMMON_MATH_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -11,10 +12,21 @@ namespace equihist {
 // Compensated (Kahan-Babuska) summation. Used wherever long series of
 // floating point terms are accumulated (error metrics over hundreds of
 // buckets, harmonic numbers over millions of terms) so results do not
-// drift with the summation order.
+// drift with the summation order. Add is inline: summaries over a whole
+// sample (SummarizeSample) call it once per distinct value.
 class KahanSum {
  public:
-  void Add(double x);
+  void Add(double x) {
+    // Kahan-Babuska (Neumaier) variant: handles terms larger than the
+    // running sum correctly.
+    const double t = sum_ + x;
+    if (std::abs(sum_) >= std::abs(x)) {
+      compensation_ += (sum_ - t) + x;
+    } else {
+      compensation_ += (x - t) + sum_;
+    }
+    sum_ = t;
+  }
   double Value() const { return sum_ + compensation_; }
 
  private:

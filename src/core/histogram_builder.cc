@@ -12,17 +12,20 @@ namespace equihist {
 namespace {
 
 // Separator s_j (1-based j = 1..k-1) sits at sorted rank ceil(j*m/k) - 1.
+// The ranks ascend with j, so one forward walk reads them all.
 std::vector<Value> QuantileSeparators(SortedView sorted, std::uint64_t k) {
   const std::uint64_t m = sorted.size();
-  std::vector<Value> separators;
-  separators.reserve(k - 1);
+  std::vector<std::uint64_t> ranks;
+  ranks.reserve(k - 1);
   for (std::uint64_t j = 1; j < k; ++j) {
     // ceil(j*m/k) as integer arithmetic; clamp to [1, m].
     std::uint64_t rank = (j * m + k - 1) / k;
     if (rank == 0) rank = 1;
     if (rank > m) rank = m;
-    separators.push_back(sorted.ValueAtRank(rank - 1));
+    ranks.push_back(rank - 1);
   }
+  std::vector<Value> separators(ranks.size());
+  sorted.ValuesAtRanks(ranks, separators);
   return separators;
 }
 

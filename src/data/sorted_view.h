@@ -112,6 +112,43 @@ class SortedView {
     return is_window() ? Key(i) : values_[i];
   }
 
+  // ValueAtRank of each of `ranks` into `out`, in one forward walk over the
+  // counts: each search gallops (1, 2, 4, ... entries) from where the one
+  // before ended, then binary-searches the last step. k ascending ranks
+  // over e entries cost O(k log(e / k)) probes, each near the last.
+  // Preconditions: ranks ascend (repeats allowed), each < size(), and
+  // out.size() == ranks.size().
+  void ValuesAtRanks(std::span<const std::uint64_t> ranks,
+                     std::span<Value> out) const {
+    if (cumulative_.empty()) {
+      for (std::size_t q = 0; q < ranks.size(); ++q) {
+        out[q] = values_[ranks[q]];
+      }
+      return;
+    }
+    const std::size_t entries = cumulative_.size();
+    const auto first = cumulative_.begin();
+    std::size_t i = 0;  // the first entry counting beyond the last rank
+    for (std::size_t q = 0; q < ranks.size(); ++q) {
+      const std::uint64_t rank = ranks[q];
+      // Entries before lo count at most rank; the one at hi, beyond it.
+      std::size_t lo = i;
+      std::size_t hi = i;
+      for (std::size_t step = 1; hi < entries && cumulative_[hi] <= rank;
+           step *= 2) {
+        lo = hi + 1;
+        hi += step;
+      }
+      i = static_cast<std::size_t>(
+          std::upper_bound(first + static_cast<std::ptrdiff_t>(lo),
+                           first + static_cast<std::ptrdiff_t>(
+                                       std::min(hi, entries)),
+                           rank) -
+          first);
+      out[q] = is_window() ? Key(i) : values_[i];
+    }
+  }
+
   // Calls fn(value, multiplicity) once per distinct value, ascending.
   // Neighbouring entries with equal values count as one value; a window's
   // empty slots are skipped.

@@ -103,9 +103,13 @@ SortedView Sample::Stage(std::span<const Page* const> pages,
     bounds.max = std::max(bounds.max, runs_.values.back());
   }
 
-  if (bounds.range() < size() + tuples) {
+  // The window rule (sample.h), with no product to overflow.
+  const std::uint64_t range = bounds.range();
+  const std::uint64_t count = size() + tuples;
+  if (range < count || (range < kSparseWindowSlots &&
+                        range / kWindowSlotsPerTuple < count)) {
     // The bounds cover R's window, so they differ from it only if wider.
-    if (bounds.range() + 1 != window_.size()) ToWindow(bounds);
+    if (range + 1 != window_.size()) ToWindow(bounds);
     fresh_.resize(window_.size());
     sample_internal::CountPages(pages, base_, fresh_);
     staged_ = SortedView::Window(base_, fresh_);

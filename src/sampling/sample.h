@@ -55,17 +55,27 @@ void CountPages(std::span<const Page* const> pages, Value base,
 // extension the paper made to SQL Server's block sampling (Section 7.1,
 // implementation note 2). R takes one of two forms:
 //   - a key window: while the key range of R and the fresh batch together
-//     is smaller than their tuple count (SortOrCount's rule, applied to
-//     both), R and the batch are cumulative counts over one window of
-//     consecutive keys. Counting the batch is one pass over its pages,
-//     every rank query is an index, and merging adds two arrays, so the
-//     counters never outnumber the tuples they count;
+//     is small enough for their tuple count (the window rule below), R and
+//     the batch are cumulative counts over one window of consecutive keys.
+//     Counting the batch is one pass over its pages, every rank query is
+//     an index, and merging adds two arrays;
 //   - runs: otherwise. The batch is decoded out of its pages, counted or
 //     sorted by SortOrCount, and merged. On duplicated columns the runs
 //     number the distinct values seen, far fewer than the tuples.
 // Every output is a function of the multiset alone, whatever the form.
 class Sample {
  public:
+  // The window rule: R and the batch are a key window while
+  //   range(R ∪ batch) < |R| + |batch|, or
+  //   range(R ∪ batch) < min(kSparseWindowSlots,
+  //                          kWindowSlotsPerTuple · (|R| + |batch|)).
+  // The passes over a window are O(range). While its counters stay within
+  // 2^18 slots (2 MB) a window costs less than the runs path up to four
+  // slots per tuple; a larger window must not outnumber its tuples, since
+  // a sparse one costs more (DESIGN.md §8).
+  static constexpr std::uint64_t kWindowSlotsPerTuple = 4;
+  static constexpr std::uint64_t kSparseWindowSlots = std::uint64_t{1} << 18;
+
   Sample() = default;
 
   // Builds runs from unsorted values, counted or sorted once (SortOrCount).

@@ -1,9 +1,14 @@
 #include "common/math.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace equihist {
 namespace {
@@ -146,6 +151,92 @@ TEST(ChiSquareCriticalValueTest, MatchesTables) {
   EXPECT_NEAR(ChiSquareCriticalValue(5.0, 0.01), 15.086, 0.3);
   // chi^2_{0.05, 100} = 124.342.
   EXPECT_NEAR(ChiSquareCriticalValue(100.0, 0.05), 124.342, 0.6);
+}
+
+// ApportionProportionally as it was written with a full sort of the
+// remainders: the reference the selection must reproduce.
+std::vector<std::uint64_t> ApportionBySorting(std::span<const double> weights,
+                                              std::uint64_t total) {
+  const std::size_t d = weights.size();
+  KahanSum weight_sum;
+  for (double w : weights) weight_sum.Add(w);
+  const double total_weight = weight_sum.Value();
+  std::vector<std::uint64_t> counts(d, 0);
+  std::vector<std::pair<double, std::size_t>> remainders;
+  std::uint64_t assigned = 0;
+  for (std::size_t i = 0; i < d; ++i) {
+    const double ideal =
+        (total_weight > 0.0)
+            ? static_cast<double>(total) * (weights[i] / total_weight)
+            : 0.0;
+    const double floor_val = std::floor(ideal);
+    counts[i] = static_cast<std::uint64_t>(floor_val);
+    assigned += counts[i];
+    remainders.emplace_back(ideal - floor_val, i);
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  std::uint64_t leftover = (assigned <= total) ? total - assigned : 0;
+  for (std::size_t i = 0; i < remainders.size() && leftover > 0; ++i) {
+    ++counts[remainders[i].second];
+    --leftover;
+  }
+  for (std::size_t i = 0; leftover > 0; i = (i + 1) % d) {
+    ++counts[i];
+    --leftover;
+  }
+  return counts;
+}
+
+// The leftover units go to the same entries as under a full sort of the
+// remainders: with many equal remainders (the index breaks the tie), with
+// zero weights (all of them too, so the units go round-robin), and with
+// totals below and above the weights' sum.
+TEST(ApportionProportionallyTest, SelectsTheRemaindersAFullSortSelects) {
+  Rng rng(17);
+  std::vector<std::vector<double>> weight_sets = {
+      std::vector<double>(200, 1.0),
+      {0.0, 0.0, 5.0, 0.0, 3.0},
+      {0.0, 0.0, 0.0},
+      {7.0},
+  };
+  std::vector<double> pattern;
+  for (int i = 0; i < 300; ++i) pattern.push_back(1.0 + i % 3);
+  weight_sets.push_back(pattern);
+  for (int set = 0; set < 20; ++set) {
+    // Sample bucket counts: small integers, so remainders repeat.
+    std::vector<double> counts(1 + rng.NextBounded(400));
+    for (double& w : counts) {
+      w = rng.NextBounded(4) == 0 ? 0.0
+                                  : static_cast<double>(rng.NextBounded(50));
+    }
+    weight_sets.push_back(counts);
+  }
+  for (const std::vector<double>& weights : weight_sets) {
+    double sum = 0.0;
+    for (double w : weights) sum += w;
+    const auto whole = static_cast<std::uint64_t>(sum);
+    std::vector<std::uint64_t> totals = {
+        0, 1, 2, 7, 1001, 1150, whole / 3, whole, whole + 1, whole * 10 + 3};
+    // With zero weights every unit is leftover and goes round-robin.
+    if (whole > 0) totals.push_back(std::uint64_t{1} << 40);
+    for (int t = 0; t < 5; ++t) {
+      totals.push_back(rng.NextBounded(10 * whole + 5));
+    }
+    for (const std::uint64_t total : totals) {
+      SCOPED_TRACE(testing::Message() << "d " << weights.size() << " total "
+                                      << total << " weight sum " << sum);
+      const std::vector<std::uint64_t> counts =
+          ApportionProportionally(weights, total);
+      ASSERT_EQ(counts, ApportionBySorting(weights, total));
+      std::uint64_t assigned = 0;
+      for (const std::uint64_t c : counts) assigned += c;
+      EXPECT_EQ(assigned, total);
+    }
+  }
 }
 
 }  // namespace

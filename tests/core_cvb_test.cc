@@ -293,15 +293,16 @@ std::uint64_t ProfileHash(std::span<const std::uint64_t> dense) {
 // final sample. It guards in particular that the one-tuple-per-block picks
 // come from each fresh batch in page order: picks drawn from a sorted
 // batch change the errors below.
-// Table 0 is Zipf(1) over n/20 values: fresh batches below 10K tuples are
-// sorted, larger ones counted. Table 1 is duplicate-free, so every batch is
-// sorted. Table 2 is Zipf(2), the only one with heavy hitters at k = 8.
-// Sample forms (Sample::Stage): every table-0 row holds R as runs for the
-// initial batch and iterations 1-2, then as a key window from iteration 3
-// on (R and the batch hold 18,432 tuples over 10,000 keys). The table-1 row
-// stays in runs until its last batch, which exhausts the table: 200,000
-// tuples over 200,000 keys, so R enters the window for it. The table-2 row
-// converges in runs.
+// Table 0 is Zipf(1) over n/20 values, table 1 duplicate-free and table 2
+// Zipf(2), the only one with heavy hitters at k = 8.
+// Sample forms (Sample::Stage, traced from a run): every row holds its
+// initial batch as runs, sorted, since 2,304 tuples span at least four
+// keys each (9,985 on table 0, 9,809 on table 2, 188,416 on table 1).
+// Every table-0 row then holds R as a key window from iteration 1 on (R and
+// the batch hold 4,608 tuples over 9,986 keys), and the table-2 row
+// converges at iteration 1 in the window (4,608 tuples over 9,916 keys).
+// The table-1 row sorts and merges its batches in runs through iteration
+// 4 and enters the window at iteration 5: 73,728 tuples over 199,680 keys.
 TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
   struct Golden {
     int table;

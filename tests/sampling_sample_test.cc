@@ -339,6 +339,71 @@ TEST(SortedViewTest, WindowAnswersLikeRuns) {
   }
 }
 
+// `count` random ranks of a view of `size` elements, ascending, with 0 and
+// size - 1 among them and repeats: each rank drawn is repeated a random 0 to
+// 2 more times.
+std::vector<std::uint64_t> AscendingRanks(std::uint64_t size,
+                                          std::size_t count, Rng& rng) {
+  std::vector<std::uint64_t> ranks = {0, size - 1};
+  while (ranks.size() < count) {
+    const std::uint64_t rank = rng.NextBounded(size);
+    ranks.insert(ranks.end(), 1 + rng.NextBounded(3), rank);
+  }
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
+}
+
+// The batch rank query reads exactly what ValueAtRank reads, rank by rank,
+// in every form of the view: a sorted span with repeats, runs, and windows
+// with empty slots at both edges or holding INT64_MIN or INT64_MAX. The
+// large cases make the walk gallop over long stretches of entries.
+TEST(SortedViewTest, ValuesAtRanksMatchesValueAtRank) {
+  Rng rng(21);
+  struct Case {
+    std::vector<Value> sorted;
+    Value base;
+    std::uint64_t slots;
+  };
+  std::vector<Case> cases = {
+      {{-3, -3, 0, 2, 2, 2, 5}, -6, 14},
+      {{7}, 7, 1},
+      {{kMin, kMin, kMin + 1, kMin + 3}, kMin, 6},
+      {{kMax - 2, kMax, kMax}, kMax - 4, 5},
+  };
+  // 3,000 elements over keys 100..5,099, a few heavy, most slots empty.
+  Case sparse{{}, 90, 5030};
+  for (int i = 0; i < 3000; ++i) {
+    sparse.sorted.push_back(rng.NextBounded(4) == 0
+                                ? 100 + static_cast<Value>(rng.NextBounded(8))
+                                : 100 + rng.NextInRange(0, 4999));
+  }
+  std::sort(sparse.sorted.begin(), sparse.sorted.end());
+  cases.push_back(sparse);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "base " << c.base);
+    const Runs runs = RunsOf(c.sorted);
+    const std::vector<std::uint64_t> cumulative =
+        WindowOf(c.sorted, c.base, c.slots);
+    const SortedView views[] = {SortedView(c.sorted), runs.view(),
+                                SortedView::Window(c.base, cumulative)};
+    for (const SortedView& view : views) {
+      SCOPED_TRACE(testing::Message()
+                   << "window " << view.is_window() << " entries "
+                   << view.values().size());
+      for (const std::size_t count : {std::size_t{2}, std::size_t{9},
+                                      std::size_t{200}, std::size_t{4000}}) {
+        const std::vector<std::uint64_t> ranks =
+            AscendingRanks(view.size(), count, rng);
+        std::vector<Value> out(ranks.size());
+        view.ValuesAtRanks(ranks, out);
+        for (std::size_t q = 0; q < ranks.size(); ++q) {
+          ASSERT_EQ(out[q], view.ValueAtRank(ranks[q])) << "rank " << ranks[q];
+        }
+      }
+    }
+  }
+}
+
 TEST(SortedViewTest, WindowOfEmptySlotsIsEmpty) {
   const std::vector<std::uint64_t> zeros(4, 0);
   const SortedView window = SortedView::Window(10, zeros);
@@ -393,20 +458,20 @@ std::vector<Value> UniformKeys(std::size_t count, Value lo, Value span,
   return keys;
 }
 
-// R enters the window once its range with the batch is below their tuple
-// count, stays while batches widen it within the rule, and leaves for runs
+// R enters the window once its range with the batch is below four keys per
+// tuple, stays while batches widen it within the rule, and leaves for runs
 // when a late batch brings INT64_MAX.
 TEST(SampleStageTest, WindowEntersStaysAndLeaves) {
   Rng rng(3);
   Sample sample;
   std::vector<Value> reference;
-  // Range ~200 >= 50 tuples: runs.
+  // Range ~200 >= 4 * 30 tuples: runs.
   EXPECT_FALSE(
-      StageAndCommit(sample, reference, UniformKeys(50, 0, 200, rng), nullptr));
-  // Range ~200 < 350: R is scattered into a window.
+      StageAndCommit(sample, reference, UniformKeys(30, 0, 200, rng), nullptr));
+  // Range ~200 < 4 * 330: R is scattered into a window.
   EXPECT_TRUE(StageAndCommit(sample, reference, UniformKeys(300, 0, 200, rng),
                              nullptr));
-  // The window grows to 300 keys, still below 650 tuples.
+  // The window grows to 300 keys, still below 4 * 630 tuples.
   EXPECT_TRUE(StageAndCommit(sample, reference,
                              UniformKeys(300, 100, 200, rng), nullptr));
   EXPECT_TRUE(StageAndCommit(sample, reference,
@@ -436,19 +501,53 @@ TEST(SampleStageTest, WindowsAtTheEndsOfTheDomain) {
   }
 }
 
-// The form follows SortOrCount's rule on R and the batch together: a key
-// window exactly while range(R ∪ batch) < |R| + |batch|.
-TEST(SampleStageTest, WindowWhileTheRangeIsBelowTheTupleCount) {
+// Below 2^18 keys, R and the batch are a key window exactly while
+// range(R ∪ batch) < 4 · (|R| + |batch|): each step below sits on one side
+// of that boundary.
+TEST(SampleStageTest, WindowWhileTheRangeIsBelowFourSlotsPerTuple) {
+  static_assert(Sample::kWindowSlotsPerTuple == 4);
   Sample sample;
   std::vector<Value> reference;
+  // Range 39 < 4 * 10.
   EXPECT_TRUE(StageAndCommit(sample, reference,
-                             {9, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
-  EXPECT_FALSE(StageAndCommit(sample, reference, {12, 12}, nullptr));
+                             {39, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
+  // Range 48 = 4 * 12: back to runs.
+  EXPECT_FALSE(StageAndCommit(sample, reference, {48, 48}, nullptr));
+  // Range 48 < 4 * 13.
   EXPECT_TRUE(StageAndCommit(sample, reference, {0}, nullptr));
+  // Range 51 < 4 * 14, the window widening to the batch's key.
+  EXPECT_TRUE(StageAndCommit(sample, reference, {51}, nullptr));
+  // Range 60 = 4 * 15.
+  EXPECT_FALSE(StageAndCommit(sample, reference, {60}, nullptr));
   Sample fresh;
   std::vector<Value> fresh_reference;
+  // Range 40 = 4 * 10.
   EXPECT_FALSE(StageAndCommit(fresh, fresh_reference,
-                              {10, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
+                              {40, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
+}
+
+// From 2^18 keys on, a window needs more tuples than keys; below that it
+// may hold four keys per tuple. Each fresh sample stages one batch holding
+// both ends of its range.
+TEST(SampleStageTest, WindowsOfTwoToTheEighteenKeysNeedATuplePerKey) {
+  static_assert(Sample::kSparseWindowSlots == std::uint64_t{1} << 18);
+  constexpr Value kCap = Value{1} << 18;
+  Rng rng(9);
+  auto stage = [&](std::size_t count, Value range) {
+    std::vector<Value> keys = UniformKeys(count, 0, range + 1, rng);
+    keys[0] = 0;
+    keys[1] = range;
+    Sample sample;
+    std::vector<Value> reference;
+    return StageAndCommit(sample, reference, keys, nullptr);
+  };
+  // Range 2^18 - 1 < 4 * 65,536, below the cap.
+  EXPECT_TRUE(stage(65536, kCap - 1));
+  // Range 2^18 < 4 * 65,537, but at the cap and not below the count.
+  EXPECT_FALSE(stage(65537, kCap));
+  // Range 2^18 < 2^18 + 1 tuples, and not below 2^18.
+  EXPECT_TRUE(stage(kCap + 1, kCap));
+  EXPECT_FALSE(stage(kCap, kCap));
 }
 
 TEST(SampleStageTest, EmptyStageIsANoop) {
