@@ -22,25 +22,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/timer.h"
 #include "fuzz_util.h"
 #include "stats/transport.h"
 #include "stats/wire_format.h"
 
+using equihist::SteadyMicros;
 using equihist::fuzz::ByteStream;
+using equihist::transport::kMaxFrameBytes;
 
 namespace {
-
-std::uint64_t NowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void FuzzDecode(std::span<const std::uint8_t> bytes, bool expect_budget) {
   const auto decoded =
@@ -73,7 +68,6 @@ void FuzzDecode(std::span<const std::uint8_t> bytes, bool expect_budget) {
 }
 
 void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
-  constexpr std::size_t kMaxFrameBytes = 1 << 20;
   int fds[2];
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
 
@@ -89,8 +83,8 @@ void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
   shutdown(fds[1], SHUT_WR);  // EOF after the fuzz bytes
   const std::span<const std::uint8_t> stream(bytes.data(), written);
 
-  const std::uint64_t deadline = NowMicros() + 200'000;
-  equihist::transport::EnvelopeReader envelopes(kMaxFrameBytes);
+  const std::uint64_t deadline = SteadyMicros() + 200'000;
+  equihist::transport::EnvelopeReader envelopes;
   std::size_t offset = 0;  // where the offline rescan expects the next one
   while (true) {
     equihist::wire::Reader rescan(stream.subspan(offset));
@@ -99,7 +93,7 @@ void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
                        *length <= kMaxFrameBytes &&
                        *length <= rescan.remaining();
     const auto payload = envelopes.Next(fds[0], deadline, nullptr);
-    FUZZ_CHECK(NowMicros() <= deadline + 1'000'000,
+    FUZZ_CHECK(SteadyMicros() <= deadline + 1'000'000,
                "EnvelopeReader overran its deadline");
     if (!payload.ok()) {
       FUZZ_CHECK(!whole || payload.status().code() ==

@@ -1,9 +1,9 @@
 #include "stats/statistics_shard.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "stats/histogram_backends.h"
 #include "stats/incremental_backend.h"
 #include "stats/serialization.h"
@@ -60,15 +60,10 @@ std::uint64_t HashColumnName(const std::string& column) {
 }
 
 StatisticsShard::StatisticsShard(const Options& options)
-    : options_(options), shard_id_(NextShardId()) {}
-
-std::uint64_t StatisticsShard::NowMicros() const {
-  if (options_.clock) return options_.clock();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+    : options_(options),
+      breaker_policy_{options.breaker_failure_threshold,
+                      options.breaker_cooldown_micros, options.clock},
+      shard_id_(NextShardId()) {}
 
 ThreadPool* StatisticsShard::pool() {
   std::call_once(pool_once_, [this]() {
@@ -102,13 +97,16 @@ Result<ColumnStatistics> StatisticsShard::Build(const std::string& column,
   return BuildStatisticsWithBackend(table, build, build_pool);
 }
 
+std::shared_ptr<StatisticsShard::Entry> StatisticsShard::FindEntry(
+    const std::string& column) const {
+  ReaderMutexLock lock(mu_);
+  const auto it = entries_.find(column);
+  return it == entries_.end() ? nullptr : it->second;
+}
+
 std::shared_ptr<StatisticsShard::Entry> StatisticsShard::GetEntry(
     const std::string& column) {
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it != entries_.end()) return it->second;
-  }
+  if (std::shared_ptr<Entry> entry = FindEntry(column)) return entry;
   WriterMutexLock lock(mu_);
   auto [it, inserted] = entries_.try_emplace(column);
   if (inserted) it->second = std::make_shared<Entry>(&mu_);
@@ -123,6 +121,31 @@ bool StatisticsShard::IsStaleLocked(const Entry& entry) const {
           entry.modifications_since_build.load(std::memory_order_relaxed)) /
       static_cast<double>(entry.stats->row_count);
   return modified_fraction > options_.staleness_threshold;
+}
+
+bool StatisticsShard::NeedsBuild(const Entry& entry,
+                                 bool require_fresh) const {
+  return entry.stats == nullptr || entry.serving_fallback ||
+         (require_fresh && IsStaleLocked(entry));
+}
+
+Result<std::shared_ptr<const ColumnStatistics>> StatisticsShard::Resolve(
+    const std::string& column, const Table& table, bool require_fresh,
+    Status* build_error) {
+  {
+    ReaderMutexLock lock(mu_);
+    const auto it = entries_.find(column);
+    if (it != entries_.end()) {
+      const Entry& entry = *it->second;
+      entry.AssertReaderHeld();
+      // A fallback snapshot satisfies no caller: it goes on to a real
+      // build, which the breaker inside BuildAndPublish rate-limits.
+      if (!NeedsBuild(entry, require_fresh)) return entry.stats;
+    }
+  }
+  const std::shared_ptr<Entry> entry = GetEntry(column);
+  return BuildAndPublish(column, entry.get(), table, require_fresh,
+                         build_error);
 }
 
 Result<std::shared_ptr<const ColumnStatistics>>
@@ -140,19 +163,15 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   {
     ReaderMutexLock lock(mu_);
     entry->AssertReaderHeld();
-    if (entry->stats != nullptr && !entry->serving_fallback &&
-        (!require_fresh || !IsStaleLocked(*entry))) {
-      return entry->stats;
-    }
+    if (!NeedsBuild(*entry, require_fresh)) return entry->stats;
     current = entry->stats;
     // Circuit breaker: while open, don't attempt the *storage* build —
     // noted here, acted on below, after the incremental path got its shot.
-    if (entry->breaker_open_until != 0 &&
-        NowMicros() < entry->breaker_open_until) {
+    if (!entry->breaker.Admits(breaker_policy_)) {
       breaker_open = true;
       breaker_status = Status::Unavailable(
           "circuit breaker open after " +
-          std::to_string(entry->consecutive_build_failures) +
+          std::to_string(entry->breaker.consecutive_failures()) +
           " consecutive build failures; last: " +
           entry->last_error.ToString());
     }
@@ -187,14 +206,14 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   // the order in which threads or BuildAll shards reach this column.
   const std::uint64_t seed =
       DeriveStreamSeed(options_.seed ^ HashColumnName(column), generation);
-  const std::uint64_t build_started = NowMicros();
+  const std::uint64_t build_started = SteadyMicros();
   Result<ColumnStatistics> built = Build(column, table, seed, pool());
   if (!built.ok()) {
     if (build_error != nullptr) *build_error = built.status();
     return AbsorbBuildFailure(entry, table, built.status());
   }
   metrics_.Observe(metrics::Hist::kBuildLatencyMicros,
-                   NowMicros() - build_started);
+                   SteadyMicros() - build_started);
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(built).value());
   // The build factories produce the model (with any compiled read-path
@@ -204,32 +223,7 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   if (snapshot->model == nullptr) {
     return Status::Internal("built statistics carry no histogram model");
   }
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    total_build_cost_ += snapshot->build_cost;
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation = generation + 1;
-    // A successful build heals everything: breaker closed, fallback and
-    // quarantine replaced by the real snapshot.
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->last_error = Status::OK();
-    // Release-publish so a serving thread that observes the new counter
-    // also observes the snapshot it validates.
-    entry->published.fetch_add(1, std::memory_order_release);
-    // Subtract the captured count instead of resetting to zero:
-    // modifications recorded after the capture raced the build, are not
-    // reflected in the snapshot just published, and must survive into
-    // the new generation's staleness accounting. (The previous
-    // unconditional store(0) — issued after the lock was released, no
-    // less — silently erased them.)
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  Publish(entry, snapshot, modifications_at_capture);
   // Re-arm (or disarm) the live maintenance state from the fresh snapshot.
   // DML that raced the build and landed in the old live state is simply
   // superseded: it still counts toward staleness via the counter above.
@@ -275,26 +269,31 @@ StatisticsShard::TryRefreshIncremental(
   if (!built.ok()) return nullptr;  // fall through to the full build
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(built).value());
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation += 1;
-    // A successful refresh heals like a successful build: the column is
-    // demonstrably servable again, breaker and degradation flags drop.
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->last_error = Status::OK();
-    entry->published.fetch_add(1, std::memory_order_release);
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  // A successful refresh heals like a successful build: the column is
+  // demonstrably servable again.
+  Publish(entry, snapshot, modifications_at_capture);
   incremental_refreshes_.fetch_add(1, std::memory_order_relaxed);
   metrics_.Increment(metrics::Counter::kIncrementalRefreshes);
   return snapshot;
+}
+
+void StatisticsShard::Publish(Entry* entry,
+                              std::shared_ptr<const ColumnStatistics> snapshot,
+                              std::uint64_t modifications_at_capture) {
+  WriterMutexLock lock(mu_);
+  entry->AssertWriterHeld();
+  total_build_cost_ += snapshot->build_cost;
+  entry->stats = std::move(snapshot);
+  entry->generation += 1;
+  entry->breaker.RecordSuccess();
+  entry->serving_fallback = false;
+  entry->quarantined = false;
+  entry->last_error = Status::OK();
+  // Release-publish so a serving thread that observes the new counter
+  // also observes the snapshot it validates.
+  entry->published.fetch_add(1, std::memory_order_release);
+  entry->modifications_since_build.fetch_sub(modifications_at_capture,
+                                             std::memory_order_relaxed);
 }
 
 void StatisticsShard::WarmMaintenance(Entry* entry,
@@ -320,13 +319,8 @@ void StatisticsShard::WarmMaintenance(Entry* entry,
 
 void StatisticsShard::RecordInsert(const std::string& column, Value value) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(entry->maintenance.mu);
   if (entry->maintenance.live.has_value()) {
@@ -336,13 +330,8 @@ void StatisticsShard::RecordInsert(const std::string& column, Value value) {
 
 void StatisticsShard::RecordDelete(const std::string& column, Value value) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(entry->maintenance.mu);
   if (entry->maintenance.live.has_value()) {
@@ -360,14 +349,9 @@ StatisticsShard::AbsorbBuildFailure(Entry* entry, const Table& table,
   {
     WriterMutexLock lock(mu_);
     entry->AssertWriterHeld();
-    ++entry->consecutive_build_failures;
+    entry->breaker.RecordFailure(breaker_policy_);
     ++entry->total_build_failures;
     entry->last_error = error;
-    if (entry->consecutive_build_failures >=
-        options_.breaker_failure_threshold) {
-      entry->breaker_open_until =
-          NowMicros() + options_.breaker_cooldown_micros;
-    }
     // Stale-while-error: the failed rebuild leaves the published snapshot
     // untouched (`published` is NOT bumped), so every serving thread keeps
     // its cached snapshot with zero extra cost. The staleness that caused
@@ -384,7 +368,6 @@ StatisticsShard::AbsorbBuildFailure(Entry* entry, const Table& table,
     WriterMutexLock lock(mu_);
     entry->AssertWriterHeld();
     entry->stats = snapshot;
-    entry->model = snapshot->model;
     entry->serving_fallback = true;
     entry->published.fetch_add(1, std::memory_order_release);
   }
@@ -395,22 +378,7 @@ StatisticsShard::AbsorbBuildFailure(Entry* entry, const Table& table,
 Result<std::shared_ptr<const ColumnStatistics>>
 StatisticsShard::GetOrBuildShared(const std::string& column,
                                     const Table& table) {
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it != entries_.end()) {
-      const Entry& entry = *it->second;
-      entry.AssertReaderHeld();
-      // A fallback snapshot doesn't satisfy GetOrBuild: fall through and
-      // try a real build (the breaker inside BuildAndPublish rate-limits
-      // it).
-      if (entry.stats != nullptr && !entry.serving_fallback) {
-        return entry.stats;
-      }
-    }
-  }
-  const std::shared_ptr<Entry> entry = GetEntry(column);
-  return BuildAndPublish(column, entry.get(), table, /*require_fresh=*/false);
+  return Resolve(column, table, /*require_fresh=*/false);
 }
 
 Result<const ColumnStatistics*> StatisticsShard::GetOrBuild(
@@ -425,13 +393,8 @@ Result<const ColumnStatistics*> StatisticsShard::GetOrBuild(
 void StatisticsShard::RecordModifications(const std::string& column,
                                           std::uint64_t count) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(count,
                                              std::memory_order_relaxed);
   if (count == 0) return;
@@ -451,30 +414,9 @@ bool StatisticsShard::IsStale(const std::string& column) const {
 }
 
 Result<std::shared_ptr<const ColumnStatistics>>
-StatisticsShard::EnsureFreshInternal(const std::string& column,
-                                       const Table& table,
-                                       Status* build_error) {
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it != entries_.end()) {
-      const Entry& entry = *it->second;
-      entry.AssertReaderHeld();
-      if (entry.stats != nullptr && !entry.serving_fallback &&
-          !IsStaleLocked(entry)) {
-        return entry.stats;
-      }
-    }
-  }
-  const std::shared_ptr<Entry> entry = GetEntry(column);
-  return BuildAndPublish(column, entry.get(), table, /*require_fresh=*/true,
-                         build_error);
-}
-
-Result<std::shared_ptr<const ColumnStatistics>>
 StatisticsShard::EnsureFreshShared(const std::string& column,
                                      const Table& table) {
-  return EnsureFreshInternal(column, table, /*build_error=*/nullptr);
+  return Resolve(column, table, /*require_fresh=*/true);
 }
 
 Result<const ColumnStatistics*> StatisticsShard::EnsureFresh(
@@ -490,7 +432,8 @@ StatisticsShard::BuildAllResult StatisticsShard::BuildAll(
   // absorbed it, or the propagated error for non-fault failures.
   auto build_one = [this, &table](const std::string& column) -> Status {
     Status build_error = Status::OK();
-    const auto result = EnsureFreshInternal(column, table, &build_error);
+    const auto result =
+        Resolve(column, table, /*require_fresh=*/true, &build_error);
     if (!result.ok()) return result.status();
     return build_error;
   };
@@ -529,7 +472,8 @@ StatisticsShard::BuildAllResult StatisticsShard::BuildAll(
 
 Status StatisticsShard::InstallSerializedStatistics(
     const std::string& column, std::span<const std::uint8_t> bytes) {
-  const std::shared_ptr<Entry> entry = GetEntry(column);
+  const std::shared_ptr<Entry> node = GetEntry(column);
+  Entry* const entry = node.get();
   // Installs serialize against live builds of the same column.
   MutexLock build_lock(entry->build_mu);
   // Same race-free accounting as BuildAndPublish: the blob reflects DML
@@ -553,24 +497,10 @@ Status StatisticsShard::InstallSerializedStatistics(
   }
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(parsed).value());
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation += 1;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->last_error = Status::OK();
-    entry->published.fetch_add(1, std::memory_order_release);
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  Publish(entry, snapshot, modifications_at_capture);
   // An installed incremental-equi-depth blob carries its reservoir, so
   // restore-from-catalog re-arms O(Δ) maintenance just like a live build.
-  WarmMaintenance(entry.get(), *snapshot);
+  WarmMaintenance(entry, *snapshot);
   return Status::OK();
 }
 
@@ -584,7 +514,7 @@ ColumnHealthReport StatisticsShard::Health(const std::string& column) const {
   report.exists = true;
   report.serving_fallback = entry.serving_fallback;
   report.quarantined = entry.quarantined;
-  report.consecutive_build_failures = entry.consecutive_build_failures;
+  report.consecutive_build_failures = entry.breaker.consecutive_failures();
   report.total_build_failures = entry.total_build_failures;
   if (entry.stats != nullptr && entry.stats->row_count > 0) {
     report.modified_fraction =
@@ -593,11 +523,11 @@ ColumnHealthReport StatisticsShard::Health(const std::string& column) const {
         static_cast<double>(entry.stats->row_count);
   }
   report.last_error = entry.last_error;
-  report.breaker_open = entry.breaker_open_until != 0 &&
-                        NowMicros() < entry.breaker_open_until;
+  report.breaker_open = !entry.breaker.Admits(breaker_policy_);
   if (entry.stats == nullptr || entry.serving_fallback || entry.quarantined) {
     report.health = ColumnHealth::kDegraded;
-  } else if (IsStaleLocked(entry) || entry.consecutive_build_failures > 0) {
+  } else if (IsStaleLocked(entry) ||
+             entry.breaker.consecutive_failures() > 0) {
     report.health = ColumnHealth::kStale;
   } else {
     report.health = ColumnHealth::kFresh;
@@ -636,6 +566,16 @@ StatisticsShard::CachedServing* StatisticsShard::FindCachedServing(
   return nullptr;
 }
 
+const StatisticsShard::CachedServing* StatisticsShard::CurrentServing(
+    const std::string& column) {
+  const CachedServing* slot = FindCachedServing(column);
+  if (slot == nullptr || slot->entry->published.load(
+                             std::memory_order_acquire) != slot->published) {
+    return nullptr;
+  }
+  return slot;
+}
+
 StatisticsShard::CachedServing* StatisticsShard::CaptureServing(
     const std::string& column) {
   CachedServing fresh;
@@ -648,8 +588,7 @@ StatisticsShard::CachedServing* StatisticsShard::CaptureServing(
     // Counter and snapshot are mutually consistent here: publishes mutate
     // both under the exclusive lock we are sharing against.
     fresh.published = it->second->published.load(std::memory_order_acquire);
-    fresh.stats = it->second->stats;
-    fresh.model = it->second->model;
+    fresh.model = it->second->stats->model;
     fresh.entry = it->second;
   }
   fresh.shard_id = shard_id_;
@@ -670,10 +609,9 @@ Result<HistogramModelPtr> StatisticsShard::RefreshServing(
   if (const CachedServing* slot = CaptureServing(column)) return slot->model;
   // Missing or never-built column: build through the normal path, then
   // capture again.
-  const std::shared_ptr<Entry> node = GetEntry(column);
   EQUIHIST_ASSIGN_OR_RETURN(
       const std::shared_ptr<const ColumnStatistics> built,
-      BuildAndPublish(column, node.get(), table, /*require_fresh=*/false));
+      Resolve(column, table, /*require_fresh=*/false));
   if (const CachedServing* slot = CaptureServing(column)) return slot->model;
   // A concurrent Drop removed the column after the build: answer this
   // call from the snapshot the build returned, but leave it out of the
@@ -685,34 +623,12 @@ Result<double> StatisticsShard::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
   metrics_.Increment(metrics::Counter::kEstimateQueries);
-  const CachedServing* slot = FindCachedServing(column);
-  if (slot == nullptr || slot->entry->published.load(
-                             std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr model,
-                              RefreshServing(column, table));
-    return model->EstimateRangeCount(query);
+  if (const CachedServing* slot = CurrentServing(column)) {
+    return slot->model->EstimateRangeCount(query);
   }
-  return slot->model->EstimateRangeCount(query);
-}
-
-Status StatisticsShard::EstimateRanges(const std::string& column,
-                                       const Table& table,
-                                       std::span<const RangeQuery> queries,
-                                       std::span<double> out, bool use_pool) {
-  if (out.size() < queries.size()) {
-    return Status::InvalidArgument(
-        "output span smaller than the query batch");
-  }
-  metrics_.Increment(metrics::Counter::kEstimateQueries, queries.size());
-  const CachedServing* slot = FindCachedServing(column);
-  HistogramModelPtr refreshed;
-  if (slot == nullptr || slot->entry->published.load(
-                             std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(refreshed, RefreshServing(column, table));
-  }
-  const HistogramModel& model = refreshed ? *refreshed : *slot->model;
-  model.EstimateRangeCounts(queries, out, use_pool ? pool() : nullptr);
-  return Status::OK();
+  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr model,
+                            RefreshServing(column, table));
+  return model->EstimateRangeCount(query);
 }
 
 Status StatisticsShard::EstimateBatch(
@@ -744,14 +660,11 @@ Status StatisticsShard::EstimateBatch(
     std::size_t p = 0;
     while (p < pinned.size() && *pinned[p].column != column) ++p;
     if (p == pinned.size()) {
-      const CachedServing* slot = FindCachedServing(column);
       HistogramModelPtr model;
-      if (slot == nullptr ||
-          slot->entry->published.load(std::memory_order_acquire) !=
-              slot->published) {
-        EQUIHIST_ASSIGN_OR_RETURN(model, RefreshServing(column, table));
-      } else {
+      if (const CachedServing* slot = CurrentServing(column)) {
         model = slot->model;
+      } else {
+        EQUIHIST_ASSIGN_OR_RETURN(model, RefreshServing(column, table));
       }
       pinned.push_back(PinnedColumn{&column, std::move(model)});
     }

@@ -15,6 +15,7 @@
 
 #include "baseline/gmp_incremental.h"
 #include "common/annotations.h"
+#include "common/circuit_breaker.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -231,14 +232,6 @@ class StatisticsShard {
   Result<double> EstimateRange(const std::string& column, const Table& table,
                                const RangeQuery& query);
 
-  // Batch variant: one snapshot resolution for the whole batch, then the
-  // compiled batch path; with use_pool the batch shards across the
-  // manager's pool (bitwise-identical results at any thread count).
-  // Requires out.size() >= queries.size().
-  Status EstimateRanges(const std::string& column, const Table& table,
-                        std::span<const RangeQuery> queries,
-                        std::span<double> out, bool use_pool = false);
-
   // Multi-column batch variant: the planner hands over an entire predicate
   // list — columns freely interleaved — and gets every estimate back in
   // request order in one call. Each distinct column's snapshot resolves
@@ -360,9 +353,6 @@ class StatisticsShard {
     // Immutable snapshot, swapped atomically under mu; null while the
     // first build is in flight.
     std::shared_ptr<const ColumnStatistics> stats GUARDED_BY(*mu);
-    // The snapshot's servable histogram model (any backend family); set
-    // together with `stats` under mu, built outside any lock.
-    HistogramModelPtr model GUARDED_BY(*mu);
     std::atomic<std::uint64_t> modifications_since_build{0};
     std::uint64_t generation GUARDED_BY(*mu) = 0;  // # builds completed
     // Serializes builds of this column.
@@ -375,10 +365,8 @@ class StatisticsShard {
     // -- Degraded-serving state (DESIGN.md §11), written only in slow
     // paths — a failed rebuild never bumps `published`, so serving
     // threads keep their cached snapshot at zero cost.
-    std::uint64_t consecutive_build_failures GUARDED_BY(*mu) = 0;
+    CircuitBreaker breaker GUARDED_BY(*mu);
     std::uint64_t total_build_failures GUARDED_BY(*mu) = 0;
-    // Clock micros; 0 = closed.
-    std::uint64_t breaker_open_until GUARDED_BY(*mu) = 0;
     // `stats` is the uniform fallback.
     bool serving_fallback GUARDED_BY(*mu) = false;
     // Last installed blob failed to parse.
@@ -389,31 +377,43 @@ class StatisticsShard {
   };
 
   // One thread-local cache slot of the serving path: the shared_ptrs keep
-  // the snapshot (and its Entry node) alive without per-query refcount
-  // traffic, `published` is the captured publication count.
+  // the snapshot's model (and its Entry node) alive without per-query
+  // refcount traffic, `published` is the captured publication count.
   struct CachedServing {
     std::uint64_t shard_id = 0;
     std::string column;
     std::uint64_t published = 0;
     std::shared_ptr<Entry> entry;
-    std::shared_ptr<const ColumnStatistics> stats;
     HistogramModelPtr model;
   };
 
   Result<ColumnStatistics> Build(const std::string& column, const Table& table,
                                  std::uint64_t seed, ThreadPool* pool);
+  // The entry node for `column`; null when the column is unknown.
+  std::shared_ptr<Entry> FindEntry(const std::string& column) const;
   // Finds or creates the entry node for `column`.
   std::shared_ptr<Entry> GetEntry(const std::string& column);
+  // True when the published snapshot does not satisfy a caller: none yet,
+  // the uniform fallback, or (with `require_fresh`) stale.
+  bool NeedsBuild(const Entry& entry, bool require_fresh) const
+      REQUIRES_SHARED(*entry.mu);
+  // Every build entry point (GetOrBuild, EnsureFresh, BuildAll, the
+  // serving path's first access): answers a column that needs no build
+  // from the shared-lock fast path, and builds it through BuildAndPublish
+  // otherwise.
+  Result<std::shared_ptr<const ColumnStatistics>> Resolve(
+      const std::string& column, const Table& table, bool require_fresh,
+      Status* build_error = nullptr);
   // Serializes on entry->build_mu, re-checks whether a build is still
-  // needed (`require_fresh` additionally rebuilds stale snapshots), then
-  // builds without locks held and publishes under the exclusive lock.
-  // Storage-fault build failures degrade instead of propagating — the
-  // previous snapshot keeps serving (stale-while-error), or the uniform
-  // fallback publishes for a never-built column; the underlying error is
-  // reported through `build_error` (when non-null) and Health().
+  // needed, then builds without locks held and publishes under the
+  // exclusive lock. Storage-fault build failures degrade instead of
+  // propagating — the previous snapshot keeps serving (stale-while-error),
+  // or the uniform fallback publishes for a never-built column; the
+  // underlying error is reported through `build_error` (when non-null)
+  // and Health().
   Result<std::shared_ptr<const ColumnStatistics>> BuildAndPublish(
       const std::string& column, Entry* entry, const Table& table,
-      bool require_fresh, Status* build_error = nullptr)
+      bool require_fresh, Status* build_error)
       EXCLUDES(mu_, entry->build_mu);
   // The degrade path of a failed build: breaker bookkeeping plus
   // stale-while-error / fallback-publish.
@@ -423,14 +423,20 @@ class StatisticsShard {
   // The O(Δ) refresh path: when the column's maintenance state is warm,
   // representative (no opaque modifications) and within the repair budget
   // and fill floor, snapshots it, assembles fresh ColumnStatistics from
-  // the reservoir alone (zero storage I/O) and publishes them — healing
-  // breaker/fallback/quarantine exactly like a successful full build.
-  // Returns null when incremental refresh does not apply and the caller
-  // should fall through to the full build. `modifications_at_capture` is
-  // subtracted from the staleness counter on publish, mirroring
-  // BuildAndPublish's capture discipline.
+  // the reservoir alone (zero storage I/O) and publishes them. Returns
+  // null when incremental refresh does not apply and the caller should
+  // fall through to the full build.
   std::shared_ptr<const ColumnStatistics> TryRefreshIncremental(
       Entry* entry, std::uint64_t modifications_at_capture)
+      REQUIRES(entry->build_mu) EXCLUDES(mu_);
+  // The one publish of a real snapshot (build, incremental refresh or
+  // install), under the exclusive lock. It heals the column — breaker
+  // closed, fallback and quarantine replaced — and subtracts
+  // `modifications_at_capture`, the staleness count read when the
+  // snapshot's inputs were captured: DML recorded after that is not in
+  // the snapshot and keeps counting toward its staleness.
+  void Publish(Entry* entry, std::shared_ptr<const ColumnStatistics> snapshot,
+               std::uint64_t modifications_at_capture)
       REQUIRES(entry->build_mu) EXCLUDES(mu_);
   // Re-arms (or disarms) the column's maintenance state after a publish:
   // an incremental-equi-depth snapshot warms `live` from the published
@@ -438,13 +444,7 @@ class StatisticsShard {
   // opaque_modifications — the new snapshot subsumes them.
   void WarmMaintenance(Entry* entry, const ColumnStatistics& stats)
       EXCLUDES(mu_);
-  // EnsureFreshShared with the underlying build error surfaced even when
-  // degradation absorbed it (the BuildAll aggregation hook).
-  Result<std::shared_ptr<const ColumnStatistics>> EnsureFreshInternal(
-      const std::string& column, const Table& table, Status* build_error);
   bool IsStaleLocked(const Entry& entry) const REQUIRES_SHARED(*entry.mu);
-  // The injectable monotonic clock (microseconds).
-  std::uint64_t NowMicros() const;
   // Lazily created pool per options_.threads (null when sequential).
   ThreadPool* pool();
 
@@ -453,6 +453,10 @@ class StatisticsShard {
   static std::vector<CachedServing>& ServingCache();
   // Cache probe for (this manager, column); null on miss.
   CachedServing* FindCachedServing(const std::string& column);
+  // The cached slot for `column` while its publication count is current;
+  // null when there is none or the column has been republished or
+  // dropped since it was captured.
+  const CachedServing* CurrentServing(const std::string& column);
   // Resolves the column's published snapshot through the entry map (never
   // through a cached entry pointer, so a column detached by Drop is never
   // re-validated) and installs it in this thread's cache; null when the
@@ -464,6 +468,8 @@ class StatisticsShard {
                                            const Table& table);
 
   const Options options_;
+  // The breaker settings from options_, shared by every column.
+  const CircuitBreaker::Policy breaker_policy_;
   const std::uint64_t shard_id_;  // process-unique, assigned at construction
   // Guards the entries_ map + snapshot/gen fields.
   mutable SharedMutex mu_{lockrank::kShardState};

@@ -16,35 +16,23 @@
 #include <tuple>
 #include <utility>
 
+#include "common/timer.h"
 #include "stats/fleet_wire.h"
 #include "stats/wire_format.h"
 
 namespace equihist::transport {
 namespace {
 
-std::uint64_t NowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Remaining budget against an absolute steady-clock deadline; 0 = spent.
-std::uint64_t RemainingMicros(std::uint64_t deadline_micros) {
-  const std::uint64_t now = NowMicros();
-  return now >= deadline_micros ? 0 : deadline_micros - now;
-}
-
 // Sleeps in short slices so an injected delay can neither overshoot the
 // caller's deadline nor pin a shutting-down server thread.
 void SleepBounded(std::uint64_t micros, std::uint64_t deadline_micros,
                   const std::atomic<bool>* stop) {
   const std::uint64_t until =
-      std::min(NowMicros() + micros,
+      std::min(DeadlineAfter(SteadyMicros(), micros),
                deadline_micros == 0 ? ~std::uint64_t{0} : deadline_micros);
-  while (NowMicros() < until) {
+  while (SteadyMicros() < until) {
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    const std::uint64_t left = until - NowMicros();
+    const std::uint64_t left = RemainingMicros(until);
     std::this_thread::sleep_for(
         std::chrono::microseconds(std::min<std::uint64_t>(left, 10'000)));
   }
@@ -191,7 +179,7 @@ Result<std::span<const std::uint8_t>> EnvelopeReader::Next(
       return Status::Unavailable("oversized varint on transport stream");
     }
     if (prefix != 0) {
-      if (length == 0 || length > max_frame_bytes_) {
+      if (length == 0 || length > kMaxFrameBytes) {
         return Status::Unavailable("transport envelope length out of bounds");
       }
       needed = prefix + static_cast<std::size_t>(length);
@@ -255,7 +243,7 @@ Result<std::vector<std::uint8_t>> InProcessTransport::RoundTrip(
   if (budget_micros == 0) {
     return Status::DeadlineExceeded("transport budget exhausted");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = DeadlineAfter(SteadyMicros(), budget_micros);
   std::vector<std::uint8_t> request(frame.begin(), frame.end());
   if (injector_ != nullptr) {
     if (injector_->Partitioned(connection_id_)) {
@@ -359,7 +347,7 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
     injector->RecordPartitionHit();
     return Status::Unavailable("link partitioned");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = DeadlineAfter(SteadyMicros(), budget_micros);
   const int fd = socket(
       endpoint.kind == Endpoint::Kind::kUnix ? AF_UNIX : AF_INET,
       SOCK_STREAM, 0);
@@ -430,7 +418,7 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
     broken_.store(true, std::memory_order_relaxed);
     return Status::Unavailable("link partitioned");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = DeadlineAfter(SteadyMicros(), budget_micros);
   const std::uint64_t request_id = next_request_id_++;
 
   // -- Send leg -------------------------------------------------------------
@@ -545,9 +533,6 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
 // -- SocketTransportServer --------------------------------------------------
 
 struct SocketTransportServer::Connection {
-  explicit Connection(std::size_t max_frame_bytes)
-      : envelopes(max_frame_bytes) {}
-
   int fd = -1;
   std::uint64_t id = 0;
   Mutex write_mu{lockrank::kConnectionWrite};
@@ -683,7 +668,7 @@ void SocketTransportServer::AcceptLoop() {
       close(fd);
       continue;
     }
-    auto connection = std::make_shared<Connection>(options_.max_frame_bytes);
+    auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     {
       MutexLock lock(mu_);
@@ -733,8 +718,9 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     item.connection = connection;
     item.frame = std::move(envelope.frame);
     item.request_id = envelope.request_id;
-    item.enqueued_micros = NowMicros();
-    item.deadline_micros = item.enqueued_micros + envelope.budget_micros;
+    item.enqueued_micros = SteadyMicros();
+    item.deadline_micros =
+        DeadlineAfter(item.enqueued_micros, envelope.budget_micros);
     // Stash the per-connection frame index for the serve-direction chaos
     // decision; request ids restart per connection so they cannot key it.
     item.serve_index = serve_index;
@@ -806,7 +792,7 @@ void SocketTransportServer::Admit(WorkItem item) {
 }
 
 void SocketTransportServer::Serve(WorkItem item) {
-  const std::uint64_t now = NowMicros();
+  const std::uint64_t now = SteadyMicros();
   if (options_.metrics != nullptr) {
     options_.metrics->Observe(metrics::Hist::kServerQueueWaitMicros,
                               now - item.enqueued_micros);
@@ -854,7 +840,7 @@ void SocketTransportServer::Reply(
   // A stuck client must not pin a serving thread: bound the write and
   // abandon the link on failure (the client's own deadline covers the
   // loss).
-  if (!SendAll(connection->fd, envelope, NowMicros() + 1'000'000, nullptr)
+  if (!SendAll(connection->fd, envelope, SteadyMicros() + 1'000'000, nullptr)
            .ok()) {
     shutdown(connection->fd, SHUT_RDWR);
   }

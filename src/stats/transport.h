@@ -50,15 +50,21 @@ namespace equihist::transport {
 //   frame bytes                 — the fleetwire frame, verbatim
 //
 // Every decode runs through the bounds-checked wire::Reader, and
-// total_len is capped (Options::max_frame_bytes) so a hostile or
-// corrupted length prefix can neither over-allocate nor stall a reader.
+// total_len is capped (kMaxFrameBytes) so a hostile or corrupted length
+// prefix can neither over-allocate nor stall a reader.
 //
 // -- Deadlines --------------------------------------------------------------
 //
 // Every RoundTrip carries a budget in microseconds. The budget bounds
 // EVERY wait in the implementation (connect, poll, queue, serve): no
 // fault class — drop, partition, wedged peer — can block a caller past
-// its deadline. An exhausted budget surfaces as kDeadlineExceeded.
+// its deadline. An exhausted budget surfaces as kDeadlineExceeded. A
+// budget too large to add to the clock saturates (DeadlineAfter in
+// common/timer.h): it means "no deadline", never one in the past.
+
+// The envelope size cap, both directions: a length prefix above it is
+// rejected before any buffer grows to hold the payload.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
 
 // FNV-1a 64 over a byte span — the envelope checksum.
 std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes);
@@ -95,14 +101,11 @@ Result<DecodedEnvelope> DecodeEnvelopePayload(
 // bytes as the socket holds; the length varint is parsed from the buffer,
 // and bytes past the current envelope (a duplicated or stale reply, a
 // second request) stay buffered for the next call. The length is checked
-// against `max_frame_bytes` before the buffer grows to hold the payload.
+// against kMaxFrameBytes before the buffer grows to hold the payload.
 // Not thread-safe: one reader per connection, used by one thread at a
 // time.
 class EnvelopeReader {
  public:
-  explicit EnvelopeReader(std::size_t max_frame_bytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   // The next envelope payload (everything after the length prefix),
   // valid until the next call. Waits are poll()-bounded by
   // `deadline_micros` (absolute steady-clock micros, 0 = none) and `stop`
@@ -114,7 +117,6 @@ class EnvelopeReader {
                                              const std::atomic<bool>* stop);
 
  private:
-  std::size_t max_frame_bytes_;
   std::vector<std::uint8_t> buffer_;
   std::size_t begin_ = 0;  // first unconsumed byte
   std::size_t end_ = 0;    // one past the last received byte
@@ -226,7 +228,7 @@ class SocketTransport final : public Transport {
   std::uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
   std::uint64_t send_index_ GUARDED_BY(mu_) = 0;     // frames sent
   std::uint64_t receive_index_ GUARDED_BY(mu_) = 0;  // frames received
-  EnvelopeReader reader_ GUARDED_BY(mu_){1 << 20};
+  EnvelopeReader reader_ GUARDED_BY(mu_);
   std::atomic<bool> broken_{false};
 };
 
@@ -266,8 +268,6 @@ class SocketTransportServer {
     std::size_t queue_capacity = 64;
     // Concurrent connections before new ones are turned away.
     std::size_t max_connections = 32;
-    // Envelope size cap (both directions).
-    std::size_t max_frame_bytes = 1 << 20;
     // Optional chaos hooks; must outlive the server.
     LinkFaultInjector* injector = nullptr;
     // Optional transport metrics plane; must outlive the server.

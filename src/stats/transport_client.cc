@@ -5,31 +5,16 @@
 #include <thread>
 #include <utility>
 
+#include "common/timer.h"
+
 namespace equihist::transport {
-namespace {
-
-std::uint64_t SteadyMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t RemainingMicros(std::uint64_t deadline_micros) {
-  const std::uint64_t now = SteadyMicros();
-  return now >= deadline_micros ? 0 : deadline_micros - now;
-}
-
-}  // namespace
 
 // Per-peer mutable state, all guarded by the client mutex.
 struct TransportClient::PeerState {
   Peer peer;
   // Idle pooled links; broken ones are discarded, never pooled.
   std::vector<std::unique_ptr<Transport>> pool;
-  // -- Breaker (PR-4 semantics: see StatisticsShard::Options) --------------
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t open_until = 0;  // breaker-clock micros; 0 = closed
+  CircuitBreaker breaker;
 };
 
 // Shared state of one hedged exchange. The caller and up to two pool
@@ -47,6 +32,8 @@ struct TransportClient::Exchange {
 
 TransportClient::TransportClient(Options options)
     : options_(std::move(options)),
+      breaker_policy_{options_.breaker_failure_threshold,
+                      options_.breaker_cooldown_micros, options_.clock},
       jitter_rng_(DeriveStreamSeed(options_.jitter_seed, 0x7261775F6C6B74ULL)) {
   if (options_.retry_jitter < 0.0) options_.retry_jitter = 0.0;
   if (options_.retry_jitter > 1.0) options_.retry_jitter = 1.0;
@@ -71,34 +58,6 @@ void TransportClient::AddPeer(Peer peer) {
 std::size_t TransportClient::peer_count() const {
   MutexLock lock(mu_);
   return peers_.size();
-}
-
-std::uint64_t TransportClient::NowMicros() const { return SteadyMicros(); }
-
-bool TransportClient::BreakerAdmits(PeerState& peer) {
-  if (peer.open_until == 0) return true;
-  const std::uint64_t clock =
-      options_.clock ? options_.clock() : SteadyMicros();
-  // Cooldown passed: let a probe through (half-open). Success closes the
-  // breaker; failure re-opens it for another cooldown.
-  return clock >= peer.open_until;
-}
-
-void TransportClient::RecordBreakerSuccess(PeerState& peer) {
-  peer.consecutive_failures = 0;
-  peer.open_until = 0;
-}
-
-void TransportClient::RecordBreakerFailure(PeerState& peer) {
-  ++peer.consecutive_failures;
-  if (peer.consecutive_failures < options_.breaker_failure_threshold) return;
-  const std::uint64_t clock =
-      options_.clock ? options_.clock() : SteadyMicros();
-  const bool was_open = peer.open_until != 0 && clock < peer.open_until;
-  peer.open_until = clock + options_.breaker_cooldown_micros;
-  if (!was_open && options_.metrics != nullptr) {
-    options_.metrics->Increment(metrics::Counter::kTransportBreakerOpens);
-  }
 }
 
 std::uint64_t TransportClient::HedgeDelayMicros() {
@@ -177,7 +136,7 @@ Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
     }
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t candidate = (next_peer_ + i) % n;
-      if (BreakerAdmits(*peers_[candidate])) {
+      if (peers_[candidate]->breaker.Admits(breaker_policy_)) {
         primary = candidate;
         break;
       }
@@ -197,7 +156,7 @@ Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
       hedge_peer = primary;
       for (std::size_t i = 1; i < n; ++i) {
         const std::size_t candidate = (primary + i) % n;
-        if (BreakerAdmits(*peers_[candidate])) {
+        if (peers_[candidate]->breaker.Admits(breaker_policy_)) {
           hedge_peer = candidate;
           break;
         }
@@ -212,12 +171,14 @@ Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
   auto settle = [this](std::size_t peer_index,
                        const Result<std::vector<std::uint8_t>>& result) {
     MutexLock lock(mu_);
-    PeerState& peer = *peers_[peer_index];
+    CircuitBreaker& breaker = peers_[peer_index]->breaker;
     if (result.ok()) {
-      RecordBreakerSuccess(peer);
-    } else if (result.status().code() == StatusCode::kUnavailable ||
-               result.status().code() == StatusCode::kDeadlineExceeded) {
-      RecordBreakerFailure(peer);
+      breaker.RecordSuccess();
+    } else if ((result.status().code() == StatusCode::kUnavailable ||
+                result.status().code() == StatusCode::kDeadlineExceeded) &&
+               breaker.RecordFailure(breaker_policy_) &&
+               options_.metrics != nullptr) {
+      options_.metrics->Increment(metrics::Counter::kTransportBreakerOpens);
     }
   };
 
@@ -292,9 +253,16 @@ Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
       Status::DeadlineExceeded("call budget exhausted")};
   {
     MutexLock lock(state->mu);
-    const bool finished = state->cv.WaitFor(
-        state->mu, std::chrono::microseconds(RemainingMicros(deadline_abs) + 1),
-        [&state]() REQUIRES(state->mu) { return state->done; });
+    // Waits in slices of at most a second: the remaining budget of a
+    // saturated deadline overflows the wait's clock arithmetic.
+    bool finished = false;
+    do {
+      finished = state->cv.WaitFor(
+          state->mu,
+          std::chrono::microseconds(std::min<std::uint64_t>(
+              RemainingMicros(deadline_abs) + 1, 1'000'000)),
+          [&state]() REQUIRES(state->mu) { return state->done; });
+    } while (!finished && RemainingMicros(deadline_abs) > 0);
     if (finished) {
       result = std::move(state->result);
       winner_is_hedge = state->winner_is_hedge;
@@ -331,7 +299,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
   const std::uint64_t budget = deadline_micros != 0
                                    ? deadline_micros
                                    : options_.default_deadline_micros;
-  const std::uint64_t deadline_abs = SteadyMicros() + budget;
+  const std::uint64_t deadline_abs = DeadlineAfter(SteadyMicros(), budget);
   const std::uint32_t attempts =
       idempotent ? options_.retry.EffectiveAttempts() : 1;
   Status last = Status::Internal("no attempt ran");
@@ -369,7 +337,8 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
     std::uint64_t attempt_deadline = deadline_abs;
     if (options_.attempt_timeout_micros > 0) {
       attempt_deadline = std::min(
-          deadline_abs, SteadyMicros() + options_.attempt_timeout_micros);
+          deadline_abs,
+          DeadlineAfter(SteadyMicros(), options_.attempt_timeout_micros));
     }
     Result<std::vector<std::uint8_t>> result =
         HedgedAttempt(frame, idempotent, attempt_deadline);

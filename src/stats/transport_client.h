@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/circuit_breaker.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -35,9 +36,9 @@ namespace equihist::transport {
 //   hedging    — after the observed round-trip latency percentile with no
 //                answer, an idempotent call is raced on a second
 //                connection; first success wins, the loser is discarded.
-//   breakers   — per peer, the PR-4 state machine (N consecutive
-//                failures open it; after a cooldown one probe passes
-//                half-open; success closes). Open peers are skipped;
+//   breakers   — per peer, a CircuitBreaker (common/circuit_breaker.h:
+//                N consecutive failures open it; after a cooldown a probe
+//                passes half-open; success closes). Open peers are skipped;
 //                with every breaker open the call fast-fails
 //                kUnavailable without touching the network.
 //   shedding   — a server kResourceExhausted rejection is backpressure:
@@ -83,7 +84,7 @@ class TransportClient {
     std::uint64_t hedge_min_delay_micros = 100;
     std::uint64_t hedge_initial_delay_micros = 10'000;
     std::size_t latency_window = 64;
-    // Per-peer circuit breaker (PR-4 semantics).
+    // Per-peer circuit breaker (common/circuit_breaker.h).
     std::uint64_t breaker_failure_threshold = 3;
     std::uint64_t breaker_cooldown_micros = 1'000'000;
     // Monotonic microsecond clock driving breaker cooldowns; null uses
@@ -130,11 +131,6 @@ class TransportClient {
   struct PeerState;
   struct Exchange;
 
-  std::uint64_t NowMicros() const;
-  // Breaker admission for `peer` (closed or half-open probe allowed).
-  bool BreakerAdmits(PeerState& peer) REQUIRES(mu_);
-  void RecordBreakerSuccess(PeerState& peer) REQUIRES(mu_);
-  void RecordBreakerFailure(PeerState& peer) REQUIRES(mu_);
   // The hedge launch delay from the latency window.
   std::uint64_t HedgeDelayMicros() REQUIRES(mu_);
   void RecordLatency(std::uint64_t micros) REQUIRES(mu_);
@@ -153,6 +149,8 @@ class TransportClient {
       EXCLUDES(mu_);
 
   Options options_;
+  // The breaker settings from options_, shared by every peer.
+  const CircuitBreaker::Policy breaker_policy_;
 
   mutable Mutex mu_{lockrank::kTransportClient};
   std::vector<std::unique_ptr<PeerState>> peers_ GUARDED_BY(mu_);

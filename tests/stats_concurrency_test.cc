@@ -3,7 +3,6 @@
 // BuildAll fan-out. Run under -fsanitize=thread in CI (the ci.yml tsan
 // job) to prove the locking discipline.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -209,37 +208,6 @@ TEST(StatsConcurrencyTest, ServingCacheInvalidatesOnRebuildAndDrop) {
   EXPECT_TRUE(manager.Drop("col"));
   ASSERT_TRUE(manager.EstimateRange("col", table, query).ok());
   EXPECT_EQ(manager.rebuild_count(), 3u);
-}
-
-TEST(StatsConcurrencyTest, BatchServingMatchesScalarAtAnyThreadCount) {
-  Table table = SmallTable();
-  StatisticsManager manager({.buckets = 40, .f = 0.25, .threads = 4});
-  std::vector<RangeQuery> queries;
-  for (int i = 0; i < 2000; ++i) {
-    queries.push_back({i * 13 % 40000, i * 13 % 40000 + 500 + i});
-  }
-  std::vector<double> scalar(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto estimate = manager.EstimateRange("col", table, queries[i]);
-    ASSERT_TRUE(estimate.ok());
-    scalar[i] = *estimate;
-  }
-  // Sequential and pooled batch paths agree with the scalar path bitwise.
-  std::vector<double> batch(queries.size(), -1.0);
-  ASSERT_TRUE(manager
-                  .EstimateRanges("col", table, queries, batch,
-                                  /*use_pool=*/false)
-                  .ok());
-  EXPECT_EQ(batch, scalar);
-  std::fill(batch.begin(), batch.end(), -1.0);
-  ASSERT_TRUE(manager
-                  .EstimateRanges("col", table, queries, batch,
-                                  /*use_pool=*/true)
-                  .ok());
-  EXPECT_EQ(batch, scalar);
-  // An undersized output span is rejected, not overrun.
-  std::vector<double> small(queries.size() - 1);
-  EXPECT_FALSE(manager.EstimateRanges("col", table, queries, small).ok());
 }
 
 TEST(StatsConcurrencyTest, ConcurrentServingDuringRebuildsAndDrops) {

@@ -2,10 +2,12 @@
 // and socket paths with ServeFrame, the envelope checksum, server-side
 // load shedding with typed kResourceExhausted rejections, client retries
 // with jittered backoff, per-peer circuit breakers, hedged reads, deadline
-// propagation (a slow server handler costs no retry), and the server's cap
-// on frames served at once. Runs under TSan and ASan/UBSan in CI (label
-// `transport`).
+// propagation (a slow server handler costs no retry), budgets too large to
+// add to the clock, and the server's cap on frames served at once. Runs
+// under TSan and ASan/UBSan in CI (label `transport`).
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,7 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -24,6 +28,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "data/distribution.h"
 #include "stats/fleet_wire.h"
 #include "stats/link_fault_injection.h"
@@ -603,6 +608,110 @@ TEST(TransportTest, ServerSleepingPastDeadlineCostsNoRetryAndTripsBreaker) {
   // breaker_failure_threshold = 1: the deadline failure tripped it.
   EXPECT_EQ(plane.counter(metrics::Counter::kTransportBreakerOpens), 1u);
   server.Stop();
+}
+
+// -- Budgets too large to add to the clock ------------------------------------
+
+constexpr std::uint64_t kMaxBudget = std::numeric_limits<std::uint64_t>::max();
+
+// A plain blocking connection to a unix endpoint, for envelopes written by
+// hand; -1 on failure.
+int ConnectRaw(const Endpoint& endpoint) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, endpoint.path.c_str(), endpoint.path.size() + 1);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TransportTest, EnvelopeWithMaximalBudgetIsServed) {
+  Table table = SmallTable();
+  StatisticsFleet fleet(FleetOptions());
+  BuildFleet(fleet, table);
+
+  metrics::MetricsPlane plane;
+  SocketTransportServer::Options server_options;
+  server_options.endpoint = {Endpoint::Kind::kUnix, UnixSocketPath(), 0};
+  server_options.metrics = &plane;
+  SocketTransportServer server(&fleet, &table, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto frame = fleetwire::Encode(
+      fleetwire::EstimateBatchRequestFrame{EstimateRequests(table)});
+  const auto expected = fleet.ServeFrame(frame, table);
+  ASSERT_TRUE(expected.ok());
+
+  // The budget varint is the client's to choose. One too large to add to
+  // the server's clock means "no deadline", not a deadline in the past.
+  const int fd = ConnectRaw(server.endpoint());
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> envelope = transport::EncodeEnvelope(
+      /*request_id=*/7, kMaxBudget, /*include_budget=*/true, frame);
+  ASSERT_EQ(write(fd, envelope.data(), envelope.size()),
+            static_cast<ssize_t>(envelope.size()));
+  transport::EnvelopeReader reader;
+  const auto payload = reader.Next(fd, SteadyMicros() + 5'000'000, nullptr);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const auto reply =
+      transport::DecodeEnvelopePayload(*payload, /*expect_budget=*/false);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->request_id, 7u);
+  EXPECT_EQ(reply->frame, *expected);  // the estimates, not a rejection
+  close(fd);
+  EXPECT_EQ(plane.counter(metrics::Counter::kServerExpiredDrops), 0u);
+
+  // The client link saturates the same budget on connect and round trip.
+  auto conn = SocketTransport::Connect(server.endpoint(), kMaxBudget);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const auto round_trip = (*conn)->RoundTrip(frame, kMaxBudget);
+  ASSERT_TRUE(round_trip.ok()) << round_trip.status().ToString();
+  EXPECT_EQ(*round_trip, *expected);
+  server.Stop();
+}
+
+TEST(TransportClientTest, CallWithMaximalBudgetSucceeds) {
+  const auto frame = fleetwire::EncodeMetricsRequest();
+  {
+    TransportClient client(TransportClient::Options{});
+    client.AddPeer(SharedPeer(
+        "up", std::make_shared<FakeTransport>(
+                  std::vector<Result<std::vector<std::uint8_t>>>{
+                      MetricsReply("up")})));
+    const auto reply = client.Call(frame, /*idempotent=*/true, kMaxBudget);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  }
+  // Hedged, with the primary stalled past the hedge delay and the hedge
+  // taking 20 ms: the caller then waits on the exchange with the whole
+  // saturated budget left.
+  metrics::MetricsPlane plane;
+  TransportClient::Options options;
+  options.retry = {.max_attempts = 1};
+  options.enable_hedging = true;
+  options.hedge_initial_delay_micros = 5'000;
+  options.metrics = &plane;
+  TransportClient client(options);
+  client.AddPeer(SharedPeer(
+      "slow", std::make_shared<FakeTransport>(
+                  std::vector<Result<std::vector<std::uint8_t>>>{
+                      MetricsReply("slow")},
+                  /*stall_micros=*/200'000)));
+  client.AddPeer(SharedPeer(
+      "fast", std::make_shared<FakeTransport>(
+                  std::vector<Result<std::vector<std::uint8_t>>>{
+                      MetricsReply("fast")},
+                  /*stall_micros=*/20'000)));
+  const auto reply = client.Call(frame, /*idempotent=*/true, kMaxBudget);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const auto decoded = fleetwire::DecodeMetricsResponse(*reply);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->json, "fast");
+  EXPECT_EQ(plane.counter(metrics::Counter::kTransportHedgeWins), 1u);
 }
 
 // -- Expired-at-admission rejections ------------------------------------------
