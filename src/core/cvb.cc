@@ -263,6 +263,7 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   result.sample_profile = std::move(summary.profile);
   result.sample_distinct = result.sample_profile.distinct_in_sample();
   result.heavy_hitters = std::move(summary.heavy_hitters);
+  result.sample = std::move(accumulated);
   return result;
 }
 

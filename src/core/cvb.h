@@ -11,6 +11,7 @@
 #include "core/compressed_histogram.h"
 #include "core/histogram.h"
 #include "distinct/frequency_profile.h"
+#include "sampling/sample.h"
 #include "sampling/schedule.h"
 #include "storage/io_stats.h"
 #include "storage/table.h"
@@ -164,6 +165,10 @@ struct CvbResult {
   FrequencyProfile sample_profile{};
   std::vector<CompressedHistogram::Singleton> heavy_hitters{};
   std::vector<CvbIterationLog> log{};
+  // The final accumulated sample R the histogram and statistics came from,
+  // for callers that build more from it (BuildStatisticsWithBackend's other
+  // backends). Move it out rather than copy it.
+  Sample sample{};
 };
 
 // Runs CVB over `table`. Returns InvalidArgument for bad options. If the

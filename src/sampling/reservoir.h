@@ -11,9 +11,9 @@
 namespace equihist {
 
 // The persistent per-column backing sample of the incremental maintenance
-// subsystem (DESIGN.md §15). Where ReservoirSampler (sampling/row_sampler.h)
-// is a one-shot streaming helper, a BackingReservoir is *kept*: seeded from
-// the paper-§4 block sample at first build, maintained under the column's
+// subsystem (DESIGN.md §15), and the library's one reservoir sampler. It
+// is *kept*: seeded from the build's CVB block sample at first build (or
+// from the whole column on a full scan), maintained under the column's
 // insert/delete stream, serialized alongside the histogram so a restored
 // column resumes warm, and consulted by the incremental equi-depth backend
 // for bucket split/merge quantiles.

@@ -66,60 +66,4 @@ Result<std::vector<Value>> SampleRowsBernoulli(std::span<const Value> values,
   return sample;
 }
 
-Result<std::vector<Value>> SampleRowsFromTable(const Table& table,
-                                               std::uint64_t r, Rng& rng,
-                                               IoStats* stats,
-                                               const RetryPolicy& retry) {
-  std::vector<Value> sample;
-  sample.reserve(r);
-  const std::uint64_t pages = table.page_count();
-  std::uint64_t consecutive_skips = 0;
-  for (std::uint64_t i = 0; i < r; ++i) {
-    // Uniform over tuples: pick a page weighted by its occupancy via
-    // rejection on a uniform (page, slot) pair. All pages except possibly
-    // the last are full, so at most one extra draw is ever needed.
-    for (;;) {
-      const std::uint64_t page_id = rng.NextBounded(pages);
-      Result<const Page*> page =
-          table.file().ReadPageRetrying(page_id, retry, stats);
-      if (!page.ok()) {
-        // Permanently unreadable: redraw. Draws are i.i.d. so this keeps
-        // the sample uniform over the readable pages' tuples.
-        if (stats != nullptr) ++stats->pages_skipped;
-        if (++consecutive_skips >= kMaxConsecutiveSkips) {
-          return Status::DataLoss(
-              "row sampling gave up after " +
-              std::to_string(consecutive_skips) +
-              " consecutive unreadable pages; last: " +
-              page.status().ToString());
-        }
-        continue;
-      }
-      consecutive_skips = 0;
-      const std::uint32_t capacity = (*page)->capacity();
-      const auto slot = static_cast<std::uint32_t>(rng.NextBounded(capacity));
-      if (slot < (*page)->size()) {
-        sample.push_back((*page)->at(slot));
-        break;
-      }
-    }
-  }
-  return sample;
-}
-
-ReservoirSampler::ReservoirSampler(std::uint64_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
-  reservoir_.reserve(capacity);
-}
-
-void ReservoirSampler::Add(Value value) {
-  ++seen_;
-  if (reservoir_.size() < capacity_) {
-    reservoir_.push_back(value);
-    return;
-  }
-  const std::uint64_t j = rng_.NextBounded(seen_);
-  if (j < capacity_) reservoir_[j] = value;
-}
-
 }  // namespace equihist

@@ -6,18 +6,16 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/rng.h"
 #include "data/distribution.h"
-#include "storage/io_stats.h"
-#include "storage/table.h"
 
 namespace equihist {
 
-// Record-level (tuple-level) samplers: the Section 3 model. Sampling is
-// uniform over tuples, ignoring page boundaries. Over a Table this is the
-// "prohibitively expensive" access path the paper warns about — each
-// sampled tuple charges a full page read.
+// Record-level (tuple-level) samplers over an in-memory column: the
+// Section 3 model. Sampling is uniform over tuples, ignoring page
+// boundaries; over a paged table it would charge a page read per tuple,
+// the "prohibitively expensive" access path the paper warns about, so the
+// statistics pipeline samples blocks with CVB instead.
 
 // r tuples uniformly with replacement from `values` (the paper's default
 // analysis model, binomial tails).
@@ -34,46 +32,6 @@ Result<std::vector<Value>> SampleRowsWithoutReplacement(
 // [0, 1]. Sample size is binomially distributed around p * n.
 Result<std::vector<Value>> SampleRowsBernoulli(std::span<const Value> values,
                                                double p, Rng& rng);
-
-// Record-level sampling against the paged table, charging one page read per
-// sampled tuple (no caching — the pessimistic model of Section 4's opening
-// argument). With replacement.
-//
-// Fault handling (DESIGN.md §11): transient read faults are retried per
-// `retry`; a page that stays permanently unreadable is simply redrawn —
-// with-replacement draws are i.i.d. uniform, so redrawing conditions the
-// sample on the readable pages without bias. Skipped draws are charged to
-// stats->pages_skipped. Returns kDataLoss if kMaxConsecutiveSkips draws in
-// a row land on unreadable pages (the table is effectively gone).
-inline constexpr std::uint64_t kMaxConsecutiveSkips = 64;
-Result<std::vector<Value>> SampleRowsFromTable(const Table& table,
-                                               std::uint64_t r, Rng& rng,
-                                               IoStats* stats,
-                                               const RetryPolicy& retry = {});
-
-// Streaming reservoir sampler (Vitter's Algorithm R): maintains a uniform
-// without-replacement sample of fixed capacity over a stream of unknown
-// length. Not used by the paper's algorithms but part of any practical
-// ANALYZE substrate; exercised by tests and the quickstart example.
-class ReservoirSampler {
- public:
-  ReservoirSampler(std::uint64_t capacity, std::uint64_t seed);
-
-  void Add(Value value);
-
-  std::uint64_t seen() const { return seen_; }
-  std::uint64_t capacity() const { return capacity_; }
-
-  // The current reservoir (unordered). A uniform without-replacement sample
-  // of min(capacity, seen) of the values added so far.
-  const std::vector<Value>& sample() const { return reservoir_; }
-
- private:
-  std::uint64_t capacity_;
-  std::uint64_t seen_ = 0;
-  std::vector<Value> reservoir_;
-  Rng rng_;
-};
 
 }  // namespace equihist
 

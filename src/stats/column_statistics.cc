@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "common/parallel_sort.h"
-#include "common/rng.h"
 #include "common/string_util.h"
-#include "core/bounds.h"
 #include "core/density.h"
 #include "core/histogram_builder.h"
 #include "core/range_estimator.h"
 #include "distinct/estimators.h"
-#include "sampling/block_sampler.h"
 #include "sampling/reservoir.h"
-#include "sampling/row_sampler.h"
 #include "stats/histogram_backends.h"
 #include "stats/incremental_backend.h"
 #include "storage/scan.h"
@@ -46,71 +43,45 @@ Status SetSampleStatistics(std::span<const Value> sorted,
   return Status::OK();
 }
 
-// The incremental-equi-depth build (DESIGN.md §15): a paper-§4 block
-// sample sized for both the Theorem 4 budget and the reservoir capacity
-// seeds a BackingReservoir; the published histogram is built from exactly
-// what the reservoir holds, so the model and its backing sample agree at
-// birth (the differential-test contract).
-Result<ColumnStatistics> BuildIncrementalStatistics(
-    const Table& table, const BackendBuildOptions& options, ThreadPool* pool) {
-  const std::uint64_t n = table.tuple_count();
-  if (n == 0) {
+// Everything but the model of a sampled build, from CVB's result: the
+// density and heavy hitters of its final sample, the paper's distinct-value
+// estimator over that sample's frequency profile, and the build's bill.
+Result<ColumnStatistics> StatisticsFromCvb(CvbResult& result,
+                                           std::uint64_t n) {
+  EQUIHIST_ASSIGN_OR_RETURN(const double distinct,
+                            PaperEstimator(result.sample_profile, n));
+  ColumnStatistics stats;
+  stats.density = result.density_estimate;
+  stats.distinct_estimate = distinct;
+  stats.row_count = n;
+  stats.heavy_hitters = std::move(result.heavy_hitters);
+  stats.from_full_scan = false;
+  stats.sample_size = result.tuples_sampled;
+  stats.build_cost = result.io;
+  return stats;
+}
+
+// Everything but the model of a full-scan build: the column, read with
+// `retry` and sorted into `sorted`, and its exact statistics.
+Result<ColumnStatistics> FullScanStatistics(const Table& table,
+                                            std::uint64_t buckets,
+                                            ThreadPool* pool,
+                                            const RetryPolicy& retry,
+                                            std::vector<Value>& sorted) {
+  IoStats io;
+  // Fault-aware scan: transient faults retried, permanent ones surface as
+  // typed errors the StatisticsManager's degraded-serving layer absorbs.
+  EQUIHIST_ASSIGN_OR_RETURN(sorted, FullScanChecked(table, &io, pool, retry));
+  if (sorted.empty()) {
     return Status::FailedPrecondition("table is empty");
   }
-  const std::uint64_t capacity =
-      std::max(options.reservoir_capacity, options.buckets);
-
-  IoStats io;
-  std::vector<Value> values;
-  if (options.prefer_sampling) {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        const std::uint64_t deviation,
-        DeviationSampleSize(n, options.buckets, options.f, options.gamma));
-    const std::uint64_t wanted = std::min(std::max(deviation, capacity), n);
-    // Without-replacement page permutation: transient faults retried,
-    // permanently unreadable pages skipped and replaced, a skip total over
-    // the fault budget fails the build with a typed error the degraded
-    // serving layer absorbs.
-    IncrementalBlockSampler sampler(&table, options.seed);
-    sampler.set_retry_policy(options.retry);
-    const std::uint64_t per_page =
-        std::max<std::uint64_t>(table.tuples_per_page(), 1);
-    while (values.size() < wanted) {
-      const std::uint64_t need = wanted - values.size();
-      std::vector<Value> batch =
-          sampler.NextBatch((need + per_page - 1) / per_page, &io);
-      if (batch.empty()) break;  // page permutation exhausted
-      values.insert(values.end(), batch.begin(), batch.end());
-      if (sampler.pages_skipped() > options.max_skipped_blocks) {
-        return Status::DataLoss(
-            "block sampling skipped more pages than the fault budget");
-      }
-    }
-    if (values.empty()) {
-      return Status::DataLoss("no readable pages to seed the reservoir from");
-    }
-  } else {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        values, FullScanChecked(table, &io, pool, options.retry));
-  }
-  ParallelSort(values, pool);
-
-  EQUIHIST_ASSIGN_OR_RETURN(
-      BackingReservoir reservoir,
-      BackingReservoir::Create(capacity, options.seed));
-  EQUIHIST_RETURN_IF_ERROR(reservoir.SeedFromSample(values, n));
-  EQUIHIST_ASSIGN_OR_RETURN(
-      HistogramModelPtr model,
-      MakeIncrementalModelFromReservoir(std::move(reservoir),
-                                        options.buckets));
-
+  ParallelSort(sorted, pool);
   ColumnStatistics stats;
-  stats.model = std::move(model);
   EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      values, options.buckets, n, options.prefer_sampling, pool, stats));
-  stats.row_count = n;
-  stats.from_full_scan = !options.prefer_sampling;
-  stats.sample_size = values.size();
+      sorted, buckets, sorted.size(), /*sampled=*/false, pool, stats));
+  stats.row_count = sorted.size();
+  stats.from_full_scan = true;
+  stats.sample_size = sorted.size();
   stats.build_cost = io;
   return stats;
 }
@@ -204,32 +175,18 @@ std::string ColumnStatistics::ToString() const {
 
 Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
                                                  std::uint64_t buckets,
-                                                 ThreadPool* pool) {
-  IoStats io;
-  // Fault-aware scan: transient faults retried, permanent ones surface as
-  // typed errors the StatisticsManager's degraded-serving layer absorbs.
-  EQUIHIST_ASSIGN_OR_RETURN(std::vector<Value> values,
-                            FullScanChecked(table, &io, pool));
-  // Pre-sort in parallel; the ValueSet constructor then detects sorted
-  // input and skips its own sequential sort.
-  ParallelSort(values, pool);
-  const ValueSet data(std::move(values));
-  if (data.empty()) {
-    return Status::FailedPrecondition("table is empty");
-  }
-  EQUIHIST_ASSIGN_OR_RETURN(Histogram histogram,
-                            BuildPerfectHistogram(data, buckets));
-
-  ColumnStatistics stats;
+                                                 ThreadPool* pool,
+                                                 const RetryPolicy& retry) {
+  std::vector<Value> sorted;
+  EQUIHIST_ASSIGN_OR_RETURN(
+      ColumnStatistics stats,
+      FullScanStatistics(table, buckets, pool, retry, sorted));
+  // The ValueSet constructor detects the sorted input and skips its own
+  // sequential sort.
+  EQUIHIST_ASSIGN_OR_RETURN(
+      Histogram histogram,
+      BuildPerfectHistogram(ValueSet(std::move(sorted)), buckets));
   stats.SetEquiHeight(std::move(histogram));
-  // Exact statistics: heavy hitters are scaled by n / n = 1.
-  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      data.sorted_values(), buckets, data.size(), /*sampled=*/false, pool,
-      stats));
-  stats.row_count = data.size();
-  stats.from_full_scan = true;
-  stats.sample_size = data.size();
-  stats.build_cost = io;
   return stats;
 }
 
@@ -237,81 +194,75 @@ Result<ColumnStatistics> BuildStatisticsSampled(const Table& table,
                                                 const CvbOptions& options,
                                                 ThreadPool* pool) {
   EQUIHIST_ASSIGN_OR_RETURN(CvbResult result, RunCvb(table, options, pool));
-  EQUIHIST_ASSIGN_OR_RETURN(
-      const double distinct,
-      PaperEstimator(result.sample_profile, table.tuple_count()));
-
-  ColumnStatistics stats;
+  EQUIHIST_ASSIGN_OR_RETURN(ColumnStatistics stats,
+                            StatisticsFromCvb(result, table.tuple_count()));
   stats.SetEquiHeight(std::move(result.histogram));
-  stats.density = result.density_estimate;
-  stats.distinct_estimate = distinct;
-  stats.row_count = table.tuple_count();
-  stats.from_full_scan = false;
-  stats.sample_size = result.tuples_sampled;
-  stats.build_cost = result.io;
-  stats.heavy_hitters = std::move(result.heavy_hitters);
   return stats;
 }
 
 Result<ColumnStatistics> BuildStatisticsWithBackend(
     const Table& table, const BackendBuildOptions& options, ThreadPool* pool) {
-  if (options.backend == HistogramBackendId::kEquiHeight) {
-    // The paper's own pipeline, untouched: CVB for sampled builds, the
-    // exact sort for full scans.
-    if (!options.prefer_sampling) {
-      return BuildStatisticsFullScan(table, options.buckets, pool);
-    }
-    CvbOptions cvb;
-    cvb.k = options.buckets;
-    cvb.f = options.f;
-    cvb.gamma = options.gamma;
-    cvb.seed = options.seed;
-    cvb.threads = 1;  // the caller's pool is passed in explicitly
-    cvb.retry = options.retry;
-    cvb.max_skipped_blocks = options.max_skipped_blocks;
-    return BuildStatisticsSampled(table, cvb, pool);
+  // The paper's own pipeline for equi-height: CVB for sampled builds, the
+  // exact sort for full scans.
+  const bool equi_height = options.backend == HistogramBackendId::kEquiHeight;
+  if (equi_height && !options.prefer_sampling) {
+    return BuildStatisticsFullScan(table, options.buckets, pool,
+                                   options.retry);
   }
-  if (options.backend == HistogramBackendId::kIncrementalEquiDepth) {
-    // The §4 block-sample build that seeds the backing reservoir; the
-    // generic row-sample path below cannot carry the reservoir out.
-    return BuildIncrementalStatistics(table, options, pool);
-  }
+  CvbOptions cvb;
+  cvb.k = options.buckets;
+  cvb.f = options.f;
+  cvb.gamma = options.gamma;
+  cvb.seed = options.seed;
+  cvb.threads = 1;  // the caller's pool is passed in explicitly
+  cvb.retry = options.retry;
+  cvb.max_skipped_blocks = options.max_skipped_blocks;
+  if (equi_height) return BuildStatisticsSampled(table, cvb, pool);
 
   EQUIHIST_ASSIGN_OR_RETURN(
       const HistogramBackendRegistry::Backend backend,
       HistogramBackendRegistry::Global().Find(options.backend));
   const std::uint64_t n = table.tuple_count();
-  if (n == 0) {
-    return Status::FailedPrecondition("table is empty");
-  }
-
-  IoStats io;
-  std::vector<Value> values;
+  // Every other backend builds from the same sorted sample: CVB's final
+  // one, expanded once, or the whole column.
+  std::vector<Value> sorted;
+  std::optional<Histogram> histogram;  // CVB's, on a sampled build
+  ColumnStatistics stats;
   if (options.prefer_sampling) {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        const std::uint64_t wanted,
-        DeviationSampleSize(n, options.buckets, options.f, options.gamma));
-    Rng rng(options.seed);
-    EQUIHIST_ASSIGN_OR_RETURN(
-        values, SampleRowsFromTable(table, std::min(wanted, n), rng, &io,
-                                    options.retry));
+    EQUIHIST_ASSIGN_OR_RETURN(CvbResult result, RunCvb(table, cvb, pool));
+    EQUIHIST_ASSIGN_OR_RETURN(stats, StatisticsFromCvb(result, n));
+    sorted.reserve(result.sample.size());
+    result.sample.view().ForEachDistinct(
+        [&sorted](Value value, std::uint64_t count) {
+          sorted.insert(sorted.end(), count, value);
+        });
+    histogram.emplace(std::move(result.histogram));
   } else {
     EQUIHIST_ASSIGN_OR_RETURN(
-        values, FullScanChecked(table, &io, pool, options.retry));
+        stats, FullScanStatistics(table, options.buckets, pool, options.retry,
+                                  sorted));
   }
-  ParallelSort(values, pool);
-
-  EQUIHIST_ASSIGN_OR_RETURN(HistogramModelPtr model,
-                            backend.build_from_sample(values, options.buckets,
-                                                      n));
-  ColumnStatistics stats;
-  stats.model = std::move(model);
-  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      values, options.buckets, n, options.prefer_sampling, pool, stats));
-  stats.row_count = n;
-  stats.from_full_scan = !options.prefer_sampling;
-  stats.sample_size = values.size();
-  stats.build_cost = io;
+  if (options.backend != HistogramBackendId::kIncrementalEquiDepth) {
+    EQUIHIST_ASSIGN_OR_RETURN(
+        stats.model, backend.build_from_sample(sorted, options.buckets, n));
+    return stats;
+  }
+  // The incremental backend (DESIGN.md §15) publishes the sample's
+  // equi-height histogram, CVB's own when sampled, and seeds its backing
+  // reservoir from the same sample, so the model and its reservoir agree at
+  // birth.
+  if (!histogram) {
+    EQUIHIST_ASSIGN_OR_RETURN(
+        histogram, BuildHistogramFromSample(sorted, options.buckets, n));
+  }
+  EQUIHIST_ASSIGN_OR_RETURN(
+      BackingReservoir reservoir,
+      BackingReservoir::Create(
+          std::max(options.reservoir_capacity, options.buckets),
+          options.seed));
+  EQUIHIST_RETURN_IF_ERROR(reservoir.SeedFromSample(sorted, n));
+  stats.model = std::make_shared<IncrementalEquiDepthModel>(
+      std::move(*histogram), std::move(reservoir));
   return stats;
 }
 

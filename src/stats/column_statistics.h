@@ -92,12 +92,12 @@ struct ColumnStatistics {
 };
 
 // Builds exact statistics with a full scan and sort (the expensive
-// baseline the sampling path avoids). The I/O bill is recorded. With a
-// pool, the scan and the sort both run parallel; the result is identical
-// for any thread count.
-Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
-                                                 std::uint64_t buckets,
-                                                 ThreadPool* pool = nullptr);
+// baseline the sampling path avoids). Transient read faults are retried per
+// `retry`. The I/O bill is recorded. With a pool, the scan and the sort
+// both run parallel; the result is identical for any thread count.
+Result<ColumnStatistics> BuildStatisticsFullScan(
+    const Table& table, std::uint64_t buckets, ThreadPool* pool = nullptr,
+    const RetryPolicy& retry = {});
 
 // Builds approximate statistics with the adaptive CVB algorithm plus the
 // paper's distinct-value estimator over the accumulated sample. `pool`
@@ -110,29 +110,34 @@ Result<ColumnStatistics> BuildStatisticsSampled(const Table& table,
 struct BackendBuildOptions {
   HistogramBackendId backend = HistogramBackendId::kEquiHeight;
   std::uint64_t buckets = 200;
-  double f = 0.1;       // target relative max error (Theorem 4 / CVB)
+  double f = 0.1;       // target relative max error (CVB)
   double gamma = 0.01;  // failure probability
-  // Sample with the Theorem 4 budget rather than scanning everything.
+  // Sample with CVB rather than scanning everything.
   bool prefer_sampling = true;
   std::uint64_t seed = 1;
   // Fault tolerance (DESIGN.md §11): transient-fault retry for every page
-  // read issued by the build, and the CVB skip budget — more than
-  // `max_skipped_blocks` permanently unreadable blocks fail the build.
+  // read issued by the build, sampled or full scan, and CVB's skip budget:
+  // more than `max_skipped_blocks` permanently unreadable blocks fail a
+  // sampled build (a full scan fails on the first).
   RetryPolicy retry{};
   std::uint64_t max_skipped_blocks = 64;
   // Backing-sample size for the incremental-equi-depth backend (DESIGN.md
-  // §15); the effective capacity is never below `buckets`. Ignored by
+  // §15): the reservoir keeps a uniform subset of this many values of the
+  // build's sample (CVB's, or the whole column), or all of a smaller
+  // sample. The effective capacity is never below `buckets`. Ignored by
   // every other backend.
   std::uint64_t reservoir_capacity = 4096;
 };
 
 // Builds statistics whose histogram comes from any registered backend.
-// The equi-height backend delegates to BuildStatisticsSampled /
-// BuildStatisticsFullScan (bit-identical to calling them directly); other
-// backends draw one Theorem 4-sized row sample (or full-scan when
-// prefer_sampling is false) and hand it to the backend's registered
-// builder, with density / distinct / heavy hitters estimated from the
-// same sample.
+// Every sampled build runs CVB once and samples nothing else; a full scan
+// reads the column once. The equi-height backend delegates to
+// BuildStatisticsSampled / BuildStatisticsFullScan (bit-identical to
+// calling them directly). Every other backend takes density, distinct
+// estimate, heavy hitters and the bill exactly as equi-height does, and
+// builds its histogram from the same sample, sorted: the incremental
+// backend publishes CVB's histogram itself and seeds its reservoir from
+// the sample; the rest go through their registered builder.
 Result<ColumnStatistics> BuildStatisticsWithBackend(
     const Table& table, const BackendBuildOptions& options,
     ThreadPool* pool = nullptr);

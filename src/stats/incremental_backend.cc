@@ -30,20 +30,6 @@ void IncrementalEquiDepthModel::SerializePayload(
   reservoir_.SerializeTo(out);
 }
 
-Result<HistogramModelPtr> MakeIncrementalModelFromReservoir(
-    BackingReservoir reservoir, std::uint64_t buckets) {
-  if (reservoir.size() == 0) {
-    return Status::FailedPrecondition(
-        "cannot build a histogram from an empty reservoir");
-  }
-  EQUIHIST_ASSIGN_OR_RETURN(
-      Histogram histogram,
-      BuildHistogramFromSample(reservoir.SortedSample(), buckets,
-                               reservoir.population()));
-  return HistogramModelPtr(std::make_shared<IncrementalEquiDepthModel>(
-      std::move(histogram), std::move(reservoir)));
-}
-
 Result<HistogramModelPtr> BuildIncrementalEquiDepthFromSample(
     std::span<const Value> sorted_sample, std::uint64_t buckets,
     std::uint64_t population_size) {

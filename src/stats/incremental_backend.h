@@ -46,12 +46,6 @@ class IncrementalEquiDepthModel final : public EquiHeightModel {
   BackingReservoir reservoir_;
 };
 
-// Builds the model a seeded reservoir implies: separators from the
-// reservoir's sorted contents, counts scaled to reservoir.population().
-// FailedPrecondition on an empty reservoir.
-Result<HistogramModelPtr> MakeIncrementalModelFromReservoir(
-    BackingReservoir reservoir, std::uint64_t buckets);
-
 // Registry hooks (registered by RegisterBuiltinHistogramBackends under
 // HistogramBackendId::kIncrementalEquiDepth, name "incremental-equi-depth").
 // The build hook holds the whole sample in the reservoir (capacity =

@@ -91,9 +91,8 @@ Result<ColumnStatistics> StatisticsShard::Build(const std::string& column,
   build.retry = options_.retry;
   build.max_skipped_blocks = options_.max_skipped_blocks;
   build.reservoir_capacity = options_.reservoir_capacity;
-  // The equi-height default routes through the CVB / full-scan pipelines
-  // exactly as before; other backends sample once and build through the
-  // registry.
+  // Every backend's sampled build is one CVB run; the equi-height default
+  // publishes CVB's histogram, other backends build from its sample.
   return BuildStatisticsWithBackend(table, build, build_pool);
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/cvb.h"
 #include "data/distribution.h"
+#include "stats/column_statistics.h"
 #include "stats/histogram_backends.h"
 #include "stats/serialization.h"
 #include "stats/statistics_manager.h"
@@ -451,6 +452,88 @@ TEST(DegradedServingTest, TransientOutageHealsAcrossRebuildAttempts) {
   EXPECT_EQ(failed_builds, 3);
   EXPECT_EQ(manager.Health("t.x").health, ColumnHealth::kFresh);
   EXPECT_EQ(manager.Health("t.x").consecutive_build_failures, 0u);
+}
+
+// -- Backend builds under faults ----------------------------------------------
+
+// Every sampled build is one CVB run, so under lost pages every backend
+// reads and skips exactly the pages the equi-height build does.
+TEST(BackendFaultTest, EverySampledBackendReadsAndSkipsWhatCvbDoes) {
+  const auto freq = MakeZipf(
+      {.n = 200000, .domain_size = 10000, .skew = 1.2, .seed = 5});
+  Table table = Table::Create(*freq, PageConfig{8192, 64},
+                              {.kind = LayoutKind::kRandom, .seed = 5})
+                    .value();
+  ASSERT_EQ(table.page_count(), 1563u);
+  FaultSpec spec;
+  spec.lost_probability = 0.01;
+  spec.seed = 17;
+  FaultInjector injector(spec);
+  table.set_fault_injector(&injector);
+
+  BackendBuildOptions options;
+  options.f = 0.2;
+  options.seed = 3;
+  const auto reference = BuildStatisticsWithBackend(table, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_GT(reference->build_cost.pages_skipped, 0u);
+  for (const HistogramBackendId id :
+       {HistogramBackendId::kEquiWidth, HistogramBackendId::kCompressed,
+        HistogramBackendId::kGmpIncremental,
+        HistogramBackendId::kIncrementalEquiDepth}) {
+    SCOPED_TRACE(static_cast<int>(id));
+    options.backend = id;
+    const auto built = BuildStatisticsWithBackend(table, options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    EXPECT_EQ(built->build_cost.pages_read, reference->build_cost.pages_read);
+    EXPECT_EQ(built->build_cost.pages_skipped,
+              reference->build_cost.pages_skipped);
+    EXPECT_EQ(built->build_cost.tuples_read,
+              reference->build_cost.tuples_read);
+    EXPECT_EQ(built->sample_size, reference->sample_size);
+  }
+}
+
+// A full-scan build retries transient faults per the build's own retry
+// policy, whatever the backend.
+TEST(BackendFaultTest, FullScanBuildsHonourTheRetryPolicy) {
+  Table table = MakeTable(20000);
+  for (const HistogramBackendId id :
+       {HistogramBackendId::kEquiHeight, HistogramBackendId::kEquiWidth,
+        HistogramBackendId::kIncrementalEquiDepth}) {
+    SCOPED_TRACE(static_cast<int>(id));
+    BackendBuildOptions options;
+    options.backend = id;
+    options.buckets = 20;
+    options.prefer_sampling = false;
+    FaultSpec spec;
+    spec.transient_pages = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+
+    // Three failed reads per page: five attempts clear every one.
+    spec.transient_failures_per_page = 3;
+    options.retry.max_attempts = 5;
+    {
+      FaultInjector injector(spec);
+      table.set_fault_injector(&injector);
+      const auto built = BuildStatisticsWithBackend(table, options);
+      table.set_fault_injector(nullptr);
+      ASSERT_TRUE(built.ok()) << built.status();
+      EXPECT_EQ(built->build_cost.transient_retries, 30u);
+      EXPECT_EQ(built->row_count, table.tuple_count());
+    }
+
+    // One failed read per page and no retry: the scan fails.
+    spec.transient_failures_per_page = 1;
+    options.retry.max_attempts = 1;
+    {
+      FaultInjector injector(spec);
+      table.set_fault_injector(&injector);
+      const auto built = BuildStatisticsWithBackend(table, options);
+      table.set_fault_injector(nullptr);
+      ASSERT_FALSE(built.ok());
+      EXPECT_EQ(built.status().code(), StatusCode::kUnavailable);
+    }
+  }
 }
 
 // -- Incremental maintenance under faults (DESIGN.md §15) ---------------------

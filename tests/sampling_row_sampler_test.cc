@@ -9,7 +9,6 @@
 #include "common/math.h"
 #include "data/distribution.h"
 #include "data/generator.h"
-#include "storage/table.h"
 
 namespace equihist {
 namespace {
@@ -119,54 +118,6 @@ TEST(RowSamplerTest, BernoulliEdgeRates) {
   EXPECT_EQ(SampleRowsBernoulli(population, 1.0, rng)->size(), 100u);
   EXPECT_FALSE(SampleRowsBernoulli(population, 1.5, rng).ok());
   EXPECT_FALSE(SampleRowsBernoulli(population, -0.5, rng).ok());
-}
-
-TEST(RowSamplerTest, FromTableChargesOnePagePerTuple) {
-  auto table = Table::CreateFromValues(Iota(1000), PageConfig{8192, 64});
-  ASSERT_TRUE(table.ok());
-  Rng rng(11);
-  IoStats stats;
-  const auto sample = SampleRowsFromTable(*table, 50, rng, &stats);
-  ASSERT_TRUE(sample.ok());
-  EXPECT_EQ(sample->size(), 50u);
-  // Record-level sampling against pages is the expensive path: at least one
-  // page read per tuple (rejection on the ragged last page may add a few).
-  EXPECT_GE(stats.pages_read, 50u);
-  EXPECT_LE(stats.pages_read, 60u);
-}
-
-TEST(ReservoirSamplerTest, KeepsEverythingUnderCapacity) {
-  ReservoirSampler sampler(10, 1);
-  for (Value v = 0; v < 5; ++v) sampler.Add(v);
-  EXPECT_EQ(sampler.sample().size(), 5u);
-  EXPECT_EQ(sampler.seen(), 5u);
-}
-
-TEST(ReservoirSamplerTest, CapsAtCapacity) {
-  ReservoirSampler sampler(10, 2);
-  for (Value v = 0; v < 1000; ++v) sampler.Add(v);
-  EXPECT_EQ(sampler.sample().size(), 10u);
-  EXPECT_EQ(sampler.seen(), 1000u);
-}
-
-TEST(ReservoirSamplerTest, UniformInclusionProbability) {
-  // Every element of a 40-element stream should end up in a 10-slot
-  // reservoir with probability 1/4.
-  std::map<Value, std::uint64_t> hits;
-  const int trials = 4000;
-  for (int t = 0; t < trials; ++t) {
-    ReservoirSampler sampler(10, 100 + t);
-    for (Value v = 0; v < 40; ++v) sampler.Add(v);
-    for (Value v : sampler.sample()) ++hits[v];
-  }
-  std::vector<std::uint64_t> observed;
-  std::vector<double> expected;
-  for (Value v = 0; v < 40; ++v) {
-    observed.push_back(hits[v]);
-    expected.push_back(trials * 0.25);
-  }
-  EXPECT_LT(ChiSquareStatistic(observed, expected),
-            ChiSquareCriticalValue(39.0, 0.001));
 }
 
 }  // namespace

@@ -3,18 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/gmp_incremental.h"
 #include "common/rng.h"
+#include "core/cvb.h"
 #include "core/histogram_builder.h"
 #include "core/range_estimator.h"
 #include "data/distribution.h"
 #include "data/generator.h"
 #include "data/workload.h"
 #include "sampling/reservoir.h"
+#include "stats/column_statistics.h"
 #include "stats/histogram_backends.h"
 #include "stats/serialization.h"
 #include "stats/statistics_manager.h"
@@ -107,6 +111,104 @@ TEST(IncrementalBackendTest, DifferentialDeltaMaxVsFromScratchBuild) {
     const double ref = EstimateRangeCount(*scratch, query);
     EXPECT_LE(std::abs(inc - ref), 2.0 * delta_max)
         << "query (" << query.lo << ", " << query.hi << "]";
+  }
+}
+
+// -- First build: the equi-height CVB build ---------------------------------
+
+// Id 5's first build is id 0's build on the same options: one CVB run, so
+// the same histogram and statistics bit for bit, on every layout. Id 0's
+// build is the reference.
+TEST(IncrementalBackendTest, FirstBuildEqualsTheEquiHeightBuild) {
+  const auto freq =
+      MakeZipf({.n = 60000, .domain_size = 3000, .skew = 1.0, .seed = 3});
+  for (const LayoutKind layout :
+       {LayoutKind::kRandom, LayoutKind::kPartiallyClustered,
+        LayoutKind::kSorted}) {
+    const Table table =
+        Table::Create(*freq, kPage, {.kind = layout, .seed = 3}).value();
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(std::string(LayoutKindToString(layout)) + " seed " +
+                   std::to_string(seed));
+      BackendBuildOptions options;
+      options.buckets = 32;
+      options.f = 0.2;
+      options.seed = seed;
+      const auto reference = BuildStatisticsWithBackend(table, options);
+      options.backend = HistogramBackendId::kIncrementalEquiDepth;
+      const auto built = BuildStatisticsWithBackend(table, options);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      ASSERT_TRUE(built.ok()) << built.status();
+
+      const auto* model =
+          dynamic_cast<const IncrementalEquiDepthModel*>(built->model.get());
+      ASSERT_NE(model, nullptr);
+      const Histogram& want = reference->histogram();
+      const Histogram& got = model->histogram();
+      EXPECT_EQ(got.separators(), want.separators());
+      EXPECT_EQ(got.counts(), want.counts());
+      EXPECT_EQ(got.lower_fence(), want.lower_fence());
+      EXPECT_EQ(got.upper_fence(), want.upper_fence());
+      EXPECT_EQ(built->density, reference->density);
+      EXPECT_EQ(built->distinct_estimate, reference->distinct_estimate);
+      EXPECT_EQ(built->heavy_hitters, reference->heavy_hitters);
+      EXPECT_EQ(built->row_count, reference->row_count);
+      EXPECT_FALSE(built->from_full_scan);
+      EXPECT_EQ(built->sample_size, reference->sample_size);
+      EXPECT_EQ(built->build_cost.pages_read,
+                reference->build_cost.pages_read);
+      EXPECT_EQ(built->build_cost.tuples_read,
+                reference->build_cost.tuples_read);
+      EXPECT_EQ(built->build_cost.pages_skipped,
+                reference->build_cost.pages_skipped);
+    }
+  }
+}
+
+// Id 5's reservoir holds min(max(reservoir_capacity, k), r) values of the
+// r-tuple sample RunCvb ends with on the same options, and represents the
+// whole column.
+TEST(IncrementalBackendTest, ReservoirIsSeededFromTheCvbSample) {
+  const Table table = MakeTable();
+  CvbOptions cvb;
+  cvb.k = 32;
+  cvb.f = 0.2;
+  cvb.seed = 7;
+  cvb.threads = 1;
+  const auto reference = RunCvb(table, cvb);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const std::uint64_t r = reference->sample.size();
+  ASSERT_EQ(r, reference->tuples_sampled);
+  std::map<Value, std::uint64_t> sampled;
+  reference->sample.view().ForEachDistinct(
+      [&sampled](Value value, std::uint64_t count) { sampled[value] = count; });
+
+  // Capacities below k, below r and above r.
+  for (const std::uint64_t capacity : {std::uint64_t{8}, std::uint64_t{2048},
+                                       r + 1000}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    BackendBuildOptions options;
+    options.backend = HistogramBackendId::kIncrementalEquiDepth;
+    options.buckets = cvb.k;
+    options.f = cvb.f;
+    options.gamma = cvb.gamma;
+    options.seed = cvb.seed;
+    options.reservoir_capacity = capacity;
+    const auto built = BuildStatisticsWithBackend(table, options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    const auto* model =
+        dynamic_cast<const IncrementalEquiDepthModel*>(built->model.get());
+    ASSERT_NE(model, nullptr);
+    const BackingReservoir& reservoir = model->reservoir();
+    EXPECT_EQ(reservoir.size(), std::min(std::max(capacity, cvb.k), r));
+    EXPECT_EQ(reservoir.population(), table.tuple_count());
+    std::map<Value, std::uint64_t> left = sampled;
+    for (const Value value : reservoir.sample()) {
+      auto it = left.find(value);
+      ASSERT_TRUE(it != left.end() && it->second > 0)
+          << value << " is not left in the CVB sample";
+      --it->second;
+    }
   }
 }
 
