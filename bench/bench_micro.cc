@@ -150,7 +150,8 @@ BENCHMARK(BM_SampleMerge)->ArgNames({"sorted"})->Arg(0)->Arg(1);
 // over range + 1 values with range = n * ratio / 100. Arguments: path
 // (0 = count, 1 = sort with the scanned bounds, 2 = SortOrCount, which
 // counts when range < n and sorts otherwise, 3 = count the batch's pages
-// in place into a key window, its bounds folded over the pages' bounds),
+// in place into a key window, its bounds folded over the pages' bounds,
+// and fold the counts into a cumulative window, as Sample::Add does),
 // ratio (percent) and n. Where path 0 stops beating path 1 sets
 // SortOrCount's cutoff. The ratios run past Sample::kWindowSlotsPerTuple
 // (400%), the window's cutoff, which whole builds set, since a window also
@@ -179,6 +180,7 @@ void BM_BatchToView(benchmark::State& state) {
   }
   std::vector<Value> data;
   Runs counted;
+  std::vector<std::uint64_t> counts;
   std::vector<std::uint64_t> window;
   for (auto _ : state) {
     if (path == 3) {
@@ -187,8 +189,10 @@ void BM_BatchToView(benchmark::State& state) {
         bounds.min = std::min(bounds.min, page->min_key());
         bounds.max = std::max(bounds.max, page->max_key());
       }
+      counts.resize(bounds.range() + 1);
       window.resize(bounds.range() + 1);
-      sample_internal::CountPages(pages, bounds.min, window);
+      sample_internal::CountPages(pages, bounds.min, counts);
+      sample_internal::FoldCounts(bounds.min, counts, window, {}, {}, {});
       benchmark::DoNotOptimize(window.data());
       benchmark::ClobberMemory();
       continue;
@@ -217,9 +221,10 @@ BENCHMARK(BM_BatchToView)
 
 // The page kernels at each offset width, at equal tuple counts: 8,192
 // pages of 128 keys, read in a shuffled order as a block sample reads
-// them. Arguments: kernel (0 = count the pages into one key window, as
-// Sample::Stage does; 1 = decode them into one batch, as the runs path
-// and the copying samplers do) and width (bytes per stored offset). Each
+// them. Arguments: kernel (0 = count the pages into one key window's
+// per-slot counters, as Sample::Add does before its fold; 1 = decode them
+// into one batch, as the runs path and the copying samplers do) and width
+// (bytes per stored offset). Each
 // page holds both ends of the narrowest key range its width stores (255
 // keys for 1 byte, 65,535 for 2, 65,536 for 4 and 2^32 for 8), and the
 // count rows share one window of 65,537 keys. An 8-byte page spans more
@@ -380,27 +385,85 @@ const Table& ClusteredTable() {
 
 // A whole CVB build, k = 200, f = 0.2. Arguments: keys (0 = the shared
 // Zipf column over n/100 values, 1 = duplicate-free keys), layout (0 =
-// random, 1 = partially clustered; Zipf keys only) and threads
-// (CvbOptions::threads: 1 = this thread only, 0 = one per core).
+// random, 1 = partially clustered; Zipf keys only), threads
+// (CvbOptions::threads: 1 = this thread only, 0 = one per core) and seeds
+// (0 = seed 9 in every iteration, which rereads the same pages while they
+// are still in cache; 1 = a new seed per iteration, so each build reads
+// other pages, as the builds of a running system do).
 void BM_CvbEndToEnd(benchmark::State& state) {
   const Table& table = state.range(0) == 1   ? DistinctTable()
                        : state.range(1) == 1 ? ClusteredTable()
                                              : SharedTable();
+  std::uint64_t seed = 9;
   for (auto _ : state) {
     CvbOptions options;
     options.k = 200;
     options.f = 0.2;
-    options.seed = 9;
+    options.seed = seed;
     options.threads = static_cast<std::uint64_t>(state.range(2));
     auto result = RunCvb(table, options);
     benchmark::DoNotOptimize(result);
+    if (state.range(3) == 1) ++seed;
   }
 }
 BENCHMARK(BM_CvbEndToEnd)
-    ->ArgNames({"keys", "layout", "threads"})
-    ->ArgsProduct({{0}, {0, 1}, {1, 0}})
-    ->ArgsProduct({{1}, {0}, {1, 0}})
+    ->ArgNames({"keys", "layout", "threads", "seeds"})
+    ->ArgsProduct({{0}, {0, 1}, {1, 0}, {0, 1}})
+    ->ArgsProduct({{1}, {0}, {1, 0}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// perfbench's `rebuild` column: 2M rows of Zipf(1) over 20,000 values on a
+// random layout, 15,625 pages of 128 tuples.
+const Table& RebuildTable() {
+  static const Table* table = [] {
+    auto frequencies =
+        MakeZipf({.n = 2000000, .domain_size = 20000, .skew = 1.0});
+    auto result = Table::Create(*frequencies, PageConfig{8192, 64},
+                                {.kind = LayoutKind::kRandom});
+    return new Table(std::move(*result));
+  }();
+  return *table;
+}
+
+// The page shuffle every CVB build starts with: a Fisher-Yates permutation
+// of all 15,625 page ids of the rebuild table, one bounded draw per id.
+void BM_BlockSamplerConstruct(benchmark::State& state) {
+  const Table& table = RebuildTable();
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    IncrementalBlockSampler sampler(&table, seed++);
+    benchmark::DoNotOptimize(sampler.pages_remaining());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(table.page_count()));
+}
+BENCHMARK(BM_BlockSamplerConstruct)->Unit(benchmark::kMicrosecond);
+
+// The final statistics of a CVB build (SummarizeSample with the profile):
+// density, frequency profile and heavy hitters of the final sample of one
+// k = 200, f = 0.2 build of the rebuild table, a key window over its
+// 20,000 keys.
+void BM_SummarizeSample(benchmark::State& state) {
+  const Table& table = RebuildTable();
+  CvbOptions options;
+  options.k = 200;
+  options.f = 0.2;
+  options.threads = 1;
+  const auto result = RunCvb(table, options);
+  const SortedView sample = result->sample.view();
+  if (!sample.is_window()) {
+    state.SkipWithError("the final sample is not a key window");
+    return;
+  }
+  const double scale = static_cast<double>(table.tuple_count()) /
+                       static_cast<double>(sample.size());
+  for (auto _ : state) {
+    auto summary = SummarizeSample(sample, options.k, scale, true);
+    benchmark::DoNotOptimize(summary);
+  }
+  state.counters["tuples"] = static_cast<double>(sample.size());
+}
+BENCHMARK(BM_SummarizeSample)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

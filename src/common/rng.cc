@@ -3,10 +3,6 @@
 namespace equihist {
 namespace {
 
-inline std::uint64_t RotL(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // The golden-ratio increment of SplitMix64's state.
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 
@@ -24,42 +20,6 @@ std::uint64_t HashDecision(std::uint64_t seed, std::uint32_t tag,
   std::uint64_t h = Mix64(seed ^ (0xA0761D6478BD642FULL + tag));
   for (const std::uint64_t id : ids) h = Mix64(h ^ id);
   return h;
-}
-
-// The state words are the first four outputs of a SplitMix64 stream from
-// `seed`, per the xoshiro reference code: output i is
-// Mix64(seed + i * kGolden).
-Rng::Rng(std::uint64_t seed) {
-  for (std::uint64_t i = 0; i < 4; ++i) s_[i] = Mix64(seed + i * kGolden);
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = RotL(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = RotL(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  using u128 = unsigned __int128;
-  std::uint64_t x = Next();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = Next();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {

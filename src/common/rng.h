@@ -7,6 +7,10 @@
 
 namespace equihist {
 
+// The SplitMix64 finalizer: a platform-stable bijective mix of x. Rng
+// seeding and DeriveStreamSeed are built on it, and so is HashDecision.
+std::uint64_t Mix64(std::uint64_t x);
+
 // Fast, reproducible pseudo-random number generator (xoshiro256++ by
 // Blackman & Vigna). Used throughout the library instead of std::mt19937_64:
 // it is ~2x faster, has a tiny state, and — unlike the standard library
@@ -22,21 +26,50 @@ class Rng {
   using result_type = std::uint64_t;
 
   // Seeds the four 64-bit words of state from `seed` using splitmix64, as
-  // recommended by the xoshiro authors. Any seed (including 0) is valid.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  // recommended by the xoshiro authors: word i is Mix64(seed + i * the
+  // golden-ratio increment), the first four outputs of a SplitMix64
+  // stream. Any seed (including 0) is valid. Inline, so that a local
+  // generator's address does not escape and its state stays in registers
+  // through a loop of draws.
+  explicit Rng(std::uint64_t seed = kGolden) {
+    for (std::uint64_t i = 0; i < 4; ++i) s_[i] = Mix64(seed + i * kGolden);
+  }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() {
     return std::numeric_limits<std::uint64_t>::max();
   }
 
-  // Next raw 64 random bits.
-  std::uint64_t Next();
+  // Next raw 64 random bits. Inline, as NextBounded is: a shuffle of
+  // every page id draws once per id (IncrementalBlockSampler).
+  std::uint64_t Next() {
+    const std::uint64_t result = RotL(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = RotL(s_[3], 45);
+    return result;
+  }
   result_type operator()() { return Next(); }
 
   // Uniform integer in [0, bound). Precondition: bound > 0.
   // Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t NextBounded(std::uint64_t bound);
+  std::uint64_t NextBounded(std::uint64_t bound) {
+    using u128 = unsigned __int128;
+    u128 m = static_cast<u128>(Next()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) {
+      // Nearly divisionless: the threshold's division only runs when the
+      // low word falls below bound, with probability bound / 2^64.
+      const std::uint64_t threshold = -bound % bound;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<u128>(Next()) * bound;
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
   std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
@@ -53,12 +86,15 @@ class Rng {
   Rng Split();
 
  private:
+  // The golden-ratio increment of SplitMix64's state.
+  static constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+  static std::uint64_t RotL(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
-
-// The SplitMix64 finalizer: a platform-stable bijective mix of x. Rng
-// seeding and DeriveStreamSeed are built on it, and so is HashDecision.
-std::uint64_t Mix64(std::uint64_t x);
 
 // A hash of (seed, tag, ids...): Mix64 chained over the seed offset by the
 // tag, then over each id in turn. The storage and link fault injectors

@@ -127,11 +127,20 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     // touched was permanently unreadable — nothing to build from.
     return exhausted_error();
   }
+  // Every histogram is built from the separators Sample::Add reads while
+  // it adds a batch: R's quantiles once the batch is in.
   Sample accumulated;
-  accumulated.Stage(pages, pool);
-  accumulated.Commit();
-  EQUIHIST_ASSIGN_OR_RETURN(
-      Histogram current, BuildHistogramFromSample(accumulated, options.k, n));
+  Sample::BatchRanks ranks;
+  auto add = [&](std::span<const Value> separators) {
+    std::uint64_t tuples = 0;
+    for (const Page* page : pages) tuples += page->size();
+    ranks.quantile_ranks =
+        QuantileRanks(accumulated.size() + tuples, options.k);
+    accumulated.Add(pages, separators, ranks, pool);
+    return BuildHistogramFromSeparators(accumulated.view(),
+                                        std::move(ranks.quantiles), n);
+  };
+  EQUIHIST_ASSIGN_OR_RETURN(Histogram current, add({}));
 
   // Step 4: iterate cross-validation rounds.
   std::uint64_t accumulated_blocks = result.io.pages_read;
@@ -161,61 +170,49 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
     entry.iteration = i;
     entry.fresh_blocks = batch_io.pages_read;
 
-    // The fresh batch is staged as one sorted view, counted into R's key
-    // window or held as runs (Sample::Stage). All-tuples validation reads
-    // the view directly, and the view is merged below.
+    // The fresh batch is folded into R (Sample::Add), which records what
+    // validation reads of R before the batch and of the batch: their ranks
+    // at H_{i-1}'s separators. H_i comes from the same fold. One-tuple-
+    // per-block validation ranks its picks, drawn before the fold.
     std::vector<Value> picks;
     if (options.style == CvbValidationStyle::kOneTuplePerBlock) {
       picks = OneTuplePerBlock(pages, rng);
     }
-    const SortedView fresh = accumulated.Stage(pages, pool);
-    entry.fresh_tuples = fresh.size();
-    const SortedView validation =
-        options.style == CvbValidationStyle::kAllTuples ? fresh
-                                                        : SortedView(picks);
+    Result<Histogram> next = add(current.separators());
+    entry.fresh_tuples = ranks.batch_size;
+    const SeparatorRanks reference(ranks.before, ranks.before_size);
+    SeparatorRanks validation(ranks.batch, ranks.batch_size);
+    std::vector<std::uint64_t> pick_ranks;
+    if (options.style == CvbValidationStyle::kOneTuplePerBlock) {
+      pick_ranks.resize(current.separators().size());
+      SortedView(picks).PartitionRanks(current.separators(), pick_ranks);
+      validation = SeparatorRanks(pick_ranks, picks.size());
+    }
 
     // Stopping statistic, normalized so the pass threshold is f itself.
     switch (options.metric) {
       case CvbValidationMetric::kFractionalMaxError:
         entry.validation_error =
-            FractionalMaxError(current, accumulated.view(), validation);
+            FractionalMaxError(current, reference, validation);
         break;
       case CvbValidationMetric::kRelativeDeviation: {
-        const double ideal = static_cast<double>(validation.size()) /
+        const double ideal = static_cast<double>(validation.size) /
                              static_cast<double>(options.k);
         const double deviation = RelativeDeviation(current, validation);
         entry.validation_error = (ideal > 0.0) ? deviation / ideal : 0.0;
         break;
       }
-      case CvbValidationMetric::kClaimedDeviation: {
-        // Validation counts vs claimed counts scaled to the validation
-        // sample, in units of the ideal bucket size s/k.
-        const std::vector<std::uint64_t> val_counts =
-            current.PartitionSorted(validation);
-        const double scale = static_cast<double>(validation.size()) /
-                             static_cast<double>(current.total());
-        const double ideal = static_cast<double>(validation.size()) /
-                             static_cast<double>(options.k);
-        double worst = 0.0;
-        for (std::uint64_t j = 0; j < options.k; ++j) {
-          const double expected =
-              static_cast<double>(current.counts()[j]) * scale;
-          worst = std::max(
-              worst, std::abs(static_cast<double>(val_counts[j]) - expected));
-        }
-        entry.validation_error = (ideal > 0.0) ? worst / ideal : 0.0;
+      case CvbValidationMetric::kClaimedDeviation:
+        entry.validation_error = ClaimedDeviation(current, validation);
         break;
-      }
     }
     entry.threshold = options.f;
     entry.passed = entry.validation_error < options.f;
 
-    // Step 4(c): merge and rebuild regardless of the outcome — the fresh
-    // sample improves the histogram either way, and the paper's output is
-    // H_i (post-merge).
-    accumulated.Commit();
-    EQUIHIST_ASSIGN_OR_RETURN(
-        current, BuildHistogramFromSample(accumulated, options.k, n));
+    // Step 4(c): H_i, from the merged sample, replaces H_{i-1} regardless
+    // of the outcome — the fresh sample improves the histogram either
+    // way, and the paper's output is H_i (post-merge).
+    EQUIHIST_ASSIGN_OR_RETURN(current, std::move(next));
 
     entry.accumulated_tuples = accumulated.size();
     result.log.push_back(entry);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/math.h"
 #include "core/compressed_histogram.h"
 #include "data/sorted_view.h"
 #include "distinct/frequency_profile.h"
@@ -27,24 +26,34 @@ double ComputeDensity(SortedView sorted_values);
 // accurate whenever the CVB algorithm converges".
 double EstimateDensityFromSample(SortedView sorted_sample);
 
-// The density rule, fed one distinct value's multiplicity at a time in
-// ascending value order; the order fixes the bits of its Kahan sum.
+// The density rule, fed one distinct value's multiplicity at a time. The
+// sum of squares is exact, in 128-bit integers, and rounded once to a
+// double, so the density does not depend on the order of the values. Below
+// 2^53 that is the bits a compensated (Kahan) sum of the squares as
+// doubles gives too, since every term and partial sum is then exact.
+// Add(0) adds nothing.
 class DensityAccumulator {
  public:
   void Add(std::uint64_t multiplicity) {
-    const auto c = static_cast<double>(multiplicity);
-    sq_sum_.Add(c * c);
+    sq_sum_ += static_cast<unsigned __int128>(multiplicity) * multiplicity;
   }
 
-  // The density of the n elements added.
-  double Density(std::uint64_t n) const;
+  // The density of the n elements added. Inline, as Add is, so that a
+  // local accumulator's address does not escape and its sum stays in
+  // registers through a walk.
+  double Density(std::uint64_t n) const {
+    if (n <= 1) return 0.0;
+    const double nd = static_cast<double>(n);
+    return (static_cast<double>(sq_sum_) - nd) / (nd * nd - nd);
+  }
 
  private:
-  KahanSum sq_sum_;
+  unsigned __int128 sq_sum_ = 0;
 };
 
 // What every statistics build keeps from its sorted sample or scan
-// (Section 7.1, notes 3-4), taken in one pass over its distinct values:
+// (Section 7.1, notes 3-4), taken in one pass over its distinct values
+// (over every slot of a key window, without a branch on empty ones):
 //   - the density, as ComputeDensity;
 //   - with `with_profile`, the frequency profile, as
 //     FrequencyProfile::FromSorted: the distinct-value estimators' input,

@@ -86,11 +86,33 @@ Result<std::uint64_t> SeparationError(const Histogram& a, const Histogram& b,
   return worst;
 }
 
+namespace {
+
+// The partition ranks of `sorted` at the histogram's separators.
+std::vector<std::uint64_t> RanksAtSeparators(const Histogram& histogram,
+                                             SortedView sorted) {
+  std::vector<std::uint64_t> ranks(histogram.separators().size());
+  sorted.PartitionRanks(histogram.separators(), ranks);
+  return ranks;
+}
+
+std::vector<std::uint64_t> BucketCounts(SeparatorRanks sample) {
+  return CountsFromRanks({sample.ranks.begin(), sample.ranks.end()},
+                         sample.size);
+}
+
+}  // namespace
+
 double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample) {
-  const std::vector<std::uint64_t> counts =
-      histogram.PartitionSorted(sorted_sample);
-  const double ideal = static_cast<double>(sorted_sample.size()) /
-                       static_cast<double>(counts.size());
+  const std::vector<std::uint64_t> ranks =
+      RanksAtSeparators(histogram, sorted_sample);
+  return RelativeDeviation(histogram, {ranks, sorted_sample.size()});
+}
+
+double RelativeDeviation(const Histogram& histogram, SeparatorRanks sample) {
+  const std::vector<std::uint64_t> counts = BucketCounts(sample);
+  const double ideal = static_cast<double>(sample.size) /
+                       static_cast<double>(histogram.bucket_count());
   double worst = 0.0;
   for (std::uint64_t c : counts) {
     worst = std::max(worst, std::abs(static_cast<double>(c) - ideal));
@@ -98,22 +120,37 @@ double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample) {
   return worst;
 }
 
+double ClaimedDeviation(const Histogram& histogram, SeparatorRanks sample) {
+  const std::vector<std::uint64_t> counts = BucketCounts(sample);
+  const double scale = static_cast<double>(sample.size) /
+                       static_cast<double>(histogram.total());
+  const double ideal = static_cast<double>(sample.size) /
+                       static_cast<double>(histogram.bucket_count());
+  double worst = 0.0;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    const double expected =
+        static_cast<double>(histogram.counts()[j]) * scale;
+    worst = std::max(worst,
+                     std::abs(static_cast<double>(counts[j]) - expected));
+  }
+  return (ideal > 0.0) ? worst / ideal : 0.0;
+}
+
 double FractionalMaxError(const Histogram& histogram,
                           SortedView sorted_reference,
                           SortedView sorted_validation) {
-  if (sorted_reference.empty() || sorted_validation.empty()) return 0.0;
+  const std::vector<std::uint64_t> reference =
+      RanksAtSeparators(histogram, sorted_reference);
+  const std::vector<std::uint64_t> validation =
+      RanksAtSeparators(histogram, sorted_validation);
+  return FractionalMaxError(histogram, {reference, sorted_reference.size()},
+                            {validation, sorted_validation.size()});
+}
 
-  // Distinct separator values d_1 < d_2 < ... < d_m.
-  std::vector<Value> distinct;
-  distinct.reserve(histogram.separators().size());
-  for (Value s : histogram.separators()) {
-    if (distinct.empty() || distinct.back() != s) distinct.push_back(s);
-  }
-
-  auto fraction_leq = [](SortedView sorted, Value x) {
-    return static_cast<double>(sorted.CountLessEqual(x)) /
-           static_cast<double>(sorted.size());
-  };
+double FractionalMaxError(const Histogram& histogram,
+                          SeparatorRanks reference,
+                          SeparatorRanks validation) {
+  if (reference.size == 0 || validation.size == 0) return 0.0;
 
   // Denominator floor: one ideal bucket's share. Definition 4 scales each
   // segment's error by the segment's own reference mass; for segments
@@ -124,16 +161,27 @@ double FractionalMaxError(const Histogram& histogram,
   const double floor =
       1.0 / static_cast<double>(histogram.bucket_count());
 
+  // The distinct separator values d_1 < d_2 < ... < d_m are the last
+  // separators of their runs, whose partition ranks count the elements at
+  // or below them.
+  const std::vector<Value>& separators = histogram.separators();
   double worst = 0.0;
   double prev_ref = 0.0;
   double prev_val = 0.0;
   // Segments (d_{j-1}, d_j] for j = 1..m plus the final open segment
   // (d_m, +inf), whose fractions complete to 1.
-  for (std::size_t j = 0; j <= distinct.size(); ++j) {
-    const double ref_cum =
-        (j < distinct.size()) ? fraction_leq(sorted_reference, distinct[j]) : 1.0;
-    const double val_cum =
-        (j < distinct.size()) ? fraction_leq(sorted_validation, distinct[j]) : 1.0;
+  for (std::size_t j = 0; j <= separators.size(); ++j) {
+    const bool last = j == separators.size();
+    if (!last && j + 1 < separators.size() &&
+        separators[j + 1] == separators[j]) {
+      continue;
+    }
+    const double ref_cum = last ? 1.0
+                                : static_cast<double>(reference.ranks[j]) /
+                                      static_cast<double>(reference.size);
+    const double val_cum = last ? 1.0
+                                : static_cast<double>(validation.ranks[j]) /
+                                      static_cast<double>(validation.size);
     const double ref_frac = ref_cum - prev_ref;
     const double val_frac = val_cum - prev_val;
     prev_ref = ref_cum;

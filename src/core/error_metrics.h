@@ -47,11 +47,34 @@ Result<BucketErrorReport> ComputeHistogramErrors(const Histogram& histogram,
 Result<std::uint64_t> SeparationError(const Histogram& a, const Histogram& b,
                                       const ValueSet& population);
 
+// A sorted multiset as the validation metrics below read it: its size and
+// its partition ranks at a histogram's separators, ranks[j] elements in
+// buckets 0..j (SortedView::PartitionRanks). Each metric is written once
+// over these ranks, and its SortedView overload computes them and calls it.
+// CVB records a batch's ranks while it folds the batch into its sample
+// (Sample::Add), so it validates without a sorted view of the batch.
+// (No default constructor, so a call passing {} still means SortedView.)
+struct SeparatorRanks {
+  SeparatorRanks(std::span<const std::uint64_t> ranks_in,
+                 std::uint64_t size_in)
+      : ranks(ranks_in), size(size_in) {}
+
+  std::span<const std::uint64_t> ranks;
+  std::uint64_t size;
+};
+
 // Relative deviation delta_S of a histogram with respect to a sample S
 // (Definition 3): partition the (sorted) sample with the histogram's
 // separators and return max_j | |S_j| - |S|/k |. The cross-validation test
 // of the CVB algorithm compares this against f * |S| / k.
 double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample);
+double RelativeDeviation(const Histogram& histogram, SeparatorRanks sample);
+
+// The claimed-count deviation of CVB's kClaimedDeviation metric: partition
+// the sample S with the histogram's separators and return
+// max_j | |S_j| - claimed_j * |S|/n | in units of the ideal bucket |S|/k,
+// 0 for an empty sample. n is the histogram's total.
+double ClaimedDeviation(const Histogram& histogram, SeparatorRanks sample);
 
 // The duplicate-tolerant fractional max error f' (Definition 4).
 // `separators` come from the accumulated sample; f_j / p_j are the
@@ -75,6 +98,8 @@ double RelativeDeviation(const Histogram& histogram, SortedView sorted_sample);
 double FractionalMaxError(const Histogram& histogram,
                           SortedView sorted_reference,
                           SortedView sorted_validation);
+double FractionalMaxError(const Histogram& histogram,
+                          SeparatorRanks reference, SeparatorRanks validation);
 
 // Deviations of the histogram's *claimed* per-bucket counts from the true
 // counts obtained by partitioning `population` with its separators. For a

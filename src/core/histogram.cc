@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -101,21 +102,21 @@ std::string Histogram::ToString(std::size_t max_buckets) const {
 
 std::vector<std::uint64_t> SamplePartitionCounts(
     SortedView sorted, std::span<const Value> separators) {
-  std::vector<std::uint64_t> counts(separators.size() + 1, 0);
-  std::uint64_t prev = 0;
-  for (std::size_t j = 0; j < separators.size(); ++j) {
-    // A separator's own value counts into bucket j only if j is the last
-    // bucket of its (possibly duplicated) run — see BucketIndexForValue.
-    const bool run_continues =
-        j + 1 < separators.size() && separators[j + 1] == separators[j];
-    const std::uint64_t cum = run_continues
-                                  ? sorted.CountLess(separators[j])
-                                  : sorted.CountLessEqual(separators[j]);
-    counts[j] = cum - prev;
-    prev = cum;
+  std::vector<std::uint64_t> ranks(separators.size());
+  ranks.reserve(separators.size() + 1);
+  sorted.PartitionRanks(separators, ranks);
+  return CountsFromRanks(std::move(ranks), sorted.size());
+}
+
+std::vector<std::uint64_t> CountsFromRanks(std::vector<std::uint64_t> ranks,
+                                           std::uint64_t size) {
+  // In place, back to front: each count needs only its own rank and the
+  // one before it.
+  ranks.resize(ranks.size() + 1, size);
+  for (std::size_t j = ranks.size() - 1; j > 0; --j) {
+    ranks[j] -= ranks[j - 1];
   }
-  counts.back() = sorted.size() - prev;
-  return counts;
+  return ranks;
 }
 
 }  // namespace equihist

@@ -99,9 +99,14 @@ class Histogram {
 // repeated value's mass in the run's *last*, zero-width bucket, so the spike
 // is never smeared by in-bucket interpolation. Returns separators.size() + 1
 // counts summing to sorted.size(); each separator's cumulative rank is one
-// binary search.
+// binary search (SortedView::PartitionRanks).
 std::vector<std::uint64_t> SamplePartitionCounts(
     SortedView sorted, std::span<const Value> separators);
+
+// The bucket counts of a multiset of `size` elements whose partition ranks
+// (SortedView::PartitionRanks) are `ranks`: ranks.size() + 1 counts.
+std::vector<std::uint64_t> CountsFromRanks(std::vector<std::uint64_t> ranks,
+                                           std::uint64_t size);
 
 }  // namespace equihist
 

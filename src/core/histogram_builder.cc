@@ -11,19 +11,9 @@
 namespace equihist {
 namespace {
 
-// Separator s_j (1-based j = 1..k-1) sits at sorted rank ceil(j*m/k) - 1.
-// The ranks ascend with j, so one forward walk reads them all.
+// The separators at QuantileRanks, read in one forward walk.
 std::vector<Value> QuantileSeparators(SortedView sorted, std::uint64_t k) {
-  const std::uint64_t m = sorted.size();
-  std::vector<std::uint64_t> ranks;
-  ranks.reserve(k - 1);
-  for (std::uint64_t j = 1; j < k; ++j) {
-    // ceil(j*m/k) as integer arithmetic; clamp to [1, m].
-    std::uint64_t rank = (j * m + k - 1) / k;
-    if (rank == 0) rank = 1;
-    if (rank > m) rank = m;
-    ranks.push_back(rank - 1);
-  }
+  const std::vector<std::uint64_t> ranks = QuantileRanks(sorted.size(), k);
   std::vector<Value> separators(ranks.size());
   sorted.ValuesAtRanks(ranks, separators);
   return separators;
@@ -66,6 +56,20 @@ Status ValidateInputs(std::uint64_t m, std::uint64_t k) {
 
 }  // namespace
 
+std::vector<std::uint64_t> QuantileRanks(std::uint64_t m, std::uint64_t k) {
+  std::vector<std::uint64_t> ranks;
+  if (m == 0 || k == 0) return ranks;
+  ranks.reserve(k - 1);
+  for (std::uint64_t j = 1; j < k; ++j) {
+    // ceil(j*m/k) as integer arithmetic; clamp to [1, m].
+    std::uint64_t rank = (j * m + k - 1) / k;
+    if (rank == 0) rank = 1;
+    if (rank > m) rank = m;
+    ranks.push_back(rank - 1);
+  }
+  return ranks;
+}
+
 Result<Histogram> BuildPerfectHistogram(const ValueSet& population,
                                         std::uint64_t k) {
   EQUIHIST_RETURN_IF_ERROR(ValidateInputs(population.size(), k));
@@ -87,7 +91,18 @@ Result<Histogram> BuildHistogramFromSample(SortedView sorted_sample,
   if (population_size == 0) {
     return Status::InvalidArgument("population_size must be positive");
   }
-  std::vector<Value> separators = QuantileSeparators(sorted_sample, k);
+  return BuildHistogramFromSeparators(
+      sorted_sample, QuantileSeparators(sorted_sample, k), population_size);
+}
+
+Result<Histogram> BuildHistogramFromSeparators(SortedView sorted_sample,
+                                               std::vector<Value> separators,
+                                               std::uint64_t population_size) {
+  EQUIHIST_RETURN_IF_ERROR(
+      ValidateInputs(sorted_sample.size(), separators.size() + 1));
+  if (population_size == 0) {
+    return Status::InvalidArgument("population_size must be positive");
+  }
   std::vector<std::uint64_t> claimed = ScaledCounts(
       SamplePartitionCounts(sorted_sample, separators),
       sorted_sample.size(), population_size);

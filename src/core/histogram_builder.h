@@ -2,6 +2,7 @@
 #define EQUIHIST_CORE_HISTOGRAM_BUILDER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "core/histogram.h"
@@ -43,6 +44,18 @@ Result<Histogram> BuildHistogramFromSample(SortedView sorted_sample,
 Result<Histogram> BuildHistogramFromSample(const Sample& sample,
                                            std::uint64_t k,
                                            std::uint64_t population_size);
+
+// The 0-based sorted ranks of the k-1 separators both builders place among
+// m values, ascending: ceil(j*m/k) - 1 for j = 1..k-1, clamped to [0, m).
+// None for m = 0.
+std::vector<std::uint64_t> QuantileRanks(std::uint64_t m, std::uint64_t k);
+
+// BuildHistogramFromSample, k = separators.size() + 1, with the separators
+// already read off the sample at QuantileRanks(sorted_sample.size(), k):
+// CVB's Sample::Add reads them while it folds a batch in.
+Result<Histogram> BuildHistogramFromSeparators(SortedView sorted_sample,
+                                               std::vector<Value> separators,
+                                               std::uint64_t population_size);
 
 }  // namespace equihist
 

@@ -149,15 +149,46 @@ class SortedView {
     }
   }
 
+  // The run-aware partition by non-decreasing `separators`, the rule of
+  // Histogram::BucketIndexForValue, as cumulative counts: out[j] elements
+  // fall in buckets 0..j. That is CountLess(s_j) when s_{j+1} repeats s_j,
+  // since a repeated value's mass goes to the last bucket of its run, and
+  // CountLessEqual(s_j) otherwise. Every partition and validation metric
+  // reads a multiset through these ranks. Precondition: out.size() ==
+  // separators.size().
+  void PartitionRanks(std::span<const Value> separators,
+                      std::span<std::uint64_t> out) const {
+    for (std::size_t j = 0; j < separators.size(); ++j) {
+      const bool run_continues = j + 1 < separators.size() &&
+                                 separators[j + 1] == separators[j];
+      out[j] = run_continues ? CountLess(separators[j])
+                             : CountLessEqual(separators[j]);
+    }
+  }
+
   // Calls fn(value, multiplicity) once per distinct value, ascending.
   // Neighbouring entries with equal values count as one value; a window's
   // empty slots are skipped.
   template <typename Fn>
   void ForEachDistinct(Fn&& fn) const {
+    if (is_window()) {
+      ForEachSlot([&](Value value, std::uint64_t multiplicity) {
+        if (multiplicity != 0) fn(value, multiplicity);
+      });
+      return;
+    }
+    ForEachSlot(fn);
+  }
+
+  // ForEachDistinct, but a window's empty slots are passed too, with
+  // multiplicity 0. For an fn to which 0 is a no-op, the window walk then
+  // has no branch on the data: in a sparse window, whether a slot is
+  // empty is as good as random.
+  template <typename Fn>
+  void ForEachSlot(Fn&& fn) const {
     std::uint64_t before = 0;
     if (is_window()) {
       for (std::size_t i = 0; i < cumulative_.size(); ++i) {
-        if (cumulative_[i] == before) continue;
         fn(Key(i), cumulative_[i] - before);
         before = cumulative_[i];
       }

@@ -61,17 +61,72 @@ void CountRuns(std::span<const Value> batch, KeyBounds bounds, Runs& out) {
 }
 
 void CountPages(std::span<const Page* const> pages, Value base,
-                std::vector<std::uint64_t>& cumulative) {
-  std::fill(cumulative.begin(), cumulative.end(), 0);
+                std::span<std::uint64_t> counts) {
   for (std::size_t p = 0; p < pages.size(); ++p) {
     // The pages lie scattered over the table: fetching the page four ahead
     // cuts this loop's time by about 30% (DESIGN.md §8).
     if (p + kPrefetchPages < pages.size()) {
       pages[p + kPrefetchPages]->Prefetch();
     }
-    pages[p]->AddCounts(base, cumulative);
+    pages[p]->AddCounts(base, counts);
   }
-  std::partial_sum(cumulative.begin(), cumulative.end(), cumulative.begin());
+}
+
+void FoldCounts(Value base, std::span<std::uint64_t> counts,
+                std::span<std::uint64_t> window,
+                std::span<const Value> separators,
+                std::span<std::uint64_t> batch_ranks,
+                std::span<std::uint64_t> before_ranks,
+                std::span<const std::uint64_t> quantile_ranks,
+                std::span<Value> quantiles) {
+  const std::uint64_t last = window.size() - 1;
+  std::uint64_t* const count = counts.data();
+  std::uint64_t* const cumulative = window.data();
+  std::uint64_t run = 0;  // the batch's elements in slots [0, i)
+  std::size_t i = 0;
+  // The next quantile and its rank; past the last one, a rank no count
+  // exceeds.
+  std::size_t q = 0;
+  std::uint64_t next_rank = quantile_ranks.empty()
+                                ? std::numeric_limits<std::uint64_t>::max()
+                                : quantile_ranks[0];
+  // Folds slots [i, end): the batch's running total onto the window. The
+  // value at a rank is the key of the first slot counting beyond it.
+  auto fold_to = [&](std::size_t end) {
+    for (; i < end; ++i) {
+      run += count[i];
+      cumulative[i] += run;
+      while (cumulative[i] > next_rank) [[unlikely]] {
+        quantiles[q] =
+            static_cast<Value>(static_cast<std::uint64_t>(base) + i);
+        next_rank = ++q < quantile_ranks.size()
+                        ? quantile_ranks[q]
+                        : std::numeric_limits<std::uint64_t>::max();
+      }
+    }
+  };
+  for (std::size_t j = 0; j < separators.size(); ++j) {
+    // The rank counts the keys up to s_j, or below s_j when the next
+    // separator repeats it: none below the window, all past its end.
+    const bool below = j + 1 < separators.size() &&
+                       separators[j + 1] == separators[j];
+    if (below ? separators[j] <= base : separators[j] < base) {
+      batch_ranks[j] = 0;
+      before_ranks[j] = 0;
+      continue;
+    }
+    const std::uint64_t through = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(separators[j]) -
+            static_cast<std::uint64_t>(base) - (below ? 1 : 0),
+        last);
+    fold_to(through + 1);
+    batch_ranks[j] = run;
+    before_ranks[j] = cumulative[through] - run;
+  }
+  fold_to(window.size());
+  // One vectorized fill re-zeroes the counts faster than a store per slot
+  // in the fold.
+  std::fill(counts.begin(), counts.end(), 0);
 }
 
 }  // namespace sample_internal
@@ -81,9 +136,13 @@ Sample::Sample(std::vector<Value> values, ThreadPool* pool) {
   Merge(SortOrCount(values, counted, pool));
 }
 
-SortedView Sample::Stage(std::span<const Page* const> pages,
-                         ThreadPool* pool) {
-  staged_ = {};
+void Sample::Add(std::span<const Page* const> pages,
+                 std::span<const Value> separators, BatchRanks& ranks,
+                 ThreadPool* pool) {
+  ranks.before.resize(separators.size());
+  ranks.batch.resize(separators.size());
+  ranks.quantiles.resize(ranks.quantile_ranks.size());
+  ranks.before_size = size();
   std::uint64_t tuples = 0;
   KeyBounds bounds{.min = std::numeric_limits<Value>::max(),
                    .max = std::numeric_limits<Value>::min()};
@@ -92,7 +151,13 @@ SortedView Sample::Stage(std::span<const Page* const> pages,
     bounds.min = std::min(bounds.min, page->min_key());
     bounds.max = std::max(bounds.max, page->max_key());
   }
-  if (tuples == 0) return staged_;
+  ranks.batch_size = tuples;
+  if (tuples == 0) {
+    view().PartitionRanks(separators, ranks.before);
+    std::fill(ranks.batch.begin(), ranks.batch.end(), 0);
+    view().ValuesAtRanks(ranks.quantile_ranks, ranks.quantiles);
+    return;
+  }
   if (!window_.empty()) {
     bounds.min = std::min(bounds.min, base_);
     bounds.max = std::max(
@@ -110,10 +175,13 @@ SortedView Sample::Stage(std::span<const Page* const> pages,
                         range / kWindowSlotsPerTuple < count)) {
     // The bounds cover R's window, so they differ from it only if wider.
     if (range + 1 != window_.size()) ToWindow(bounds);
+    // fresh_ is all zeros between Adds, so growing it keeps it so.
     fresh_.resize(window_.size());
     sample_internal::CountPages(pages, base_, fresh_);
-    staged_ = SortedView::Window(base_, fresh_);
-    return staged_;
+    sample_internal::FoldCounts(base_, fresh_, window_, separators,
+                                ranks.batch, ranks.before,
+                                ranks.quantile_ranks, ranks.quantiles);
+    return;
   }
 
   if (!window_.empty()) ToRuns();
@@ -123,17 +191,11 @@ SortedView Sample::Stage(std::span<const Page* const> pages,
     page->DecodeTo(std::span<Value>(batch_).subspan(first));
     first += page->size();
   }
-  staged_ = SortOrCount(batch_, counted_, pool);
-  return staged_;
-}
-
-void Sample::Commit() {
-  if (staged_.is_window()) {
-    for (std::size_t i = 0; i < window_.size(); ++i) window_[i] += fresh_[i];
-  } else {
-    Merge(staged_);
-  }
-  staged_ = {};
+  const SortedView batch = SortOrCount(batch_, counted_, pool);
+  view().PartitionRanks(separators, ranks.before);
+  batch.PartitionRanks(separators, ranks.batch);
+  Merge(batch);
+  view().ValuesAtRanks(ranks.quantile_ranks, ranks.quantiles);
 }
 
 void Sample::ToWindow(KeyBounds bounds) {

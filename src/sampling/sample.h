@@ -40,12 +40,30 @@ namespace sample_internal {
 // the range is smaller than the batch).
 void CountRuns(std::span<const Value> batch, KeyBounds bounds, Runs& out);
 
-// Sample::Stage's window path: counts the tuples of `pages` into
-// `cumulative`, one slot per key from `base`, and turns the counts
-// cumulative. Precondition: cumulative is sized to a window holding every
-// key of every page.
+// Sample::Add's window path, first pass: adds the tuple counts of `pages`
+// into `counts`, one slot per key from `base`. Precondition: counts covers
+// every key of every page.
 void CountPages(std::span<const Page* const> pages, Value base,
-                std::vector<std::uint64_t>& cumulative);
+                std::span<std::uint64_t> counts);
+
+// Sample::Add's window path, last pass: folds one batch's per-slot
+// `counts` into the cumulative `window` over the same keys from `base`,
+// then zeroes `counts` with one fill. On the way it records, at each of
+// `separators` (non-decreasing), the batch's partition rank
+// (SortedView::PartitionRanks) into batch_ranks[j] and the window's rank
+// before the fold into before_ranks[j], and reads the folded window's
+// values at `quantile_ranks` (ascending) into `quantiles`, as
+// SortedView::ValuesAtRanks would. Preconditions: the window is non-empty,
+// counts.size() == window.size(), both rank spans have separators.size()
+// entries, quantiles has quantile_ranks.size(), and each quantile rank is
+// below the folded window's total.
+void FoldCounts(Value base, std::span<std::uint64_t> counts,
+                std::span<std::uint64_t> window,
+                std::span<const Value> separators,
+                std::span<std::uint64_t> batch_ranks,
+                std::span<std::uint64_t> before_ranks,
+                std::span<const std::uint64_t> quantile_ranks = {},
+                std::span<Value> quantiles = {});
 
 }  // namespace sample_internal
 
@@ -57,8 +75,8 @@ void CountPages(std::span<const Page* const> pages, Value base,
 //   - a key window: while the key range of R and the fresh batch together
 //     is small enough for their tuple count (the window rule below), R and
 //     the batch are cumulative counts over one window of consecutive keys.
-//     Counting the batch is one pass over its pages, every rank query is
-//     an index, and merging adds two arrays;
+//     Counting the batch is one pass over its pages, folding it into R is
+//     one pass over the window, and every rank query is an index;
 //   - runs: otherwise. The batch is decoded out of its pages, counted or
 //     sorted by SortOrCount, and merged. On duplicated columns the runs
 //     number the distinct values seen, far fewer than the tuples.
@@ -84,17 +102,33 @@ class Sample {
   std::uint64_t size() const { return view().size(); }
   bool empty() const { return size() == 0; }
 
-  // Stages the tuples of `pages` as a fresh batch and returns its sorted
-  // view, valid until the next Stage or Commit. The sample itself is
-  // unchanged until Commit: view() still answers for R alone. The batch's
-  // key bounds fold over the pages' bounds before any tuple is read, and
-  // decide the form, changing R's (never its multiset) if they must. The
-  // pool serves the sort of a batch that cannot be counted.
-  SortedView Stage(std::span<const Page* const> pages,
-                   ThreadPool* pool = nullptr);
+  // What validation reads of one batch, and what the next histogram reads
+  // of R: the partition ranks (SortedView::PartitionRanks) of R before
+  // the batch and of the batch at the separators passed to Add, both
+  // sizes, and R's values at `quantile_ranks` once the batch is in.
+  struct BatchRanks {
+    // Set by the caller: ascending ranks of R with the batch, each below
+    // its size (none, if no values are wanted).
+    std::vector<std::uint64_t> quantile_ranks;
+    std::vector<Value> quantiles;
+    std::vector<std::uint64_t> before;
+    std::vector<std::uint64_t> batch;
+    std::uint64_t before_size = 0;
+    std::uint64_t batch_size = 0;
+  };
 
-  // Adds the staged batch to the sample.
-  void Commit();
+  // Adds the tuples of `pages` to the sample and fills `ranks` at
+  // `separators` (non-decreasing; none when no histogram is validated)
+  // and at ranks.quantile_ranks. The batch's key bounds fold over the
+  // pages' bounds before any tuple is read, and decide the form, changing
+  // R's (never its multiset) if they must. In a window the batch is
+  // counted per slot and folded into R in one pass, which records its
+  // ranks and reads the quantiles on the way; as runs it is decoded,
+  // counted or sorted (SortOrCount, the pool serving a sort), ranked and
+  // merged, and the quantiles are read from the merged runs.
+  void Add(std::span<const Page* const> pages,
+           std::span<const Value> separators, BatchRanks& ranks,
+           ThreadPool* pool = nullptr);
 
   // Merges a sorted span or runs into the sample in one sequential pass
   // over the sample's runs and the batch's entries, leaving the sample as
@@ -129,12 +163,11 @@ class Sample {
   Runs runs_;
   Value base_ = 0;
   std::vector<std::uint64_t> window_;
-  // The staged batch: cumulative counts over R's window, or the decoded
-  // tuples and SortOrCount's runs.
+  // A batch's per-slot counts over R's window, all zero between Adds; as
+  // runs, its decoded tuples and SortOrCount's runs.
   std::vector<std::uint64_t> fresh_;
   std::vector<Value> batch_;
   Runs counted_;
-  SortedView staged_;
 };
 
 }  // namespace equihist

@@ -1,6 +1,8 @@
 #include "sampling/sample.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -12,6 +14,9 @@
 #include "common/parallel_sort.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/error_metrics.h"
+#include "core/histogram.h"
+#include "core/histogram_builder.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
 #include "sampling/row_sampler.h"
@@ -430,24 +435,65 @@ std::vector<const Page*> ViewsOf(const std::vector<Page>& pages) {
   return views;
 }
 
-// Stages and commits `batch` as pages, checking the staged view, the
-// sample before the commit and the sample after it against plain sorted
-// multisets. Returns whether the batch was staged in a key window.
-bool StageAndCommit(Sample& sample, std::vector<Value>& reference,
-                    const std::vector<Value>& batch, ThreadPool* pool) {
+// The partition ranks of a sorted multiset at `separators`, by the rule of
+// Histogram::BucketIndexForValue, with plain binary searches.
+std::vector<std::uint64_t> ReferenceRanks(const std::vector<Value>& sorted,
+                                          std::span<const Value> separators) {
+  std::vector<std::uint64_t> ranks;
+  for (std::size_t j = 0; j < separators.size(); ++j) {
+    const bool run_continues =
+        j + 1 < separators.size() && separators[j + 1] == separators[j];
+    const auto end = run_continues ? std::lower_bound(sorted.begin(),
+                                                      sorted.end(),
+                                                      separators[j])
+                                   : std::upper_bound(sorted.begin(),
+                                                      sorted.end(),
+                                                      separators[j]);
+    ranks.push_back(static_cast<std::uint64_t>(end - sorted.begin()));
+  }
+  return ranks;
+}
+
+// Adds `batch` as pages, checking the ranks Add records at `separators`
+// against those of R and of the batch as plain sorted multisets, and the
+// sample after it against R with the batch. Returns whether the sample
+// holds a key window after the Add.
+bool AddAndCheck(Sample& sample, std::vector<Value>& reference,
+                    const std::vector<Value>& batch, ThreadPool* pool,
+                    std::span<const Value> separators = {}) {
   const std::vector<Page> pages = MakePages(batch, 64);
   std::vector<Value> sorted_batch = batch;
   std::sort(sorted_batch.begin(), sorted_batch.end());
-  const SortedView staged = sample.Stage(ViewsOf(pages), pool);
-  const bool window = staged.is_window();
-  ExpectMatchesReference(staged, sorted_batch);
-  ExpectMatchesReference(sample, reference);  // unchanged until Commit
-  EXPECT_EQ(sample.view().is_window(), window);
-  sample.Commit();
+  Sample::BatchRanks ranks;
+  sample.Add(ViewsOf(pages), separators, ranks, pool);
+  EXPECT_EQ(ranks.before_size, reference.size());
+  EXPECT_EQ(ranks.batch_size, batch.size());
+  EXPECT_EQ(ranks.before, ReferenceRanks(reference, separators));
+  EXPECT_EQ(ranks.batch, ReferenceRanks(sorted_batch, separators));
   reference.insert(reference.end(), batch.begin(), batch.end());
   std::sort(reference.begin(), reference.end());
   ExpectMatchesReference(sample, reference);
-  return window;
+  return sample.view().is_window();
+}
+
+// Separators for validating the next batch: quantiles of R (none while it
+// is empty), some repeated, beside keys one outside each end of R and the
+// batch and at both ends of the domain.
+std::vector<Value> SeparatorsFor(const std::vector<Value>& reference,
+                                 const std::vector<Value>& batch, Rng& rng) {
+  std::vector<Value> separators = {kMin, kMin, kMax, kMax};
+  for (const std::vector<Value>* keys : {&reference, &batch}) {
+    if (keys->empty()) continue;
+    const auto [lo, hi] = std::minmax_element(keys->begin(), keys->end());
+    if (*lo != kMin) separators.push_back(*lo - 1);
+    if (*hi != kMax) separators.push_back(*hi + 1);
+  }
+  for (std::size_t q = 1; q < 8 && !reference.empty(); ++q) {
+    const Value x = reference[q * (reference.size() - 1) / 8];
+    separators.insert(separators.end(), 1 + rng.NextBounded(3), x);
+  }
+  std::sort(separators.begin(), separators.end());
+  return separators;
 }
 
 // `count` keys drawn uniformly from [lo, lo + span).
@@ -463,25 +509,26 @@ std::vector<Value> UniformKeys(std::size_t count, Value lo, Value span,
 // when a late batch brings INT64_MAX.
 TEST(SampleStageTest, WindowEntersStaysAndLeaves) {
   Rng rng(3);
+  Rng separator_rng(4);
   Sample sample;
   std::vector<Value> reference;
+  auto add = [&](const std::vector<Value>& batch) {
+    return AddAndCheck(sample, reference, batch, nullptr,
+                          SeparatorsFor(reference, batch, separator_rng));
+  };
   // Range ~200 >= 4 * 30 tuples: runs.
-  EXPECT_FALSE(
-      StageAndCommit(sample, reference, UniformKeys(30, 0, 200, rng), nullptr));
+  EXPECT_FALSE(add(UniformKeys(30, 0, 200, rng)));
   // Range ~200 < 4 * 330: R is scattered into a window.
-  EXPECT_TRUE(StageAndCommit(sample, reference, UniformKeys(300, 0, 200, rng),
-                             nullptr));
-  // The window grows to 300 keys, still below 4 * 630 tuples.
-  EXPECT_TRUE(StageAndCommit(sample, reference,
-                             UniformKeys(300, 100, 200, rng), nullptr));
-  EXPECT_TRUE(StageAndCommit(sample, reference,
-                             UniformKeys(100, -50, 100, rng), nullptr));
+  EXPECT_TRUE(add(UniformKeys(300, 0, 200, rng)));
+  // The window grows to 300 keys, still below 4 * 630 tuples, then widens
+  // at its lower end.
+  EXPECT_TRUE(add(UniformKeys(300, 100, 200, rng)));
+  EXPECT_TRUE(add(UniformKeys(100, -50, 100, rng)));
   // INT64_MAX: back to runs, and it stays there.
   std::vector<Value> late = UniformKeys(100, 0, 200, rng);
   late[37] = kMax;
-  EXPECT_FALSE(StageAndCommit(sample, reference, late, nullptr));
-  EXPECT_FALSE(StageAndCommit(sample, reference,
-                              UniformKeys(2000, 0, 200, rng), nullptr));
+  EXPECT_FALSE(add(late));
+  EXPECT_FALSE(add(UniformKeys(2000, 0, 200, rng)));
 }
 
 // Windows at either end of the domain count keys exactly, with the extreme
@@ -492,12 +539,15 @@ TEST(SampleStageTest, WindowsAtTheEndsOfTheDomain) {
     Rng rng(5);
     Sample sample;
     std::vector<Value> reference;
+    Rng separator_rng(6);
     std::vector<Value> first = UniformKeys(100, lo, 30, rng);
-    EXPECT_TRUE(StageAndCommit(sample, reference, first, nullptr));
+    EXPECT_TRUE(AddAndCheck(sample, reference, first, nullptr));
     std::vector<Value> second = UniformKeys(100, lo, 41, rng);
     second[0] = lo;
     second[1] = lo + 40;
-    EXPECT_TRUE(StageAndCommit(sample, reference, second, nullptr));
+    EXPECT_TRUE(AddAndCheck(sample, reference, second, nullptr,
+                               SeparatorsFor(reference, second,
+                                             separator_rng)));
   }
 }
 
@@ -509,20 +559,20 @@ TEST(SampleStageTest, WindowWhileTheRangeIsBelowFourSlotsPerTuple) {
   Sample sample;
   std::vector<Value> reference;
   // Range 39 < 4 * 10.
-  EXPECT_TRUE(StageAndCommit(sample, reference,
+  EXPECT_TRUE(AddAndCheck(sample, reference,
                              {39, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
   // Range 48 = 4 * 12: back to runs.
-  EXPECT_FALSE(StageAndCommit(sample, reference, {48, 48}, nullptr));
+  EXPECT_FALSE(AddAndCheck(sample, reference, {48, 48}, nullptr));
   // Range 48 < 4 * 13.
-  EXPECT_TRUE(StageAndCommit(sample, reference, {0}, nullptr));
+  EXPECT_TRUE(AddAndCheck(sample, reference, {0}, nullptr));
   // Range 51 < 4 * 14, the window widening to the batch's key.
-  EXPECT_TRUE(StageAndCommit(sample, reference, {51}, nullptr));
+  EXPECT_TRUE(AddAndCheck(sample, reference, {51}, nullptr));
   // Range 60 = 4 * 15.
-  EXPECT_FALSE(StageAndCommit(sample, reference, {60}, nullptr));
+  EXPECT_FALSE(AddAndCheck(sample, reference, {60}, nullptr));
   Sample fresh;
   std::vector<Value> fresh_reference;
   // Range 40 = 4 * 10.
-  EXPECT_FALSE(StageAndCommit(fresh, fresh_reference,
+  EXPECT_FALSE(AddAndCheck(fresh, fresh_reference,
                               {40, 0, 1, 2, 3, 4, 5, 6, 7, 8}, nullptr));
 }
 
@@ -539,7 +589,7 @@ TEST(SampleStageTest, WindowsOfTwoToTheEighteenKeysNeedATuplePerKey) {
     keys[1] = range;
     Sample sample;
     std::vector<Value> reference;
-    return StageAndCommit(sample, reference, keys, nullptr);
+    return AddAndCheck(sample, reference, keys, nullptr);
   };
   // Range 2^18 - 1 < 4 * 65,536, below the cap.
   EXPECT_TRUE(stage(65536, kCap - 1));
@@ -553,9 +603,14 @@ TEST(SampleStageTest, WindowsOfTwoToTheEighteenKeysNeedATuplePerKey) {
 TEST(SampleStageTest, EmptyStageIsANoop) {
   Sample sample;
   std::vector<Value> reference;
-  StageAndCommit(sample, reference, {4, 4, 5}, nullptr);
-  EXPECT_TRUE(sample.Stage({}, nullptr).empty());
-  sample.Commit();
+  AddAndCheck(sample, reference, {4, 4, 5}, nullptr);
+  const std::vector<Value> separators = {3, 4, 4, 9};
+  Sample::BatchRanks ranks;
+  sample.Add({}, separators, ranks, nullptr);
+  EXPECT_EQ(ranks.batch_size, 0u);
+  EXPECT_EQ(ranks.batch, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(ranks.before_size, 3u);
+  EXPECT_EQ(ranks.before, (std::vector<std::uint64_t>{0, 0, 2, 3}));
   ExpectMatchesReference(sample, reference);
 }
 
@@ -598,12 +653,16 @@ TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
     std::vector<Value> reference;
     std::vector<Value> parallel_reference;
     std::vector<bool> forms;
+    Rng separator_rng(seed + 100);
     for (std::size_t b = 0; b < batches.size(); ++b) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " batch " << b
                                       << " size " << batches[b].size());
-      forms.push_back(StageAndCommit(serial, reference, batches[b], nullptr));
-      EXPECT_EQ(StageAndCommit(parallel, parallel_reference, batches[b],
-                               &pool),
+      const std::vector<Value> separators =
+          SeparatorsFor(reference, batches[b], separator_rng);
+      forms.push_back(AddAndCheck(serial, reference, batches[b], nullptr,
+                                     separators));
+      EXPECT_EQ(AddAndCheck(parallel, parallel_reference, batches[b],
+                               &pool, separators),
                 forms.back());
     }
     EXPECT_NE(std::find(forms.begin(), forms.begin() + late, true),
@@ -611,6 +670,164 @@ TEST(SamplePropertyTest, StagedPagesMatchSortedMultisetReference) {
     EXPECT_EQ(std::find(forms.begin() + late, forms.end(), true), forms.end());
   }
   EXPECT_EQ(widths, (std::set<std::uint32_t>{1, 2, 4, 8}));
+}
+
+// The window's one fold pass against the three passes it replaced: the
+// batch's counts zero-filled, counted and turned cumulative, then added to
+// R's window. Windows mid-domain and at both ends of it, with empty edge
+// slots, and separators inside the window, repeated, outside it on both
+// sides and at both ends of the domain.
+TEST(FoldCountsTest, MatchesPrefixSumAndAdd) {
+  Rng rng(17);
+  struct Case {
+    Value base;
+    std::uint64_t slots;
+  };
+  const Case cases[] = {
+      {-40, 1}, {-40, 97}, {kMin, 50}, {kMax - 49, 50}, {1000, 5000}};
+  for (const Case& c : cases) {
+    const auto key = [&](std::uint64_t slot) {
+      return static_cast<Value>(static_cast<std::uint64_t>(c.base) + slot);
+    };
+    const Value last = key(c.slots - 1);
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(testing::Message()
+                   << "base " << c.base << " trial " << trial);
+      std::vector<std::uint64_t> counts(c.slots);
+      std::vector<std::uint64_t> per_slot(c.slots);
+      for (std::uint64_t i = 0; i < c.slots; ++i) {
+        counts[i] = rng.NextBounded(3) == 0 ? 0 : rng.NextBounded(5);
+        per_slot[i] = rng.NextBounded(2) == 0 ? 0 : rng.NextBounded(4);
+      }
+      if (trial % 2 == 0) {
+        counts.front() = 0;
+        counts.back() = 0;
+        per_slot.front() = 0;
+      }
+      std::vector<std::uint64_t> window = per_slot;
+      std::partial_sum(window.begin(), window.end(), window.begin());
+      std::vector<Value> separators = {kMin, kMax};
+      for (int q = 0; q < 12; ++q) {
+        Value x = key(rng.NextBounded(c.slots));
+        if (q % 4 == 1 && c.base != kMin) x = c.base - 1;
+        if (q % 4 == 2 && last != kMax) x = last + 1;
+        separators.insert(separators.end(), 1 + rng.NextBounded(3), x);
+      }
+      std::sort(separators.begin(), separators.end());
+
+      // Today's passes: cumulative batch counts, then R += batch.
+      std::vector<std::uint64_t> fresh = counts;
+      std::partial_sum(fresh.begin(), fresh.end(), fresh.begin());
+      std::vector<std::uint64_t> expected = window;
+      for (std::uint64_t i = 0; i < c.slots; ++i) expected[i] += fresh[i];
+      const std::vector<Value> batch_elements =
+          Elements(SortedView::Window(c.base, fresh));
+      const std::vector<Value> before_elements =
+          Elements(SortedView::Window(c.base, window));
+
+      std::vector<std::uint64_t> batch_ranks(separators.size());
+      std::vector<std::uint64_t> before_ranks(separators.size());
+      sample_internal::FoldCounts(c.base, counts, window, separators,
+                                  batch_ranks, before_ranks);
+      EXPECT_EQ(window, expected);
+      EXPECT_EQ(counts, std::vector<std::uint64_t>(c.slots, 0));
+      EXPECT_EQ(batch_ranks, ReferenceRanks(batch_elements, separators));
+      EXPECT_EQ(before_ranks, ReferenceRanks(before_elements, separators));
+    }
+  }
+}
+
+// The claimed-count deviation as CVB computed it from a sorted view of the
+// validation sample.
+double ClaimedDeviationOfView(const Histogram& histogram,
+                              SortedView validation) {
+  const std::vector<std::uint64_t> counts =
+      histogram.PartitionSorted(validation);
+  const double scale = static_cast<double>(validation.size()) /
+                       static_cast<double>(histogram.total());
+  const double ideal = static_cast<double>(validation.size()) /
+                       static_cast<double>(histogram.bucket_count());
+  double worst = 0.0;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    const double expected = static_cast<double>(histogram.counts()[j]) * scale;
+    worst =
+        std::max(worst, std::abs(static_cast<double>(counts[j]) - expected));
+  }
+  return ideal > 0.0 ? worst / ideal : 0.0;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Every validation metric reads the same bits from the ranks Add records
+// as from the sorted views of R and of the batch that staging gave, for
+// both validation styles: all of the batch's tuples, and one random tuple
+// per page. H_{i-1} is built from R as CVB builds it, at k = 8, so a heavy
+// key repeats separators. The batches enter the window, widen it at both
+// ends, leave it for runs with INT64_MAX, and stay in runs.
+TEST(SampleStageTest, ValidationFromRanksMatchesSortedViews) {
+  Rng rng(31);
+  std::vector<std::vector<Value>> batches = {
+      UniformKeys(40, 0, 400, rng),   UniformKeys(300, 0, 200, rng),
+      UniformKeys(600, 0, 200, rng),  UniformKeys(300, -60, 100, rng),
+      UniformKeys(300, 150, 120, rng), UniformKeys(400, 0, 300, rng),
+      UniformKeys(200, 0, 300, rng),  UniformKeys(500, 0, 300, rng)};
+  // A heavy key: over a bucket's share, so its separators repeat.
+  std::fill(batches[2].begin(), batches[2].begin() + 300, 77);
+  batches[6][11] = kMax;
+  Sample sample;
+  std::vector<Value> reference;
+  std::set<bool> forms;
+  bool repeated_separators = false;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "batch " << b);
+    const std::vector<Page> pages = MakePages(batches[b], 64);
+    std::vector<Value> sorted_batch = batches[b];
+    std::sort(sorted_batch.begin(), sorted_batch.end());
+    Sample::BatchRanks ranks;
+    if (reference.empty()) {
+      sample.Add(ViewsOf(pages), {}, ranks, nullptr);
+    } else {
+      const Histogram histogram =
+          BuildHistogramFromSample(SortedView(reference), 8,
+                                   10 * reference.size())
+              .value();
+      const std::vector<Value>& separators = histogram.separators();
+      repeated_separators |=
+          std::adjacent_find(separators.begin(), separators.end()) !=
+          separators.end();
+      std::vector<Value> picks;
+      for (const Page& page : pages) {
+        picks.push_back(
+            page.at(static_cast<std::uint32_t>(rng.NextBounded(page.size()))));
+      }
+      std::sort(picks.begin(), picks.end());
+      sample.Add(ViewsOf(pages), separators, ranks, nullptr);
+      const std::vector<std::uint64_t> pick_ranks =
+          ReferenceRanks(picks, separators);
+      const SeparatorRanks before(ranks.before, ranks.before_size);
+      const SeparatorRanks styles[] = {
+          SeparatorRanks(ranks.batch, ranks.batch_size),
+          SeparatorRanks(pick_ranks, picks.size())};
+      const SortedView views[] = {SortedView(sorted_batch),
+                                  SortedView(picks)};
+      for (int style = 0; style < 2; ++style) {
+        SCOPED_TRACE(testing::Message() << "style " << style);
+        EXPECT_EQ(Bits(FractionalMaxError(histogram, before, styles[style])),
+                  Bits(FractionalMaxError(histogram, SortedView(reference),
+                                          views[style])));
+        EXPECT_EQ(Bits(RelativeDeviation(histogram, styles[style])),
+                  Bits(RelativeDeviation(histogram, views[style])));
+        EXPECT_EQ(Bits(ClaimedDeviation(histogram, styles[style])),
+                  Bits(ClaimedDeviationOfView(histogram, views[style])));
+      }
+    }
+    reference.insert(reference.end(), batches[b].begin(), batches[b].end());
+    std::sort(reference.begin(), reference.end());
+    ExpectMatchesReference(sample, reference);
+    forms.insert(sample.view().is_window());
+  }
+  EXPECT_EQ(forms, (std::set<bool>{false, true}));
+  EXPECT_TRUE(repeated_separators);
 }
 
 }  // namespace
