@@ -439,9 +439,9 @@ void BM_BlockSamplerConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockSamplerConstruct)->Unit(benchmark::kMicrosecond);
 
-// The final statistics of a CVB build (SummarizeSample with the profile):
-// density, frequency profile and heavy hitters of the final sample of one
-// k = 200, f = 0.2 build of the rebuild table, a key window over its
+// The final statistics of a CVB build (SummarizeSample): density, the
+// distinct and once-seen counts and heavy hitters of the final sample of
+// one k = 200, f = 0.2 build of the rebuild table, a key window over its
 // 20,000 keys.
 void BM_SummarizeSample(benchmark::State& state) {
   const Table& table = RebuildTable();
@@ -458,7 +458,7 @@ void BM_SummarizeSample(benchmark::State& state) {
   const double scale = static_cast<double>(table.tuple_count()) /
                        static_cast<double>(sample.size());
   for (auto _ : state) {
-    auto summary = SummarizeSample(sample, options.k, scale, true);
+    auto summary = SummarizeSample(sample, options.k, scale);
     benchmark::DoNotOptimize(summary);
   }
   state.counters["tuples"] = static_cast<double>(sample.size());

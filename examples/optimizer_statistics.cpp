@@ -1,7 +1,7 @@
 // optimizer_statistics: the full database-side statistics lifecycle —
 // auto-create per-column statistics by sampling, persist them within the
 // one-page budget (as SQL Server does), answer optimizer questions (range,
-// equality, duplicate elimination, join size), and auto-refresh after DML.
+// equality, duplicate elimination), and auto-refresh after DML.
 //
 //   $ ./optimizer_statistics [n]
 
@@ -92,16 +92,8 @@ int main(int argc, char** argv) {
   std::printf("  equality = %lld (cold)  ~ %.1f rows (density fallback)\n",
               static_cast<long long>(o.histogram().upper_fence()),
               o.EstimateEqualityCount(o.histogram().upper_fence()));
-  std::printf("  DISTINCT reduction      ~ %.2f%% of rows survive\n",
+  std::printf("  DISTINCT reduction      ~ %.2f%% of rows survive\n\n",
               100.0 * o.EstimateDistinctFraction());
-
-  const auto classic = SystemRJoinEstimate(o, **customers_stats);
-  const auto refined = HistogramJoinEstimate(o, **customers_stats);
-  if (classic.ok() && refined.ok()) {
-    std::printf("  orders JOIN customers   ~ %s rows (System R) / %s rows "
-                "(histogram-refined)\n\n",
-                FormatCount(*classic).c_str(), FormatCount(*refined).c_str());
-  }
 
   // 4. DML happens; statistics go stale and auto-refresh.
   manager.RecordModifications("orders.customer_id",

@@ -21,6 +21,7 @@
 #include "sampling/reservoir.h"
 #include "stats/column_statistics.h"
 #include "stats/fleet_wire.h"
+#include "stats/histogram_backends.h"
 #include "stats/serialization.h"
 #include "stats/transport.h"
 #include "stats/wire_format.h"
@@ -82,6 +83,13 @@ void HistogramSeeds(const std::filesystem::path& root) {
   Bytes container;
   equihist::SerializeHistogram(histogram, &container);
   WriteSeed(root, "fuzz_histogram_deserialize", "equiheight_v2", container);
+
+  // Backend id 3 decodes only: no build writes it, so this seed is what
+  // keeps the campaign inside its decoder.
+  Bytes gmp;
+  equihist::SerializeHistogramModel(equihist::GmpSnapshotModel(histogram),
+                                    &gmp);
+  WriteSeed(root, "fuzz_histogram_deserialize", "gmp_snapshot_v2", gmp);
 
   equihist::ColumnStatistics stats;
   stats.SetEquiHeight(histogram);

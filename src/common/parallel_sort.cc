@@ -194,29 +194,4 @@ void ParallelSort(std::vector<std::int64_t>& v, KeyBounds bounds,
   Sort(v, bounds, pool);
 }
 
-std::uint64_t CountDistinctSorted(const std::int64_t* data, std::size_t n,
-                                  ThreadPool* pool) {
-  if (n == 0) return 0;
-  const std::size_t shards = pool == nullptr ? 1 : pool->size();
-  if (shards <= 1 || n < kMinParallelElements) {
-    std::uint64_t distinct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == 0 || data[i] != data[i - 1]) ++distinct;
-    }
-    return distinct;
-  }
-  std::vector<std::uint64_t> partial(shards, 0);
-  pool->ParallelFor(0, n, shards,
-                    [&](std::size_t lo, std::size_t hi, std::size_t s) {
-                      std::uint64_t count = 0;
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        if (i == 0 || data[i] != data[i - 1]) ++count;
-                      }
-                      partial[s] = count;
-                    });
-  std::uint64_t distinct = 0;
-  for (std::uint64_t c : partial) distinct += c;
-  return distinct;
-}
-
 }  // namespace equihist

@@ -72,11 +72,6 @@ void ParallelSort(std::vector<std::int64_t>& v, ThreadPool* pool);
 void ParallelSort(std::vector<std::int64_t>& v, KeyBounds bounds,
                   ThreadPool* pool);
 
-// Number of distinct values in a sorted range, with per-shard partial
-// counts summed in shard order (deterministic).
-std::uint64_t CountDistinctSorted(const std::int64_t* data, std::size_t n,
-                                  ThreadPool* pool);
-
 }  // namespace equihist
 
 #endif  // EQUIHIST_COMMON_PARALLEL_SORT_H_

@@ -104,11 +104,21 @@ class Rng {
 std::uint64_t HashDecision(std::uint64_t seed, std::uint32_t tag,
                            std::initializer_list<std::uint64_t> ids);
 
+// FNV-1a 64: a hash starts at the offset basis and folds in one byte per
+// round. The column-name hash (HashColumnName), the transport envelope
+// checksum (ChecksumBytes) and the page checksum (Page::MixChecksum) are
+// this one core; each is pinned bit for bit by its own tests.
+inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;
+
+constexpr std::uint64_t Fnv1aRound(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * 0x100000001B3ULL;
+}
+
 // Derives the seed of sub-stream `stream` of `seed` by SplitMix64 mixing,
 // without consuming any state from an Rng. Seeding Rng(DeriveStreamSeed(s,
-// i)) gives each worker/shard i its own statistically independent stream
-// that depends only on (s, i) — the addressing scheme the parallel
-// samplers use to stay bit-reproducible across thread counts.
+// i)) gives sub-stream i a statistically independent stream that depends
+// only on (s, i) — how per-column build seeds and the backing reservoir's
+// per-operation draws stay bit-reproducible whichever thread runs them.
 std::uint64_t DeriveStreamSeed(std::uint64_t seed, std::uint64_t stream);
 
 }  // namespace equihist

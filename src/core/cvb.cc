@@ -254,11 +254,10 @@ Result<CvbResult> RunCvb(const Table& table, const CvbOptions& options,
   const SortedView sample = accumulated.view();
   SampleStatistics summary = SummarizeSample(
       sample, options.k,
-      static_cast<double>(n) / static_cast<double>(sample.size()),
-      /*with_profile=*/true);
+      static_cast<double>(n) / static_cast<double>(sample.size()));
   result.density_estimate = summary.density;
-  result.sample_profile = std::move(summary.profile);
-  result.sample_distinct = result.sample_profile.distinct_in_sample();
+  result.sample_distinct = summary.distinct;
+  result.sample_singletons = summary.singletons;
   result.heavy_hitters = std::move(summary.heavy_hitters);
   result.sample = std::move(accumulated);
   return result;

@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "core/compressed_histogram.h"
 #include "core/histogram.h"
-#include "distinct/frequency_profile.h"
 #include "sampling/sample.h"
 #include "sampling/schedule.h"
 #include "storage/io_stats.h"
@@ -156,13 +155,14 @@ struct CvbResult {
   double sampling_fraction = 0.0; // tuples_sampled / n
   IoStats io{};
   // Statistics collected from the accumulated sample (Section 7.1 notes
-  // 3-4): distinct values seen, estimated density, the sample's
-  // frequency-of-frequencies profile (input to the Section 6 distinct-value
-  // estimators), and the values whose sample multiplicity exceeded r/k
-  // (candidate compressed-histogram singletons, counts scaled to n).
+  // 3-4): distinct values seen (D), values seen once (f_1), estimated
+  // density, and the values whose sample multiplicity exceeded r/k
+  // (candidate compressed-histogram singletons, counts scaled to n). D and
+  // f_1 are what the paper's distinct-value estimator reads; the whole
+  // frequency profile is FrequencyProfile::FromSorted(sample.view()).
   std::uint64_t sample_distinct = 0;
+  std::uint64_t sample_singletons = 0;
   double density_estimate = 0.0;
-  FrequencyProfile sample_profile{};
   std::vector<CompressedHistogram::Singleton> heavy_hitters{};
   std::vector<CvbIterationLog> log{};
   // The final accumulated sample R the histogram and statistics came from,

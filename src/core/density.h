@@ -6,7 +6,6 @@
 
 #include "core/compressed_histogram.h"
 #include "data/sorted_view.h"
-#include "distinct/frequency_profile.h"
 
 namespace equihist {
 
@@ -17,14 +16,10 @@ namespace equihist {
 // tuples drawn without replacement have equal values,
 //   density = (sum_i c_i^2 - n) / (n^2 - n)
 // over the distinct-value multiplicities c_i. Returns 0 for n <= 1.
-//
-// Both functions take the multiset sorted ascending.
+// Takes the multiset sorted ascending. Applied to a sample's
+// multiplicities it is the sample's density estimate, which the paper notes
+// "was extremely accurate whenever the CVB algorithm converges".
 double ComputeDensity(SortedView sorted_values);
-
-// Density estimated from a sorted sample: the same formula applied to the
-// sample multiplicities. The paper notes this estimate "was extremely
-// accurate whenever the CVB algorithm converges".
-double EstimateDensityFromSample(SortedView sorted_sample);
 
 // The density rule, fed one distinct value's multiplicity at a time. The
 // sum of squares is exact, in 128-bit integers, and rounded once to a
@@ -55,22 +50,25 @@ class DensityAccumulator {
 // (Section 7.1, notes 3-4), taken in one pass over its distinct values
 // (over every slot of a key window, without a branch on empty ones):
 //   - the density, as ComputeDensity;
-//   - with `with_profile`, the frequency profile, as
-//     FrequencyProfile::FromSorted: the distinct-value estimators' input,
-//     which a full scan, counting distinct values exactly, skips;
+//   - D, the distinct values, and f_1, the values seen once: all that the
+//     paper's distinct-value estimator reads of a sample (PaperEstimator),
+//     and D is a full scan's exact distinct count;
 //   - the heavy hitters: every value whose multiplicity exceeds one ideal
 //     bucket, sorted.size() / buckets, ascending, with its multiplicity
 //     scaled by `scale` (n/r for a sample of r tuples, 1 for a full scan)
 //     and rounded, at least 1. These are the compressed-histogram
 //     singleton candidates of Section 5.
+// The whole frequency profile, which the other Section 6 estimators read,
+// is FrequencyProfile::FromSorted of the same view.
 struct SampleStatistics {
   double density = 0.0;
-  FrequencyProfile profile{};
+  std::uint64_t distinct = 0;
+  std::uint64_t singletons = 0;
   std::vector<CompressedHistogram::Singleton> heavy_hitters{};
 };
 
 SampleStatistics SummarizeSample(SortedView sorted, std::uint64_t buckets,
-                                 double scale, bool with_profile);
+                                 double scale);
 
 }  // namespace equihist
 

@@ -8,35 +8,51 @@
 namespace equihist {
 namespace {
 
-Status ValidateInputs(const FrequencyProfile& profile, std::uint64_t n) {
-  if (profile.sample_size() == 0) {
+Status ValidateInputs(std::uint64_t sample_size, std::uint64_t n) {
+  if (sample_size == 0) {
     return Status::InvalidArgument("sample must be non-empty");
   }
   if (n == 0) return Status::InvalidArgument("n must be positive");
   return Status::OK();
 }
 
+Status ValidateInputs(const FrequencyProfile& profile, std::uint64_t n) {
+  return ValidateInputs(profile.sample_size(), n);
+}
+
 // Every estimate is clamped into [D, n]: we have certainly seen D distinct
 // values, and there cannot be more distinct values than tuples.
-double Clamp(double estimate, const FrequencyProfile& profile,
+double Clamp(double estimate, std::uint64_t distinct_in_sample,
              std::uint64_t n) {
-  const double lo = static_cast<double>(profile.distinct_in_sample());
+  const double lo = static_cast<double>(distinct_in_sample);
   const double hi = static_cast<double>(n);
   return std::clamp(estimate, lo, hi);
 }
 
+double Clamp(double estimate, const FrequencyProfile& profile,
+             std::uint64_t n) {
+  return Clamp(estimate, profile.distinct_in_sample(), n);
+}
+
 }  // namespace
+
+Result<double> PaperEstimator(std::uint64_t sample_size,
+                              std::uint64_t distinct_in_sample,
+                              std::uint64_t singletons, std::uint64_t n) {
+  EQUIHIST_RETURN_IF_ERROR(ValidateInputs(sample_size, n));
+  const double r = static_cast<double>(sample_size);
+  const double f1_plus = std::max<double>(static_cast<double>(singletons), 1.0);
+  const double seen_multiple =
+      static_cast<double>(distinct_in_sample - singletons);
+  const double estimate =
+      std::sqrt(static_cast<double>(n) / r) * f1_plus + seen_multiple;
+  return Clamp(estimate, distinct_in_sample, n);
+}
 
 Result<double> PaperEstimator(const FrequencyProfile& profile,
                               std::uint64_t n) {
-  EQUIHIST_RETURN_IF_ERROR(ValidateInputs(profile, n));
-  const double r = static_cast<double>(profile.sample_size());
-  const double f1_plus = std::max<double>(static_cast<double>(profile.f(1)), 1.0);
-  const double seen_multiple =
-      static_cast<double>(profile.distinct_in_sample() - profile.f(1));
-  const double estimate =
-      std::sqrt(static_cast<double>(n) / r) * f1_plus + seen_multiple;
-  return Clamp(estimate, profile, n);
+  return PaperEstimator(profile.sample_size(), profile.distinct_in_sample(),
+                        profile.f(1), n);
 }
 
 Result<double> SampleDistinctCount(const FrequencyProfile& profile,

@@ -24,6 +24,13 @@ namespace equihist {
 // values, and sqrt(n/r) is the geometric balance between those extremes —
 // which is what makes the estimator worst-case optimal against the
 // Theorem 8 lower bound sqrt(n ln(1/gamma) / r).
+//
+// It reads only r, D and f_1 of the sample. This core takes them directly,
+// so a build can count them in its one pass without a profile
+// (SummarizeSample); the profile overload calls it.
+Result<double> PaperEstimator(std::uint64_t sample_size,
+                              std::uint64_t distinct_in_sample,
+                              std::uint64_t singletons, std::uint64_t n);
 Result<double> PaperEstimator(const FrequencyProfile& profile, std::uint64_t n);
 
 // The raw number of distinct values in the sample, D. Always an

@@ -25,15 +25,6 @@ class FrequencyProfile {
   // Builds the profile of an unsorted sample (sorts a copy).
   static FrequencyProfile FromUnsorted(std::vector<Value> sample);
 
-  // The profile of r elements whose f_j is counts[j] for
-  // 1 <= j < counts.size(), plus one value for each multiplicity in
-  // `large` (each at least counts.size()); counts[0] is ignored. For a
-  // walk that counts the small multiplicities in place and sets the few
-  // large ones aside, so that the profile is sized once (SummarizeSample).
-  static FrequencyProfile FromCounts(std::vector<std::uint64_t> counts,
-                                     std::span<const std::uint64_t> large,
-                                     std::uint64_t r);
-
   // Sample size r = sum_j j * f_j.
   std::uint64_t sample_size() const { return sample_size_; }
 

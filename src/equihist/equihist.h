@@ -50,7 +50,6 @@
 #include "stats/histogram_backends.h"   // IWYU pragma: export
 #include "stats/histogram_model.h"      // IWYU pragma: export
 #include "stats/incremental_backend.h"  // IWYU pragma: export
-#include "stats/join_estimator.h"       // IWYU pragma: export
 #include "stats/serialization.h"        // IWYU pragma: export
 #include "stats/build_scheduler.h"      // IWYU pragma: export
 #include "stats/fleet_wire.h"           // IWYU pragma: export

@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "data/distribution.h"
 #include "storage/io_stats.h"
 #include "storage/table.h"
@@ -19,7 +18,7 @@ namespace equihist {
 // the cost of g page reads — the efficiency the CVB algorithm exploits.
 //
 // Fault model (DESIGN.md §11): every reader here retries transient faults
-// per a RetryPolicy. The one-shot samplers propagate permanent failures as
+// per a RetryPolicy. The one-shot sampler propagates permanent failures as
 // typed errors; the incremental sampler CVB builds on instead *skips*
 // permanently unreadable pages and replaces them with fresh uniformly-drawn
 // pages, charging the skips to IoStats so the caller can enforce a fault
@@ -33,26 +32,6 @@ namespace equihist {
 Result<std::vector<Value>> SampleBlocksWithoutReplacement(
     const Table& table, std::uint64_t num_blocks, Rng& rng, IoStats* stats,
     const RetryPolicy& retry = {});
-
-// Same but with replacement (a page may be drawn twice and then contributes
-// its tuples twice). Matches the with-replacement analysis model.
-Result<std::vector<Value>> SampleBlocksWithReplacement(
-    const Table& table, std::uint64_t num_blocks, Rng& rng, IoStats* stats,
-    const RetryPolicy& retry = {});
-
-// Seed-addressed parallel with-replacement sampler. Draws are partitioned
-// into fixed-size spans of kDrawsPerStream consecutive draws; span s is
-// generated by its own Rng seeded with DeriveStreamSeed(seed, s), and the
-// sampled pages are then read into place concurrently. Because both the
-// span layout and each span's stream depend only on (seed, num_blocks),
-// the returned tuple vector and the IoStats totals are bit-identical for
-// every thread count, including the no-pool sequential path. Pages that
-// stay unreadable after retry fail the whole draw (the fixed-size,
-// seed-addressed contract leaves no room to substitute blocks).
-inline constexpr std::uint64_t kDrawsPerStream = 256;
-Result<std::vector<Value>> SampleBlocksWithReplacement(
-    const Table& table, std::uint64_t num_blocks, std::uint64_t seed,
-    IoStats* stats, ThreadPool* pool, const RetryPolicy& retry = {});
 
 // Incremental without-replacement page sampler: hands out random page ids
 // in batches such that no page is ever repeated across batches. This is

@@ -31,8 +31,8 @@ namespace equihist {
 // evidence that the sample and the table have drifted apart.
 //
 // Determinism. Every randomized decision draws from a fresh Rng seeded with
-// DeriveStreamSeed(seed, op_index) — the same SplitMix addressing scheme
-// the parallel samplers use. The reservoir's state is therefore a pure
+// DeriveStreamSeed(seed, op_index) — the SplitMix addressing scheme
+// per-column build seeds use too. The reservoir's state is therefore a pure
 // function of (seed, operation sequence): independent of thread counts,
 // timing, or how many other columns the owning manager maintains, and
 // trivially serializable (seed + op counter, no RNG state).

@@ -26,18 +26,18 @@ namespace {
 // and the exact count for a full scan.
 Status SetSampleStatistics(std::span<const Value> sorted,
                            std::uint64_t buckets, std::uint64_t n,
-                           bool sampled, ThreadPool* pool,
-                           ColumnStatistics& stats) {
+                           bool sampled, ColumnStatistics& stats) {
   SampleStatistics summary = SummarizeSample(
       sorted, buckets,
-      static_cast<double>(n) / static_cast<double>(sorted.size()), sampled);
+      static_cast<double>(n) / static_cast<double>(sorted.size()));
   stats.density = summary.density;
   if (sampled) {
-    EQUIHIST_ASSIGN_OR_RETURN(stats.distinct_estimate,
-                              PaperEstimator(summary.profile, n));
+    EQUIHIST_ASSIGN_OR_RETURN(
+        stats.distinct_estimate,
+        PaperEstimator(sorted.size(), summary.distinct, summary.singletons,
+                       n));
   } else {
-    stats.distinct_estimate = static_cast<double>(
-        CountDistinctSorted(sorted.data(), sorted.size(), pool));
+    stats.distinct_estimate = static_cast<double>(summary.distinct);
   }
   stats.heavy_hitters = std::move(summary.heavy_hitters);
   return Status::OK();
@@ -45,11 +45,13 @@ Status SetSampleStatistics(std::span<const Value> sorted,
 
 // Everything but the model of a sampled build, from CVB's result: the
 // density and heavy hitters of its final sample, the paper's distinct-value
-// estimator over that sample's frequency profile, and the build's bill.
+// estimator over that sample's D and f_1, and the build's bill.
 Result<ColumnStatistics> StatisticsFromCvb(CvbResult& result,
                                            std::uint64_t n) {
-  EQUIHIST_ASSIGN_OR_RETURN(const double distinct,
-                            PaperEstimator(result.sample_profile, n));
+  EQUIHIST_ASSIGN_OR_RETURN(
+      const double distinct,
+      PaperEstimator(result.sample.size(), result.sample_distinct,
+                     result.sample_singletons, n));
   ColumnStatistics stats;
   stats.density = result.density_estimate;
   stats.distinct_estimate = distinct;
@@ -78,7 +80,7 @@ Result<ColumnStatistics> FullScanStatistics(const Table& table,
   ParallelSort(sorted, pool);
   ColumnStatistics stats;
   EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      sorted, buckets, sorted.size(), /*sampled=*/false, pool, stats));
+      sorted, buckets, sorted.size(), /*sampled=*/false, stats));
   stats.row_count = sorted.size();
   stats.from_full_scan = true;
   stats.sample_size = sorted.size();
@@ -222,6 +224,12 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
   EQUIHIST_ASSIGN_OR_RETURN(
       const HistogramBackendRegistry::Backend backend,
       HistogramBackendRegistry::Global().Find(options.backend));
+  // A decode-only backend (id 3) has no builder: refuse before any read.
+  if (!backend.build_from_sample) {
+    return Status::InvalidArgument("backend '" + backend.name +
+                                   "' only decodes stored blobs; it has no "
+                                   "builder");
+  }
   const std::uint64_t n = table.tuple_count();
   // Every other backend builds from the same sorted sample: CVB's final
   // one, expanded once, or the whole column.
@@ -279,8 +287,7 @@ Result<ColumnStatistics> MakeIncrementalStatistics(const Histogram& histogram,
   // The reservoir is a uniform without-replacement sample of the live
   // column, so the paper's sampled estimator applies.
   EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      sorted, histogram.bucket_count(), n, /*sampled=*/true,
-      /*pool=*/nullptr, stats));
+      sorted, histogram.bucket_count(), n, /*sampled=*/true, stats));
   stats.row_count = n;
   stats.from_full_scan = false;
   stats.sample_size = sorted.size();

@@ -137,7 +137,9 @@ struct BackendBuildOptions {
 // estimate, heavy hitters and the bill exactly as equi-height does, and
 // builds its histogram from the same sample, sorted: the incremental
 // backend publishes CVB's histogram itself and seeds its reservoir from
-// the sample; the rest go through their registered builder.
+// the sample; the rest go through their registered builder. A decode-only
+// backend (no builder, e.g. id 3) fails with InvalidArgument before any
+// page is read.
 Result<ColumnStatistics> BuildStatisticsWithBackend(
     const Table& table, const BackendBuildOptions& options,
     ThreadPool* pool = nullptr);

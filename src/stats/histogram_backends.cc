@@ -6,8 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "baseline/gmp_incremental.h"
-#include "common/math.h"
 #include "common/string_util.h"
 #include "core/histogram_builder.h"
 #include "stats/incremental_backend.h"
@@ -311,45 +309,6 @@ Result<HistogramModelPtr> DeserializeEquiHeight(
       std::make_shared<EquiHeightModel>(std::move(histogram)));
 }
 
-Result<HistogramModelPtr> BuildGmpFromSample(
-    std::span<const Value> sorted_sample, std::uint64_t buckets,
-    std::uint64_t population_size) {
-  if (population_size == 0) {
-    return Status::InvalidArgument("population_size must be positive");
-  }
-  if (sorted_sample.empty()) {
-    return Status::FailedPrecondition(
-        "cannot build a GMP snapshot from an empty sample");
-  }
-  GmpOptions options;
-  options.buckets = buckets;
-  options.gamma = 0.5;
-  // Hold the whole sample so the snapshot separators come from the exact
-  // sample quantiles; a fixed seed keeps the build deterministic in the
-  // sample (the registry contract).
-  options.reservoir_capacity =
-      std::max<std::uint64_t>(sorted_sample.size(), buckets);
-  options.seed = 1;
-  EQUIHIST_ASSIGN_OR_RETURN(IncrementalEquiDepth gmp,
-                            IncrementalEquiDepth::Create(options));
-  for (Value v : sorted_sample) gmp.Insert(v);
-  EQUIHIST_ASSIGN_OR_RETURN(const Histogram snapshot, gmp.Snapshot());
-  // The snapshot counts the sample; scale the claims to the population.
-  std::vector<double> weights;
-  weights.reserve(snapshot.counts().size());
-  for (std::uint64_t c : snapshot.counts()) {
-    weights.push_back(static_cast<double>(c));
-  }
-  std::vector<std::uint64_t> scaled =
-      ApportionProportionally(weights, population_size);
-  EQUIHIST_ASSIGN_OR_RETURN(
-      Histogram histogram,
-      Histogram::Create(snapshot.separators(), std::move(scaled),
-                        snapshot.lower_fence(), snapshot.upper_fence()));
-  return HistogramModelPtr(
-      std::make_shared<GmpSnapshotModel>(std::move(histogram)));
-}
-
 Result<HistogramModelPtr> DeserializeGmp(std::span<const std::uint8_t> payload,
                                          std::size_t* consumed) {
   EQUIHIST_ASSIGN_OR_RETURN(
@@ -510,7 +469,7 @@ void RegisterBuiltinHistogramBackends(HistogramBackendRegistry& registry) {
   const Status s3 = registry.Register(
       HistogramBackendId::kGmpIncremental,
       {.name = "gmp-incremental",
-       .build_from_sample = BuildGmpFromSample,
+       .build_from_sample = {},
        .deserialize_payload = DeserializeGmp});
   const Status s4 = registry.Register(
       HistogramBackendId::kFallbackUniform,

@@ -67,8 +67,8 @@ class EquiHeightModel : public HistogramModel {
 // GMP incremental equi-depth snapshot (baseline/gmp_incremental, Section
 // 3.4): structurally an equi-height histogram — Snapshot() returns one —
 // so it reuses the whole adapter; only the wire tag and description
-// differ. Built from a sample by replaying it through the incremental
-// maintenance algorithm and scaling the snapshot to the population.
+// differ. Decode-only: stored id 3 blobs load and re-encode, but no build
+// produces one (the registry entry has no builder).
 class GmpSnapshotModel : public EquiHeightModel {
  public:
   explicit GmpSnapshotModel(Histogram snapshot)

@@ -33,9 +33,8 @@ HistogramBackendRegistry& HistogramBackendRegistry::Global() {
 
 Status HistogramBackendRegistry::Register(HistogramBackendId id,
                                           Backend backend) {
-  if (!backend.build_from_sample || !backend.deserialize_payload) {
-    return Status::InvalidArgument(
-        "a backend needs both build_from_sample and deserialize_payload");
+  if (!backend.deserialize_payload) {
+    return Status::InvalidArgument("a backend needs deserialize_payload");
   }
   if (backend.name.empty()) {
     return Status::InvalidArgument("a backend needs a name");

@@ -34,7 +34,7 @@ enum class HistogramBackendId : std::uint8_t {
   kEquiHeight = 0,       // core/histogram + core/compiled_estimator read path
   kEquiWidth = 1,        // baseline/equi_width
   kCompressed = 2,       // core/compressed_histogram (Section 5)
-  kGmpIncremental = 3,   // baseline/gmp_incremental snapshot (Section 3.4)
+  kGmpIncremental = 3,   // GMP snapshot (Section 3.4); decode-only
   kFallbackUniform = 4,  // metadata-only uniform model (degraded serving)
   // Equi-height histogram carrying its live backing reservoir, maintained
   // under DML by bucket split/merge instead of full rebuild (DESIGN.md §15).
@@ -102,7 +102,9 @@ class HistogramBackendRegistry {
     std::string name;
     // Builds a model from a sorted random sample of `population_size`
     // tuples with a budget of `buckets` buckets, counts scaled to the
-    // population. Deterministic in its inputs.
+    // population. Deterministic in its inputs. Empty for a decode-only
+    // backend, whose stored blobs still load and re-encode but which no
+    // build can choose (BuildStatisticsWithBackend rejects it).
     std::function<Result<HistogramModelPtr>(
         std::span<const Value> sorted_sample, std::uint64_t buckets,
         std::uint64_t population_size)>
@@ -119,7 +121,7 @@ class HistogramBackendRegistry {
   static HistogramBackendRegistry& Global();
 
   // Registers a backend; FailedPrecondition if the id or name is taken.
-  // Both hooks are required.
+  // deserialize_payload is required, build_from_sample is optional.
   Status Register(HistogramBackendId id, Backend backend);
 
   // Looks up a backend (a copy, so no lock outlives the call); NotFound if

@@ -34,6 +34,12 @@ std::shared_ptr<const ColumnStatistics> MakeFallbackSnapshot(
   return std::make_shared<const ColumnStatistics>(std::move(stats));
 }
 
+// Counted-replacement deletes vacate reservoir slots without refilling
+// them; once the fill fraction drops below this floor the quantiles are
+// too coarse to repair against and the refresh falls back to a full
+// rebuild.
+constexpr double kReservoirMinFill = 0.25;
+
 // Serving-cache slots kept per thread; old slots are evicted FIFO. The
 // cache is a linear-scan vector: with realistically few hot (manager,
 // column) pairs per thread this beats any hashed structure.
@@ -51,11 +57,8 @@ std::uint64_t NextShardId() {
 // namespace scope because the fleet routes columns to shards with the
 // same hash (stats/statistics_fleet.cc).
 std::uint64_t HashColumnName(const std::string& column) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : column) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
+  std::uint64_t h = kFnv1aOffsetBasis;
+  for (const char c : column) h = Fnv1aRound(h, static_cast<std::uint8_t>(c));
   return h;
 }
 
@@ -250,7 +253,7 @@ StatisticsShard::TryRefreshIncremental(
     if (backing.population() == 0 || backing.size() == 0) return nullptr;
     // Counted-replacement deletes drain the reservoir without refilling
     // it; below the fill floor its quantiles are too coarse to trust.
-    if (backing.fill_fraction() < options_.reservoir_min_fill) return nullptr;
+    if (backing.fill_fraction() < kReservoirMinFill) return nullptr;
     // Repair budget: past this much absorbed DML (relative to the live row
     // count) the accumulated drift calls for a reseed from the table.
     if (static_cast<double>(backing.ops_since_seed()) >

@@ -139,11 +139,6 @@ class StatisticsShard {
     // count; beyond it the accumulated drift calls for a full rebuild
     // (which reseeds the reservoir from a fresh block sample).
     double incremental_repair_budget = 0.5;
-    // Counted-replacement deletes vacate reservoir slots without refilling
-    // them; once the fill fraction drops below this floor the quantiles
-    // are too coarse to repair against and the refresh falls back to a
-    // full rebuild.
-    double reservoir_min_fill = 0.25;
 
     // -- Fault tolerance & degraded serving (DESIGN.md §11) ------------------
 

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/rng.h"
 #include "common/timer.h"
 #include "stats/fleet_wire.h"
 #include "stats/wire_format.h"
@@ -219,11 +220,8 @@ std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes) {
   // FNV-1a 64: cheap, stateless, and plenty for catching injected or real
   // single/multi-byte wire damage (this is an integrity check against
   // accident, not an authenticator).
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001B3ULL;
-  }
+  std::uint64_t hash = kFnv1aOffsetBasis;
+  for (const std::uint8_t byte : bytes) hash = Fnv1aRound(hash, byte);
   return hash;
 }
 

@@ -97,7 +97,7 @@ void Page::Prefetch() const {
 }
 
 std::uint64_t Page::ComputeChecksum() const {
-  std::uint64_t h = kChecksumSeed;
+  std::uint64_t h = kFnv1aOffsetBasis;
   for (std::uint32_t slot = 0; slot < size(); ++slot) {
     h = MixChecksum(h, at(slot));
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/rng.h"
 #include "data/distribution.h"
 
 namespace equihist {
@@ -113,14 +114,11 @@ class Page {
   void CorruptValue(std::uint32_t slot, Value xor_mask);
 
  private:
-  static constexpr std::uint64_t kChecksumSeed = 0xCBF29CE484222325ULL;
-
   static std::uint64_t MixChecksum(std::uint64_t h, Value value) {
-    // FNV-1a over the value's 8 bytes, one round per byte.
-    auto bits = static_cast<std::uint64_t>(value);
+    // FNV-1a over the value's 8 bytes, low byte first.
+    const auto bits = static_cast<std::uint64_t>(value);
     for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xFFu;
-      h *= 0x100000001B3ULL;
+      h = Fnv1aRound(h, static_cast<std::uint8_t>(bits >> (8 * i)));
     }
     return h;
   }
@@ -173,7 +171,7 @@ class Page {
   std::uint32_t capacity_;
   // log2 of the offset width in bytes.
   std::uint8_t shift_ = 0;
-  std::uint64_t checksum_ = kChecksumSeed;
+  std::uint64_t checksum_ = kFnv1aOffsetBasis;
   Value min_key_ = std::numeric_limits<Value>::max();
   Value max_key_ = std::numeric_limits<Value>::min();
   // size() offsets of 1 << shift_ bytes each.

@@ -10,6 +10,7 @@
 #include "core/error_metrics.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
+#include "distinct/frequency_profile.h"
 #include "storage/table.h"
 
 namespace equihist {
@@ -247,9 +248,11 @@ TEST(CvbTest, SampleProfileAndHeavyHittersAreReported) {
   options.f = 0.25;
   const auto result = RunCvb(table, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->sample_profile.sample_size(), result->tuples_sampled);
-  EXPECT_EQ(result->sample_profile.distinct_in_sample(),
-            result->sample_distinct);
+  const FrequencyProfile profile =
+      FrequencyProfile::FromSorted(result->sample.view());
+  EXPECT_EQ(profile.sample_size(), result->tuples_sampled);
+  EXPECT_EQ(profile.distinct_in_sample(), result->sample_distinct);
+  EXPECT_EQ(profile.f(1), result->sample_singletons);
   // Zipf(2): the dominant value (~60% of tuples) must be flagged heavy with
   // a count in the right ballpark.
   ASSERT_FALSE(result->heavy_hitters.empty());
@@ -315,8 +318,9 @@ TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
     std::vector<std::uint64_t> counts;
     double density_estimate;
     std::uint64_t sample_distinct;
-    std::size_t profile_size;    // sample_profile.dense().size()
-    std::uint64_t profile_hash;  // ProfileHash(sample_profile.dense())
+    // The final sample's frequency profile, FromSorted(sample.view()).
+    std::size_t profile_size;    // its dense().size()
+    std::uint64_t profile_hash;  // ProfileHash(its dense())
     std::vector<CompressedHistogram::Singleton> heavy_hitters;
   };
   const Golden goldens[] = {
@@ -411,9 +415,11 @@ TEST(CvbTest, GoldenOutputForEveryValidationStyleAndMetric) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result->density_estimate),
               std::bit_cast<std::uint64_t>(golden.density_estimate));
     EXPECT_EQ(result->sample_distinct, golden.sample_distinct);
-    EXPECT_EQ(result->sample_profile.dense().size(), golden.profile_size);
-    EXPECT_EQ(ProfileHash(result->sample_profile.dense()),
-              golden.profile_hash);
+    const FrequencyProfile profile =
+        FrequencyProfile::FromSorted(result->sample.view());
+    EXPECT_EQ(profile.dense().size(), golden.profile_size);
+    EXPECT_EQ(ProfileHash(profile.dense()), golden.profile_hash);
+    EXPECT_EQ(result->sample_singletons, profile.f(1));
     EXPECT_EQ(result->heavy_hitters, golden.heavy_hitters);
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "data/distribution.h"
 #include "data/generator.h"
 #include "data/value_set.h"
+#include "distinct/frequency_profile.h"
 #include "sampling/row_sampler.h"
 
 namespace equihist {
@@ -72,7 +74,7 @@ TEST(DensityTest, SampleEstimateTracksTruth) {
       SampleRowsWithoutReplacement(data.sorted_values(), 10000, rng);
   ASSERT_TRUE(sample.ok());
   std::sort(sample->begin(), sample->end());
-  const double estimate = EstimateDensityFromSample(*sample);
+  const double estimate = ComputeDensity(*sample);
   EXPECT_NEAR(estimate, truth, truth * 0.1);  // within 10% relative
 }
 
@@ -89,12 +91,14 @@ Multiplicities MultiplicitiesOf(const std::vector<Value>& sorted) {
 }
 
 // What SummarizeSample promises, by the plain loop it replaced: a Kahan
-// sum of the squared multiplicities as doubles, a profile grown one value
-// at a time, and the heavy-hitter rule.
+// sum of the squared multiplicities as doubles, the distinct and once-seen
+// values, and the heavy-hitter rule; and, for FromSorted, a profile grown
+// one value at a time.
 struct ReferenceSummary {
   double density = 0.0;
   std::vector<std::uint64_t> dense;
   std::uint64_t distinct = 0;
+  std::uint64_t singletons = 0;
   std::uint64_t sample_size = 0;
   std::vector<CompressedHistogram::Singleton> heavy_hitters;
 };
@@ -115,6 +119,7 @@ ReferenceSummary Reference(const Multiplicities& multiset,
       ++ref.dense[m];
     }
     ++ref.distinct;
+    if (m == 1) ++ref.singletons;
     if (c > ideal) {
       const auto scaled =
           static_cast<std::uint64_t>(std::llround(c * scale));
@@ -170,28 +175,21 @@ struct Views {
 void ExpectMatchesReference(SortedView view, const Multiplicities& multiset,
                             std::uint64_t buckets, double scale) {
   const ReferenceSummary ref = Reference(multiset, buckets, scale);
-  const SampleStatistics stats = SummarizeSample(view, buckets, scale, true);
+  const SampleStatistics stats = SummarizeSample(view, buckets, scale);
   EXPECT_EQ(Bits(stats.density), Bits(ref.density));
-  const std::span<const std::uint64_t> dense = stats.profile.dense();
+  EXPECT_EQ(stats.distinct, ref.distinct);
+  EXPECT_EQ(stats.singletons, ref.singletons);
+  EXPECT_EQ(stats.heavy_hitters, ref.heavy_hitters);
+  EXPECT_EQ(Bits(ComputeDensity(view)), Bits(ref.density));
+  // FromSorted, which no build calls, counts the whole profile.
+  const FrequencyProfile profile = FrequencyProfile::FromSorted(view);
+  const std::span<const std::uint64_t> dense = profile.dense();
   ASSERT_EQ(dense.size(), ref.dense.size());
   EXPECT_EQ(std::memcmp(dense.data(), ref.dense.data(),
                         dense.size() * sizeof(std::uint64_t)),
             0);
-  EXPECT_EQ(stats.profile.distinct_in_sample(), ref.distinct);
-  EXPECT_EQ(stats.profile.sample_size(), ref.sample_size);
-  EXPECT_EQ(stats.heavy_hitters, ref.heavy_hitters);
-  // Without the profile, the same density and heavy hitters.
-  const SampleStatistics bare = SummarizeSample(view, buckets, scale, false);
-  EXPECT_EQ(Bits(bare.density), Bits(ref.density));
-  EXPECT_TRUE(bare.profile.dense().empty());
-  EXPECT_EQ(bare.heavy_hitters, ref.heavy_hitters);
-  EXPECT_EQ(Bits(ComputeDensity(view)), Bits(ref.density));
-  // FromSorted, which CVB does not use, counts the same profile.
-  const FrequencyProfile profile = FrequencyProfile::FromSorted(view);
-  ASSERT_EQ(profile.dense().size(), ref.dense.size());
-  EXPECT_TRUE(std::equal(ref.dense.begin(), ref.dense.end(),
-                         profile.dense().begin()));
   EXPECT_EQ(profile.distinct_in_sample(), ref.distinct);
+  EXPECT_EQ(profile.sample_size(), ref.sample_size);
 }
 
 // The final statistics' one pass against the plain reference loop, on
@@ -244,8 +242,9 @@ TEST(SummarizeSampleTest, MatchesThePlainLoopOnEveryView) {
 
 // The density's sum of squares is exact. Below 2^53 that is what the Kahan
 // sum of the squares as doubles gave, bit for bit; above it the result is
-// the exact sum rounded once. Runs views of 2^26 to 2^27 copies, without
-// the profile, whose dense array would hold one entry per multiplicity.
+// the exact sum rounded once. Runs views of 2^26 to 2^27 copies; the
+// reference builds no profile, whose dense array would hold one entry per
+// multiplicity.
 TEST(SummarizeSampleTest, DensityIsTheExactSumOfSquaresRoundedOnce) {
   constexpr std::uint64_t k26 = std::uint64_t{1} << 26;
   constexpr std::uint64_t k27 = std::uint64_t{1} << 27;
@@ -277,9 +276,11 @@ TEST(SummarizeSampleTest, DensityIsTheExactSumOfSquaresRoundedOnce) {
         static_cast<double>(static_cast<long double>(exact));
     const double expected = (rounded - nd) / (nd * nd - nd);
     const ReferenceSummary ref = Reference(multiset, 4, 2.0, false);
-    const SampleStatistics stats = SummarizeSample(view, 4, 2.0, false);
+    const SampleStatistics stats = SummarizeSample(view, 4, 2.0);
     EXPECT_EQ(Bits(stats.density), Bits(expected));
     EXPECT_EQ(Bits(ComputeDensity(view)), Bits(expected));
+    EXPECT_EQ(stats.distinct, ref.distinct);
+    EXPECT_EQ(stats.singletons, ref.singletons);
     EXPECT_EQ(stats.heavy_hitters, ref.heavy_hitters);
     if (below_2_53) {
       EXPECT_EQ(Bits(stats.density), Bits(ref.density));

@@ -479,7 +479,6 @@ TEST(BackendFaultTest, EverySampledBackendReadsAndSkipsWhatCvbDoes) {
   ASSERT_GT(reference->build_cost.pages_skipped, 0u);
   for (const HistogramBackendId id :
        {HistogramBackendId::kEquiWidth, HistogramBackendId::kCompressed,
-        HistogramBackendId::kGmpIncremental,
         HistogramBackendId::kIncrementalEquiDepth}) {
     SCOPED_TRACE(static_cast<int>(id));
     options.backend = id;
@@ -534,6 +533,40 @@ TEST(BackendFaultTest, FullScanBuildsHonourTheRetryPolicy) {
       EXPECT_EQ(built.status().code(), StatusCode::kUnavailable);
     }
   }
+}
+
+// Id 3 decodes only: a build of it, sampled or full scan, directly or
+// through a shard column mapped to it, fails with InvalidArgument before
+// it reads a page. Every page is lost, so any read would show in the
+// injector's count; the error is not a storage fault, so the shard
+// publishes no fallback either.
+TEST(BackendFaultTest, DecodeOnlyBackendFailsBeforeReadingAPage) {
+  Table table = MakeTable(20000);
+  FaultSpec spec;
+  spec.lost_probability = 1.0;
+  FaultInjector injector(spec);
+  table.set_fault_injector(&injector);
+  for (const bool sampled : {true, false}) {
+    SCOPED_TRACE(sampled);
+    BackendBuildOptions options;
+    options.backend = HistogramBackendId::kGmpIncremental;
+    options.prefer_sampling = sampled;
+    const auto built = BuildStatisticsWithBackend(table, options);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+  StatisticsManager::Options manager_options;
+  manager_options.threads = 1;
+  manager_options.column_backends["t.gm"] =
+      HistogramBackendId::kGmpIncremental;
+  StatisticsManager manager(manager_options);
+  const auto served = manager.GetOrBuildShared("t.gm", table);
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(manager.Health("t.gm").serving_fallback);
+  EXPECT_EQ(manager.total_build_cost().pages_read, 0u);
+  EXPECT_EQ(injector.lost_injected(), 0u);
+  table.set_fault_injector(nullptr);
 }
 
 // -- Incremental maintenance under faults (DESIGN.md §15) ---------------------

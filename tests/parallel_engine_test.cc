@@ -18,7 +18,7 @@
 #include "common/thread_pool.h"
 #include "core/cvb.h"
 #include "data/distribution.h"
-#include "sampling/block_sampler.h"
+#include "distinct/frequency_profile.h"
 #include "sampling/sample.h"
 #include "stats/column_statistics.h"
 #include "storage/scan.h"
@@ -219,38 +219,7 @@ TEST(ParallelMergeTest, EmptySides) {
   EXPECT_EQ(out, a);
 }
 
-TEST(ParallelSortTest, CountDistinctSortedMatchesScan) {
-  ThreadPool pool(4);
-  std::vector<Value> v = RandomValues(80000, 9, 500);
-  std::sort(v.begin(), v.end());
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i == 0 || v[i] != v[i - 1]) ++expected;
-  }
-  EXPECT_EQ(CountDistinctSorted(v.data(), v.size(), &pool), expected);
-  EXPECT_EQ(CountDistinctSorted(v.data(), v.size(), nullptr), expected);
-  EXPECT_EQ(CountDistinctSorted(v.data(), 0, &pool), 0u);
-}
-
 // --- Deterministic parallel sampling --------------------------------------
-
-TEST(ParallelSamplingTest, SeededWithReplacementIdenticalAcrossThreadCounts) {
-  Table table = MakeTable(80000);
-  IoStats io1;
-  const auto serial = SampleBlocksWithReplacement(table, 700, /*seed=*/5,
-                                                  &io1, nullptr);
-  ASSERT_TRUE(serial.ok());
-  for (const std::size_t threads : {2ul, 8ul}) {
-    ThreadPool pool(threads);
-    IoStats io;
-    const auto parallel =
-        SampleBlocksWithReplacement(table, 700, /*seed=*/5, &io, &pool);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(*serial, *parallel) << "threads=" << threads;
-    EXPECT_EQ(io.pages_read, io1.pages_read);
-    EXPECT_EQ(io.tuples_read, io1.tuples_read);
-  }
-}
 
 TEST(ParallelSamplingTest, ParallelFullScanMatchesSequential) {
   Table table = MakeTable(60000);
@@ -334,8 +303,10 @@ TEST(ParallelCvbTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(result->sample_distinct, baseline->sample_distinct);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(result->density_estimate),
                 std::bit_cast<std::uint64_t>(baseline->density_estimate));
-      EXPECT_TRUE(std::ranges::equal(result->sample_profile.dense(),
-                                     baseline->sample_profile.dense()));
+      EXPECT_EQ(result->sample_singletons, baseline->sample_singletons);
+      EXPECT_TRUE(std::ranges::equal(
+          FrequencyProfile::FromSorted(result->sample.view()).dense(),
+          FrequencyProfile::FromSorted(baseline->sample.view()).dense()));
       EXPECT_EQ(result->heavy_hitters, baseline->heavy_hitters);
       EXPECT_EQ(result->io.pages_read, baseline->io.pages_read);
       EXPECT_EQ(result->io.tuples_read, baseline->io.tuples_read);

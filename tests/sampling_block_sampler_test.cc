@@ -65,18 +65,6 @@ TEST(BlockSamplerTest, WithoutReplacementRejectsOversample) {
   EXPECT_FALSE(SampleBlocksWithoutReplacement(table, 11, rng, nullptr).ok());
 }
 
-TEST(BlockSamplerTest, WithReplacementMayRepeatPages) {
-  Table table = MakePageTaggedTable(4, 8);
-  Rng rng(4);
-  IoStats stats;
-  const auto sample = SampleBlocksWithReplacement(table, 64, rng, &stats);
-  ASSERT_TRUE(sample.ok());
-  EXPECT_EQ(sample->size(), 64u * 8u);
-  EXPECT_EQ(stats.pages_read, 64u);
-  // Only 4 physical pages exist, so repetitions are certain.
-  EXPECT_LE(PagesOf(*sample, 8).size(), 4u);
-}
-
 TEST(IncrementalBlockSamplerTest, BatchesNeverRepeatPages) {
   Table table = MakePageTaggedTable(32, 4);
   IncrementalBlockSampler sampler(&table, 5);

@@ -262,9 +262,8 @@ TEST(StatsConcurrencyTest, MixedBackendServingDuringRebuildsAndDrops) {
   options.column_backends["eh"] = HistogramBackendId::kEquiHeight;
   options.column_backends["ew"] = HistogramBackendId::kEquiWidth;
   options.column_backends["cp"] = HistogramBackendId::kCompressed;
-  options.column_backends["gm"] = HistogramBackendId::kGmpIncremental;
   StatisticsManager manager(options);
-  const std::vector<std::string> columns = {"eh", "ew", "cp", "gm"};
+  const std::vector<std::string> columns = {"eh", "ew", "cp"};
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;

@@ -185,6 +185,62 @@ TEST(HistogramModelGoldenTest, V2IncrementalBlobDecodesIdentically) {
             reference.reservoir().delete_misses());
 }
 
+// -- Golden v2 GMP snapshot blob (backend id 3) -------------------------------
+//
+// Frozen from the format-v2 writer when id 3 lost its builder: no build
+// produces id 3 any more, so these bytes are what pins its decoder. The
+// container header tags backend id 3, then the equi-height payload
+// (byte-identical to the v1 body). Source object:
+// GmpSnapshotModel(GoldenHistogram()).
+
+constexpr std::uint8_t kGoldenV2GmpSnapshot[] = {
+    0xC5, 0xA2, 0xA1, 0x9A, 0x05, 0x02, 0x03, 0x05, 0x14, 0xC7, 0x01,
+    0xC8, 0x01, 0x64, 0x00, 0x64, 0x0E, 0x03, 0x00, 0x0A, 0x02, 0x05};
+
+TEST(HistogramModelGoldenTest, V2GmpSnapshotBlobDecodesIdentically) {
+  // The writer still emits these exact bytes...
+  std::vector<std::uint8_t> bytes;
+  SerializeHistogramModel(GmpSnapshotModel(GoldenHistogram()), &bytes);
+  ASSERT_EQ(bytes.size(), sizeof(kGoldenV2GmpSnapshot));
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                         std::begin(kGoldenV2GmpSnapshot)));
+  // ...the reader decodes the frozen bytes to backend id 3, which
+  // re-encodes them byte for byte...
+  std::size_t consumed = 0;
+  const auto restored =
+      DeserializeHistogramModel(kGoldenV2GmpSnapshot, &consumed);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(consumed, sizeof(kGoldenV2GmpSnapshot));
+  EXPECT_EQ((*restored)->backend_id(), HistogramBackendId::kGmpIncremental);
+  std::vector<std::uint8_t> again;
+  SerializeHistogramModel(**restored, &again);
+  EXPECT_EQ(again, bytes);
+  // ...and estimates exactly as an equi-height model over the same
+  // histogram, bit for bit, one query at a time and in a batch.
+  const EquiHeightModel equi(GoldenHistogram());
+  EXPECT_EQ((*restored)->total(), equi.total());
+  EXPECT_EQ((*restored)->bucket_count(), equi.bucket_count());
+  EXPECT_EQ((*restored)->lower_fence(), equi.lower_fence());
+  EXPECT_EQ((*restored)->upper_fence(), equi.upper_fence());
+  std::vector<RangeQuery> queries;
+  for (Value lo = -110; lo <= 110; lo += 7) {
+    for (Value hi = -110; hi <= 110; hi += 5) queries.push_back({lo, hi});
+  }
+  std::vector<double> batch(queries.size());
+  std::vector<double> reference(queries.size());
+  (*restored)->EstimateRangeCounts(queries, batch);
+  equi.EstimateRangeCounts(queries, reference);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const RangeQuery& q = queries[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>((*restored)->EstimateRangeCount(q)),
+              std::bit_cast<std::uint64_t>(equi.EstimateRangeCount(q)))
+        << "(" << q.lo << ", " << q.hi << "]";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
+              std::bit_cast<std::uint64_t>(reference[i]))
+        << "(" << q.lo << ", " << q.hi << "]";
+  }
+}
+
 // -- Per-backend container round-trips ---------------------------------------
 
 std::vector<Value> SortedSample(std::uint64_t n, std::uint64_t seed) {
@@ -226,12 +282,49 @@ TEST(HistogramModelRegistryTest, DuplicateRegistrationIsRejected) {
       registry.Register(HistogramBackendId::kEquiHeight, clone).ok());
 }
 
+// A backend needs a decoder and may lack a builder: a decode-only entry
+// registers, a build-only one is rejected, and id 3 is decode-only.
+TEST(HistogramModelRegistryTest, DecodeOnlyEntriesRegister) {
+  HistogramBackendRegistry registry;
+  HistogramBackendRegistry::Backend decode_only;
+  decode_only.name = "decode-only";
+  decode_only.deserialize_payload =
+      [](std::span<const std::uint8_t>,
+         std::size_t*) -> Result<HistogramModelPtr> {
+    return Status::Internal("never called");
+  };
+  const auto decode_only_id = static_cast<HistogramBackendId>(200);
+  const Status accepted = registry.Register(decode_only_id, decode_only);
+  EXPECT_TRUE(accepted.ok()) << accepted.ToString();
+  ASSERT_TRUE(registry.Has(decode_only_id));
+  EXPECT_FALSE(registry.Find(decode_only_id)->build_from_sample);
+
+  HistogramBackendRegistry::Backend build_only;
+  build_only.name = "build-only";
+  build_only.build_from_sample =
+      [](std::span<const Value>, std::uint64_t,
+         std::uint64_t) -> Result<HistogramModelPtr> {
+    return Status::Internal("never called");
+  };
+  const auto build_only_id = static_cast<HistogramBackendId>(201);
+  EXPECT_EQ(registry.Register(build_only_id, build_only).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(registry.Has(build_only_id));
+
+  const auto gmp = HistogramBackendRegistry::Global().Find(
+      HistogramBackendId::kGmpIncremental);
+  ASSERT_TRUE(gmp.ok());
+  EXPECT_FALSE(gmp->build_from_sample);
+  EXPECT_TRUE(gmp->deserialize_payload);
+}
+
 TEST(HistogramModelRoundTripTest, EveryRegisteredBackendRoundTrips) {
   auto& registry = HistogramBackendRegistry::Global();
   const std::vector<Value> sample = SortedSample(20000, 7);
   for (const HistogramBackendId id : registry.Ids()) {
     const auto backend = registry.Find(id);
     ASSERT_TRUE(backend.ok());
+    if (!backend->build_from_sample) continue;  // decode-only
     const auto model = backend->build_from_sample(sample, 32, 100000);
     ASSERT_TRUE(model.ok())
         << backend->name << ": " << model.status().ToString();
@@ -275,6 +368,7 @@ TEST(HistogramModelRoundTripTest, TrailingGarbageIsRejected) {
   for (const HistogramBackendId id : registry.Ids()) {
     const auto backend = registry.Find(id);
     ASSERT_TRUE(backend.ok());
+    if (!backend->build_from_sample) continue;  // decode-only
     const auto model = backend->build_from_sample(sample, 8, 5000);
     ASSERT_TRUE(model.ok());
     std::vector<std::uint8_t> bytes;
@@ -360,6 +454,7 @@ TEST(VectorizedEstimatorTest, AllBackendsBatchBitwiseEqualsLoop) {
 
   for (const HistogramBackendId id : HistogramBackendRegistry::Global().Ids()) {
     const auto backend = HistogramBackendRegistry::Global().Find(id).value();
+    if (!backend.build_from_sample) continue;  // decode-only
     const auto built = backend.build_from_sample(sample, 50, 48000);
     ASSERT_TRUE(built.ok()) << backend.name << ": " << built.status();
     const HistogramModelPtr model = built.value();
@@ -439,6 +534,10 @@ TEST(SerializationCorruptionTest, GoldenV2IncrementalMatrix) {
   RunCorruptionMatrix(kGoldenV2Incremental);
 }
 
+TEST(SerializationCorruptionTest, GoldenV2GmpSnapshotMatrix) {
+  RunCorruptionMatrix(kGoldenV2GmpSnapshot);
+}
+
 TEST(SerializationCorruptionTest, V2StatisticsMatrixPerBackend) {
   // A fresh v2 statistics blob for every registered backend family: the
   // container tag byte and each backend's payload parser all get the same
@@ -449,6 +548,9 @@ TEST(SerializationCorruptionTest, V2StatisticsMatrixPerBackend) {
           .value();
   for (const HistogramBackendId id :
        HistogramBackendRegistry::Global().Ids()) {
+    if (!HistogramBackendRegistry::Global().Find(id)->build_from_sample) {
+      continue;  // decode-only: GoldenV2GmpSnapshotMatrix covers id 3
+    }
     BackendBuildOptions options;
     options.backend = id;
     options.buckets = 12;
