@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,9 +177,9 @@ int main(int argc, char** argv) {
   Rebuild rebuild;
   for (int rep = 0; rep < 3; ++rep) {
     StatisticsManager fresh(options);
-    const ColumnStatistics* stats = nullptr;
+    std::shared_ptr<const ColumnStatistics> stats;
     const double ms = TimeMs([&]() {
-      auto built = fresh.GetOrBuild(kColumn, dataset.table);
+      auto built = fresh.GetOrBuildShared(kColumn, dataset.table);
       if (!built.ok()) {
         std::cerr << "rebuild failed: " << built.status().ToString() << "\n";
         std::exit(1);
@@ -215,7 +216,7 @@ int main(int argc, char** argv) {
         // A fresh manager per round: every refresh is measured against the
         // same warm, just-built state, independent of the sweep order.
         StatisticsManager manager(options);
-        auto built = manager.GetOrBuild(kColumn, dataset.table);
+        auto built = manager.GetOrBuildShared(kColumn, dataset.table);
         if (!built.ok()) {
           std::cerr << "initial build failed: " << built.status().ToString()
                     << "\n";

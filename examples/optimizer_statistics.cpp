@@ -49,9 +49,10 @@ int main(int argc, char** argv) {
 
   // 1. Auto-create statistics by sampling.
   StatisticsManager manager({.buckets = 200, .f = 0.1});
-  const auto orders_stats = manager.GetOrBuild("orders.customer_id", *orders);
+  const auto orders_stats =
+      manager.GetOrBuildShared("orders.customer_id", *orders);
   const auto customers_stats =
-      manager.GetOrBuild("customers.customer_id", *customers);
+      manager.GetOrBuildShared("customers.customer_id", *customers);
   if (!orders_stats.ok() || !customers_stats.ok()) {
     std::fprintf(stderr, "statistics build failed\n");
     return 1;

@@ -59,6 +59,21 @@ PlanChoice ChooseFromEstimate(double estimated_rows,
   return choice;
 }
 
+// The one costing loop of the batch overloads: one choice per estimate.
+std::vector<PlanChoice> ChooseFromEstimates(
+    std::span<const double> estimates, std::uint64_t table_pages,
+    std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf,
+    const CostModel& cost_model) {
+  std::vector<PlanChoice> choices;
+  choices.reserve(estimates.size());
+  for (const double estimate : estimates) {
+    choices.push_back(ChooseFromEstimate(estimate, table_pages,
+                                         tuples_per_page,
+                                         index_entries_per_leaf, cost_model));
+  }
+  return choices;
+}
+
 }  // namespace
 
 PlanChoice ChooseAccessPath(const HistogramModel& model,
@@ -94,14 +109,8 @@ std::vector<PlanChoice> ChooseAccessPaths(const HistogramModel& model,
   // path computes), then costing is pure arithmetic per predicate.
   std::vector<double> estimates(queries.size());
   model.EstimateRangeCounts(queries, estimates, pool);
-  std::vector<PlanChoice> choices;
-  choices.reserve(queries.size());
-  for (const double estimate : estimates) {
-    choices.push_back(ChooseFromEstimate(estimate, table_pages,
-                                         tuples_per_page,
-                                         index_entries_per_leaf, cost_model));
-  }
-  return choices;
+  return ChooseFromEstimates(estimates, table_pages, tuples_per_page,
+                             index_entries_per_leaf, cost_model);
 }
 
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
@@ -111,14 +120,9 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     const CostModel& cost_model) {
   BatchEstimateResult estimates;
   EQUIHIST_RETURN_IF_ERROR(shard.EstimateBatch(table, requests, &estimates));
-  std::vector<PlanChoice> choices;
-  choices.reserve(requests.size());
-  for (const double estimate : estimates.estimates) {
-    choices.push_back(ChooseFromEstimate(estimate, table.page_count(),
-                                         tuples_per_page,
-                                         index_entries_per_leaf, cost_model));
-  }
-  return choices;
+  return ChooseFromEstimates(estimates.estimates, table.page_count(),
+                             tuples_per_page, index_entries_per_leaf,
+                             cost_model);
 }
 
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
@@ -128,14 +132,9 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     const CostModel& cost_model) {
   BatchEstimateResult estimates;
   EQUIHIST_RETURN_IF_ERROR(fleet.EstimateBatch(table, requests, &estimates));
-  std::vector<PlanChoice> choices;
-  choices.reserve(requests.size());
-  for (const double estimate : estimates.estimates) {
-    choices.push_back(ChooseFromEstimate(estimate, table.page_count(),
-                                         tuples_per_page,
-                                         index_entries_per_leaf, cost_model));
-  }
-  return choices;
+  return ChooseFromEstimates(estimates.estimates, table.page_count(),
+                             tuples_per_page, index_entries_per_leaf,
+                             cost_model);
 }
 
 ExecutionResult ExecutePlan(const Table& table, const OrderedIndex& index,

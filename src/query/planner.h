@@ -86,18 +86,17 @@ std::vector<PlanChoice> ChooseAccessPaths(
 // Multi-column batch plan choice: the whole predicate list estimates in
 // ONE EstimateBatch call through the lock-free snapshot-cache fast path,
 // then costs per predicate. Errors (an unbuildable column) propagate from
-// the batch estimate. Takes any shard — including the StatisticsManager
-// facade, which *is* a shard.
+// the batch estimate. Takes any shard — StatisticsManager is another name
+// for one. All three batch overloads share one costing loop.
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf = 512,
     const CostModel& cost_model = CostModel{});
 
-// Fleet variant: the predicate list routes through the fleet's
-// cross-shard batch front-end (a counting-sort partition by owning shard,
-// then one EstimateBatch call per shard), bitwise the single-shard
-// overload's choices.
+// Fleet variant: the predicate list goes through the fleet's EstimateBatch
+// (the shard's batch loop, each column pinned through its owning shard),
+// bitwise the single-shard overload's choices.
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsFleet& fleet, const Table& table,
     std::span<const BatchEstimateRequest> requests,

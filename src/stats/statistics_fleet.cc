@@ -21,8 +21,8 @@ StatisticsFleet::StatisticsFleet(const Options& options) {
 }
 
 std::size_t StatisticsFleet::ShardIndex(const std::string& column) const {
-  // Single-shard fleets skip the hash entirely: the facade configuration
-  // must serve at the manager's exact ns/query.
+  // Single-shard fleets skip the hash entirely, so they serve at a bare
+  // shard's ns/query.
   if (shards_.size() == 1) return 0;
   return static_cast<std::size_t>(HashColumnName(column) % shards_.size());
 }
@@ -42,56 +42,14 @@ Status StatisticsFleet::EstimateBatch(
   metrics_.Increment(metrics::Counter::kEstimateBatches);
   metrics_.Increment(metrics::Counter::kEstimateQueries, requests.size());
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, requests.size());
-  result->estimates.assign(requests.size(), 0.0);
-  if (requests.empty()) return Status::OK();
-  if (shards_.size() == 1) {
-    return shards_[0]->EstimateBatch(table, requests, result);
-  }
-  return EstimateBatchPartitioned(table, requests, result);
+  return StatisticsShard::EstimatePinned(
+      table, requests, result,
+      [this](const std::string& column) -> StatisticsShard& {
+        return *shards_[ShardIndex(column)];
+      });
 }
 
-Status StatisticsFleet::EstimateBatchPartitioned(
-    const Table& table, std::span<const BatchEstimateRequest> requests,
-    BatchEstimateResult* result) {
-  const std::size_t n = requests.size();
-  const std::size_t num_shards = shards_.size();
-  // Counting sort by owning shard: count, prefix-sum into offsets, gather.
-  // Each shard gets all of its requests in one EstimateBatch call, so it
-  // pins each of its columns once for the whole batch.
-  std::vector<std::size_t> shard_of(n);
-  std::vector<std::size_t> counts(num_shards, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_of[i] = ShardIndex(requests[i].column);
-    ++counts[shard_of[i]];
-  }
-  std::vector<std::size_t> offsets(num_shards + 1, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    offsets[s + 1] = offsets[s] + counts[s];
-  }
-  std::vector<BatchEstimateRequest> gathered(n);
-  std::vector<std::size_t> original_index(n);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = cursor[shard_of[i]]++;
-    gathered[slot] = requests[i];
-    original_index[slot] = i;
-  }
-  BatchEstimateResult sub_result;  // reused across shards
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t begin = offsets[s];
-    const std::size_t count = offsets[s + 1] - begin;
-    if (count == 0) continue;
-    const std::span<const BatchEstimateRequest> sub(&gathered[begin], count);
-    EQUIHIST_RETURN_IF_ERROR(
-        shards_[s]->EstimateBatch(table, sub, &sub_result));
-    for (std::size_t j = 0; j < count; ++j) {
-      result->estimates[original_index[begin + j]] = sub_result.estimates[j];
-    }
-  }
-  return Status::OK();
-}
-
-Result<const ColumnStatistics*> StatisticsFleet::EnsureFresh(
+Result<std::shared_ptr<const ColumnStatistics>> StatisticsFleet::EnsureFresh(
     const std::string& column, const Table& table) {
   return shards_[ShardIndex(column)]->EnsureFresh(column, table);
 }

@@ -24,9 +24,9 @@ namespace equihist {
 // never touch the same mutex.
 //
 // On top of the shards the fleet adds:
-//   - a batched front-end: EstimateBatch partitions a mixed-column batch
-//     across shards with a counting sort and serves each sub-batch on the
-//     calling thread through the shard's lock-free EstimateBatch;
+//   - a batched front-end: EstimateBatch runs the shard's own batch loop
+//     on the calling thread, pinning each column once through the
+//     lock-free serving cache of the shard that owns it;
 //   - an async BuildScheduler with priority admission (degraded > stale >
 //     fresh, then DML pressure) on the PR-1 ThreadPool;
 //   - the fleetwire frame protocol (ServeFrame) for estimate and
@@ -64,19 +64,18 @@ class StatisticsFleet {
   Result<double> EstimateRange(const std::string& column, const Table& table,
                                const RangeQuery& query);
 
-  // Cross-shard batch: requests are counting-sorted by owning shard,
-  // gathered into per-shard contiguous sub-batches, served one shard
-  // after another, and scattered back into request order.
-  // Same contract as StatisticsShard::EstimateBatch, including the
-  // first-error behavior.
+  // Cross-shard batch: the loop of StatisticsShard::EstimateBatch, with
+  // each column resolved through its owning shard, so it has the same
+  // contract, first-error behavior included. Each shard the batch touches
+  // records its part as one batch; the fleet plane records the whole.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
                        BatchEstimateResult* result);
 
   // -- Builds & DML (route to the owning shard) ----------------------------
 
-  Result<const ColumnStatistics*> EnsureFresh(const std::string& column,
-                                              const Table& table);
+  Result<std::shared_ptr<const ColumnStatistics>> EnsureFresh(
+      const std::string& column, const Table& table);
   // Partitions `columns` across shards and aggregates the per-shard
   // sweeps; `failed` is reported in input order.
   StatisticsShard::BuildAllResult BuildAll(
@@ -116,10 +115,6 @@ class StatisticsFleet {
   std::string MetricsJson() const;
 
  private:
-  Status EstimateBatchPartitioned(
-      const Table& table, std::span<const BatchEstimateRequest> requests,
-      BatchEstimateResult* result);
-
   metrics::MetricsPlane metrics_;  // fleet-level: batches, wire, scheduler
   std::vector<std::unique_ptr<StatisticsShard>> shards_;
   std::unique_ptr<BuildScheduler> scheduler_;

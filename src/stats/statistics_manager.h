@@ -5,20 +5,15 @@
 
 namespace equihist {
 
-// The historical single-process entry point, now a thin single-shard
-// facade (DESIGN.md §16): every member — construction, build/refresh,
-// DML accounting, the lock-free serving path, degraded serving, install,
-// health — is inherited unchanged from StatisticsShard, so existing
-// callers and tests see exactly the pre-fleet API and behavior.
+// The historical single-process entry point (DESIGN.md §16): one shard
+// holding every column — construction, build/refresh, DML accounting,
+// the lock-free serving path, degraded serving, install and health.
 //
-// New multi-shard deployments should hold a StatisticsFleet
+// Multi-shard deployments hold a StatisticsFleet
 // (stats/statistics_fleet.h), which hash-partitions columns across many
-// shards and adds the cross-shard batch front-end, the async
-// BuildScheduler, and the wire protocol on top of the same shard type.
-class StatisticsManager : public StatisticsShard {
- public:
-  using StatisticsShard::StatisticsShard;
-};
+// shards and adds the async BuildScheduler and the wire protocol on top
+// of the same shard type and the same batch loop.
+using StatisticsManager = StatisticsShard;
 
 }  // namespace equihist
 

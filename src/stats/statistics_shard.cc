@@ -383,15 +383,6 @@ StatisticsShard::GetOrBuildShared(const std::string& column,
   return Resolve(column, table, /*require_fresh=*/false);
 }
 
-Result<const ColumnStatistics*> StatisticsShard::GetOrBuild(
-    const std::string& column, const Table& table) {
-  EQUIHIST_ASSIGN_OR_RETURN(const std::shared_ptr<const ColumnStatistics> s,
-                            GetOrBuildShared(column, table));
-  // The entry keeps a reference; the raw pointer stays valid until the
-  // column is rebuilt or dropped, as before.
-  return s.get();
-}
-
 void StatisticsShard::RecordModifications(const std::string& column,
                                           std::uint64_t count) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
@@ -415,17 +406,9 @@ bool StatisticsShard::IsStale(const std::string& column) const {
   return IsStaleLocked(entry);
 }
 
-Result<std::shared_ptr<const ColumnStatistics>>
-StatisticsShard::EnsureFreshShared(const std::string& column,
-                                     const Table& table) {
-  return Resolve(column, table, /*require_fresh=*/true);
-}
-
-Result<const ColumnStatistics*> StatisticsShard::EnsureFresh(
+Result<std::shared_ptr<const ColumnStatistics>> StatisticsShard::EnsureFresh(
     const std::string& column, const Table& table) {
-  EQUIHIST_ASSIGN_OR_RETURN(const std::shared_ptr<const ColumnStatistics> s,
-                            EnsureFreshShared(column, table));
-  return s.get();
+  return Resolve(column, table, /*require_fresh=*/true);
 }
 
 StatisticsShard::BuildAllResult StatisticsShard::BuildAll(
@@ -605,56 +588,67 @@ StatisticsShard::CachedServing* StatisticsShard::CaptureServing(
   return slot;
 }
 
-Result<HistogramModelPtr> StatisticsShard::RefreshServing(
+Result<const HistogramModelPtr*> StatisticsShard::RefreshServing(
     const std::string& column, const Table& table) {
   metrics_.Increment(metrics::Counter::kServingCacheRefreshes);
-  if (const CachedServing* slot = CaptureServing(column)) return slot->model;
+  if (const CachedServing* slot = CaptureServing(column)) return &slot->model;
   // Missing or never-built column: build through the normal path, then
   // capture again.
   EQUIHIST_ASSIGN_OR_RETURN(
       const std::shared_ptr<const ColumnStatistics> built,
       Resolve(column, table, /*require_fresh=*/false));
-  if (const CachedServing* slot = CaptureServing(column)) return slot->model;
+  if (const CachedServing* slot = CaptureServing(column)) return &slot->model;
   // A concurrent Drop removed the column after the build: answer this
   // call from the snapshot the build returned, but leave it out of the
   // cache, so the dropped column is not served again without a rebuild.
-  return built->model;
+  thread_local HistogramModelPtr uncached;
+  uncached = built->model;
+  return &uncached;
+}
+
+Result<const HistogramModelPtr*> StatisticsShard::ServingModel(
+    const std::string& column, const Table& table) {
+  if (const CachedServing* slot = CurrentServing(column)) return &slot->model;
+  return RefreshServing(column, table);
 }
 
 Result<double> StatisticsShard::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
   metrics_.Increment(metrics::Counter::kEstimateQueries);
-  if (const CachedServing* slot = CurrentServing(column)) {
-    return slot->model->EstimateRangeCount(query);
-  }
-  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr model,
-                            RefreshServing(column, table));
-  return model->EstimateRangeCount(query);
+  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr* const model,
+                            ServingModel(column, table));
+  return (*model)->EstimateRangeCount(query);
 }
 
 Status StatisticsShard::EstimateBatch(
     const Table& table, std::span<const BatchEstimateRequest> requests,
     BatchEstimateResult* result) {
+  return EstimatePinned(table, requests, result,
+                        [this](const std::string&) -> StatisticsShard& {
+                          return *this;
+                        });
+}
+
+Status StatisticsShard::EstimatePinned(
+    const Table& table, std::span<const BatchEstimateRequest> requests,
+    BatchEstimateResult* result,
+    const std::function<StatisticsShard&(const std::string&)>& owner) {
   if (result == nullptr) {
     return Status::InvalidArgument("null batch result");
   }
   const std::size_t n = requests.size();
   result->estimates.assign(n, 0.0);
-  if (n == 0) return Status::OK();
-  metrics_.Increment(metrics::Counter::kEstimateBatches);
-  metrics_.Increment(metrics::Counter::kEstimateQueries, n);
-  metrics_.Observe(metrics::Hist::kEstimateBatchSize, n);
   // Each distinct column's serving snapshot resolves once, at its first
-  // request, through the lock-free cache, and that pinned model answers
-  // every later request for the column: the batch is a consistent cut
-  // even if a rebuild or drop lands mid-batch. The model shared_ptr is
-  // copied out of the thread-local slot right away, because resolving
-  // the next column can evict or reallocate slots. A predicate list names
-  // a handful of columns, so the pinned set is a linear-scanned vector.
+  // request, and that pinned model answers every later request for the
+  // column: the batch is a consistent cut even if a rebuild or drop lands
+  // mid-batch. A predicate list names a handful of columns, so the pinned
+  // set is a linear-scanned vector.
   struct PinnedColumn {
     const std::string* column = nullptr;  // borrowed from requests[]
-    HistogramModelPtr model;
+    StatisticsShard* shard = nullptr;
+    HistogramModelPtr model;  // a copy: the cache slot may move or go
+    std::uint64_t requests = 0;
   };
   std::vector<PinnedColumn> pinned;
   for (std::size_t i = 0; i < n; ++i) {
@@ -662,16 +656,28 @@ Status StatisticsShard::EstimateBatch(
     std::size_t p = 0;
     while (p < pinned.size() && *pinned[p].column != column) ++p;
     if (p == pinned.size()) {
-      HistogramModelPtr model;
-      if (const CachedServing* slot = CurrentServing(column)) {
-        model = slot->model;
-      } else {
-        EQUIHIST_ASSIGN_OR_RETURN(model, RefreshServing(column, table));
-      }
-      pinned.push_back(PinnedColumn{&column, std::move(model)});
+      StatisticsShard& shard = owner(column);
+      EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr* const model,
+                                shard.ServingModel(column, table));
+      pinned.push_back(PinnedColumn{&column, &shard, *model, 0});
     }
-    result->estimates[i] = pinned[p].model->EstimateRangeCount(
-        requests[i].query);
+    ++pinned[p].requests;
+    result->estimates[i] =
+        pinned[p].model->EstimateRangeCount(requests[i].query);
+  }
+  // Each touched shard records its part of the batch as one batch: the
+  // requests of a shard's later pins fold into its first.
+  for (std::size_t p = 0; p < pinned.size(); ++p) {
+    if (pinned[p].requests == 0) continue;  // folded into an earlier pin
+    for (std::size_t q = p + 1; q < pinned.size(); ++q) {
+      if (pinned[q].shard != pinned[p].shard) continue;
+      pinned[p].requests += pinned[q].requests;
+      pinned[q].requests = 0;
+    }
+    metrics::MetricsPlane& plane = pinned[p].shard->metrics_;
+    plane.Increment(metrics::Counter::kEstimateBatches);
+    plane.Increment(metrics::Counter::kEstimateQueries, pinned[p].requests);
+    plane.Observe(metrics::Hist::kEstimateBatchSize, pinned[p].requests);
   }
   return Status::OK();
 }

@@ -35,8 +35,8 @@ std::uint64_t HashColumnName(const std::string& column);
 // -- Multi-column batch estimation (DESIGN.md §14) ---------------------------
 
 // One predicate of a multi-column batch estimate: "lo < column <= hi".
-// Requests may interleave columns freely — the manager pins each column
-// once per batch.
+// Requests may interleave columns freely — the batch pins each column
+// once.
 struct BatchEstimateRequest {
   std::string column;
   RangeQuery query{};
@@ -71,30 +71,28 @@ struct ColumnHealthReport {
   Status last_error{};  // most recent build or install failure
 };
 
-// One shard of the statistics fleet (DESIGN.md §16) — and, before the
-// fleet existed, the whole StatisticsManager: a small auto-statistics
-// facility in the style of SQL Server's auto-create/auto-update
-// statistics (the production context of the paper). Owns per-column
-// ColumnStatistics, tracks modification counters, and rebuilds stale
-// statistics via the sampling pipeline on demand. StatisticsManager
-// (stats/statistics_manager.h) is a thin single-shard facade over this
-// class; StatisticsFleet (stats/statistics_fleet.h) hash-partitions
-// columns across many of them.
+// One shard of the statistics fleet (DESIGN.md §16) — and, under its
+// other name StatisticsManager (stats/statistics_manager.h), the whole
+// single-process facility: a small auto-statistics service in the style
+// of SQL Server's auto-create/auto-update statistics (the production
+// context of the paper). Owns per-column ColumnStatistics, tracks
+// modification counters, and rebuilds stale statistics via the sampling
+// pipeline on demand. StatisticsFleet (stats/statistics_fleet.h)
+// hash-partitions columns across many of them.
 //
 // Tables in this library are immutable, so mutation is reported by the
 // caller through RecordModifications() — the same contract a storage
 // engine's DML layer would fulfil.
 //
 // Concurrency: the shard is safe for concurrent use from many threads.
-// The read-mostly paths (GetOrBuild/EnsureFresh on warm entries, IsStale,
-// Has) take a shared lock; builds serialize per column on the entry's own
-// mutex (concurrent first accesses to the same column run one build, not
-// two) and publish under the exclusive lock. Modification counters are
-// atomics, so RecordModifications never blocks a reader. Statistics
-// objects are immutable once published and handed out via shared_ptr —
-// a reader holding *Shared() results keeps its snapshot alive across
-// concurrent rebuilds. The raw-pointer getters keep the historical
-// single-threaded contract (valid until the entry is rebuilt or dropped).
+// The read-mostly paths (GetOrBuildShared/EnsureFresh on warm entries,
+// IsStale, Has) take a shared lock; builds serialize per column on the
+// entry's own mutex (concurrent first accesses to the same column run one
+// build, not two) and publish under the exclusive lock. Modification
+// counters are atomics, so RecordModifications never blocks a reader.
+// Statistics objects are immutable once published and handed out only
+// via shared_ptr: a caller holding a returned snapshot keeps it alive
+// across concurrent rebuilds and drops.
 //
 // Every build's RNG seed is derived from (options.seed, column name,
 // per-column generation) via SplitMix, so results do not depend on the
@@ -168,13 +166,8 @@ class StatisticsShard {
   explicit StatisticsShard(const Options& options);
 
   // Returns the statistics for `column`, building them on first access.
-  // The pointer stays valid until the entry is rebuilt or dropped; for
-  // concurrent callers prefer GetOrBuildShared.
-  Result<const ColumnStatistics*> GetOrBuild(const std::string& column,
-                                             const Table& table);
-
-  // Shared-ownership variant: the returned snapshot stays valid for as
-  // long as the caller holds it, across rebuilds and drops.
+  // The returned snapshot stays valid for as long as the caller holds it,
+  // across rebuilds and drops.
   Result<std::shared_ptr<const ColumnStatistics>> GetOrBuildShared(
       const std::string& column, const Table& table);
 
@@ -201,10 +194,8 @@ class StatisticsShard {
   bool IsStale(const std::string& column) const;
 
   // Returns fresh statistics: rebuilds if stale or missing, otherwise the
-  // cached entry.
-  Result<const ColumnStatistics*> EnsureFresh(const std::string& column,
-                                              const Table& table);
-  Result<std::shared_ptr<const ColumnStatistics>> EnsureFreshShared(
+  // cached entry. Held like GetOrBuildShared's snapshot.
+  Result<std::shared_ptr<const ColumnStatistics>> EnsureFresh(
       const std::string& column, const Table& table);
 
   // -- Lock-free serving path ------------------------------------------------
@@ -213,16 +204,15 @@ class StatisticsShard {
   // current immutable snapshot through its HistogramModel (the equi-height
   // family serves via the compiled O(log k) read path, other backends via
   // their own estimators). Each thread keeps a small snapshot cache keyed
-  // by (manager,
-  // column) and validated by a per-entry publication counter; while
-  // statistics are unchanged the whole call is lock-free — one relaxed
+  // by (shard, column) and validated by a per-entry publication counter;
+  // while statistics are unchanged the whole call is lock-free — one relaxed
   // string-keyed cache probe plus one atomic load, no mutex, no shared_ptr
   // refcount traffic. The counter bumps on every publish and on Drop, so a
   // changed column costs one shared-lock snapshot refresh and subsequent
   // calls are lock-free again.
   //
   // Staleness is deliberately not checked here (plan-time estimation must
-  // be nearly free); call EnsureFresh* when freshness matters — a rebuild
+  // be nearly free); call EnsureFresh when freshness matters — a rebuild
   // invalidates every thread's cache automatically via the counter.
   Result<double> EstimateRange(const std::string& column, const Table& table,
                                const RangeQuery& query);
@@ -235,6 +225,8 @@ class StatisticsShard {
   // answers all of the column's requests, so one batch is a consistent
   // cut across its columns. On error (an unbuildable column), estimates
   // already computed are unspecified and the first failure is returned.
+  // The loop is EstimatePinned, which StatisticsFleet::EstimateBatch runs
+  // too.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
                        BatchEstimateResult* result);
@@ -306,6 +298,8 @@ class StatisticsShard {
   std::uint64_t stale_count() const;
 
  private:
+  friend class StatisticsFleet;  // runs EstimatePinned across its shards
+
   // Live incremental-maintenance state of one column (DESIGN.md §15),
   // warm only while the column serves an incremental-equi-depth snapshot.
   // Guarded by its own mutex so RecordInsert/RecordDelete never contend
@@ -392,7 +386,7 @@ class StatisticsShard {
   // the uniform fallback, or (with `require_fresh`) stale.
   bool NeedsBuild(const Entry& entry, bool require_fresh) const
       REQUIRES_SHARED(*entry.mu);
-  // Every build entry point (GetOrBuild, EnsureFresh, BuildAll, the
+  // Every build entry point (GetOrBuildShared, EnsureFresh, BuildAll, the
   // serving path's first access): answers a column that needs no build
   // from the shared-lock fast path, and builds it through BuildAndPublish
   // otherwise.
@@ -443,10 +437,10 @@ class StatisticsShard {
   // Lazily created pool per options_.threads (null when sequential).
   ThreadPool* pool();
 
-  // The calling thread's serving cache (shared by all managers, keyed by
-  // shard_id_ so address reuse across manager lifetimes cannot alias).
+  // The calling thread's serving cache (shared by all shards, keyed by
+  // shard_id_ so address reuse across shard lifetimes cannot alias).
   static std::vector<CachedServing>& ServingCache();
-  // Cache probe for (this manager, column); null on miss.
+  // Cache probe for (this shard, column); null on miss.
   CachedServing* FindCachedServing(const std::string& column);
   // The cached slot for `column` while its publication count is current;
   // null when there is none or the column has been republished or
@@ -459,8 +453,26 @@ class StatisticsShard {
   CachedServing* CaptureServing(const std::string& column);
   // Slow path: captures the column, building it first when the capture
   // misses, and returns the model to serve.
-  Result<HistogramModelPtr> RefreshServing(const std::string& column,
-                                           const Table& table);
+  Result<const HistogramModelPtr*> RefreshServing(const std::string& column,
+                                                  const Table& table);
+  // The model this thread serves `column` from: the cached slot's while
+  // it is current (CurrentServing — lock-free, no refcount traffic), else
+  // RefreshServing's. The pointee lives in the thread's serving cache,
+  // which every shard shares: resolving another column, on any shard, may
+  // evict or move it, so a caller that does so first copies the pointer.
+  Result<const HistogramModelPtr*> ServingModel(const std::string& column,
+                                                const Table& table);
+  // The one batch loop (DESIGN.md §14) behind StatisticsShard's and
+  // StatisticsFleet's EstimateBatch. Each distinct column resolves once,
+  // at its first request, through the ServingModel of the shard `owner`
+  // routes it to; the pin holds its own copy of the model, which answers
+  // every request for the column. Each shard the batch touches records
+  // one batch, its requests and one batch-size sample of their count, as
+  // if it had served its part alone.
+  static Status EstimatePinned(
+      const Table& table, std::span<const BatchEstimateRequest> requests,
+      BatchEstimateResult* result,
+      const std::function<StatisticsShard&(const std::string&)>& owner);
 
   const Options options_;
   // The breaker settings from options_, shared by every column.

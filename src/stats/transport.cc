@@ -645,7 +645,7 @@ void SocketTransportServer::AcceptLoop() {
       MutexLock lock(mu_);
       if (stopping_) return;
       // Reap connections whose reader already exited, so dead links never
-      // count against max_connections.
+      // count against kMaxConnections.
       for (auto it = connections_.begin(); it != connections_.end();) {
         if ((*it)->done.load(std::memory_order_relaxed)) {
           if ((*it)->reader.joinable()) (*it)->reader.join();
@@ -670,7 +670,7 @@ void SocketTransportServer::AcceptLoop() {
     connection->fd = fd;
     {
       MutexLock lock(mu_);
-      if (stopping_ || connections_.size() >= options_.max_connections) {
+      if (stopping_ || connections_.size() >= kMaxConnections) {
         // Over the cap (or racing shutdown): close instead of queueing an
         // unbounded backlog. The client sees a dead link and fails over.
         close(fd);

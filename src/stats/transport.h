@@ -238,7 +238,7 @@ class SocketTransport final : public Transport {
 // behavior:
 //
 //   - accept thread + one reader thread per connection, capped by
-//     `max_connections` (excess connections are accepted and immediately
+//     kMaxConnections (excess connections are accepted and immediately
 //     closed — cheaper than a SYN backlog of unknowable depth);
 //   - the reader serves the frame it decoded on its own thread, as long
 //     as fewer than `workers` frames are being served. Otherwise it
@@ -260,14 +260,15 @@ class SocketTransport final : public Transport {
 // legs.
 class SocketTransportServer {
  public:
+  // Concurrent connections before new ones are turned away.
+  static constexpr std::size_t kMaxConnections = 32;
+
   struct Options {
     Endpoint endpoint{};
     // Frames served at once (each on the reader thread that read it).
     std::size_t workers = 2;
     // Frames queued behind busy serving slots before shedding starts.
     std::size_t queue_capacity = 64;
-    // Concurrent connections before new ones are turned away.
-    std::size_t max_connections = 32;
     // Optional chaos hooks; must outlive the server.
     LinkFaultInjector* injector = nullptr;
     // Optional transport metrics plane; must outlive the server.

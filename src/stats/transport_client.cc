@@ -35,9 +35,6 @@ TransportClient::TransportClient(Options options)
       breaker_policy_{options_.breaker_failure_threshold,
                       options_.breaker_cooldown_micros, options_.clock},
       jitter_rng_(DeriveStreamSeed(options_.jitter_seed, 0x7261775F6C6B74ULL)) {
-  if (options_.retry_jitter < 0.0) options_.retry_jitter = 0.0;
-  if (options_.retry_jitter > 1.0) options_.retry_jitter = 1.0;
-  if (options_.latency_window == 0) options_.latency_window = 1;
   if (options_.enable_hedging) {
     // 2 real workers + the caller: the hedge must be able to run while
     // the primary blocks (a size-1 pool would run Submit inline and
@@ -61,32 +58,23 @@ std::size_t TransportClient::peer_count() const {
 }
 
 std::uint64_t TransportClient::HedgeDelayMicros() {
-  // Before the window warms up there is no percentile worth trusting.
-  std::vector<std::uint64_t> samples;
-  samples.reserve(latency_window_.size());
-  for (const std::uint64_t sample : latency_window_) {
-    if (sample != 0) samples.push_back(sample);
-  }
   std::uint64_t delay = options_.hedge_initial_delay_micros;
-  if (samples.size() >= 8) {
+  // Before the window warms up there is no percentile worth trusting.
+  if (latency_window_.size() >= 8) {
+    std::vector<std::uint64_t> samples = latency_window_;
     std::sort(samples.begin(), samples.end());
-    double p = options_.hedge_percentile;
-    if (p < 0.0) p = 0.0;
-    if (p > 1.0) p = 1.0;
-    std::size_t index = static_cast<std::size_t>(
-        p * static_cast<double>(samples.size()));
-    if (index >= samples.size()) index = samples.size() - 1;
-    delay = samples[index];
+    delay = samples[static_cast<std::size_t>(
+        kHedgePercentile * static_cast<double>(samples.size()))];
   }
-  return std::max(delay, options_.hedge_min_delay_micros);
+  return std::max(delay, kHedgeMinDelayMicros);
 }
 
 void TransportClient::RecordLatency(std::uint64_t micros) {
-  if (latency_window_.size() < options_.latency_window) {
-    latency_window_.push_back(micros == 0 ? 1 : micros);
+  if (latency_window_.size() < kLatencyWindow) {
+    latency_window_.push_back(micros);
     return;
   }
-  latency_window_[latency_next_] = micros == 0 ? 1 : micros;
+  latency_window_[latency_next_] = micros;
   latency_next_ = (latency_next_ + 1) % latency_window_.size();
 }
 
@@ -298,7 +286,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
   }
   const std::uint64_t budget = deadline_micros != 0
                                    ? deadline_micros
-                                   : options_.default_deadline_micros;
+                                   : kDefaultDeadlineMicros;
   const std::uint64_t deadline_abs = DeadlineAfter(SteadyMicros(), budget);
   const std::uint32_t attempts =
       idempotent ? options_.retry.EffectiveAttempts() : 1;
@@ -322,7 +310,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
       }
       const std::uint64_t backoff = std::min(
           JitteredBackoffMicros(options_.retry, attempt,
-                                options_.retry_jitter, bits),
+                                kRetryJitter, bits),
           RemainingMicros(deadline_abs));
       if (backoff > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff));

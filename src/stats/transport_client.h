@@ -58,15 +58,22 @@ class TransportClient {
     std::function<Result<std::unique_ptr<Transport>>(std::uint64_t)> connect;
   };
 
+  // Backoff jitter fraction of every retry (common/retry.h).
+  static constexpr double kRetryJitter = 0.25;
+  // Budget when Call is given none.
+  static constexpr std::uint64_t kDefaultDeadlineMicros = 1'000'000;
+  // A hedge launches after this percentile of the last kLatencyWindow
+  // round trips, but never earlier than kHedgeMinDelayMicros.
+  static constexpr double kHedgePercentile = 0.95;
+  static constexpr std::uint64_t kHedgeMinDelayMicros = 100;
+  static constexpr std::size_t kLatencyWindow = 64;
+
   struct Options {
     // Retry schedule for idempotent calls (attempts include the first).
     RetryPolicy retry{};
-    // Backoff jitter fraction in [0, 1] and the seed of its random
-    // stream (deterministic per client).
-    double retry_jitter = 0.25;
+    // Seed of the backoff jitter's random stream (deterministic per
+    // client).
     std::uint64_t jitter_seed = 0;
-    // Budget when Call is given none.
-    std::uint64_t default_deadline_micros = 1'000'000;
     // Cap per attempt (0 = whatever remains of the call budget). With a
     // cap, an attempt that times out while overall budget remains is a
     // *transient* failure — the next attempt may land on a healthier
@@ -76,14 +83,8 @@ class TransportClient {
     // on a small internal pool so the hedge can overtake a stalled
     // primary.
     bool enable_hedging = false;
-    // Launch the hedge after this percentile of the recent round-trip
-    // window...
-    double hedge_percentile = 0.95;
-    // ...but never earlier than this, and before the window has warmed
-    // up (8 samples) after this initial delay.
-    std::uint64_t hedge_min_delay_micros = 100;
+    // The hedge delay until the latency window has warmed up (8 samples).
     std::uint64_t hedge_initial_delay_micros = 10'000;
-    std::size_t latency_window = 64;
     // Per-peer circuit breaker (common/circuit_breaker.h).
     std::uint64_t breaker_failure_threshold = 3;
     std::uint64_t breaker_cooldown_micros = 1'000'000;

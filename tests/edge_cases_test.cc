@@ -151,7 +151,7 @@ TEST(EdgeCaseTest, ManagerHandlesTinyTables) {
   auto table = Table::CreateFromValues({1, 2, 3}, kPage);
   ASSERT_TRUE(table.ok());
   StatisticsManager manager({.buckets = 10, .f = 0.2});
-  const auto stats = manager.GetOrBuild("tiny", *table);
+  const auto stats = manager.GetOrBuildShared("tiny", *table);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ((*stats)->row_count, 3u);
   manager.RecordModifications("tiny", 100);

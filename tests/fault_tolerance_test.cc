@@ -172,7 +172,7 @@ TEST_P(FaultMatrixTest, BuildsAndServesThroughInjectedFaults) {
     case FaultScenario::kEnsureFreshRebuild: {
       StatisticsManager manager(
           {.buckets = 30, .f = 0.2, .seed = 9, .threads = 1});
-      ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+      ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
       manager.RecordModifications("t.x", table.tuple_count());
       ASSERT_TRUE(manager.IsStale("t.x"));
       table.set_fault_injector(&injector);
@@ -351,7 +351,7 @@ TEST(BuildAllTest, AbsorbedFaultFailuresStillShowInTheAggregation) {
 TEST(DegradedServingTest, StaleWhileErrorKeepsServingPreviousSnapshot) {
   Table table = MakeTable(30000);
   StatisticsManager manager({.buckets = 30, .f = 0.2, .threads = 1});
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   const RangeQuery query{.lo = 0, .hi = 1000};
   const auto before = manager.EstimateRange("t.x", table, query);
   ASSERT_TRUE(before.ok());
@@ -419,7 +419,7 @@ TEST(DegradedServingTest, NonFaultErrorsAreNeverAbsorbed) {
   // storage fault. No fallback, no breaker, the error propagates.
   Table table = MakeTable(8000);
   StatisticsManager manager({.buckets = 0, .f = 0.2, .threads = 1});
-  const auto result = manager.GetOrBuild("t.x", table);
+  const auto result = manager.GetOrBuildShared("t.x", table);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   const auto health = manager.Health("t.x");
@@ -587,7 +587,7 @@ TEST(IncrementalFaultTest, RefreshSucceedsOnDeadStorage) {
   // while the table is completely unreadable.
   Table table = MakeTable(30000);
   StatisticsManager manager(IncrementalFaultOptions());
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
 
   FaultSpec spec;
   spec.lost_probability = 1.0;
@@ -595,7 +595,7 @@ TEST(IncrementalFaultTest, RefreshSucceedsOnDeadStorage) {
   table.set_fault_injector(&injector);
   for (Value v = 1; v <= 200; ++v) manager.RecordInsert("t.x", v);
   ASSERT_TRUE(manager.IsStale("t.x"));
-  const auto fresh = manager.EnsureFreshShared("t.x", table);
+  const auto fresh = manager.EnsureFresh("t.x", table);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(manager.incremental_refresh_count(), 1u);
   EXPECT_EQ(manager.rebuild_count(), 1u);
@@ -615,7 +615,7 @@ TEST(IncrementalFaultTest, BudgetFallbackOnDeadStorageIsStaleWhileError) {
   // and no incremental refresh is counted.
   Table table = MakeTable(30000);
   StatisticsManager manager(IncrementalFaultOptions());
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   const RangeQuery query{.lo = 0, .hi = 900};
   const auto before = manager.EstimateRange("t.x", table, query);
   ASSERT_TRUE(before.ok());
@@ -665,23 +665,23 @@ TEST(CircuitBreakerTest, OpensAfterThresholdAndRecoversAfterCooldown) {
   table.set_fault_injector(&injector);
 
   // Failure 1: below the threshold, fallback published, breaker closed.
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   auto health = manager.Health("t.x");
   EXPECT_EQ(health.consecutive_build_failures, 1u);
   EXPECT_FALSE(health.breaker_open);
   // Failure 2: threshold reached, breaker opens.
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   health = manager.Health("t.x");
   EXPECT_EQ(health.consecutive_build_failures, 2u);
   EXPECT_TRUE(health.breaker_open);
   // While open, no build is even attempted: the injector sees no reads.
   const std::uint64_t lost_before = injector.lost_injected();
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_EQ(injector.lost_injected(), lost_before);
   // Past the cooldown one attempt is let through (half-open); storage is
   // still dead, so it fails and the breaker re-opens with a new deadline.
   *now = 1'500;
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   health = manager.Health("t.x");
   EXPECT_EQ(health.consecutive_build_failures, 3u);
   EXPECT_TRUE(health.breaker_open);
@@ -690,7 +690,7 @@ TEST(CircuitBreakerTest, OpensAfterThresholdAndRecoversAfterCooldown) {
   // succeeds, closing the breaker and replacing the fallback.
   *now = 3'000;
   table.set_fault_injector(nullptr);
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   health = manager.Health("t.x");
   EXPECT_EQ(health.health, ColumnHealth::kFresh);
   EXPECT_FALSE(health.breaker_open);
@@ -736,7 +736,7 @@ TEST(QuarantineTest, LiveBuildClearsQuarantine) {
   EXPECT_FALSE(manager.InstallSerializedStatistics("t.x", garbage).ok());
   EXPECT_TRUE(manager.Health("t.x").quarantined);
   // A never-built quarantined column builds through the normal path.
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_FALSE(manager.Health("t.x").quarantined);
   EXPECT_EQ(manager.Health("t.x").health, ColumnHealth::kFresh);
 }

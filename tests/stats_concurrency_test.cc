@@ -1,5 +1,5 @@
 // Concurrency tests for StatisticsManager: many threads hammering
-// GetOrBuild/RecordModifications/EnsureFresh/IsStale at once, plus the
+// GetOrBuildShared/RecordModifications/EnsureFresh/IsStale at once, plus the
 // BuildAll fan-out. Run under -fsanitize=thread in CI (the ci.yml tsan
 // job) to prove the locking discipline.
 
@@ -94,7 +94,7 @@ TEST(StatsConcurrencyTest, MixedReadersWritersAndRebuilds) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < 15; ++i) {
         const auto stats =
-            manager.EnsureFreshShared(columns[(t + i) % columns.size()], table);
+            manager.EnsureFresh(columns[(t + i) % columns.size()], table);
         if (!stats.ok() || (*stats)->row_count != table.tuple_count()) {
           failures.fetch_add(1);
         }
@@ -195,7 +195,7 @@ TEST(StatsConcurrencyTest, ServingCacheInvalidatesOnRebuildAndDrop) {
   // A rebuild publishes a new snapshot; the cached serving slot must miss
   // and re-resolve to the new statistics.
   manager.RecordModifications("col", table.tuple_count());
-  ASSERT_TRUE(manager.EnsureFreshShared("col", table).ok());
+  ASSERT_TRUE(manager.EnsureFresh("col", table).ok());
   EXPECT_EQ(manager.rebuild_count(), 2u);
   const auto fresh = manager.GetOrBuildShared("col", table);
   ASSERT_TRUE(fresh.ok());
@@ -238,7 +238,7 @@ TEST(StatsConcurrencyTest, ConcurrentServingDuringRebuildsAndDrops) {
     for (int i = 0; i < 20; ++i) {
       manager.RecordModifications(columns[i % columns.size()],
                                   table.tuple_count() / 4);
-      (void)manager.EnsureFreshShared(columns[i % columns.size()], table);
+      (void)manager.EnsureFresh(columns[i % columns.size()], table);
     }
   });
   threads.emplace_back([&]() {
@@ -292,7 +292,7 @@ TEST(StatsConcurrencyTest, MixedBackendServingDuringRebuildsAndDrops) {
     for (int i = 0; i < 20; ++i) {
       manager.RecordModifications(columns[i % columns.size()],
                                   table.tuple_count() / 4);
-      (void)manager.EnsureFreshShared(columns[i % columns.size()], table);
+      (void)manager.EnsureFresh(columns[i % columns.size()], table);
     }
   });
   threads.emplace_back([&]() {
@@ -349,7 +349,7 @@ TEST(StatsConcurrencyTest, ReadersServeStaleWhileBuildsFailAndRecover) {
     // Failed rebuilds are absorbed: EnsureFresh keeps returning the stale
     // snapshot, and the staleness persists until a rebuild succeeds.
     for (int i = 0; i < 50; ++i) {
-      const auto result = manager.EnsureFreshShared("t.x", table);
+      const auto result = manager.EnsureFresh("t.x", table);
       if (!result.ok()) {
         failures.fetch_add(1);
         break;
@@ -447,7 +447,7 @@ TEST(StatsConcurrencyTest, ConcurrentBatchServingDuringRebuildsAndDrops) {
     for (int i = 0; i < 20; ++i) {
       manager.RecordModifications(columns[i % columns.size()],
                                   table.tuple_count() / 4);
-      (void)manager.EnsureFreshShared(columns[i % columns.size()], table);
+      (void)manager.EnsureFresh(columns[i % columns.size()], table);
     }
   });
   threads.emplace_back([&]() {
@@ -575,7 +575,7 @@ TEST(StatsConcurrencyTest, SnapshotOutlivesDropAndRebuild) {
   ASSERT_TRUE(snapshot.ok());
   const std::uint64_t rows = (*snapshot)->row_count;
   manager.RecordModifications("col", table.tuple_count() * 2);
-  ASSERT_TRUE(manager.EnsureFreshShared("col", table).ok());  // rebuild
+  ASSERT_TRUE(manager.EnsureFresh("col", table).ok());  // rebuild
   EXPECT_TRUE(manager.Drop("col"));
   // The old snapshot is still safely readable.
   EXPECT_EQ((*snapshot)->row_count, rows);

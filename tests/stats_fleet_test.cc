@@ -1,19 +1,24 @@
 // StatisticsFleet tests (DESIGN.md §16): shard routing, the cross-shard
 // batch front-end under concurrent callers, bitwise identity with a
-// single StatisticsManager, the fleetwire frame protocol (round-trips and
-// the byte-level corruption matrix), ServeFrame dispatch, and the metrics
-// plane. The concurrency cases run under TSan in CI (label `fleet`).
+// single StatisticsManager (also under concurrent DML and rebuilds),
+// snapshot handles across republishes, the fleetwire frame protocol
+// (round-trips and the byte-level corruption matrix), ServeFrame
+// dispatch, and the metrics plane. The concurrency cases run under TSan
+// in CI (label `fleet`).
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
+#include <latch>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -235,6 +240,224 @@ TEST(StatisticsFleetTest, ConcurrentBatchesServedDirectlyStayCorrect) {
                 columns.size() * 3);
   EXPECT_EQ(
       fleet.fleet_metrics().counter(metrics::Counter::kCoalescedRequests), 0u);
+}
+
+// -- Snapshot lifetime -------------------------------------------------------
+
+// The handle EnsureFresh returns keeps its snapshot alive after the
+// fleet's own scheduler republishes the column on one of its threads (ASan
+// checks the reads in CI).
+TEST(StatisticsFleetTest, SnapshotHandleOutlivesASchedulerRepublish) {
+  Table table = SmallTable();
+  StatisticsFleet fleet({.shards = 4,
+                         .shard = ShardOptions(),
+                         .scheduler = {.max_inflight = 2, .threads = 2}});
+  const std::string column = "t.c0";
+  const auto handle = fleet.EnsureFresh(column, table);
+  ASSERT_TRUE(handle.ok());
+  const ColumnStatistics& held = **handle;
+  const auto domain = static_cast<Value>(table.tuple_count() / 50);
+  const RangeQuery query{domain / 8, domain / 2};
+  const double estimate = held.EstimateRangeCount(query);
+  const std::uint64_t rows = held.row_count;
+  const double distinct = held.distinct_estimate;
+  const std::string summary = held.ToString();
+  const StatisticsShard& owner = fleet.shard(fleet.ShardIndex(column));
+  const std::uint64_t rebuilds = owner.rebuild_count();
+
+  fleet.RecordModifications(column, table.tuple_count());
+  fleet.ScheduleBuild("t", column, table);
+  fleet.DrainBuilds();
+  ASSERT_EQ(owner.rebuild_count(), rebuilds + 1);
+  const auto republished = fleet.EnsureFresh(column, table);
+  ASSERT_TRUE(republished.ok());
+  EXPECT_NE(&**republished, &held);
+
+  EXPECT_EQ(held.EstimateRangeCount(query), estimate);
+  EXPECT_EQ(held.row_count, rows);
+  EXPECT_EQ(held.distinct_estimate, distinct);
+  EXPECT_EQ(held.ToString(), summary);
+}
+
+// -- Batch metrics -----------------------------------------------------------
+
+// Each shard a fleet batch touches records its part as one batch of its
+// own: one batch, its request count and one batch-size sample of that
+// count. Untouched shards record nothing; the fleet plane records the
+// whole batch once.
+TEST(StatisticsFleetTest, BatchMetricsCountEachTouchedShardOnce) {
+  Table table = SmallTable();
+  StatisticsFleet fleet({.shards = 4, .shard = ShardOptions()});
+  // Two columns on shard 0 and one each on shards 1 and 2; shard 3 gets
+  // none.
+  std::vector<std::string> on_shard[4];
+  for (const std::string& column : Columns(64)) {
+    on_shard[fleet.ShardIndex(column)].push_back(column);
+  }
+  ASSERT_GE(on_shard[0].size(), 2u);
+  ASSERT_FALSE(on_shard[1].empty());
+  ASSERT_FALSE(on_shard[2].empty());
+  const std::vector<std::string> columns = {on_shard[0][0], on_shard[1][0],
+                                            on_shard[0][1], on_shard[2][0]};
+  ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+  // Shard 0's two columns interleave with the others.
+  auto requests = MixedBatch(columns, table, 3);
+  requests.push_back({on_shard[1][0], {0, 10}});
+  std::vector<std::uint64_t> expected(fleet.shard_count(), 0);
+  for (const BatchEstimateRequest& request : requests) {
+    ++expected[fleet.ShardIndex(request.column)];
+  }
+  ASSERT_EQ(expected[3], 0u);
+
+  const auto read = [](const metrics::MetricsPlane& plane) {
+    return std::vector<std::uint64_t>{
+        plane.counter(metrics::Counter::kEstimateBatches),
+        plane.counter(metrics::Counter::kEstimateQueries),
+        plane.hist_count(metrics::Hist::kEstimateBatchSize),
+        plane.hist_sum(metrics::Hist::kEstimateBatchSize)};
+  };
+  std::vector<std::vector<std::uint64_t>> before;
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    before.push_back(read(fleet.shard(s).metrics()));
+  }
+  const auto fleet_before = read(fleet.fleet_metrics());
+  BatchEstimateResult result;
+  ASSERT_TRUE(fleet.EstimateBatch(table, requests, &result).ok());
+
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    const auto after = read(fleet.shard(s).metrics());
+    const std::uint64_t touched = expected[s] > 0 ? 1 : 0;
+    EXPECT_EQ(after[0] - before[s][0], touched) << "shard " << s;
+    EXPECT_EQ(after[1] - before[s][1], expected[s]) << "shard " << s;
+    EXPECT_EQ(after[2] - before[s][2], touched) << "shard " << s;
+    EXPECT_EQ(after[3] - before[s][3], expected[s]) << "shard " << s;
+  }
+  const auto fleet_after = read(fleet.fleet_metrics());
+  EXPECT_EQ(fleet_after[0] - fleet_before[0], 1u);
+  EXPECT_EQ(fleet_after[1] - fleet_before[1], requests.size());
+  EXPECT_EQ(fleet_after[2] - fleet_before[2], 1u);
+  EXPECT_EQ(fleet_after[3] - fleet_before[3], requests.size());
+}
+
+// -- Determinism under load --------------------------------------------------
+
+// perfbench's `mixed` output check at test scale: two readers plan
+// 16-predicate batches through the fleet while a writer applies DML
+// bursts to incremental columns (id 5), refreshing after each burst and,
+// every 8th, rebuilding through the scheduler (one thread: inline on the
+// writer). Replaying the writer's op log through one StatisticsManager
+// must give the fleet's final answers bit for bit.
+TEST(StatisticsFleetTest, ReadersBesideDmlAndRebuildsMatchTheReplayBitwise) {
+  constexpr std::size_t kColumns = 16;
+  constexpr std::uint64_t kBursts = 96;
+  constexpr std::uint64_t kBurstOps = 200;
+  constexpr std::uint64_t kRebuildEvery = 8;
+  Table table = SmallTable(50000, 5);
+  const std::uint64_t domain = table.tuple_count() / 50;
+  auto options = ShardOptions();
+  options.default_backend = HistogramBackendId::kIncrementalEquiDepth;
+  options.staleness_threshold = 0.001;  // below one burst
+  StatisticsFleet fleet({.shards = 4,
+                         .shard = options,
+                         .scheduler = {.max_inflight = 1, .threads = 1}});
+  const auto columns = Columns(kColumns);
+  ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+
+  std::vector<std::vector<BatchEstimateRequest>> batches(32);
+  Rng batch_rng(11);
+  for (auto& batch : batches) {
+    for (int i = 0; i < 16; ++i) {
+      const auto lo = static_cast<Value>(batch_rng.NextBounded(domain));
+      const auto width = static_cast<Value>(batch_rng.NextBounded(domain / 4));
+      batch.push_back({columns[batch_rng.NextBounded(kColumns)],
+                       {lo, lo + width}});
+    }
+  }
+  // The DML of one burst, regenerated from its index: alternating inserts
+  // and deletes.
+  const auto burst_ops = [&](std::uint64_t burst) {
+    Rng rng(DeriveStreamSeed(23, burst));
+    std::vector<std::pair<bool, Value>> ops(kBurstOps);
+    for (std::uint64_t j = 0; j < kBurstOps; ++j) {
+      ops[j] = {j % 2 == 0, static_cast<Value>(rng.NextBounded(domain))};
+    }
+    return ops;
+  };
+  const auto forced = [](std::uint64_t burst) {
+    return burst % kRebuildEvery == kRebuildEvery - 1;
+  };
+  const auto apply = [&](auto& target, std::uint64_t burst) {
+    const std::string& column = columns[burst % kColumns];
+    for (const auto& [insert, value] : burst_ops(burst)) {
+      if (insert) {
+        target.RecordInsert(column, value);
+      } else {
+        target.RecordDelete(column, value);
+      }
+    }
+    if (forced(burst)) target.RecordModifications(column, 1);
+    return column;
+  };
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::latch readers_started(2);  // the writer starts once both have read
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r]() {
+      for (std::size_t i = r; i == r || !writer_done.load(); ++i) {
+        const auto& batch = batches[i % batches.size()];
+        const auto plans =
+            ChooseAccessPaths(fleet, table, batch, table.tuples_per_page());
+        if (!plans.ok() || plans->size() != batch.size()) failures.fetch_add(1);
+        if (i == r) readers_started.count_down();
+      }
+    });
+  }
+  readers_started.wait();
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    const std::string column = apply(fleet, burst);
+    if (forced(burst)) fleet.ScheduleBuild("t", column, table);
+    if (!fleet.EnsureFresh(column, table).ok()) failures.fetch_add(1);
+  }
+  writer_done.store(true);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  // The load ran both write paths: O(Δ) refreshes and full rebuilds.
+  std::uint64_t refreshes = 0;
+  std::uint64_t rebuilds = 0;
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    refreshes += fleet.shard(s).incremental_refresh_count();
+    rebuilds += fleet.shard(s).rebuild_count();
+  }
+  EXPECT_EQ(refreshes, kBursts - kBursts / kRebuildEvery);
+  EXPECT_EQ(rebuilds, kColumns + kBursts / kRebuildEvery);
+
+  StatisticsManager replay(options);
+  ASSERT_TRUE(replay.BuildAll(columns, table).ok());
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    ASSERT_TRUE(replay.EnsureFresh(apply(replay, burst), table).ok());
+  }
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    BatchEstimateResult got;
+    BatchEstimateResult want;
+    ASSERT_TRUE(fleet.EstimateBatch(table, batches[b], &got).ok());
+    ASSERT_TRUE(replay.EstimateBatch(table, batches[b], &want).ok());
+    ASSERT_EQ(got.estimates.size(), want.estimates.size());
+    EXPECT_EQ(std::memcmp(got.estimates.data(), want.estimates.data(),
+                          got.estimates.size() * sizeof(double)),
+              0)
+        << "batch " << b;
+    // And each answer is the replay snapshot's own, outside any batch loop.
+    for (std::size_t i = 0; i < batches[b].size(); ++i) {
+      const BatchEstimateRequest& request = batches[b][i];
+      const auto snapshot = replay.GetOrBuildShared(request.column, table);
+      ASSERT_TRUE(snapshot.ok());
+      const double direct = (*snapshot)->EstimateRangeCount(request.query);
+      EXPECT_EQ(std::memcmp(&got.estimates[i], &direct, sizeof(double)), 0)
+          << "batch " << b << " request " << i;
+    }
+  }
 }
 
 // -- Wire protocol -----------------------------------------------------------

@@ -241,7 +241,7 @@ TEST(IncrementalBackendTest, StatisticsRoundTripCarriesReservoir) {
 TEST(IncrementalManagerTest, ValueDmlRefreshesWithoutRebuilding) {
   Table table = MakeTable();
   StatisticsManager manager(IncrementalOptions());
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_EQ(manager.rebuild_count(), 1u);
   EXPECT_EQ(manager.incremental_refresh_count(), 0u);
   const IoStats cost_after_build = manager.total_build_cost();
@@ -280,7 +280,7 @@ TEST(IncrementalManagerTest, ValueDmlRefreshesWithoutRebuilding) {
 TEST(IncrementalManagerTest, CountOnlyModificationsForceFullRebuild) {
   Table table = MakeTable();
   StatisticsManager manager(IncrementalOptions());
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   // Count-only DML carries no values: the reservoir cannot represent it,
   // so EnsureFresh must take the full-rebuild path.
   manager.RecordModifications("t.x", 1000);
@@ -301,7 +301,7 @@ TEST(IncrementalManagerTest, RepairBudgetForcesFullRebuild) {
   StatisticsManager::Options options = IncrementalOptions();
   options.incremental_repair_budget = 0.01;  // 1% of the live row count
   StatisticsManager manager(options);
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   // 5% churn blows the 1% budget: drift wins, the manager reseeds.
   Rng rng(4);
   for (int i = 0; i < 1000; ++i) {
@@ -317,7 +317,7 @@ TEST(IncrementalManagerTest, NonIncrementalBackendIgnoresValueDml) {
   StatisticsManager::Options options = IncrementalOptions();
   options.default_backend = HistogramBackendId::kEquiHeight;
   StatisticsManager manager(options);
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   manager.RecordInsert("t.x", 42);
   ASSERT_TRUE(manager.EnsureFresh("t.x", table).ok());
   // Equi-height has no live maintenance state: staleness still resolves by
@@ -332,7 +332,7 @@ TEST(IncrementalManagerTest, RefreshIsDeterministicAcrossThreadCounts) {
     StatisticsManager::Options options = IncrementalOptions();
     options.threads = threads;
     StatisticsManager manager(options);
-    EXPECT_TRUE(manager.GetOrBuild("t.x", table).ok());
+    EXPECT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
     Rng rng(21);
     for (int i = 0; i < 400; ++i) {
       if (rng.NextBounded(3) == 0) {
@@ -343,7 +343,7 @@ TEST(IncrementalManagerTest, RefreshIsDeterministicAcrossThreadCounts) {
                              static_cast<Value>(1 + rng.NextBounded(3000)));
       }
     }
-    const auto fresh = manager.EnsureFreshShared("t.x", table);
+    const auto fresh = manager.EnsureFresh("t.x", table);
     EXPECT_TRUE(fresh.ok());
     EXPECT_EQ(manager.incremental_refresh_count(), 1u);
     const auto* model = dynamic_cast<const IncrementalEquiDepthModel*>(
@@ -379,12 +379,12 @@ TEST(IncrementalManagerTest, InstallSerializedRearmsMaintenance) {
 TEST(IncrementalManagerTest, DropClearsMaintenanceState) {
   Table table = MakeTable();
   StatisticsManager manager(IncrementalOptions());
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_TRUE(manager.Drop("t.x"));
   // DML against the dropped column is ignored; the next access is a
   // plain first build.
   manager.RecordInsert("t.x", 1);
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_EQ(manager.rebuild_count(), 2u);
 }
 

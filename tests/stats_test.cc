@@ -116,10 +116,10 @@ TEST(ColumnStatisticsTest, DistinctFractionAndToString) {
 TEST(StatisticsManagerTest, BuildsOnFirstAccessAndCaches) {
   Table table = SkewedTable();
   StatisticsManager manager({.buckets = 50, .f = 0.2});
-  const auto first = manager.GetOrBuild("t.x", table);
+  const auto first = manager.GetOrBuildShared("t.x", table);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(manager.rebuild_count(), 1u);
-  const auto second = manager.GetOrBuild("t.x", table);
+  const auto second = manager.GetOrBuildShared("t.x", table);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);  // same cached pointer
   EXPECT_EQ(manager.rebuild_count(), 1u);
@@ -131,7 +131,7 @@ TEST(StatisticsManagerTest, StalenessFollowsModificationCounter) {
   Table table = SkewedTable();
   StatisticsManager manager(
       {.buckets = 50, .f = 0.2, .staleness_threshold = 0.2});
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_FALSE(manager.IsStale("t.x"));
   manager.RecordModifications("t.x", table.tuple_count() / 10);  // 10%
   EXPECT_FALSE(manager.IsStale("t.x"));
@@ -142,7 +142,7 @@ TEST(StatisticsManagerTest, StalenessFollowsModificationCounter) {
 TEST(StatisticsManagerTest, EnsureFreshRebuildsWhenStale) {
   Table table = SkewedTable();
   StatisticsManager manager({.buckets = 50, .f = 0.2});
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   manager.RecordModifications("t.x", table.tuple_count());  // 100% modified
   const auto fresh = manager.EnsureFresh("t.x", table);
   ASSERT_TRUE(fresh.ok());
@@ -161,7 +161,7 @@ TEST(StatisticsManagerTest, EnsureFreshNoopWhenFresh) {
 TEST(StatisticsManagerTest, DropForgetsColumn) {
   Table table = SkewedTable();
   StatisticsManager manager({.buckets = 50, .f = 0.2});
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   EXPECT_TRUE(manager.Drop("t.x"));
   EXPECT_FALSE(manager.Drop("t.x"));
   EXPECT_FALSE(manager.Has("t.x"));
@@ -170,10 +170,10 @@ TEST(StatisticsManagerTest, DropForgetsColumn) {
 TEST(StatisticsManagerTest, TracksCumulativeBuildCost) {
   Table table = SkewedTable();
   StatisticsManager manager({.buckets = 50, .f = 0.2});
-  ASSERT_TRUE(manager.GetOrBuild("a", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("a", table).ok());
   const std::uint64_t after_one = manager.total_build_cost().pages_read;
   EXPECT_GT(after_one, 0u);
-  ASSERT_TRUE(manager.GetOrBuild("b", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("b", table).ok());
   EXPECT_GT(manager.total_build_cost().pages_read, after_one);
 }
 
@@ -181,7 +181,7 @@ TEST(StatisticsManagerTest, FullScanModeIsExact) {
   Table table = SkewedTable();
   StatisticsManager manager(
       {.buckets = 50, .f = 0.2, .prefer_sampling = false});
-  const auto stats = manager.GetOrBuild("t.x", table);
+  const auto stats = manager.GetOrBuildShared("t.x", table);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE((*stats)->from_full_scan);
 }
@@ -270,7 +270,7 @@ TEST(StatisticsManagerTest, ModificationsDuringBuildSurviveThePublish) {
   MidBuildHook() = [&manager, &table] {
     manager.RecordModifications("t.x", table.tuple_count());
   };
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   MidBuildHook() = nullptr;
   // 100% of the rows changed while the build ran: the snapshot just
   // published is already stale and the next EnsureFresh must rebuild.
@@ -292,7 +292,7 @@ TEST(StatisticsManagerTest, PublishConsumesOnlyCapturedModifications) {
   options.threads = 1;
   options.column_backends["t.x"] = kMidBuildHookId;
   StatisticsManager manager(options);
-  ASSERT_TRUE(manager.GetOrBuild("t.x", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("t.x", table).ok());
   manager.RecordModifications("t.x", table.tuple_count());
   ASSERT_TRUE(manager.IsStale("t.x"));
   ASSERT_TRUE(manager.EnsureFresh("t.x", table).ok());
@@ -355,7 +355,7 @@ TEST(StatisticsManagerTest, BatchPinsEachColumnOnceWhenADropLandsMidBatch) {
   options.threads = 1;
   options.column_backends["hook"] = kMidBuildHookId;
   StatisticsManager manager(options);
-  ASSERT_TRUE(manager.GetOrBuild("a", table).ok());
+  ASSERT_TRUE(manager.GetOrBuildShared("a", table).ok());
   EXPECT_EQ(manager.rebuild_count(), 1u);
   MidBuildHook() = [&manager] { manager.Drop("a"); };
   const RangeQuery query{0, static_cast<Value>(table.tuple_count() / 100)};
