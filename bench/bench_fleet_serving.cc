@@ -21,9 +21,9 @@
 // unix-domain SocketTransport against a SocketTransportServer — the
 // envelope + framing + syscall cost per exchange. Both paths are
 // cross-checked bitwise against ServeFrame before timing, and the medians
-// are gated by scripts/check_perf_regression.py. The socket median is the
-// median over kSocketPairs fresh server/connection pairs of each pair's
-// median.
+// are gated by scripts/check_perf_regression.py. Each median is the median
+// of several fresh series' medians: kInProcessSeries in-process transports
+// and kSocketPairs server/connection pairs.
 //
 // Emits BENCH_fleet_serving.json (mirrored to stdout).
 
@@ -62,6 +62,11 @@ constexpr std::size_t kBatchSize = 16;
 // connection's life. One pair's median therefore reads either level from
 // run to run; the median over several fresh pairs reads the common one.
 constexpr int kSocketPairs = 5;
+// One series of in-process round trips measures the host's state while it
+// runs as much as the code: five series in one process read medians of
+// 2.5, 3.8, 4.1, 4.2 and 4.2 us. The median over several fresh series
+// reads the common level, as for the socket pairs.
+constexpr int kInProcessSeries = 5;
 
 double ElapsedNs(const std::chrono::steady_clock::time_point start) {
   const auto end = std::chrono::steady_clock::now();
@@ -129,11 +134,11 @@ struct ScalarGuard {
 // (DESIGN.md §17): envelope encode + serve + envelope decode, plus the
 // syscalls on the socket path. Gated by check_perf_regression.py.
 struct TransportStats {
-  std::uint64_t round_trips = 0;  // per path, and per socket pair
+  std::uint64_t round_trips = 0;  // per series
+  // Medians over kInProcessSeries transports, and over kSocketPairs
+  // server/connection pairs, of each series' median and p99.
   double in_process_median_us = 0.0;
   double in_process_p99_us = 0.0;
-  // Medians over kSocketPairs server/connection pairs of each pair's
-  // median and p99.
   double unix_socket_median_us = 0.0;
   double unix_socket_p99_us = 0.0;
   // socket median / in-process median: what the wire itself costs.
@@ -162,6 +167,23 @@ std::pair<double, double> TimeRoundTrips(
                       static_cast<std::size_t>(
                           0.99 * static_cast<double>(lat_us.size())))];
   return {median, p99};
+}
+
+// The medians of the series' {median_us, p99_us}, and the sorted series
+// medians for the log; {-1, -1} if any series mismatched.
+std::pair<double, double> MedianOfSeries(
+    const std::vector<std::pair<double, double>>& series,
+    std::vector<double>& medians) {
+  std::vector<double> p99s;
+  medians.clear();
+  for (const auto& [median, p99] : series) {
+    medians.push_back(median);
+    p99s.push_back(p99);
+  }
+  std::sort(medians.begin(), medians.end());
+  std::sort(p99s.begin(), p99s.end());
+  if (medians.front() < 0.0) return {-1.0, -1.0};
+  return {medians[medians.size() / 2], p99s[p99s.size() / 2]};
 }
 
 std::string ToJson(const std::vector<SweepRow>& rows,
@@ -197,6 +219,7 @@ std::string ToJson(const std::vector<SweepRow>& rows,
      << ", \"fleet_4shard_ns_per_query\": " << guard.fleet_4shard_ns_per_query
      << ", \"routed_ratio\": " << guard.routed_ratio << "},\n";
   os << "  \"transport\": {\"round_trips\": " << transit.round_trips
+     << ", \"in_process_series\": " << kInProcessSeries
      << ", \"socket_pairs\": " << kSocketPairs
      << ", \"in_process_median_us\": " << transit.in_process_median_us
      << ", \"in_process_p99_us\": " << transit.in_process_p99_us
@@ -414,12 +437,17 @@ int main(int argc, char** argv) {
     const int rt_rounds = scale.smoke ? 300 : 3000;
     transit.round_trips = static_cast<std::uint64_t>(rt_rounds);
 
-    transport::InProcessTransport in_process(&fleet, &dataset.table);
+    std::vector<std::pair<double, double>> series;
+    for (int i = 0; i < kInProcessSeries; ++i) {
+      transport::InProcessTransport in_process(&fleet, &dataset.table);
+      series.push_back(
+          TimeRoundTrips(in_process, frame, *expected_bytes, rt_rounds));
+    }
+    std::vector<double> series_medians;
     std::tie(transit.in_process_median_us, transit.in_process_p99_us) =
-        TimeRoundTrips(in_process, frame, *expected_bytes, rt_rounds);
+        MedianOfSeries(series, series_medians);
 
-    std::vector<double> pair_medians;
-    std::vector<double> pair_p99s;
+    series.clear();
     for (int pair = 0; pair < kSocketPairs; ++pair) {
       transport::SocketTransportServer server(
           &fleet, &dataset.table,
@@ -438,16 +466,14 @@ int main(int argc, char** argv) {
                   << socket.status().ToString() << "\n";
         return 1;
       }
-      const auto [median, p99] =
-          TimeRoundTrips(**socket, frame, *expected_bytes, rt_rounds);
-      pair_medians.push_back(median);
-      pair_p99s.push_back(p99);
+      series.push_back(
+          TimeRoundTrips(**socket, frame, *expected_bytes, rt_rounds));
     }
-    std::sort(pair_medians.begin(), pair_medians.end());
-    std::sort(pair_p99s.begin(), pair_p99s.end());
-    transit.unix_socket_median_us = pair_medians[kSocketPairs / 2];
-    transit.unix_socket_p99_us = pair_p99s[kSocketPairs / 2];
-    if (transit.in_process_median_us < 0.0 || pair_medians.front() < 0.0) {
+    std::vector<double> pair_medians;
+    std::tie(transit.unix_socket_median_us, transit.unix_socket_p99_us) =
+        MedianOfSeries(series, pair_medians);
+    if (transit.in_process_median_us < 0.0 ||
+        transit.unix_socket_median_us < 0.0) {
       std::cerr << "TRANSPORT MISMATCH vs ServeFrame bytes\n";
       return 1;
     }
@@ -460,7 +486,9 @@ int main(int argc, char** argv) {
               << " us (p99=" << transit.in_process_p99_us
               << "), unix socket median=" << transit.unix_socket_median_us
               << " us (p99=" << transit.unix_socket_p99_us << ", "
-              << transit.socket_overhead_ratio << "x; pair medians";
+              << transit.socket_overhead_ratio << "x; series medians";
+    for (const double median : series_medians) std::cerr << ' ' << median;
+    std::cerr << "; pair medians";
     for (const double median : pair_medians) std::cerr << ' ' << median;
     std::cerr << ")\n";
   }

@@ -3,6 +3,7 @@
 // for. Not a paper figure; complements the experiment harnesses.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -412,18 +413,96 @@ BENCHMARK(BM_CvbEndToEnd)
     ->ArgsProduct({{1}, {0}, {1, 0}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// perfbench's `rebuild` column: 2M rows of Zipf(1) over 20,000 values on a
-// random layout, 15,625 pages of 128 tuples.
+Table MakeRebuildTable(LayoutKind layout) {
+  auto frequencies =
+      MakeZipf({.n = 2000000, .domain_size = 20000, .skew = 1.0});
+  return Table::Create(*frequencies, PageConfig{8192, 64},
+                       {.kind = layout, .clustered_fraction = 0.2})
+      .value();
+}
+
+// perfbench's `rebuild` columns: 2M rows of Zipf(1) over 20,000 values,
+// 15,625 pages of 128 tuples, on a random layout and on the partially
+// clustered one (a fifth of each value's duplicates contiguous, so about
+// a tenth of the pages hold a single value).
 const Table& RebuildTable() {
-  static const Table* table = [] {
-    auto frequencies =
-        MakeZipf({.n = 2000000, .domain_size = 20000, .skew = 1.0});
-    auto result = Table::Create(*frequencies, PageConfig{8192, 64},
-                                {.kind = LayoutKind::kRandom});
-    return new Table(std::move(*result));
-  }();
+  static const Table* table =
+      new Table(MakeRebuildTable(LayoutKind::kRandom));
   return *table;
 }
+
+const Table& RebuildClusteredTable() {
+  static const Table* table =
+      new Table(MakeRebuildTable(LayoutKind::kPartiallyClustered));
+  return *table;
+}
+
+// The pages one CVB build of a rebuild table reads, in the order it reads
+// them. Arguments: layout (0 = random, 1 = partially clustered) and pages
+// (1,792 on the random table, about what a build of it reads; all 15,625
+// on the clustered one, which a build of it reads).
+const Table& PagesTable(const benchmark::State& state) {
+  return state.range(0) == 0 ? RebuildTable() : RebuildClusteredTable();
+}
+
+// Reading a build's pages: one NextPages call of a sampler with a new seed
+// per iteration, the sampler's construction untimed. With no fault
+// injector the batch is read in one HeapFile::ReadPagesFaultFree loop.
+void BM_NextPages(benchmark::State& state) {
+  const Table& table = PagesTable(state);
+  const auto blocks = static_cast<std::uint64_t>(state.range(1));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    IncrementalBlockSampler sampler(&table, seed++);
+    IoStats io;
+    const auto start = std::chrono::steady_clock::now();
+    auto pages = sampler.NextPages(blocks, &io);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    benchmark::DoNotOptimize(pages.data());
+    benchmark::DoNotOptimize(io);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blocks));
+}
+BENCHMARK(BM_NextPages)
+    ->ArgNames({"layout", "pages"})
+    ->Args({0, 1792})
+    ->Args({1, 15625})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// Counting a build's pages into one key window over their bounds
+// (sample_internal::CountPages, as Sample::Add does before its fold). Same
+// arguments and pages as BM_NextPages, read once; the window is not
+// re-zeroed between iterations.
+void BM_CountPages(benchmark::State& state) {
+  const Table& table = PagesTable(state);
+  IncrementalBlockSampler sampler(&table, 1);
+  const std::vector<const Page*> pages =
+      sampler.NextPages(static_cast<std::uint64_t>(state.range(1)), nullptr);
+  KeyBounds bounds{.min = pages[0]->min_key(), .max = pages[0]->max_key()};
+  std::uint64_t tuples = 0;
+  for (const Page* page : pages) {
+    bounds.min = std::min(bounds.min, page->min_key());
+    bounds.max = std::max(bounds.max, page->max_key());
+    tuples += page->size();
+  }
+  std::vector<std::uint64_t> window(bounds.range() + 1);
+  for (auto _ : state) {
+    sample_internal::CountPages(pages, bounds.min, window);
+    benchmark::DoNotOptimize(window.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tuples));
+}
+BENCHMARK(BM_CountPages)
+    ->ArgNames({"layout", "pages"})
+    ->Args({0, 1792})
+    ->Args({1, 15625})
+    ->Unit(benchmark::kMicrosecond);
 
 // The page shuffle every CVB build starts with: a Fisher-Yates permutation
 // of all 15,625 page ids of the rebuild table, one bounded draw per id.

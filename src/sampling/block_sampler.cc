@@ -1,5 +1,6 @@
 #include "sampling/block_sampler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <span>
@@ -68,14 +69,23 @@ IncrementalBlockSampler::IncrementalBlockSampler(const Table* table,
 std::vector<const Page*> IncrementalBlockSampler::NextPages(
     std::uint64_t num_blocks, IoStats* stats) {
   std::vector<const Page*> pages;
-  pages.reserve(std::min(num_blocks, pages_remaining()));
+  const std::uint64_t take = std::min(num_blocks, pages_remaining());
+  pages.reserve(take);
+  const HeapFile& file = table_->file();
+  if (file.fault_injector() == nullptr) {
+    // No read can fail: the batch is the next `take` ids, read in one loop.
+    file.ReadPagesFaultFree(std::span(permutation_).subspan(next_, take),
+                            stats, pages);
+    next_ += take;
+    return pages;
+  }
   // Every skipped page is replaced by the next permutation entry: the
   // permutation is a uniform random order of all pages, so the pages
   // delivered remain a uniform without-replacement sample of the readable
   // ones.
   while (pages.size() < num_blocks && pages_remaining() > 0) {
-    Result<const Page*> page = table_->file().ReadPageRetrying(
-        permutation_[next_++], retry_, stats);
+    Result<const Page*> page =
+        file.ReadPageRetrying(permutation_[next_++], retry_, stats);
     if (page.ok()) {
       pages.push_back(*page);
       continue;

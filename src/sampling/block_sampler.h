@@ -61,7 +61,10 @@ class IncrementalBlockSampler {
   // pages, in permutation order, charging I/O to `stats`. Returns no pages
   // once the file is exhausted. The pages are views into the table.
   //
-  // Fault handling: transient faults are retried per the retry policy;
+  // With no fault injector on the table no read can fail, and the batch is
+  // the next permutation entries, read in one HeapFile::ReadPagesFaultFree
+  // loop. With one, each page goes through the retrying read:
+  // transient faults are retried per the retry policy;
   // a page that stays unreadable is skipped (stats->pages_skipped,
   // plus stats->pages_corrupt for checksum failures) and the batch is
   // topped up from the tail of the permutation. Because the permutation is

@@ -90,6 +90,33 @@ Result<const Page*> HeapFile::ReadPage(std::uint64_t page_id,
   return page;
 }
 
+void HeapFile::ReadPagesFaultFree(std::span<const std::uint64_t> page_ids,
+                                  IoStats* stats,
+                                  std::vector<const Page*>& out) const {
+  assert(injector_ == nullptr);
+  const Page* const pages = pages_.data();
+  const std::size_t count = page_ids.size();
+  std::uint64_t tuples = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    // The pages lie scattered over the file, and size() reads the header,
+    // which may straddle two cache lines: fetch both of its ends.
+    if (i + kReadAheadPages < count) {
+      const auto* ahead = reinterpret_cast<const char*>(
+          pages + page_ids[i + kReadAheadPages]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Page) - 1);
+    }
+    assert(page_ids[i] < pages_.size());
+    const Page* page = pages + page_ids[i];
+    tuples += page->size();
+    out.push_back(page);
+  }
+  if (stats != nullptr) {
+    stats->pages_read += count;
+    stats->tuples_read += tuples;
+  }
+}
+
 Result<const Page*> HeapFile::ReadPageRetrying(std::uint64_t page_id,
                                                const RetryPolicy& policy,
                                                IoStats* stats) const {

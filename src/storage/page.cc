@@ -76,6 +76,12 @@ void Page::AddCounts(Value base, std::span<std::uint64_t> window) const {
          window.size());
   std::uint64_t* counts = window.data() + first;
   const std::size_t n = size();
+  if (min_key_ == max_key_) {
+    // Every record is min_key(): one add instead of n increments of one
+    // counter, each waiting on the last.
+    counts[0] += n;
+    return;
+  }
   const std::uint8_t* bytes = payload_.data();
   WithOffsetType(shift_, [&](auto zero) {
     using Offset = decltype(zero);

@@ -83,9 +83,10 @@ class Page {
   // out.size() >= size().
   void DecodeTo(std::span<Value> out) const;
 
-  // Adds one to window[v - base] for every record v. Precondition: the
-  // window covers the page's bounds (base <= min_key() and
-  // max_key() - base < window.size()).
+  // Adds one to window[v - base] for every record v: size() in one add
+  // when the bounds show a single value (min_key() == max_key()).
+  // Precondition: the window covers the page's bounds (base <= min_key()
+  // and max_key() - base < window.size()).
   void AddCounts(Value base, std::span<std::uint64_t> window) const;
 
   // Prefetches every cache line of the payload.

@@ -274,5 +274,60 @@ TEST(IncrementalBlockSamplerTest, NextPagesPinTheSkipAndTopUpRuleUnderFaults) {
   }
 }
 
+// With no fault injector NextPages reads each batch in one
+// HeapFile::ReadPagesFaultFree loop; with an injector that injects
+// nothing, each page goes through the retrying read. Both hand out the
+// same pages in the same order, charge the same IoStats and consume the
+// same permutation entries, batch by batch: on tables with fewer pages
+// than the read-ahead distance, and with batches that run past the end of
+// the permutation.
+TEST(IncrementalBlockSamplerTest, FaultFreeReadMatchesTheRetryingRead) {
+  struct Case {
+    std::uint64_t table_pages;
+    std::vector<std::uint64_t> batches;
+  };
+  const std::uint64_t ahead = HeapFile::kReadAheadPages;
+  const Case cases[] = {
+      {1, {1, 1}},
+      {ahead - 1, {2, ahead, 1}},
+      {ahead, {ahead, 1}},
+      {ahead + 1, {ahead - 2, ahead}},
+      {100, {ahead + 3, 0, 40, 1, 60, 5}},
+  };
+  for (const Case& c : cases) {
+    Table plain = MakePageTaggedTable(c.table_pages, 4);
+    Table hooked = MakePageTaggedTable(c.table_pages, 4);
+    FaultInjector injector(FaultSpec{});
+    hooked.set_fault_injector(&injector);
+    IncrementalBlockSampler fault_free(&plain, 23);
+    IncrementalBlockSampler retrying(&hooked, 23);
+    for (std::size_t b = 0; b < c.batches.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "pages " << c.table_pages
+                                      << " batch " << b);
+      const std::uint64_t expected_size =
+          std::min(c.batches[b], fault_free.pages_remaining());
+      IoStats plain_io;
+      IoStats hooked_io;
+      const auto got = fault_free.NextPages(c.batches[b], &plain_io);
+      const auto want = retrying.NextPages(c.batches[b], &hooked_io);
+      ASSERT_EQ(got.size(), expected_size);
+      EXPECT_EQ(PageIds(got, 4), PageIds(want, 4));
+      for (const Page* page : got) {
+        const std::uint64_t id = static_cast<std::uint64_t>(page->at(0)) / 4;
+        EXPECT_EQ(page, &plain.file().page(id));
+      }
+      EXPECT_EQ(plain_io.pages_read, hooked_io.pages_read);
+      EXPECT_EQ(plain_io.tuples_read, hooked_io.tuples_read);
+      EXPECT_EQ(plain_io.transient_retries, hooked_io.transient_retries);
+      EXPECT_EQ(plain_io.pages_skipped, hooked_io.pages_skipped);
+      EXPECT_EQ(plain_io.pages_corrupt, hooked_io.pages_corrupt);
+      EXPECT_EQ(plain_io.pages_read, expected_size);
+      EXPECT_EQ(fault_free.pages_consumed(), retrying.pages_consumed());
+      EXPECT_EQ(fault_free.pages_skipped(), retrying.pages_skipped());
+    }
+    EXPECT_EQ(fault_free.pages_remaining(), retrying.pages_remaining());
+  }
+}
+
 }  // namespace
 }  // namespace equihist

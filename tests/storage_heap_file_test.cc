@@ -252,6 +252,56 @@ TEST(PageTest, AddCountsMatchesAPlainCount) {
   }
 }
 
+// A page whose bounds show one value (min_key() == max_key()) adds size()
+// to that value's slot and touches no other: a one-record page, a full
+// page, and full pages at either end of the domain. A corrupted copy of
+// each has wider bounds, so it is no longer single-valued; it counts
+// exactly the records its DecodeTo writes.
+TEST(PageTest, AddCountsAddsASingleValuedPageInOneSlot) {
+  struct Case {
+    Value value;
+    std::uint32_t records;
+    Value xor_mask;  // flips the middle record of the corrupted copy
+  };
+  const Case cases[] = {
+      {42, 1, Value{1} << 8},
+      {-7, 128, 1},
+      {kMin, 128, Value{1} << 9},
+      {kMax, 128, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "value " << c.value << " records "
+                                    << c.records);
+    Page page(128);
+    for (std::uint32_t i = 0; i < c.records; ++i) page.Append(c.value);
+    ASSERT_EQ(page.min_key(), page.max_key());
+    EXPECT_EQ(page.full(), c.records == 128);
+    // A slot on either side of the value's where the domain has one.
+    const Value base = c.value == kMin ? kMin : c.value - 1;
+    std::vector<std::uint64_t> window(3, 5);
+    std::vector<std::uint64_t> expected = window;
+    expected[static_cast<std::uint64_t>(c.value) -
+             static_cast<std::uint64_t>(base)] += c.records;
+    page.AddCounts(base, window);
+    EXPECT_EQ(window, expected);
+
+    Page corrupted = page;
+    corrupted.CorruptValue(c.records / 2, c.xor_mask);
+    ASSERT_LT(corrupted.min_key(), corrupted.max_key());
+    const std::uint64_t slots =
+        static_cast<std::uint64_t>(corrupted.max_key()) -
+        static_cast<std::uint64_t>(corrupted.min_key()) + 1;
+    std::vector<std::uint64_t> counted(slots, 0);
+    std::vector<std::uint64_t> decoded(slots, 0);
+    for (const Value v : Decoded(corrupted)) {
+      ++decoded[static_cast<std::uint64_t>(v) -
+                static_cast<std::uint64_t>(corrupted.min_key())];
+    }
+    corrupted.AddCounts(corrupted.min_key(), counted);
+    EXPECT_EQ(counted, decoded);
+  }
+}
+
 TEST(HeapFileTest, PacksTuplesDensely) {
   HeapFile file(PageConfig{64, 8});  // 8 tuples per page
   for (int i = 0; i < 20; ++i) file.Append(i);
@@ -318,6 +368,61 @@ TEST(HeapFileTest, ReadPageOutOfRangeIsNotFound) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(stats.pages_read, 0u);  // failed reads are not charged
+}
+
+// The fault-free batch read appends the pages it is given, in order, to
+// what `out` already holds, and charges what ReadPage charges for each of
+// them, summed: for no ids, for fewer than its read-ahead distance, for
+// more, and for repeated ids. A null `stats` charges nothing.
+TEST(HeapFileTest, ReadPagesFaultFreeChargesWhatReadPageCharges) {
+  HeapFile file(PageConfig{32, 8});  // 4 per page
+  std::vector<Value> values(4 * 20 + 3);  // 21 pages, the last one part-full
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<Value>(i);
+  }
+  file.AppendAll(values);
+  ASSERT_EQ(file.page_count(), 21u);
+  std::vector<std::uint64_t> shuffled(file.page_count());
+  for (std::uint64_t id = 0; id < shuffled.size(); ++id) shuffled[id] = id;
+  Rng rng(3);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+  }
+  const std::vector<std::uint64_t> id_lists[] = {
+      {},
+      {20},
+      {3, 20, 0},
+      {shuffled.begin(), shuffled.begin() + HeapFile::kReadAheadPages},
+      shuffled,
+      {5, 5, 20, 5},
+  };
+  for (const std::vector<std::uint64_t>& ids : id_lists) {
+    SCOPED_TRACE(testing::Message() << ids.size() << " ids");
+    std::vector<const Page*> out = {&file.page(7)};
+    std::vector<const Page*> expected_out = out;
+    IoStats stats{.pages_read = 2,
+                  .tuples_read = 9,
+                  .transient_retries = 1,
+                  .pages_skipped = 0,
+                  .pages_corrupt = 0};
+    IoStats expected = stats;
+    for (const std::uint64_t id : ids) {
+      expected_out.push_back(file.ReadPage(id, &expected).value());
+    }
+    file.ReadPagesFaultFree(ids, &stats, out);
+    EXPECT_EQ(out, expected_out);
+    EXPECT_EQ(stats.pages_read, expected.pages_read);
+    EXPECT_EQ(stats.tuples_read, expected.tuples_read);
+    EXPECT_EQ(stats.transient_retries, expected.transient_retries);
+    EXPECT_EQ(stats.pages_skipped, 0u);
+    EXPECT_EQ(stats.pages_corrupt, 0u);
+
+    std::vector<const Page*> uncharged;
+    file.ReadPagesFaultFree(ids, nullptr, uncharged);
+    EXPECT_EQ(uncharged,
+              std::vector<const Page*>(expected_out.begin() + 1,
+                                       expected_out.end()));
+  }
 }
 
 TEST(IoStatsTest, AccumulateAndReset) {
