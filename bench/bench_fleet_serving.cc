@@ -67,6 +67,14 @@ constexpr int kSocketPairs = 5;
 // 2.5, 3.8, 4.1, 4.2 and 4.2 us. The median over several fresh series
 // reads the common level, as for the socket pairs.
 constexpr int kInProcessSeries = 5;
+// Repetitions of the scalar-serving lanes; the guard reads the median of
+// their per-repetition ratios.
+constexpr int kScalarRepetitions = 9;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 double ElapsedNs(const std::chrono::steady_clock::time_point start) {
   const auto end = std::chrono::steady_clock::now();
@@ -117,8 +125,10 @@ struct SweepRow {
   std::uint64_t scheduled_builds = 0;
 };
 
+// Medians over kScalarRepetitions repetitions of the three lanes; the
+// ratios are medians of per-repetition ratios, not ratios of medians.
 struct ScalarGuard {
-  std::uint64_t queries = 0;
+  std::uint64_t queries = 0;  // per lane and repetition
   double manager_ns_per_query = 0.0;
   // A 1-shard fleet: identical serving path + metrics plane, no routing
   // hash. This isolates the metrics cost — the guarded number.
@@ -213,6 +223,7 @@ std::string ToJson(const std::vector<SweepRow>& rows,
   }
   os << "  ],\n";
   os << "  \"scalar_serving\": {\"queries\": " << guard.queries
+     << ", \"repetitions\": " << kScalarRepetitions
      << ", \"manager_ns_per_query\": " << guard.manager_ns_per_query
      << ", \"fleet_1shard_ns_per_query\": " << guard.fleet_1shard_ns_per_query
      << ", \"overhead_ratio\": " << guard.overhead_ratio
@@ -348,7 +359,11 @@ int main(int argc, char** argv) {
   }
 
   // Scalar serving guard: fleet routing + metrics must not tax
-  // EstimateRange. Best-of-3 to shed scheduler noise.
+  // EstimateRange. The three lanes run back to back in each of
+  // kScalarRepetitions repetitions, in alternating order, and each ratio
+  // is the median of the per-repetition ratios: the host's speed moves
+  // between repetitions more than within one, and pairing each lane's
+  // best repetition read 1.61x on unchanged code.
   ScalarGuard guard;
   {
     StatisticsFleet fleet1({.shards = 1, .shard = ShardOptions(scale)});
@@ -358,9 +373,6 @@ int main(int argc, char** argv) {
     const std::uint64_t queries = scale.smoke ? 20000 : 200000;
     guard.queries = queries;
     const RangeQuery query{0, static_cast<Value>(domain / 2)};
-    double manager_best = 1e300;
-    double fleet1_best = 1e300;
-    double fleet4_best = 1e300;
     // Each lane times in a FRESH thread: the lock-free serving cache is
     // per-thread and scanned linearly, so a shared thread would hand the
     // first lane a short scan and every later lane a longer one — the
@@ -381,37 +393,57 @@ int main(int argc, char** argv) {
       lane.join();
       return std::pair<double, double>(ns, sum);
     };
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto [manager_ns, sum_manager] =
-          time_lane([&](const std::string& c) {
-            return *manager.EstimateRange(c, dataset.table, query);
-          });
-      const auto [fleet1_ns, sum_fleet1] =
-          time_lane([&](const std::string& c) {
-            return *fleet1.EstimateRange(c, dataset.table, query);
-          });
-      const auto [fleet4_ns, sum_fleet4] =
-          time_lane([&](const std::string& c) {
-            return *fleet4.EstimateRange(c, dataset.table, query);
-          });
-      manager_best = std::min(manager_best, manager_ns);
-      fleet1_best = std::min(fleet1_best, fleet1_ns);
-      fleet4_best = std::min(fleet4_best, fleet4_ns);
-      if (sum_fleet1 != sum_manager || sum_fleet4 != sum_manager) {
+    const auto manager_lane = [&](const std::string& c) {
+      return *manager.EstimateRange(c, dataset.table, query);
+    };
+    const auto fleet1_lane = [&](const std::string& c) {
+      return *fleet1.EstimateRange(c, dataset.table, query);
+    };
+    const auto fleet4_lane = [&](const std::string& c) {
+      return *fleet4.EstimateRange(c, dataset.table, query);
+    };
+    std::vector<double> manager_ns;
+    std::vector<double> fleet1_ns;
+    std::vector<double> fleet4_ns;
+    std::vector<double> overhead;
+    std::vector<double> routed;
+    for (int rep = 0; rep < kScalarRepetitions; ++rep) {
+      std::pair<double, double> m;
+      std::pair<double, double> f1;
+      std::pair<double, double> f4;
+      if (rep % 2 == 0) {
+        m = time_lane(manager_lane);
+        f1 = time_lane(fleet1_lane);
+        f4 = time_lane(fleet4_lane);
+      } else {
+        f4 = time_lane(fleet4_lane);
+        f1 = time_lane(fleet1_lane);
+        m = time_lane(manager_lane);
+      }
+      if (f1.second != m.second || f4.second != m.second) {
         std::cerr << "FLEET MISMATCH on scalar serving path\n";
         return 1;
       }
+      manager_ns.push_back(m.first);
+      fleet1_ns.push_back(f1.first);
+      fleet4_ns.push_back(f4.first);
+      overhead.push_back(m.first > 0.0 ? f1.first / m.first : 0.0);
+      routed.push_back(m.first > 0.0 ? f4.first / m.first : 0.0);
     }
-    guard.manager_ns_per_query = manager_best;
-    guard.fleet_1shard_ns_per_query = fleet1_best;
-    guard.overhead_ratio =
-        manager_best > 0.0 ? fleet1_best / manager_best : 0.0;
-    guard.fleet_4shard_ns_per_query = fleet4_best;
-    guard.routed_ratio = manager_best > 0.0 ? fleet4_best / manager_best : 0.0;
-    std::cerr << "scalar serving: manager=" << manager_best
-              << " ns/q, fleet(1 shard)=" << fleet1_best << " ns/q (ratio "
-              << guard.overhead_ratio << "), fleet(4 shards)=" << fleet4_best
-              << " ns/q (ratio " << guard.routed_ratio << ")\n";
+    guard.manager_ns_per_query = Median(manager_ns);
+    guard.fleet_1shard_ns_per_query = Median(fleet1_ns);
+    guard.overhead_ratio = Median(overhead);
+    guard.fleet_4shard_ns_per_query = Median(fleet4_ns);
+    guard.routed_ratio = Median(routed);
+    std::cerr << "scalar serving (medians of " << kScalarRepetitions
+              << " repetitions): manager=" << guard.manager_ns_per_query
+              << " ns/q, fleet(1 shard)=" << guard.fleet_1shard_ns_per_query
+              << " ns/q (ratio " << guard.overhead_ratio
+              << "), fleet(4 shards)=" << guard.fleet_4shard_ns_per_query
+              << " ns/q (ratio " << guard.routed_ratio << "); ratios";
+    std::sort(overhead.begin(), overhead.end());
+    for (const double ratio : overhead) std::cerr << ' ' << ratio;
+    std::cerr << "\n";
   }
 
   // Transport round trips: the same estimate frame through the in-process

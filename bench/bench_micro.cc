@@ -6,12 +6,15 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "common/parallel_sort.h"
+#include "stats/fleet_wire.h"
+#include "stats/statistics_fleet.h"
 
 namespace {
 
@@ -543,6 +546,76 @@ void BM_SummarizeSample(benchmark::State& state) {
   state.counters["tuples"] = static_cast<double>(sample.size());
 }
 BENCHMARK(BM_SummarizeSample)->Unit(benchmark::kMicrosecond);
+
+// Serving one estimate frame in process: StatisticsFleet::ServeFrame of a
+// 16-predicate request (decode, one pinned batch over the owning shards'
+// serving caches, encode) over 32 columns of the shared table on 4
+// shards, k = 200, f = 0.2. Each iteration serves the next frame of a
+// pool of 64, whose batches start at different columns, so consecutive
+// batches touch other columns and shards. Predicates are a third each
+// point, narrow (0.1–1% of the domain) and wide (10–50%), as perfbench's
+// serve_socket draws them; the frames are encoded and every column built
+// and cached on this thread before timing.
+void BM_ServeFrame(benchmark::State& state) {
+  constexpr std::size_t kColumns = 32;
+  constexpr std::size_t kPredicates = 16;
+  constexpr std::size_t kFrames = 64;
+  const Table& table = SharedTable();
+  const ValueSet& truth = SharedValueSet();
+  StatisticsShard::Options shard;
+  shard.buckets = 200;
+  shard.f = 0.2;
+  shard.threads = 1;
+  StatisticsFleet fleet({.shards = 4, .shard = shard});
+  std::vector<std::string> columns;
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    columns.push_back("s.c" + std::to_string(c));
+  }
+  if (!fleet.BuildAll(columns, table).ok()) {
+    state.SkipWithError("BuildAll failed");
+    return;
+  }
+  Rng rng(29);
+  const Value lo_bound = truth.min() - 1;
+  const Value span = truth.max() - lo_bound;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    fleetwire::EstimateBatchRequestFrame request;
+    for (std::size_t i = 0; i < kPredicates; ++i) {
+      RangeQuery query{};
+      if (i % 3 == 0) {
+        const Value v = truth.ValueAtRank(rng.NextBounded(truth.size()));
+        query = {v - 1, v};
+      } else {
+        const Value width =
+            i % 3 == 1 ? span / 1000 + static_cast<Value>(rng.NextBounded(
+                                           static_cast<std::uint64_t>(
+                                               span / 100)))
+                       : span / 10 + static_cast<Value>(rng.NextBounded(
+                                         static_cast<std::uint64_t>(
+                                             span * 2 / 5)));
+        const Value lo = lo_bound + rng.NextInRange(0, span - width);
+        query = {lo, lo + width};
+      }
+      request.requests.push_back(
+          {columns[(f * 7 + i * 3) % kColumns], query});
+    }
+    frames.push_back(fleetwire::Encode(request));
+    if (!fleet.ServeFrame(frames.back(), table).ok()) {
+      state.SkipWithError("ServeFrame failed");
+      return;
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto response = fleet.ServeFrame(frames[next], table);
+    benchmark::DoNotOptimize(response);
+    next = next + 1 == kFrames ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPredicates));
+}
+BENCHMARK(BM_ServeFrame);
 
 }  // namespace
 

@@ -104,6 +104,11 @@ const char* Name(Hist hist) {
   return "unknown_hist";
 }
 
+std::size_t MetricsPlane::DealStripe() noexcept {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 std::string MetricsPlane::ToJson() const {
   std::string out = "{\"counters\":{";
   for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount);

@@ -10,13 +10,18 @@
 namespace equihist::metrics {
 
 // A lock-free metrics plane (DESIGN.md §16), after ClickHouse's
-// CurrentMetrics / CurrentHistogramMetrics idiom: every metric is one slot
+// CurrentMetrics / CurrentHistogramMetrics idiom: every metric is a slot
 // of a fixed enum-indexed array of relaxed atomics. Recording a sample is
 // a single `fetch_add(std::memory_order_relaxed)` — no locks, no
 // allocation, no clock reads on counter paths — so the statistics fleet
-// leaves the plane on under full serving traffic. Readers take relaxed
-// snapshots: values are each individually exact but mutually unordered,
-// which is the standard monitoring contract.
+// leaves the plane on under full serving traffic. Counters and histograms
+// keep kStripes cache-line-aligned copies of their slots; each thread
+// writes the stripe it was dealt round-robin on its first write, so
+// threads serving side by side do not bounce one line between their
+// cores. Readers sum the stripes. Gauges stay one slot each: GaugeSet is
+// last-writer-wins. Readers take relaxed snapshots: values are each
+// individually exact but mutually unordered, which is the standard
+// monitoring contract.
 //
 // Each StatisticsShard owns a MetricsPlane; the fleet's scheduler owns
 // another; StatisticsFleet::MetricsJson() exports them all.
@@ -82,6 +87,12 @@ enum class Hist : std::size_t {
 
 inline constexpr std::size_t kHistBuckets = 20;  // 2^0 .. 2^18, +inf
 
+// Per-thread copies of the counter and histogram slots. Eight cover the
+// serving threads of one process (server readers, callers, scheduler)
+// with few threads sharing a stripe; a plane is about 9 KB.
+inline constexpr std::size_t kStripes = 8;
+inline constexpr std::size_t kCacheLineBytes = 64;
+
 // Stable snake_case names for JSON export and logs.
 const char* Name(Counter counter);
 const char* Name(Gauge gauge);
@@ -94,7 +105,8 @@ class MetricsPlane {
   MetricsPlane& operator=(const MetricsPlane&) = delete;
 
   void Increment(Counter counter, std::uint64_t delta = 1) noexcept {
-    counters_[Index(counter)].fetch_add(delta, std::memory_order_relaxed);
+    ThreadStripe().counters[Index(counter)].fetch_add(
+        delta, std::memory_order_relaxed);
   }
 
   void GaugeSet(Gauge gauge, std::uint64_t value) noexcept {
@@ -110,26 +122,35 @@ class MetricsPlane {
   // handful of relaxed atomic adds — safe on any hot path that already
   // knows `value` (the caller pays for any clock read).
   void Observe(Hist hist, std::uint64_t value) noexcept {
-    HistSlots& slots = hists_[Index(hist)];
+    HistSlots& slots = ThreadStripe().hists[Index(hist)];
     slots.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
     slots.count.fetch_add(1, std::memory_order_relaxed);
     slots.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
+  // Counter and histogram reads sum the stripes.
   std::uint64_t counter(Counter c) const noexcept {
-    return counters_[Index(c)].load(std::memory_order_relaxed);
+    return SumStripes([c](const Stripe& s) -> const auto& {
+      return s.counters[Index(c)];
+    });
   }
   std::uint64_t gauge(Gauge g) const noexcept {
     return gauges_[Index(g)].load(std::memory_order_relaxed);
   }
   std::uint64_t hist_count(Hist h) const noexcept {
-    return hists_[Index(h)].count.load(std::memory_order_relaxed);
+    return SumStripes([h](const Stripe& s) -> const auto& {
+      return s.hists[Index(h)].count;
+    });
   }
   std::uint64_t hist_sum(Hist h) const noexcept {
-    return hists_[Index(h)].sum.load(std::memory_order_relaxed);
+    return SumStripes([h](const Stripe& s) -> const auto& {
+      return s.hists[Index(h)].sum;
+    });
   }
   std::uint64_t hist_bucket(Hist h, std::size_t bucket) const noexcept {
-    return hists_[Index(h)].buckets[bucket].load(std::memory_order_relaxed);
+    return SumStripes([h, bucket](const Stripe& s) -> const auto& {
+      return s.hists[Index(h)].buckets[bucket];
+    });
   }
 
   // The exclusive upper bound of bucket `i` (last bucket: +inf, rendered
@@ -170,13 +191,37 @@ class MetricsPlane {
     return static_cast<std::size_t>(h);
   }
 
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<std::size_t>(Counter::kCount)>
-      counters_{};
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<std::size_t>(Gauge::kCount)>
+  // One thread's copy of every counter and histogram slot, on lines of
+  // its own.
+  struct alignas(kCacheLineBytes) Stripe {
+    std::array<std::atomic<std::uint64_t>,
+               static_cast<std::size_t>(Counter::kCount)>
+        counters{};
+    std::array<HistSlots, static_cast<std::size_t>(Hist::kCount)> hists{};
+  };
+
+  // The calling thread's stripe: dealt round-robin at its first write to
+  // any plane, the same index in every plane.
+  Stripe& ThreadStripe() noexcept {
+    thread_local std::size_t stripe = kStripes;  // not dealt yet
+    if (stripe == kStripes) [[unlikely]] stripe = DealStripe();
+    return stripes_[stripe];
+  }
+  static std::size_t DealStripe() noexcept;
+
+  template <typename SlotOf>
+  std::uint64_t SumStripes(SlotOf slot_of) const noexcept {
+    std::uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += slot_of(stripe).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  std::array<Stripe, kStripes> stripes_{};
+  alignas(kCacheLineBytes) std::array<
+      std::atomic<std::uint64_t>, static_cast<std::size_t>(Gauge::kCount)>
       gauges_{};
-  std::array<HistSlots, static_cast<std::size_t>(Hist::kCount)> hists_{};
 };
 
 }  // namespace equihist::metrics

@@ -55,26 +55,23 @@ CompiledEstimator::CompiledEstimator(const Histogram& histogram)
       upper_fence_(histogram.upper_fence()),
       separators_(histogram.separators()) {
   const std::vector<std::uint64_t>& counts = histogram.counts();
-  bucket_lo_.resize(k_);
-  counts_.resize(k_);
-  inv_width_.resize(k_);
-  cum_.resize(k_ + 1);
+  buckets_.resize(k_);
 
   // Prefix sums are accumulated in exact integer arithmetic and converted
-  // once, so cum_ carries no summation-order error (exact below 2^53, the
+  // once, so `cum` carries no summation-order error (exact below 2^53, the
   // same precision envelope as the reference's Kahan accumulation).
   std::uint64_t running = 0;
   for (std::uint64_t j = 0; j < k_; ++j) {
-    cum_[j] = static_cast<double>(running);
+    Bucket& bucket = buckets_[j];
+    bucket.cum = static_cast<double>(running);
     running += counts[j];
     const Value lo = histogram.BucketLowerBound(j);
     const Value hi = histogram.BucketUpperBound(j);
-    bucket_lo_[j] = lo;
-    counts_[j] = static_cast<double>(counts[j]);
-    inv_width_[j] = (hi > lo) ? 1.0 / ValueDistance(lo, hi) : 0.0;
+    bucket.lo = lo;
+    bucket.count = static_cast<double>(counts[j]);
+    bucket.inv_width = (hi > lo) ? 1.0 / ValueDistance(lo, hi) : 0.0;
   }
-  cum_[k_] = static_cast<double>(running);
-  total_ = cum_[k_];
+  total_ = static_cast<double>(running);
 
   // Duplicated-separator run table: for each separator, the first and last
   // index of its maximal equal-value run. Built in one pass; runs of
@@ -95,15 +92,14 @@ CompiledEstimator::CompiledEstimator(const Histogram& histogram)
 
 double CompiledEstimator::Cdf(Value x) const {
   if (x >= upper_fence_) return total_;
-  // x < upper_fence, so the partially covered bucket j satisfies
-  // bucket_lo_[j] <= x < bucket_hi(j): it is never a zero-width spike and
-  // its inv_width_ is a true inverse. Everything before it — including
-  // whole duplicated-separator runs whose value is <= x — is covered by
-  // the exact prefix sum. The operation order is mul, mul, add
-  // (contraction is disabled for this TU).
-  const std::size_t j = UpperBoundIndex(separators_, x);
-  return cum_[j] +
-         counts_[j] * (ValueDistance(bucket_lo_[j], x) * inv_width_[j]);
+  // x < upper_fence, so the partially covered bucket b satisfies
+  // b.lo <= x < bucket_hi: it is never a zero-width spike and its
+  // inv_width is a true inverse. Everything before it — including whole
+  // duplicated-separator runs whose value is <= x — is covered by the
+  // exact prefix sum. The operation order is mul, mul, add (contraction
+  // is disabled for this TU).
+  const Bucket& b = buckets_[UpperBoundIndex(separators_, x)];
+  return b.cum + b.count * (ValueDistance(b.lo, x) * b.inv_width);
 }
 
 double CompiledEstimator::EstimateRangeCount(const RangeQuery& query) const {
@@ -136,9 +132,10 @@ double CompiledEstimator::SpikeMassAt(Value v) const {
   // Zero-width buckets pinned at v are first+1..last; bucket `first` keeps
   // the lighter values below v — unless it is itself zero-width because v
   // coincides with its lower bound (e.g. a run starting at the fence).
+  // last + 1 <= k - 1: separators number k - 1.
   const std::size_t begin =
-      first + ((inv_width_[first] == 0.0) ? 0 : 1);
-  return cum_[last + 1] - cum_[begin];
+      first + ((buckets_[first].inv_width == 0.0) ? 0 : 1);
+  return buckets_[last + 1].cum - buckets_[begin].cum;
 }
 
 std::uint64_t CompiledEstimator::BucketIndexForValue(Value v) const {
@@ -171,9 +168,7 @@ void CompiledEstimator::EstimateRangeCounts(std::span<const RangeQuery> queries,
 
 std::size_t CompiledEstimator::MemoryBytes() const {
   return separators_.size() * sizeof(Value) +
-         bucket_lo_.size() * sizeof(Value) +
-         counts_.size() * sizeof(double) +
-         inv_width_.size() * sizeof(double) + cum_.size() * sizeof(double) +
+         buckets_.size() * sizeof(Bucket) +
          run_first_.size() * sizeof(std::uint32_t) +
          run_last_.size() * sizeof(std::uint32_t);
 }

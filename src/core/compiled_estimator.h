@@ -18,17 +18,19 @@ namespace equihist {
 // The reference estimator (core/range_estimator.h) walks every bucket a
 // query touches — O(buckets covered) per call, which for the wide ranges
 // an optimizer actually plans degenerates to O(k). A CompiledEstimator
-// spends O(k) once, flattening the histogram into structure-of-arrays
-// form:
+// spends O(k) once, flattening the histogram into a separator array the
+// search walks and one 32-byte record per bucket that the interpolation
+// reads:
 //
 //   separators[k-1]      the sorted bucket boundaries, contiguous
-//   bucket_lo[k]         exclusive lower bound per bucket, fences
-//                        substituted for the outermost buckets
-//   cum[k+1]             prefix-summed claimed counts (cum[j] = count of
-//                        buckets 0..j-1), exact integers
-//   counts[k]            per-bucket claimed counts as doubles
-//   inv_width[k]         precomputed 1 / (bucket_hi - bucket_lo); 0.0 for
+//   buckets[k]           per bucket j, one record (one cache line):
+//     .lo                exclusive lower bound, fences substituted for
+//                        the outermost buckets
+//     .count             claimed count as a double
+//     .inv_width         precomputed 1 / (bucket_hi - bucket_lo); 0.0 for
 //                        zero-width (duplicated-separator spike) buckets
+//     .cum               prefix-summed claimed counts of buckets 0..j-1,
+//                        exact integers
 //   run_first/last[k-1]  per separator, the first/last index of its
 //                        maximal equal-value run — the Section 5
 //                        duplicated-separator table
@@ -37,8 +39,8 @@ namespace equihist {
 // partial-bucket interpolations and one prefix-sum difference:
 //
 //   estimate(lo, hi] = F(hi) - F(lo),
-//   F(x) = cum[ub(x)] + counts[ub(x)] * (x - bucket_lo[ub(x)]) *
-//          inv_width[ub(x)],          ub(x) = first separator > x,
+//   F(x) = b.cum + b.count * (x - b.lo) * b.inv_width,
+//          b = buckets[ub(x)],        ub(x) = first separator > x,
 //
 // O(log k) per query with no data-dependent branches in the search loop.
 // Zero-width spike buckets need no special casing on this path: ub(x)
@@ -124,11 +126,18 @@ class CompiledEstimator {
   Value lower_fence_ = 0;
   Value upper_fence_ = 0;
   double total_ = 0.0;
+  // Everything F(x) reads of the bucket the search lands in, so a cold
+  // estimate touches one line per end instead of four (DESIGN.md §9).
+  struct alignas(32) Bucket {
+    Value lo = 0;
+    double count = 0.0;
+    double inv_width = 0.0;
+    double cum = 0.0;
+  };
+  static_assert(sizeof(Bucket) == 32);
+
   std::vector<Value> separators_;          // k-1
-  std::vector<Value> bucket_lo_;           // k
-  std::vector<double> counts_;             // k
-  std::vector<double> inv_width_;          // k
-  std::vector<double> cum_;                // k+1
+  std::vector<Bucket> buckets_;            // k
   std::vector<std::uint32_t> run_first_;   // k-1
   std::vector<std::uint32_t> run_last_;    // k-1
 };

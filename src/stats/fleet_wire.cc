@@ -8,11 +8,22 @@
 namespace equihist::fleetwire {
 namespace {
 
-void PutHeader(FrameType type, std::vector<std::uint8_t>* out) {
-  out->push_back(kMagic0);
-  out->push_back(kMagic1);
-  out->push_back(kVersion);
-  out->push_back(static_cast<std::uint8_t>(type));
+constexpr std::size_t kHeaderBytes = 4;
+
+// A frame buffer holding the 4-byte header, with room reserved for the
+// `payload` bytes that follow, so encoding never regrows it.
+std::vector<std::uint8_t> StartFrame(FrameType type, std::size_t payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderBytes + payload);
+  out.push_back(kMagic0);
+  out.push_back(kMagic1);
+  out.push_back(kVersion);
+  out.push_back(static_cast<std::uint8_t>(type));
+  return out;
+}
+
+std::size_t StringSize(const std::string& s) {
+  return wire::VarintSize(s.size()) + s.size();
 }
 
 void PutString(const std::string& s, std::vector<std::uint8_t>* out) {
@@ -20,16 +31,14 @@ void PutString(const std::string& s, std::vector<std::uint8_t>* out) {
   out->insert(out->end(), s.begin(), s.end());
 }
 
-Result<std::string> ReadString(wire::Reader& reader) {
+// Reads a length-prefixed string into `out` in one copy.
+Status ReadString(wire::Reader& reader, std::string* out) {
   EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t len,
                             reader.LengthPrefixedCount(1));
-  std::string s;
-  s.reserve(static_cast<std::size_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i) {
-    EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t byte, reader.Byte());
-    s.push_back(static_cast<char>(byte));
-  }
-  return s;
+  EQUIHIST_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> bytes,
+                            reader.Bytes(static_cast<std::size_t>(len)));
+  out->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  return Status::OK();
 }
 
 // Consumes and validates the 4-byte header; `expected` pins the type.
@@ -60,8 +69,14 @@ Status CheckFullyConsumed(const wire::Reader& reader) {
 }  // namespace
 
 std::vector<std::uint8_t> Encode(const EstimateBatchRequestFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kEstimateBatchRequest, &out);
+  std::size_t payload = wire::VarintSize(frame.requests.size());
+  for (const BatchEstimateRequest& request : frame.requests) {
+    payload += StringSize(request.column) +
+               wire::VarintSize(wire::ZigZag(request.query.lo)) +
+               wire::VarintSize(wire::ZigZag(request.query.hi));
+  }
+  std::vector<std::uint8_t> out =
+      StartFrame(FrameType::kEstimateBatchRequest, payload);
   wire::PutVarint(frame.requests.size(), &out);
   for (const BatchEstimateRequest& request : frame.requests) {
     PutString(request.column, &out);
@@ -72,8 +87,10 @@ std::vector<std::uint8_t> Encode(const EstimateBatchRequestFrame& frame) {
 }
 
 std::vector<std::uint8_t> Encode(const EstimateBatchResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kEstimateBatchResponse, &out);
+  std::vector<std::uint8_t> out =
+      StartFrame(FrameType::kEstimateBatchResponse,
+                 wire::VarintSize(frame.estimates.size()) +
+                     frame.estimates.size() * sizeof(double));
   wire::PutVarint(frame.estimates.size(), &out);
   for (const double estimate : frame.estimates) {
     wire::PutF64(estimate, &out);
@@ -82,8 +99,12 @@ std::vector<std::uint8_t> Encode(const EstimateBatchResponseFrame& frame) {
 }
 
 std::vector<std::uint8_t> Encode(const BuildControlRequestFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kBuildControlRequest, &out);
+  std::vector<std::uint8_t> out = StartFrame(
+      FrameType::kBuildControlRequest,
+      1 + StringSize(frame.column) +
+          (frame.op == BuildOp::kRecordModifications
+               ? wire::VarintSize(frame.count)
+               : 0));
   out.push_back(static_cast<std::uint8_t>(frame.op));
   PutString(frame.column, &out);
   if (frame.op == BuildOp::kRecordModifications) {
@@ -93,29 +114,27 @@ std::vector<std::uint8_t> Encode(const BuildControlRequestFrame& frame) {
 }
 
 std::vector<std::uint8_t> Encode(const BuildControlResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kBuildControlResponse, &out);
+  std::vector<std::uint8_t> out = StartFrame(
+      FrameType::kBuildControlResponse, 1 + StringSize(frame.message));
   out.push_back(static_cast<std::uint8_t>(frame.code));
   PutString(frame.message, &out);
   return out;
 }
 
 std::vector<std::uint8_t> EncodeMetricsRequest() {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kMetricsRequest, &out);
-  return out;
+  return StartFrame(FrameType::kMetricsRequest, 0);
 }
 
 std::vector<std::uint8_t> Encode(const MetricsResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kMetricsResponse, &out);
+  std::vector<std::uint8_t> out =
+      StartFrame(FrameType::kMetricsResponse, StringSize(frame.json));
   PutString(frame.json, &out);
   return out;
 }
 
 std::vector<std::uint8_t> Encode(const RejectionFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kRejection, &out);
+  std::vector<std::uint8_t> out =
+      StartFrame(FrameType::kRejection, 1 + StringSize(frame.message));
   out.push_back(static_cast<std::uint8_t>(frame.code));
   PutString(frame.message, &out);
   return out;
@@ -151,14 +170,13 @@ Result<EstimateBatchRequestFrame> DecodeEstimateBatchRequest(
   EstimateBatchRequestFrame frame;
   frame.requests.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    BatchEstimateRequest request;
-    EQUIHIST_ASSIGN_OR_RETURN(request.column, ReadString(reader));
+    BatchEstimateRequest& request = frame.requests.emplace_back();
+    EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &request.column));
     EQUIHIST_ASSIGN_OR_RETURN(request.query.lo, reader.Signed());
     EQUIHIST_ASSIGN_OR_RETURN(request.query.hi, reader.Signed());
     if (request.query.lo > request.query.hi) {
       return Status::InvalidArgument("fleet frame range has lo > hi");
     }
-    frame.requests.push_back(std::move(request));
   }
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
@@ -192,7 +210,7 @@ Result<BuildControlRequestFrame> DecodeBuildControlRequest(
     return Status::InvalidArgument("unknown fleet build op");
   }
   frame.op = static_cast<BuildOp>(op);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.column, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.column));
   if (frame.column.empty()) {
     return Status::InvalidArgument("fleet build op names no column");
   }
@@ -214,7 +232,7 @@ Result<BuildControlResponseFrame> DecodeBuildControlResponse(
     return Status::InvalidArgument("unknown status code in fleet frame");
   }
   frame.code = static_cast<StatusCode>(code);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.message, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.message));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }
@@ -230,7 +248,7 @@ Result<MetricsResponseFrame> DecodeMetricsResponse(
   wire::Reader reader(bytes);
   EQUIHIST_RETURN_IF_ERROR(ReadHeader(reader, FrameType::kMetricsResponse));
   MetricsResponseFrame frame;
-  EQUIHIST_ASSIGN_OR_RETURN(frame.json, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.json));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }
@@ -245,7 +263,7 @@ Result<RejectionFrame> DecodeRejection(std::span<const std::uint8_t> bytes) {
     return Status::InvalidArgument("rejection frame carries no valid error");
   }
   frame.code = static_cast<StatusCode>(code);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.message, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.message));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }

@@ -537,15 +537,18 @@ bool StatisticsShard::Drop(const std::string& column) {
 
 // -- Lock-free serving path --------------------------------------------------
 
-std::vector<StatisticsShard::CachedServing>&
-StatisticsShard::ServingCache() {
-  thread_local std::vector<CachedServing> cache;
-  return cache;
+StatisticsShard::ServingState& StatisticsShard::Serving() {
+  thread_local ServingState state;
+  return state;
+}
+
+StatisticsShard::PinnedEvictions StatisticsShard::ThreadPinnedEvictions() {
+  return Serving().pinned_evictions;
 }
 
 StatisticsShard::CachedServing* StatisticsShard::FindCachedServing(
     const std::string& column) {
-  for (CachedServing& slot : ServingCache()) {
+  for (CachedServing& slot : Serving().cache) {
     if (slot.shard_id == shard_id_ && slot.column == column) return &slot;
   }
   return nullptr;
@@ -578,37 +581,62 @@ StatisticsShard::CachedServing* StatisticsShard::CaptureServing(
   }
   fresh.shard_id = shard_id_;
   fresh.column = column;
-  std::vector<CachedServing>& cache = ServingCache();
+  ServingState& state = Serving();
   CachedServing* slot = FindCachedServing(column);
   if (slot == nullptr) {
-    if (cache.size() >= kMaxServingSlots) cache.erase(cache.begin());
-    slot = &cache.emplace_back();
+    if (state.cache.size() >= kMaxServingSlots) {
+      CachedServing& victim = state.cache.front();
+      CountPinnedEviction(state, victim);
+      state.Release(std::move(victim.model));
+      state.cache.erase(state.cache.begin());
+    }
+    slot = &state.cache.emplace_back();
   }
+  state.Release(std::move(slot->model));
   *slot = std::move(fresh);
   return slot;
 }
 
-Result<const HistogramModelPtr*> StatisticsShard::RefreshServing(
+void StatisticsShard::CountPinnedEviction(ServingState& state,
+                                          const CachedServing& victim) {
+  for (const PinnedColumn& pin : state.pins) {
+    if (pin.model != victim.model.get()) continue;
+    ++state.pinned_evictions.evicted;
+    if (victim.entry->published.load(std::memory_order_acquire) !=
+        victim.published) {
+      ++state.pinned_evictions.evicted_after_republish;
+    }
+    return;
+  }
+}
+
+Result<const HistogramModel*> StatisticsShard::RefreshServing(
     const std::string& column, const Table& table) {
   metrics_.Increment(metrics::Counter::kServingCacheRefreshes);
-  if (const CachedServing* slot = CaptureServing(column)) return &slot->model;
+  if (const CachedServing* slot = CaptureServing(column)) {
+    return slot->model.get();
+  }
   // Missing or never-built column: build through the normal path, then
   // capture again.
   EQUIHIST_ASSIGN_OR_RETURN(
       const std::shared_ptr<const ColumnStatistics> built,
       Resolve(column, table, /*require_fresh=*/false));
-  if (const CachedServing* slot = CaptureServing(column)) return &slot->model;
+  if (const CachedServing* slot = CaptureServing(column)) {
+    return slot->model.get();
+  }
   // A concurrent Drop removed the column after the build: answer this
   // call from the snapshot the build returned, but leave it out of the
   // cache, so the dropped column is not served again without a rebuild.
-  thread_local HistogramModelPtr uncached;
-  uncached = built->model;
-  return &uncached;
+  ServingState& state = Serving();
+  state.Release(std::exchange(state.uncached, built->model));
+  return state.uncached.get();
 }
 
-Result<const HistogramModelPtr*> StatisticsShard::ServingModel(
+Result<const HistogramModel*> StatisticsShard::ServingModel(
     const std::string& column, const Table& table) {
-  if (const CachedServing* slot = CurrentServing(column)) return &slot->model;
+  if (const CachedServing* slot = CurrentServing(column)) {
+    return slot->model.get();
+  }
   return RefreshServing(column, table);
 }
 
@@ -616,9 +644,9 @@ Result<double> StatisticsShard::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
   metrics_.Increment(metrics::Counter::kEstimateQueries);
-  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr* const model,
+  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModel* const model,
                             ServingModel(column, table));
-  return (*model)->EstimateRangeCount(query);
+  return model->EstimateRangeCount(query);
 }
 
 Status StatisticsShard::EstimateBatch(
@@ -642,31 +670,40 @@ Status StatisticsShard::EstimatePinned(
   // Each distinct column's serving snapshot resolves once, at its first
   // request, and that pinned model answers every later request for the
   // column: the batch is a consistent cut even if a rebuild or drop lands
-  // mid-batch. A predicate list names a handful of columns, so the pinned
-  // set is a linear-scanned vector.
-  struct PinnedColumn {
-    const std::string* column = nullptr;  // borrowed from requests[]
-    StatisticsShard* shard = nullptr;
-    HistogramModelPtr model;  // a copy: the cache slot may move or go
-    std::uint64_t requests = 0;
-  };
-  std::vector<PinnedColumn> pinned;
+  // mid-batch. A pin borrows the model from the thread's serving state,
+  // which keeps every model it lets go of until the batch returns, so a
+  // column that is cached and current costs no refcount write. A
+  // predicate list names a handful of columns, so the pins are a
+  // linear-scanned vector, reused by the thread's next batch; `base`
+  // leaves the pins of a batch further up this thread's stack alone.
+  ServingState& state = Serving();
+  const std::size_t base = state.pins.size();
+  struct Unpin {
+    ServingState& state;
+    std::size_t base;
+    ~Unpin() {
+      state.pins.resize(base);
+      if (base == 0) state.keep_alive.clear();
+    }
+  } unpin{state, base};
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& column = requests[i].column;
-    std::size_t p = 0;
-    while (p < pinned.size() && *pinned[p].column != column) ++p;
-    if (p == pinned.size()) {
+    std::size_t p = base;
+    while (p < state.pins.size() && *state.pins[p].column != column) ++p;
+    if (p == state.pins.size()) {
       StatisticsShard& shard = owner(column);
-      EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr* const model,
+      EQUIHIST_ASSIGN_OR_RETURN(const HistogramModel* const model,
                                 shard.ServingModel(column, table));
-      pinned.push_back(PinnedColumn{&column, &shard, *model, 0});
+      state.pins.push_back(PinnedColumn{&column, &shard, model, 0});
     }
-    ++pinned[p].requests;
+    ++state.pins[p].requests;
     result->estimates[i] =
-        pinned[p].model->EstimateRangeCount(requests[i].query);
+        state.pins[p].model->EstimateRangeCount(requests[i].query);
   }
   // Each touched shard records its part of the batch as one batch: the
   // requests of a shard's later pins fold into its first.
+  const std::span<PinnedColumn> pinned =
+      std::span(state.pins).subspan(base);
   for (std::size_t p = 0; p < pinned.size(); ++p) {
     if (pinned[p].requests == 0) continue;  // folded into an earlier pin
     for (std::size_t q = p + 1; q < pinned.size(); ++q) {

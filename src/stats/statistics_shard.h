@@ -297,6 +297,17 @@ class StatisticsShard {
   // shared lock and walks the entry map) — the fleet's staleness export.
   std::uint64_t stale_count() const;
 
+  // Serving-cache slots this thread evicted while a running batch pinned
+  // their model (DESIGN.md §14), since the thread started; of those, the
+  // ones whose column had been republished or dropped since the slot was
+  // captured, so that the batch's keep-alive list held the model's last
+  // reference on this thread. For tests of the borrowed pins.
+  struct PinnedEvictions {
+    std::uint64_t evicted = 0;
+    std::uint64_t evicted_after_republish = 0;
+  };
+  static PinnedEvictions ThreadPinnedEvictions();
+
  private:
   friend class StatisticsFleet;  // runs EstimatePinned across its shards
 
@@ -376,6 +387,37 @@ class StatisticsShard {
     HistogramModelPtr model;
   };
 
+  // One column of a running batch (DESIGN.md §14): the model that answers
+  // all of the column's requests, borrowed from the serving cache.
+  struct PinnedColumn {
+    const std::string* column = nullptr;  // borrowed from requests[]
+    StatisticsShard* shard = nullptr;
+    const HistogramModel* model = nullptr;
+    std::uint64_t requests = 0;
+  };
+
+  // The calling thread's serving state, shared by all shards (cache slots
+  // are keyed by shard_id_, so address reuse across shard lifetimes cannot
+  // alias).
+  struct ServingState {
+    std::vector<CachedServing> cache;  // FIFO, at most kMaxServingSlots
+    // RefreshServing's answer for a column dropped right after its build.
+    HistogramModelPtr uncached;
+    // The running batches' pins. While there are any, every model
+    // reference the cache or `uncached` lets go of moves to `keep_alive`
+    // instead (Release), so a borrowed pin outlives its slot; the
+    // outermost batch clears the list when it returns.
+    std::vector<PinnedColumn> pins;
+    std::vector<HistogramModelPtr> keep_alive;
+    PinnedEvictions pinned_evictions;
+
+    void Release(HistogramModelPtr model) {
+      if (model != nullptr && !pins.empty()) {
+        keep_alive.push_back(std::move(model));
+      }
+    }
+  };
+
   Result<ColumnStatistics> Build(const std::string& column, const Table& table,
                                  std::uint64_t seed, ThreadPool* pool);
   // The entry node for `column`; null when the column is unknown.
@@ -437,9 +479,11 @@ class StatisticsShard {
   // Lazily created pool per options_.threads (null when sequential).
   ThreadPool* pool();
 
-  // The calling thread's serving cache (shared by all shards, keyed by
-  // shard_id_ so address reuse across shard lifetimes cannot alias).
-  static std::vector<CachedServing>& ServingCache();
+  static ServingState& Serving();
+  // Counts `victim` in the thread's PinnedEvictions when a running batch
+  // pins its model (no pins: nothing to count).
+  static void CountPinnedEviction(ServingState& state,
+                                  const CachedServing& victim);
   // Cache probe for (this shard, column); null on miss.
   CachedServing* FindCachedServing(const std::string& column);
   // The cached slot for `column` while its publication count is current;
@@ -453,22 +497,23 @@ class StatisticsShard {
   CachedServing* CaptureServing(const std::string& column);
   // Slow path: captures the column, building it first when the capture
   // misses, and returns the model to serve.
-  Result<const HistogramModelPtr*> RefreshServing(const std::string& column,
-                                                  const Table& table);
+  Result<const HistogramModel*> RefreshServing(const std::string& column,
+                                               const Table& table);
   // The model this thread serves `column` from: the cached slot's while
   // it is current (CurrentServing — lock-free, no refcount traffic), else
-  // RefreshServing's. The pointee lives in the thread's serving cache,
-  // which every shard shares: resolving another column, on any shard, may
-  // evict or move it, so a caller that does so first copies the pointer.
-  Result<const HistogramModelPtr*> ServingModel(const std::string& column,
-                                                const Table& table);
+  // RefreshServing's. The thread's serving state holds the model: outside
+  // a batch it stays valid until this thread resolves another column, on
+  // any shard; inside one, until the batch returns.
+  Result<const HistogramModel*> ServingModel(const std::string& column,
+                                             const Table& table);
   // The one batch loop (DESIGN.md §14) behind StatisticsShard's and
   // StatisticsFleet's EstimateBatch. Each distinct column resolves once,
   // at its first request, through the ServingModel of the shard `owner`
-  // routes it to; the pin holds its own copy of the model, which answers
-  // every request for the column. Each shard the batch touches records
-  // one batch, its requests and one batch-size sample of their count, as
-  // if it had served its part alone.
+  // routes it to; the pin borrows that model, which answers every request
+  // for the column, and the serving state's keep-alive list holds any
+  // model the cache drops until the batch returns. Each shard the batch
+  // touches records one batch, its requests and one batch-size sample of
+  // their count, as if it had served its part alone.
   static Status EstimatePinned(
       const Table& table, std::span<const BatchEstimateRequest> requests,
       BatchEstimateResult* result,

@@ -39,12 +39,6 @@ void SleepBounded(std::uint64_t micros, std::uint64_t deadline_micros,
   }
 }
 
-std::size_t VarintSize(std::uint64_t value) {
-  std::size_t size = 1;
-  for (; value >= 0x80; value >>= 7) ++size;
-  return size;
-}
-
 }  // namespace
 
 // -- Envelope ---------------------------------------------------------------
@@ -56,11 +50,11 @@ std::vector<std::uint8_t> EncodeEnvelope(std::uint64_t request_id,
                                          std::span<const std::uint8_t> frame) {
   const std::uint64_t checksum = ChecksumBytes(frame);
   const std::size_t payload =
-      VarintSize(request_id) +
-      (include_budget ? VarintSize(budget_micros) : 0) +
-      VarintSize(checksum) + frame.size();
+      wire::VarintSize(request_id) +
+      (include_budget ? wire::VarintSize(budget_micros) : 0) +
+      wire::VarintSize(checksum) + frame.size();
   std::vector<std::uint8_t> out;
-  out.reserve(VarintSize(payload) + payload);
+  out.reserve(wire::VarintSize(payload) + payload);
   wire::PutVarint(payload, &out);
   wire::PutVarint(request_id, &out);
   if (include_budget) wire::PutVarint(budget_micros, &out);

@@ -1,6 +1,7 @@
 #ifndef EQUIHIST_STATS_WIRE_FORMAT_H_
 #define EQUIHIST_STATS_WIRE_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -14,6 +15,13 @@ namespace equihist::wire {
 // container (stats/serialization.cc) and the per-backend payload codecs
 // (stats/histogram_backends.cc). Header-only so a registered backend
 // outside this library can speak the same wire dialect.
+
+// Bytes PutVarint writes for `v`, for sizing a buffer before encoding.
+inline std::size_t VarintSize(std::uint64_t v) {
+  std::size_t size = 1;
+  for (; v >= 0x80; v >>= 7) ++size;
+  return size;
+}
 
 inline void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out) {
   while (v >= 0x80) {
@@ -55,9 +63,11 @@ inline std::int64_t WrapAdd(std::int64_t a, std::int64_t delta) {
 inline void PutF64(double v, std::vector<std::uint8_t>* out) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
+  std::uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    bytes[i] = static_cast<std::uint8_t>(bits >> (8 * i));
   }
+  out->insert(out->end(), bytes, bytes + 8);
 }
 
 // A bounds-checked reader over the byte span. Every accessor returns
@@ -110,6 +120,16 @@ class Reader {
       return Status::InvalidArgument("truncated byte");
     }
     return bytes_[pos_++];
+  }
+
+  // The next `n` bytes as one view into the buffer.
+  Result<std::span<const std::uint8_t>> Bytes(std::size_t n) {
+    if (remaining() < n) {
+      return Status::InvalidArgument("truncated bytes");
+    }
+    const std::span<const std::uint8_t> bytes = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return bytes;
   }
 
   Result<double> F64() {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,6 +323,91 @@ TEST(CompiledEstimatorTest, SmallBatchSkipsThePool) {
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_DOUBLE_EQ(out[1], 5.0);
   EXPECT_DOUBLE_EQ(out[2], 10.0);
+}
+
+// FNV-1a over the bit patterns of `values`: a compact pin of many doubles.
+std::uint64_t BitsHash(const std::vector<double>& values) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((bits >> (8 * b)) & 0xFF)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Golden bits: a fixed histogram with duplicated-separator runs (one at
+// the lower fence) and INT64 fences, and 800 range estimates, 400 prefix
+// counts and 400 spike masses over queries drawn by a local LCG, so
+// nothing outside this test moves the pinned values. The hashes were recorded from the four-array layout this
+// estimator had before its per-bucket records; any change in an
+// estimate's bits, by layout, operation order or contraction, changes
+// them.
+TEST(CompiledEstimatorTest, GoldenBitsOnAFixedSpikyHistogram) {
+  const std::vector<Value> separators = {
+      kValueMin, kValueMin, -4'000'000'000'000'000'000, -7'777'777,
+      -1000, -1000, -1000, -3, 0, 0, 17, 250, 250, 99'991,
+      1'000'000'007, 3'000'000'000'000'000'000, kValueMax - 1};
+  std::vector<std::uint64_t> counts;
+  for (std::size_t j = 0; j <= separators.size(); ++j) {
+    counts.push_back(37 + 1009 * ((j * 7) % 11) + (j % 3) * 250'000);
+  }
+  const Histogram histogram =
+      Histogram::Create(separators, counts, kValueMin, kValueMax).value();
+  const CompiledEstimator compiled(histogram);
+  std::uint64_t state = 0x2545F4914F6CDD1Dull;
+  const auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  // Half the endpoints come from the separators (+-1), half are raw
+  // 64-bit draws, so spikes, fences and interiors are all probed.
+  const auto endpoint = [&]() -> Value {
+    const std::uint64_t r = next();
+    if ((r >> 63) != 0) return static_cast<Value>(next());
+    const Value s = separators[(r >> 8) % separators.size()];
+    const int nudge = static_cast<int>((r >> 4) % 3) - 1;
+    if (nudge < 0 && s == kValueMin) return s;
+    if (nudge > 0 && s == kValueMax) return s;
+    return s + nudge;
+  };
+  std::vector<double> ranges;
+  std::vector<double> at_most;
+  std::vector<double> spikes;
+  for (int q = 0; q < 400; ++q) {
+    Value lo = endpoint();
+    Value hi = endpoint();
+    if (lo > hi) std::swap(lo, hi);
+    ranges.push_back(compiled.EstimateRangeCount({lo, hi}));
+    at_most.push_back(compiled.EstimateCountAtMost(hi));
+    spikes.push_back(compiled.SpikeMassAt(lo));
+  }
+  // Point and narrow predicates (x - w, x], most inside one bucket, some
+  // across a separator or a spike.
+  std::vector<double> narrow;
+  int one_bucket = 0;  // no separator in (lo, x]: both ends in one bucket
+  for (int q = 0; q < 400; ++q) {
+    const Value x = endpoint();
+    const auto width = static_cast<Value>(1 + (next() >> 60) * (next() >> 58));
+    const Value lo = x > kValueMin + width ? x - width : kValueMin;
+    narrow.push_back(compiled.EstimateRangeCount({lo, x}));
+    one_bucket += std::upper_bound(separators.begin(), separators.end(),
+                                   lo) ==
+                  std::upper_bound(separators.begin(), separators.end(), x);
+  }
+  EXPECT_GT(one_bucket, 100);
+  EXPECT_LT(one_bucket, 300);
+  EXPECT_EQ(BitsHash(ranges), 0xe2959f961ff53e53ull)
+      << std::hex << BitsHash(ranges);
+  EXPECT_EQ(BitsHash(at_most), 0x2117aa97ed979629ull)
+      << std::hex << BitsHash(at_most);
+  EXPECT_EQ(BitsHash(spikes), 0x9bf9e6c0bd13beceull)
+      << std::hex << BitsHash(spikes);
+  EXPECT_EQ(BitsHash(narrow), 0x3d46bbf3d2f8c37dull)
+      << std::hex << BitsHash(narrow);
+  EXPECT_EQ(compiled.total(), 4593494.0);
 }
 
 }  // namespace

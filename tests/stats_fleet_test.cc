@@ -6,6 +6,7 @@
 // dispatch, and the metrics plane. The concurrency cases run under TSan
 // in CI (label `fleet`).
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <functional>
 #include <iostream>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -30,6 +32,7 @@
 #include "stats/fleet_wire.h"
 #include "stats/statistics_fleet.h"
 #include "stats/statistics_manager.h"
+#include "stats/transport.h"
 #include "storage/fault_injection.h"
 #include "storage/table.h"
 
@@ -460,6 +463,113 @@ TEST(StatisticsFleetTest, ReadersBesideDmlAndRebuildsMatchTheReplayBitwise) {
   }
 }
 
+// -- Borrowed pins -----------------------------------------------------------
+
+// A batch's pins borrow their models from the thread's serving cache
+// (DESIGN.md §14). Here one reader asks every one of 80 columns (more than
+// the 64 cache slots) twice per batch, on four shards, so FIFO eviction
+// drops slots the running batch still answers from. A writer meanwhile
+// rebuilds each column and then drops and re-creates it, so some of those
+// slots held the column's last model. Every answer must be one of the
+// column's two possible snapshots, the same one for both of its requests
+// in a batch (a consistent cut), bit for bit as a replay through one
+// StatisticsManager builds them; an answer read through a freed model
+// fails here, or under ASan.
+TEST(StatisticsFleetTest, BorrowedPinsOutliveEvictedAndRepublishedSlots) {
+  constexpr std::size_t kColumns = 80;
+  constexpr std::size_t kMinWrites = 2 * kColumns;  // each column, each way
+  constexpr std::size_t kMaxWrites = 40 * kColumns;
+  Table table = SmallTable(20000, 7);
+  const std::uint64_t n = table.tuple_count();
+  const auto domain = static_cast<Value>(n / 50);
+  const auto columns = Columns(kColumns);
+  StatisticsFleet fleet({.shards = 4, .shard = ShardOptions()});
+  std::vector<bool> shard_used(fleet.shard_count(), false);
+  for (const std::string& column : columns) {
+    shard_used[fleet.ShardIndex(column)] = true;
+  }
+  ASSERT_GE(std::count(shard_used.begin(), shard_used.end(), true), 2);
+  ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+
+  // A column's snapshot is its first build (generation 0: built, or
+  // dropped and re-created) or its rebuild (generation 1).
+  const RangeQuery queries[2] = {{0, domain / 3}, {domain / 5, domain / 2}};
+  std::vector<double> want[2];
+  StatisticsManager replay(ShardOptions());
+  ASSERT_TRUE(replay.BuildAll(columns, table).ok());
+  for (int generation = 0; generation < 2; ++generation) {
+    for (const std::string& column : columns) {
+      if (generation == 1) {
+        replay.RecordModifications(column, n);
+        ASSERT_TRUE(replay.EnsureFresh(column, table).ok());
+      }
+      for (const RangeQuery& query : queries) {
+        want[generation].push_back(
+            *replay.EstimateRange(column, table, query));
+      }
+    }
+  }
+
+  std::atomic<bool> writes_done{false};
+  std::atomic<bool> both_seen{false};
+  std::atomic<int> failures{0};
+  StatisticsShard::PinnedEvictions seen;
+  std::uint64_t batches = 0;
+  std::thread reader([&]() {
+    for (std::size_t b = 0; !writes_done.load(); ++b, ++batches) {
+      // Both passes in one rotation: a column's second request comes 80
+      // distinct columns after its first, when its slot is gone.
+      std::vector<BatchEstimateRequest> requests;
+      for (std::size_t pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < kColumns; ++i) {
+          requests.push_back(
+              {columns[(b * 7 + i) % kColumns], queries[pass]});
+        }
+      }
+      BatchEstimateResult got;
+      if (!fleet.EstimateBatch(table, requests, &got).ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      for (std::size_t i = 0; i < kColumns; ++i) {
+        const std::size_t c = (b * 7 + i) % kColumns;
+        const double answers[2] = {got.estimates[i],
+                                   got.estimates[kColumns + i]};
+        const auto is = [&](int generation) {
+          return std::memcmp(answers, &want[generation][2 * c],
+                             sizeof(answers)) == 0;
+        };
+        if (!is(0) && !is(1)) failures.fetch_add(1);
+      }
+      seen = StatisticsShard::ThreadPinnedEvictions();
+      if (seen.evicted > 0 && seen.evicted_after_republish > 0) {
+        both_seen.store(true);
+      }
+    }
+  });
+  std::size_t writes = 0;
+  for (; writes < kMaxWrites && (writes < kMinWrites || !both_seen.load());
+       ++writes) {
+    const std::string& column = columns[writes % kColumns];
+    if ((writes / kColumns) % 2 == 0) {
+      fleet.RecordModifications(column, n);  // rebuild: generation 1
+    } else {
+      fleet.Drop(column);  // re-created below: generation 0
+    }
+    if (!fleet.EnsureFresh(column, table).ok()) failures.fetch_add(1);
+  }
+  writes_done.store(true);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(batches, 0u);
+  // The reader's batches evicted slots they had pinned, and some of those
+  // belonged to columns republished or dropped since their capture.
+  EXPECT_GT(seen.evicted, 0u) << writes << " writes, " << batches
+                              << " batches";
+  EXPECT_GT(seen.evicted_after_republish, 0u)
+      << writes << " writes, " << batches << " batches";
+}
+
 // -- Wire protocol -----------------------------------------------------------
 
 TEST(FleetWireTest, EstimateBatchFramesRoundTrip) {
@@ -486,6 +596,73 @@ TEST(FleetWireTest, EstimateBatchFramesRoundTrip) {
       fleetwire::DecodeEstimateBatchResponse(response_bytes);
   ASSERT_TRUE(response_decoded.ok());
   EXPECT_EQ(response_decoded->estimates, response.estimates);
+}
+
+std::string Hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+// Golden bytes: a fixed 16-predicate estimate request and its response,
+// bare and inside the transport envelope each direction uses. Recorded
+// from the encoder that grew each frame one push at a time, so a peer of
+// either version, and every fuzz corpus seed, still reads the other's
+// bytes.
+TEST(FleetWireTest, GoldenEstimateFramesAndEnvelopesKeepTheirBytes) {
+  fleetwire::EstimateBatchRequestFrame request;
+  const Value edges[] = {std::numeric_limits<Value>::min(), -1'000'000'007,
+                         -64, -1, 0, 63, 64, 8191, 1'000'000,
+                         std::int64_t{1} << 40,
+                         std::numeric_limits<Value>::max()};
+  for (std::size_t i = 0; i < 16; ++i) {
+    Value lo = edges[i % std::size(edges)];
+    Value hi = edges[(i * 5 + 3) % std::size(edges)];
+    if (lo > hi) std::swap(lo, hi);
+    request.requests.push_back(
+        {(i % 5 == 4 ? "orders.customer_region_" : "t.c") +
+             std::to_string(i % 7),
+         {lo, hi}});
+  }
+  fleetwire::EstimateBatchResponseFrame response;
+  for (std::size_t i = 0; i < 16; ++i) {
+    response.estimates.push_back(
+        i == 0 ? 0.0
+               : static_cast<double>(i * i * 1237) / 7.0 +
+                     (i % 4 == 0 ? 1e15 : 0.0));
+  }
+  const std::vector<std::uint8_t> request_bytes = fleetwire::Encode(request);
+  const std::vector<std::uint8_t> response_bytes =
+      fleetwire::Encode(response);
+  const std::string request_hex =
+      "464c01011004742e6330ffffffffffffffffff010104742e63318da8d6b90780"
+      "897a04742e63327f7f04742e633301fe7f186f72646572732e637573746f6d65"
+      "725f726567696f6e5f348da8d6b9070004742e63357e800104742e6336ffffff"
+      "ffffffffffff01800104742e63307efe7f04742e633180897afeffffffffffff"
+      "ffff01186f72646572732e637573746f6d65725f726567696f6e5f3200808080"
+      "80804004742e6333808080808040feffffffffffffffff0104742e6334ffffff"
+      "ffffffffffff010104742e63358da8d6b90780897a04742e63367f7f186f7264"
+      "6572732e637573746f6d65725f726567696f6e5f3001fe7f04742e63318da8d6"
+      "b90700";
+  const std::string response_hex =
+      "464c01021000000000000000006edbb66ddb1666406edbb66ddb168640dbb66d"
+      "dbb6d998405b583426f56b0c436edbb66ddb41b140dbb66ddbb6d9b840000000"
+      "0080e9c0406e613526f56b0c43b76ddbb6edf4cb406edbb66ddb41d1406edbb6"
+      "6d9be1d440371b3726f56b0c43b76ddbb62d2add400000000080e9e040dbb66d"
+      "db166ae340";
+  EXPECT_EQ(request_bytes.size(), 259u);
+  EXPECT_EQ(response_bytes.size(), 133u);
+  EXPECT_EQ(Hex(request_bytes), request_hex);
+  EXPECT_EQ(Hex(response_bytes), response_hex);
+  // Length prefix, request id, budget (requests only), FNV-1a checksum.
+  EXPECT_EQ(Hex(transport::EncodeEnvelope(77, 250'000, true, request_bytes)),
+            "90024d90a10fc2f9b7b9cebeb3d759" + request_hex);
+  EXPECT_EQ(Hex(transport::EncodeEnvelope(77, 0, false, response_bytes)),
+            "8f014dd9be9fbcac9ec6fe1e" + response_hex);
 }
 
 TEST(FleetWireTest, BuildControlAndMetricsFramesRoundTrip) {
@@ -797,19 +974,81 @@ TEST(MetricsPlaneTest, ConcurrentUpdatesAreLockFreeAndLossless) {
     threads.emplace_back([&plane]() {
       for (int i = 0; i < kPerThread; ++i) {
         plane.Increment(metrics::Counter::kEstimateQueries);
+        plane.Increment(metrics::Counter::kDmlRecords,
+                        static_cast<std::uint64_t>(i % 5));
         plane.Observe(metrics::Hist::kEstimateBatchSize,
                       static_cast<std::uint64_t>(i % 64));
+        plane.Observe(metrics::Hist::kBuildLatencyMicros,
+                      std::uint64_t{1} << (i % 24));
         plane.GaugeAdd(metrics::Gauge::kQueueDepth, 1);
         plane.GaugeAdd(metrics::Gauge::kQueueDepth, -1);
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(plane.counter(metrics::Counter::kEstimateQueries),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(plane.hist_count(metrics::Hist::kEstimateBatchSize),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  // What the writes add up to, bucket by bucket.
+  std::uint64_t dml = 0;
+  std::uint64_t batch_sum = 0;
+  std::uint64_t latency_sum = 0;
+  std::vector<std::uint64_t> batch_buckets(metrics::kHistBuckets, 0);
+  std::vector<std::uint64_t> latency_buckets(metrics::kHistBuckets, 0);
+  for (int i = 0; i < kPerThread; ++i) {
+    const auto size = static_cast<std::uint64_t>(i % 64);
+    const std::uint64_t latency = std::uint64_t{1} << (i % 24);
+    dml += static_cast<std::uint64_t>(i % 5) * kThreads;
+    batch_sum += size * kThreads;
+    latency_sum += latency * kThreads;
+    batch_buckets[metrics::MetricsPlane::BucketOf(size)] += kThreads;
+    latency_buckets[metrics::MetricsPlane::BucketOf(latency)] += kThreads;
+  }
+  const auto total = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(plane.counter(metrics::Counter::kEstimateQueries), total);
+  EXPECT_EQ(plane.counter(metrics::Counter::kDmlRecords), dml);
+  EXPECT_EQ(plane.hist_count(metrics::Hist::kEstimateBatchSize), total);
+  EXPECT_EQ(plane.hist_sum(metrics::Hist::kEstimateBatchSize), batch_sum);
+  EXPECT_EQ(plane.hist_count(metrics::Hist::kBuildLatencyMicros), total);
+  EXPECT_EQ(plane.hist_sum(metrics::Hist::kBuildLatencyMicros), latency_sum);
+  for (std::size_t b = 0; b < metrics::kHistBuckets; ++b) {
+    EXPECT_EQ(plane.hist_bucket(metrics::Hist::kEstimateBatchSize, b),
+              batch_buckets[b])
+        << "bucket " << b;
+    EXPECT_EQ(plane.hist_bucket(metrics::Hist::kBuildLatencyMicros, b),
+              latency_buckets[b])
+        << "bucket " << b;
+  }
+  EXPECT_GT(latency_buckets[metrics::kHistBuckets - 1], 0u);  // +inf used
   EXPECT_EQ(plane.gauge(metrics::Gauge::kQueueDepth), 0u);
+}
+
+// Counters and histograms are striped per thread and summed on read: the
+// same writes spread over 8 threads (8 stripes) and made from one thread
+// (one stripe) export the same JSON.
+TEST(MetricsPlaneTest, StripedWritesExportWhatOneThreadWrites) {
+  constexpr int kThreads = 8;
+  const auto write = [](metrics::MetricsPlane& plane, int t) {
+    for (int i = 0; i < 500 + 37 * t; ++i) {
+      const auto c = static_cast<std::size_t>((i + t) %
+                                              static_cast<int>(
+                                                  metrics::Counter::kCount));
+      plane.Increment(static_cast<metrics::Counter>(c),
+                      static_cast<std::uint64_t>(1 + (i % 3)));
+      const auto h = static_cast<std::size_t>(
+          (i * 3 + t) % static_cast<int>(metrics::Hist::kCount));
+      plane.Observe(static_cast<metrics::Hist>(h),
+                    (std::uint64_t{1} << ((i + t) % 22)) + i);
+      plane.GaugeAdd(metrics::Gauge::kServerQueueDepth, t % 2 == 0 ? 2 : -1);
+    }
+  };
+  metrics::MetricsPlane striped;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&striped, &write, t]() { write(striped, t); });
+  }
+  for (auto& thread : threads) thread.join();
+  metrics::MetricsPlane single;
+  for (int t = 0; t < kThreads; ++t) write(single, t);
+  EXPECT_EQ(striped.ToJson(), single.ToJson());
+  EXPECT_NE(single.ToJson().find("\"le\":\"inf\""), std::string::npos);
 }
 
 TEST(StatisticsFleetTest, MetricsJsonCoversFleetAndEveryShard) {
