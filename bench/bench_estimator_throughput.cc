@@ -6,9 +6,9 @@
 //     reference is O(buckets covered), so wide ranges at large k are where
 //     the compiled path must win big (the acceptance bar is >= 5x at
 //     k >= 1000).
-//   batch: queries/second of the batch API EstimateRangeCounts at 1/2/4/8
-//     worker threads, which must scale near-linearly to 4 threads since
-//     queries are independent and the pool only shards them.
+//   batch: queries/second of one thread looping EstimateRangeCount over
+//     the three classes' queries mixed into one list — the row
+//     scripts/check_perf_regression.py gates as k=*/batch1_ns_per_query.
 //   manager_serving: the DESIGN.md §11 robustness guard — ns/query of
 //     StatisticsManager::EstimateRange (fault hooks compiled in, no
 //     injector attached) vs the raw model path, measured twice: on a
@@ -32,15 +32,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/compiled_estimator.h"
 #include "core/range_estimator.h"
 #include "stats/statistics_manager.h"
@@ -51,7 +48,6 @@ namespace {
 using namespace equihist;
 
 constexpr std::uint64_t kBucketCounts[] = {32, 200, 1000, 10000};
-constexpr std::uint64_t kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kReps = 3;  // best-of, to shed scheduler noise
 
 struct QueryClass {
@@ -67,17 +63,11 @@ struct SingleThreadRow {
   std::uint64_t reference_queries = 0;  // the O(k) loop runs a subset
 };
 
-struct BatchRow {
-  std::uint64_t threads = 0;
-  double qps = 0.0;
-  double speedup_vs_1 = 0.0;
-};
-
 struct KReport {
   std::uint64_t k = 0;
   std::uint64_t actual_buckets = 0;
   std::vector<SingleThreadRow> single_thread;
-  std::vector<BatchRow> batch;
+  double batch_qps = 0.0;  // one thread over the mixed list
 };
 
 // Multi-column batching: a predicate list interleaving several columns
@@ -216,12 +206,7 @@ std::string ToJson(const std::vector<KReport>& reports,
          << (i + 1 < report.single_thread.size() ? "," : "") << "\n";
     }
     os << "    ], \"batch\": [\n";
-    for (std::size_t i = 0; i < report.batch.size(); ++i) {
-      const BatchRow& row = report.batch[i];
-      os << "      {\"threads\": " << row.threads << ", \"qps\": " << row.qps
-         << ", \"speedup_vs_1\": " << row.speedup_vs_1 << "}"
-         << (i + 1 < report.batch.size() ? "," : "") << "\n";
-    }
+    os << "      {\"threads\": 1, \"qps\": " << report.batch_qps << "}\n";
     os << "    ]}" << (r + 1 < reports.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -328,28 +313,19 @@ int main(int argc, char** argv) {
                 << " ns/q, speedup=" << row.speedup << "x\n";
     }
 
-    // -- batch QPS scaling ------------------------------------------------
-    std::vector<double> out(mixed.size());
-    double base_qps = 0.0;
-    for (const std::uint64_t threads : kThreadCounts) {
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-      const double ns = BestNs(
-          [&]() {
-            compiled.EstimateRangeCounts(mixed, out, pool.get());
-            return out[0];
-          },
-          &sink);
-      BatchRow row;
-      row.threads = threads;
-      row.qps = static_cast<double>(mixed.size()) / (ns * 1e-9);
-      if (threads == 1) base_qps = row.qps;
-      row.speedup_vs_1 = base_qps > 0.0 ? row.qps / base_qps : 0.0;
-      report.batch.push_back(row);
-      std::cerr << "  k=" << k << " batch threads=" << threads
-                << ": " << row.qps / 1e6 << " Mq/s (x" << row.speedup_vs_1
-                << ")\n";
-    }
+    // -- one thread over the mixed list -----------------------------------
+    const double batch_ns = BestNs(
+        [&]() {
+          double acc = 0.0;
+          for (const RangeQuery& q : mixed) {
+            acc += compiled.EstimateRangeCount(q);
+          }
+          return acc;
+        },
+        &sink);
+    report.batch_qps = static_cast<double>(mixed.size()) / (batch_ns * 1e-9);
+    std::cerr << "  k=" << k << " batch: " << report.batch_qps / 1e6
+              << " Mq/s\n";
     reports.push_back(std::move(report));
   }
 

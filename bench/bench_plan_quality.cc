@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "bench_common.h"
@@ -21,20 +23,31 @@ struct Verdict {
   double oracle_cost = 0.0;  // weighted cost of the cheapest plan
 };
 
+// Pages read by running `q` alone on `path` (the table is fault-free).
+double PagesRead(const Table& table, const OrderedIndex& index,
+                 const RangeQuery& q, AccessPath path) {
+  const auto result = ExecutePlansChecked(
+      table, index, std::span<const RangeQuery>(&q, 1), path);
+  if (!result.ok()) {
+    std::fprintf(stderr, "plan execution failed: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return static_cast<double>(result->io.pages_read);
+}
+
 Verdict RunWorkload(const ColumnStatistics& stats, const Table& table,
                     const OrderedIndex& index,
                     const std::vector<RangeQuery>& queries) {
   const CostModel cost_model;
   Verdict verdict;
   for (const RangeQuery& q : queries) {
-    const auto choice = ChooseAccessPath(stats, q, table.page_count(),
+    const auto choice = ChooseAccessPath(*stats.model, q, table.page_count(),
                                          table.tuples_per_page());
-    const auto via_index =
-        ExecutePlan(table, index, q, AccessPath::kIndexRangeScan);
-    const auto via_scan = ExecutePlan(table, index, q, AccessPath::kFullScan);
-    const double index_cost = static_cast<double>(via_index.io.pages_read) *
-                              cost_model.random_page_cost;
-    const double scan_cost = static_cast<double>(via_scan.io.pages_read) *
+    const double index_cost =
+        PagesRead(table, index, q, AccessPath::kIndexRangeScan) *
+        cost_model.random_page_cost;
+    const double scan_cost = PagesRead(table, index, q, AccessPath::kFullScan) *
                              cost_model.sequential_page_cost;
     const double chosen_cost =
         choice.path == AccessPath::kIndexRangeScan ? index_cost : scan_cost;

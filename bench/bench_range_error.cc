@@ -85,7 +85,8 @@ int main() {
   auto add = [&](const char* name, const Histogram& h, double bound,
                  const char* kind) {
     const auto errors = ComputeHistogramErrors(h, data);
-    const auto report = EvaluateRangeWorkload(h, queries, data);
+    const auto report =
+        EvaluateRangeWorkload(EquiHeightModel(h), queries, data);
     rows.push_back(Row{name, errors->f_avg, errors->f_var, errors->f_max,
                        report->mean_absolute_error,
                        report->max_absolute_error, bound, kind});

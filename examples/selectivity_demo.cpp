@@ -37,7 +37,8 @@ Histogram MakeAdversarial(const Histogram& perfect) {
 void Report(const char* name, const Histogram& histogram,
             const std::vector<RangeQuery>& queries, const ValueSet& truth) {
   const auto errors = ComputeHistogramErrors(histogram, truth);
-  const auto report = EvaluateRangeWorkload(histogram, queries, truth);
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(histogram), queries, truth);
   if (!errors.ok() || !report.ok()) {
     std::fprintf(stderr, "evaluation failed for %s\n", name);
     return;

@@ -116,12 +116,13 @@ class [[nodiscard]] Status {
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
-// Aborts the process, printing `context` and the status. For the
-// documented fault-free-only convenience APIs (FullScan, RangeScan, ...)
-// that cannot report a Status: reaching a failure under one of them means
-// the caller ran it on faulty storage, and failing loudly beats silently
-// returning truncated data. Library code on fallible paths must propagate
-// instead (EQUIHIST_RETURN_IF_ERROR / EQUIHIST_ASSIGN_OR_RETURN).
+// Aborts the process, printing `context` and the status. For the few
+// places that cannot report a Status and where a failure is misuse or a
+// broken invariant, not a storage fault: HeapFile's constructor given an
+// invalid PageConfig, and the GMP baseline's recompute from a non-empty
+// reservoir. Failing loudly beats continuing on an empty Result. Every
+// read path propagates instead (EQUIHIST_RETURN_IF_ERROR /
+// EQUIHIST_ASSIGN_OR_RETURN).
 [[noreturn]] void AbortOnStatus(const Status& status, std::string_view context);
 
 // Propagates a non-OK status to the caller. Usable only in functions

@@ -12,8 +12,6 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

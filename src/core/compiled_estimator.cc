@@ -1,14 +1,10 @@
 #include "core/compiled_estimator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 
 namespace equihist {
 namespace {
-
-// Queries below this batch size are not worth a fork-join round trip.
-constexpr std::size_t kParallelBatchThreshold = 512;
 
 // Branchless binary searches over the separator array. The loop body has
 // no data-dependent branch — only a conditional add the compiler lowers to
@@ -142,28 +138,6 @@ std::uint64_t CompiledEstimator::BucketIndexForValue(Value v) const {
   const std::size_t i = LowerBoundIndex(separators_, v);
   if (i < separators_.size() && separators_[i] == v) return run_last_[i];
   return i;
-}
-
-void CompiledEstimator::EstimateRangeCounts(std::span<const RangeQuery> queries,
-                                            std::span<double> out,
-                                            ThreadPool* pool) const {
-  assert(out.size() >= queries.size());
-  const std::size_t n = queries.size();
-  const auto estimate = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = EstimateRangeCount(queries[i]);
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1 || n < kParallelBatchThreshold) {
-    estimate(0, n);
-    return;
-  }
-  // Over-decompose for load balance; per-query results are independent,
-  // so the shard layout cannot affect the output.
-  pool->ParallelFor(0, n, pool->size() * 8,
-                    [&](std::size_t lo, std::size_t hi, std::size_t) {
-                      estimate(lo, hi);
-                    });
 }
 
 std::size_t CompiledEstimator::MemoryBytes() const {

@@ -2,10 +2,8 @@
 #define EQUIHIST_CORE_COMPILED_ESTIMATOR_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/histogram.h"
 #include "data/value_set.h"
 #include "data/workload.h"
@@ -52,8 +50,9 @@ namespace equihist {
 // Bitwise determinism: this translation unit builds with FP contraction
 // disabled, so the interpolation is always mul, mul, add and an estimate's
 // bits do not depend on whether the target has FMA (GCC contracts by
-// default even in ISO C++ mode). Batch and single-query calls run the same
-// code, so every shard layout of a batch returns the same bits.
+// default even in ISO C++ mode). Every caller — a shard's batch loop, the
+// planner, workload scoring — estimates one query per call through
+// EstimateRangeCount, so there is one code path whose bits to pin.
 //
 // Numerical contract vs the reference loop: estimates agree with the
 // reference estimator bit-for-bit whenever every covered bucket is either
@@ -98,15 +97,6 @@ class CompiledEstimator {
   // the last bucket of its run). One binary search plus one run-table
   // lookup instead of the reference's two binary searches.
   std::uint64_t BucketIndexForValue(Value v) const;
-
-  // Batch estimation: out[i] = EstimateRangeCount(queries[i]) for every i.
-  // With a pool, large batches are sharded across it; every shard layout
-  // produces bitwise-identical output (queries are independent), so
-  // `pool` is purely a throughput knob. Requires out.size() >=
-  // queries.size().
-  void EstimateRangeCounts(std::span<const RangeQuery> queries,
-                           std::span<double> out,
-                           ThreadPool* pool = nullptr) const;
 
   std::uint64_t bucket_count() const { return k_; }
   double total() const { return total_; }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/math.h"
-#include "core/compiled_estimator.h"
 
 namespace equihist {
 
@@ -80,49 +78,6 @@ double VarErrorHistogramAbsoluteErrorFloor(std::uint64_t n, std::uint64_t k,
                                            double f, double t) {
   return (1.0 + f * std::sqrt(static_cast<double>(k) * t / 8.0)) *
          PerfectHistogramAbsoluteErrorBound(n, k);
-}
-
-Result<RangeWorkloadReport> EvaluateRangeWorkload(
-    const Histogram& histogram, std::span<const RangeQuery> queries,
-    const ValueSet& truth) {
-  if (truth.empty()) {
-    return Status::InvalidArgument("truth value set must be non-empty");
-  }
-  RangeWorkloadReport report;
-  report.query_count = queries.size();
-  KahanSum abs_sum;
-  KahanSum rel_sum;
-  // One O(k) compile pass, then the whole workload through the batch
-  // serving core in a single call — the same trade the serving path
-  // makes; workloads are orders of magnitude larger than k.
-  const CompiledEstimator compiled(histogram);
-  std::vector<double> estimates(queries.size());
-  compiled.EstimateRangeCounts(queries, estimates);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const RangeQuery& query = queries[i];
-    const double estimate = estimates[i];
-    const auto actual =
-        static_cast<double>(truth.CountInRange(query.lo, query.hi));
-    const double abs_error = std::abs(estimate - actual);
-    abs_sum.Add(abs_error);
-    report.max_absolute_error = std::max(report.max_absolute_error, abs_error);
-    if (actual > 0.0) {
-      const double rel_error = abs_error / actual;
-      rel_sum.Add(rel_error);
-      report.max_relative_error =
-          std::max(report.max_relative_error, rel_error);
-      ++report.relative_query_count;
-    }
-  }
-  if (report.query_count > 0) {
-    report.mean_absolute_error =
-        abs_sum.Value() / static_cast<double>(report.query_count);
-  }
-  if (report.relative_query_count > 0) {
-    report.mean_relative_error =
-        rel_sum.Value() / static_cast<double>(report.relative_query_count);
-  }
-  return report;
 }
 
 }  // namespace equihist

@@ -2,11 +2,8 @@
 #define EQUIHIST_CORE_RANGE_ESTIMATOR_H_
 
 #include <cstdint>
-#include <span>
 
-#include "common/result.h"
 #include "core/histogram.h"
-#include "data/value_set.h"
 #include "data/workload.h"
 
 namespace equihist {
@@ -53,6 +50,8 @@ double VarErrorHistogramAbsoluteErrorFloor(std::uint64_t n, std::uint64_t k,
 
 // -- Empirical workload evaluation ------------------------------------------
 
+// What EvaluateRangeWorkload (stats/histogram_model.h) reports for a query
+// workload scored against true counts.
 struct RangeWorkloadReport {
   std::size_t query_count = 0;
   double max_absolute_error = 0.0;
@@ -63,14 +62,6 @@ struct RangeWorkloadReport {
   double max_relative_error = 0.0;
   double mean_relative_error = 0.0;
 };
-
-// Runs every query through the estimator and scores it against the true
-// counts from `truth`. Estimation goes through a CompiledEstimator built
-// once from `histogram` (O(log k) per query; see core/compiled_estimator.h
-// for the documented ulp-level tolerance vs the reference loop above).
-Result<RangeWorkloadReport> EvaluateRangeWorkload(
-    const Histogram& histogram, std::span<const RangeQuery> queries,
-    const ValueSet& truth);
 
 }  // namespace equihist
 

@@ -62,17 +62,6 @@ std::uint64_t OrderedIndex::RangeCount(const RangeQuery& query,
   return last - first;
 }
 
-std::uint64_t OrderedIndex::RangeScan(const Table& table,
-                                      const RangeQuery& query,
-                                      IoStats* stats) const {
-  Result<std::uint64_t> matches = RangeScanChecked(table, query, stats);
-  if (!matches.ok()) {
-    AbortOnStatus(matches.status(),
-                  "RangeScan on faulty storage (use RangeScanChecked)");
-  }
-  return *matches;
-}
-
 Result<std::uint64_t> OrderedIndex::RangeScanChecked(
     const Table& table, const RangeQuery& query, IoStats* stats,
     const RetryPolicy& policy) const {

@@ -45,18 +45,10 @@ class OrderedIndex {
   // Executes "lo < X <= hi" through the index against `table`: charges the
   // touched index leaves and the fetched table pages (each distinct
   // matching page once — a block-nested fetch with a page cache) to
-  // `stats`, and returns the number of matching tuples.
-  //
-  // Like FullScan, this overload assumes fault-free storage: a table page
-  // that cannot be read aborts (it cannot report a Status). Fault-aware
-  // callers go through RangeScanChecked.
-  std::uint64_t RangeScan(const Table& table, const RangeQuery& query,
-                          IoStats* stats) const;
-
-  // Fault-aware RangeScan: transient read errors are retried per `policy`
-  // (charged to stats->transient_retries); a page that stays unreadable
-  // fails the scan with that page's kDataLoss/kUnavailable status.
-  // Fault-free tables return exactly RangeScan's count and I/O bill.
+  // `stats`, and returns the number of matching tuples. Transient read
+  // errors are retried per `policy` (charged to stats->transient_retries);
+  // a page that stays unreadable fails the scan with that page's
+  // kDataLoss/kUnavailable status.
   Result<std::uint64_t> RangeScanChecked(const Table& table,
                                          const RangeQuery& query,
                                          IoStats* stats,

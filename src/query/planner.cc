@@ -87,32 +87,6 @@ PlanChoice ChooseAccessPath(const HistogramModel& model,
                             cost_model);
 }
 
-PlanChoice ChooseAccessPath(const ColumnStatistics& stats,
-                            const RangeQuery& query,
-                            std::uint64_t table_pages,
-                            std::uint32_t tuples_per_page,
-                            std::uint32_t index_entries_per_leaf,
-                            const CostModel& cost_model) {
-  return ChooseFromEstimate(stats.EstimateRangeCount(query), table_pages,
-                            tuples_per_page, index_entries_per_leaf,
-                            cost_model);
-}
-
-std::vector<PlanChoice> ChooseAccessPaths(const HistogramModel& model,
-                                          std::span<const RangeQuery> queries,
-                                          std::uint64_t table_pages,
-                                          std::uint32_t tuples_per_page,
-                                          std::uint32_t index_entries_per_leaf,
-                                          const CostModel& cost_model,
-                                          ThreadPool* pool) {
-  // One batch call produces every estimate (bitwise what the per-query
-  // path computes), then costing is pure arithmetic per predicate.
-  std::vector<double> estimates(queries.size());
-  model.EstimateRangeCounts(queries, estimates, pool);
-  return ChooseFromEstimates(estimates, table_pages, tuples_per_page,
-                             index_entries_per_leaf, cost_model);
-}
-
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
@@ -135,36 +109,6 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
   return ChooseFromEstimates(estimates.estimates, table.page_count(),
                              tuples_per_page, index_entries_per_leaf,
                              cost_model);
-}
-
-ExecutionResult ExecutePlan(const Table& table, const OrderedIndex& index,
-                            const RangeQuery& query, AccessPath path,
-                            ThreadPool* pool) {
-  Result<ExecutionResult> result =
-      ExecutePlanChecked(table, index, query, path, pool);
-  if (!result.ok()) {
-    AbortOnStatus(result.status(),
-                  "ExecutePlan on faulty storage (use ExecutePlanChecked)");
-  }
-  return std::move(result).value();
-}
-
-Result<ExecutionResult> ExecutePlanChecked(const Table& table,
-                                           const OrderedIndex& index,
-                                           const RangeQuery& query,
-                                           AccessPath path, ThreadPool* pool,
-                                           const RetryPolicy& policy) {
-  // The single-query form is the batch of one; the batch full-scan arm
-  // answers it with the same one-pass count the dedicated loop used to.
-  EQUIHIST_ASSIGN_OR_RETURN(
-      BatchExecutionResult batch,
-      ExecutePlansChecked(table, index, std::span<const RangeQuery>(&query, 1),
-                          path, pool, policy));
-  ExecutionResult result;
-  result.path = batch.path;
-  result.rows = batch.rows.front();
-  result.io = batch.io;
-  return result;
 }
 
 Result<BatchExecutionResult> ExecutePlansChecked(

@@ -55,39 +55,24 @@ struct CostModel {
 double YaoPagesTouched(std::uint64_t pages, std::uint32_t tuples_per_page,
                        double matches);
 
-// Costs both access paths for "lo < X <= hi" and picks the cheaper one.
+// Costs both access paths for "lo < X <= hi" and picks the cheaper one,
+// through any histogram backend (a ColumnStatistics passes *stats.model).
 // The index cost is (leaves(matches) + Yao(pages, b, matches)) at the
 // random-read rate; the full scan cost is the page count at the
-// sequential rate. The model overload costs directly through any
-// histogram backend; the ColumnStatistics overload forwards to it.
+// sequential rate.
 PlanChoice ChooseAccessPath(const HistogramModel& model,
                             const RangeQuery& query,
                             std::uint64_t table_pages,
                             std::uint32_t tuples_per_page,
                             std::uint32_t index_entries_per_leaf = 512,
                             const CostModel& cost_model = CostModel{});
-PlanChoice ChooseAccessPath(const ColumnStatistics& stats,
-                            const RangeQuery& query,
-                            std::uint64_t table_pages,
-                            std::uint32_t tuples_per_page,
-                            std::uint32_t index_entries_per_leaf = 512,
-                            const CostModel& cost_model = CostModel{});
-
-// Batch plan choice: one PlanChoice per query, with all the estimates
-// produced by a single call into the model's batch path (`pool` shards
-// large batches). Choices are bitwise what per-query ChooseAccessPath
-// would pick.
-std::vector<PlanChoice> ChooseAccessPaths(
-    const HistogramModel& model, std::span<const RangeQuery> queries,
-    std::uint64_t table_pages, std::uint32_t tuples_per_page,
-    std::uint32_t index_entries_per_leaf = 512,
-    const CostModel& cost_model = CostModel{}, ThreadPool* pool = nullptr);
 
 // Multi-column batch plan choice: the whole predicate list estimates in
 // ONE EstimateBatch call through the lock-free snapshot-cache fast path,
-// then costs per predicate. Errors (an unbuildable column) propagate from
-// the batch estimate. Takes any shard — StatisticsManager is another name
-// for one. All three batch overloads share one costing loop.
+// then costs per predicate exactly as ChooseAccessPath does. Errors (an
+// unbuildable column) propagate from the batch estimate. Takes any shard
+// — StatisticsManager is another name for one. Both batch overloads share
+// one costing loop.
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
@@ -103,35 +88,6 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf = 512,
     const CostModel& cost_model = CostModel{});
 
-struct ExecutionResult {
-  AccessPath path = AccessPath::kFullScan;
-  std::uint64_t rows = 0;
-  IoStats io{};
-};
-
-// Executes `query` with the chosen access path and returns the true row
-// count and I/O bill. The full-scan arm goes through storage/scan's
-// FullScan; with a pool its page reads run concurrently (row count and
-// charged I/O are identical for any thread count).
-//
-// Like FullScan and RangeScan, this overload assumes fault-free storage
-// and aborts on an unreadable page. Fault-aware callers go through
-// ExecutePlanChecked.
-ExecutionResult ExecutePlan(const Table& table, const OrderedIndex& index,
-                            const RangeQuery& query, AccessPath path,
-                            ThreadPool* pool = nullptr);
-
-// Fault-aware plan execution: both arms retry transient read faults per
-// `policy` and propagate a page that stays unreadable as that page's
-// kDataLoss/kUnavailable status. Fault-free tables return exactly
-// ExecutePlan's result.
-Result<ExecutionResult> ExecutePlanChecked(const Table& table,
-                                           const OrderedIndex& index,
-                                           const RangeQuery& query,
-                                           AccessPath path,
-                                           ThreadPool* pool = nullptr,
-                                           const RetryPolicy& policy = {});
-
 // Batch execution of a range-query list over one chosen access path.
 struct BatchExecutionResult {
   AccessPath path = AccessPath::kFullScan;
@@ -139,14 +95,16 @@ struct BatchExecutionResult {
   IoStats io{};                     // the batch's total I/O bill
 };
 
-// Executes every query of the batch and returns the true row counts and
-// the combined I/O bill. The full-scan arm reads the table ONCE for the
-// whole batch — scan, sort, then answer each "lo < X <= hi" with two
-// binary searches — so q queries cost one scan instead of q (the
-// single-query ExecutePlan* entry points are thin wrappers over this).
-// The index arm runs one range scan per query. Transient faults retry per
-// `policy`; a permanently unreadable page fails the whole batch with that
-// page's status.
+// Executes every query of the batch with the chosen access path and
+// returns the true row counts and the combined I/O bill. The full-scan arm
+// reads the table ONCE for the whole batch through FullScanChecked (its
+// page reads concurrent with a pool; row counts and charged I/O are the
+// same at any thread count). A batch of one counts its matches in the
+// unsorted scan; a larger batch sorts the scan once and answers each
+// "lo < X <= hi" with two binary searches, so q queries cost one scan
+// instead of q. The index arm runs one RangeScanChecked per query.
+// Transient faults retry per `policy`; a permanently unreadable page fails
+// the whole batch with that page's kDataLoss/kUnavailable status.
 Result<BatchExecutionResult> ExecutePlansChecked(
     const Table& table, const OrderedIndex& index,
     std::span<const RangeQuery> queries, AccessPath path,

@@ -107,8 +107,10 @@ class BuildScheduler {
   Counts counts() const EXCLUDES(mu_);
 
   // Failures recorded since the last call, oldest first: ((table, column),
-  // status). The internal list is cleared — the fleet's BuildAll
-  // aggregation hook.
+  // status). The internal list is cleared, so each failure is reported
+  // once. Whoever enqueues builds reads here which of them failed;
+  // StatisticsFleet::BuildAll does not, since it aggregates the shards'
+  // own results.
   std::vector<std::pair<std::string, Status>> TakeFailures() EXCLUDES(mu_);
 
  private:

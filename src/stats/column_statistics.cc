@@ -120,13 +120,10 @@ double ColumnStatistics::EstimateRangeCount(const RangeQuery& query) const {
 }
 
 void ColumnStatistics::EstimateRangeCounts(std::span<const RangeQuery> queries,
-                                           std::span<double> out,
-                                           ThreadPool* pool) const {
-  if (model == nullptr) {
-    std::fill(out.begin(), out.begin() + queries.size(), 0.0);
-    return;
+                                           std::span<double> out) const {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    out[i] = EstimateRangeCount(queries[i]);
   }
-  model->EstimateRangeCounts(queries, out, pool);
 }
 
 double ColumnStatistics::EstimateEqualityCount(Value value) const {

@@ -70,12 +70,10 @@ struct ColumnStatistics {
   // through the model; 0 when no model is set.
   double EstimateRangeCount(const RangeQuery& query) const;
 
-  // Batch variant: out[i] = EstimateRangeCount(queries[i]); large batches
-  // shard across `pool` with bitwise-identical results at any thread
-  // count. Requires out.size() >= queries.size().
+  // out[i] = EstimateRangeCount(queries[i]) for every i, one query at a
+  // time. Requires out.size() >= queries.size().
   void EstimateRangeCounts(std::span<const RangeQuery> queries,
-                           std::span<double> out,
-                           ThreadPool* pool = nullptr) const;
+                           std::span<double> out) const;
 
   // Estimated output size of "X = v". Heavy values are pinned exactly (the
   // compressed-histogram singleton list collected at build time);

@@ -36,12 +36,6 @@ double EquiHeightModel::EstimateRangeCount(const RangeQuery& query) const {
   return compiled_.EstimateRangeCount(query);
 }
 
-void EquiHeightModel::EstimateRangeCounts(std::span<const RangeQuery> queries,
-                                          std::span<double> out,
-                                          ThreadPool* pool) const {
-  compiled_.EstimateRangeCounts(queries, out, pool);
-}
-
 std::uint64_t EquiHeightModel::bucket_count() const {
   return histogram_.bucket_count();
 }

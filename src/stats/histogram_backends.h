@@ -33,9 +33,6 @@ class EquiHeightModel : public HistogramModel {
     return HistogramBackendId::kEquiHeight;
   }
   double EstimateRangeCount(const RangeQuery& query) const override;
-  void EstimateRangeCounts(std::span<const RangeQuery> queries,
-                           std::span<double> out,
-                           ThreadPool* pool = nullptr) const override;
   std::uint64_t bucket_count() const override;
   std::uint64_t total() const override;
   Value lower_fence() const override;

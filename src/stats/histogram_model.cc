@@ -7,21 +7,6 @@
 
 namespace equihist {
 
-void HistogramModel::EstimateRangeCounts(std::span<const RangeQuery> queries,
-                                         std::span<double> out,
-                                         ThreadPool* pool) const {
-  (void)pool;  // sequential default; per-query results are order-independent
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    out[i] = EstimateRangeCount(queries[i]);
-  }
-}
-
-double HistogramModel::EstimateSelectivity(const RangeQuery& query) const {
-  const double n = static_cast<double>(total());
-  if (n == 0.0) return 0.0;
-  return EstimateRangeCount(query) / n;
-}
-
 HistogramBackendRegistry& HistogramBackendRegistry::Global() {
   static HistogramBackendRegistry* instance = []() {
     auto* registry = new HistogramBackendRegistry();
@@ -99,14 +84,8 @@ Result<RangeWorkloadReport> EvaluateRangeWorkload(
   report.query_count = queries.size();
   KahanSum abs_sum;
   KahanSum rel_sum;
-  // The whole workload estimates through the backend's batch path in one
-  // call (the compiled estimator on equi-height, the per-query loop
-  // elsewhere) — bitwise what the per-query loop produced.
-  std::vector<double> estimates(queries.size());
-  model.EstimateRangeCounts(queries, estimates);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const RangeQuery& query = queries[i];
-    const double estimate = estimates[i];
+  for (const RangeQuery& query : queries) {
+    const double estimate = model.EstimateRangeCount(query);
     const auto actual =
         static_cast<double>(truth.CountInRange(query.lo, query.hi));
     const double abs_error = std::abs(estimate - actual);

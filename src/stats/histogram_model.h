@@ -13,7 +13,6 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/range_estimator.h"
 #include "data/value_set.h"
 #include "data/workload.h"
@@ -53,20 +52,10 @@ class HistogramModel {
 
   virtual HistogramBackendId backend_id() const = 0;
 
-  // Estimated output size of "lo < X <= hi" (Section 2.2 strategy).
+  // Estimated output size of "lo < X <= hi" (Section 2.2 strategy): the
+  // one estimate form. Shard and fleet batches, the planner and workload
+  // scoring all call it once per query.
   virtual double EstimateRangeCount(const RangeQuery& query) const = 0;
-
-  // Batch variant: out[i] = EstimateRangeCount(queries[i]) for every i,
-  // bitwise-identical at any thread count. The default loops sequentially
-  // (`pool` is a pure throughput knob that backends may ignore); backends
-  // with a compiled batch path override. Requires out.size() >=
-  // queries.size().
-  virtual void EstimateRangeCounts(std::span<const RangeQuery> queries,
-                                   std::span<double> out,
-                                   ThreadPool* pool = nullptr) const;
-
-  // Estimated selectivity in [0, 1]: EstimateRangeCount / total.
-  virtual double EstimateSelectivity(const RangeQuery& query) const;
 
   virtual std::uint64_t bucket_count() const = 0;
   virtual std::uint64_t total() const = 0;
@@ -143,10 +132,12 @@ class HistogramBackendRegistry {
   std::map<HistogramBackendId, Backend> backends_ GUARDED_BY(mu_);
 };
 
-// Scores `model` against true counts over `truth` — the backend-polymorphic
-// face of core/range_estimator's EvaluateRangeWorkload. Equi-height models
-// estimate through their compiled read path, so on that backend the report
-// matches the core overload exactly.
+// Runs every query through `model` and scores it against the true counts
+// from `truth` (an error when `truth` is empty). To score a bare histogram,
+// wrap it in an EquiHeightModel: that estimates through the compiled
+// O(log k) read path (core/compiled_estimator.h), whose documented
+// ulp-level tolerance vs the reference loop of core/range_estimator.h
+// applies.
 Result<RangeWorkloadReport> EvaluateRangeWorkload(
     const HistogramModel& model, std::span<const RangeQuery> queries,
     const ValueSet& truth);

@@ -52,11 +52,6 @@ void TransportClient::AddPeer(Peer peer) {
   peers_.push_back(std::move(state));
 }
 
-std::size_t TransportClient::peer_count() const {
-  MutexLock lock(mu_);
-  return peers_.size();
-}
-
 std::uint64_t TransportClient::HedgeDelayMicros() {
   std::uint64_t delay = options_.hedge_initial_delay_micros;
   // Before the window warms up there is no percentile worth trusting.

@@ -103,7 +103,6 @@ class TransportClient {
   // Peers are tried round-robin; the hedge goes to a different peer than
   // the primary when more than one is registered.
   void AddPeer(Peer peer);
-  std::size_t peer_count() const;
 
   // Sends one fleetwire request frame and returns the response frame.
   // `idempotent` gates retries and hedging: estimate and metrics reads

@@ -43,10 +43,11 @@ class HeapFile {
   // corrupted payload caught by the page checksum); successful reads of
   // latency-selected pages stall for the injected delay first. Without an
   // injector reads cannot fail for in-range ids, but each still returns a
-  // Result, and ReadPageRetrying adds a retry loop: read one page at a
-  // time so, a random-layout CVB build's 1,792 pages took 28 µs against
-  // 6 µs through ReadPagesFaultFree (bench_micro BM_NextPages, DESIGN.md
-  // §8), which readers of many pages with no injector use.
+  // Result, and ReadPageRetrying adds a retry loop around it. That per-page
+  // cost adds up: read one page at a time, a random-layout CVB build's
+  // 1,792 pages took 28 µs, against 6 µs through ReadPagesFaultFree
+  // (bench_micro BM_NextPages, DESIGN.md §8). Readers of many pages with
+  // no injector use ReadPagesFaultFree instead.
   Result<const Page*> ReadPage(std::uint64_t page_id, IoStats* stats) const;
 
   // How many reads ahead ReadPagesFaultFree prefetches a page's header.

@@ -4,26 +4,6 @@
 
 namespace equihist {
 
-std::vector<Value> FullScan(const Table& table, IoStats* stats) {
-  Result<std::vector<Value>> values =
-      FullScanChecked(table, stats, /*pool=*/nullptr);
-  if (!values.ok()) {
-    AbortOnStatus(values.status(),
-                  "FullScan on faulty storage (use FullScanChecked)");
-  }
-  return std::move(values).value();
-}
-
-std::vector<Value> FullScan(const Table& table, IoStats* stats,
-                            ThreadPool* pool) {
-  Result<std::vector<Value>> values = FullScanChecked(table, stats, pool);
-  if (!values.ok()) {
-    AbortOnStatus(values.status(),
-                  "FullScan on faulty storage (use FullScanChecked)");
-  }
-  return std::move(values).value();
-}
-
 Result<std::vector<Value>> FullScanChecked(const Table& table, IoStats* stats,
                                            ThreadPool* pool,
                                            const RetryPolicy& policy) {

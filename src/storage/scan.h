@@ -12,30 +12,20 @@
 
 namespace equihist {
 
-// Full sequential scan: reads every page, charging all I/O to `stats`.
-// This is the cost baseline the sampling access paths are measured against
-// (a perfect histogram requires exactly this scan plus a sort).
+// Full sequential scan: reads every page, charging all I/O to `stats`, and
+// returns the values in page order. This is the cost baseline the sampling
+// access paths are measured against (a perfect histogram requires exactly
+// this scan plus a sort).
 //
-// These overloads assume fault-free storage (no injector, or one that
-// never fires): a read failure is a programming error and aborts. The
-// statistics pipeline goes through FullScanChecked below, which retries
-// transient faults and propagates permanent ones as typed errors — a full
-// scan cannot substitute another page for a lost one, so unlike the block
+// With a pool, page ranges are read concurrently into precomputed offsets
+// (pages are densely packed, so every page's destination is known up
+// front); output and charged IoStats are identical for any thread count.
+// Transient read errors are retried per `policy` (charged to
+// stats->transient_retries); a page that stays unreadable fails the scan
+// with the page's kDataLoss/kUnavailable status — by the lowest failing
+// page id, so the error is deterministic at any thread count. A full scan
+// cannot substitute another page for a lost one, so unlike the block
 // samplers it has no resample path.
-std::vector<Value> FullScan(const Table& table, IoStats* stats);
-
-// Pool-backed variant: page ranges are read concurrently into precomputed
-// offsets (pages are densely packed, so every page's destination is known
-// up front). Output and charged IoStats are identical to FullScan for any
-// thread count; with a null pool it is FullScan.
-std::vector<Value> FullScan(const Table& table, IoStats* stats,
-                            ThreadPool* pool);
-
-// Fault-aware full scan: transient read errors are retried per `policy`
-// (charged to stats->transient_retries); a page that stays unreadable
-// fails the scan with the page's kDataLoss/kUnavailable status — by the
-// lowest failing page id, so the error is deterministic at any thread
-// count. Fault-free tables return exactly FullScan's output and I/O bill.
 Result<std::vector<Value>> FullScanChecked(const Table& table, IoStats* stats,
                                            ThreadPool* pool = nullptr,
                                            const RetryPolicy& policy = {});

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/histogram.h"
 #include "core/histogram_builder.h"
 #include "core/range_estimator.h"
@@ -283,46 +282,6 @@ TEST(CompiledEstimatorTest, SelectivityNormalizes) {
   EXPECT_DOUBLE_EQ(compiled.EstimateRangeSelectivity({0, 400}), 1.0);
   EXPECT_DOUBLE_EQ(compiled.EstimateRangeSelectivity({0, 100}), 0.1);
   EXPECT_DOUBLE_EQ(compiled.EstimateRangeSelectivity({500, 600}), 0.0);
-}
-
-TEST(CompiledEstimatorTest, BatchMatchesSequentialBitwise) {
-  Rng rng(777);
-  const Histogram histogram = RandomHistogram(rng, 200, -100000, 100000, 0.1);
-  const CompiledEstimator compiled(histogram);
-  std::vector<RangeQuery> queries;
-  queries.reserve(5000);
-  for (int q = 0; q < 5000; ++q) {
-    queries.push_back(RandomQuery(rng, histogram));
-  }
-  std::vector<double> expected(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = compiled.EstimateRangeCount(queries[i]);
-  }
-  // Null pool (sequential), then pools of 2 and 8 threads: all bitwise
-  // identical, since the batch path only shards independent queries.
-  std::vector<double> out(queries.size(), -1.0);
-  compiled.EstimateRangeCounts(queries, out, nullptr);
-  EXPECT_EQ(out, expected);
-  for (const std::size_t threads : {2ul, 8ul}) {
-    ThreadPool pool(threads);
-    std::fill(out.begin(), out.end(), -1.0);
-    compiled.EstimateRangeCounts(queries, out, &pool);
-    EXPECT_EQ(out, expected) << threads << " threads";
-  }
-}
-
-TEST(CompiledEstimatorTest, SmallBatchSkipsThePool) {
-  // Below the parallel threshold the pool must not be touched; results
-  // are still correct.
-  const auto h = Histogram::Create({10}, {5, 5}, 0, 20).value();
-  const CompiledEstimator compiled(h);
-  ThreadPool pool(2);
-  const std::vector<RangeQuery> queries = {{0, 10}, {10, 20}, {0, 20}};
-  std::vector<double> out(queries.size());
-  compiled.EstimateRangeCounts(queries, out, &pool);
-  EXPECT_DOUBLE_EQ(out[0], 5.0);
-  EXPECT_DOUBLE_EQ(out[1], 5.0);
-  EXPECT_DOUBLE_EQ(out[2], 10.0);
 }
 
 // FNV-1a over the bit patterns of `values`: a compact pin of many doubles.

@@ -12,6 +12,7 @@
 #include "data/value_set.h"
 #include "data/workload.h"
 #include "sampling/row_sampler.h"
+#include "stats/histogram_backends.h"
 
 namespace equihist {
 namespace {
@@ -106,7 +107,8 @@ TEST(RangeEstimatorTest, PerfectHistogramRespectsTheorem1Bound) {
   ValueSet& data = fx.data;
   RangeWorkloadGenerator gen(&data, 17);
   const auto queries = gen.UniformRanges(500);
-  const auto report = EvaluateRangeWorkload(fx.histogram, queries, data);
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(fx.histogram), queries, data);
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->max_absolute_error,
             PerfectHistogramAbsoluteErrorBound(1000, 10) + 1.0);
@@ -136,7 +138,8 @@ TEST(RangeEstimatorTest, SampledHistogramRespectsTheorem3BoundOnZipf) {
 
   RangeWorkloadGenerator gen(&data, 23);
   const auto queries = gen.UniformRanges(300);
-  const auto report = EvaluateRangeWorkload(*approx, queries, data);
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(*approx), queries, data);
   ASSERT_TRUE(report.ok());
   // Theorem 3: absolute error <= (1 + f) * 2n/k. Interpolation inside
   // buckets assumes uniform spread, which Zipf data violates; allow the
@@ -193,7 +196,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EvaluateRangeWorkloadTest, ReportsMeansAndMaxima) {
   UniformFixture fx;
   const std::vector<RangeQuery> queries = {{0, 100}, {0, 150}, {100, 101}};
-  const auto report = EvaluateRangeWorkload(fx.histogram, queries, fx.data);
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(fx.histogram), queries, fx.data);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->query_count, 3u);
   EXPECT_EQ(report->relative_query_count, 3u);
@@ -204,7 +208,8 @@ TEST(EvaluateRangeWorkloadTest, ReportsMeansAndMaxima) {
 TEST(EvaluateRangeWorkloadTest, SkipsZeroOutputQueriesForRelativeError) {
   UniformFixture fx;
   const std::vector<RangeQuery> queries = {{5000, 6000}};
-  const auto report = EvaluateRangeWorkload(fx.histogram, queries, fx.data);
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(fx.histogram), queries, fx.data);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->query_count, 1u);
   EXPECT_EQ(report->relative_query_count, 0u);
@@ -213,7 +218,8 @@ TEST(EvaluateRangeWorkloadTest, SkipsZeroOutputQueriesForRelativeError) {
 TEST(EvaluateRangeWorkloadTest, RejectsEmptyTruth) {
   UniformFixture fx;
   EXPECT_FALSE(
-      EvaluateRangeWorkload(fx.histogram, std::vector<RangeQuery>{}, ValueSet())
+      EvaluateRangeWorkload(EquiHeightModel(fx.histogram),
+                            std::vector<RangeQuery>{}, ValueSet())
           .ok());
 }
 

@@ -143,8 +143,12 @@ TEST(EdgeCaseTest, AllDuplicateColumnThroughTheWholeStack) {
   const auto index = OrderedIndex::Build(*table);
   ASSERT_TRUE(index.ok());
   IoStats io;
-  EXPECT_EQ(index->RangeScan(*table, {6, 7}, &io), 10000u);
-  EXPECT_EQ(index->RangeScan(*table, {7, 8}, nullptr), 0u);
+  const auto hit = index->RangeScanChecked(*table, {6, 7}, &io);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, 10000u);
+  const auto miss = index->RangeScanChecked(*table, {7, 8}, nullptr);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(*miss, 0u);
 }
 
 TEST(EdgeCaseTest, ManagerHandlesTinyTables) {
@@ -164,7 +168,8 @@ TEST(EdgeCaseTest, PlannerDegeneratesSafelyOnOnePageTables) {
   ASSERT_TRUE(table.ok());
   const auto stats = BuildStatisticsFullScan(*table, 2);
   ASSERT_TRUE(stats.ok());
-  const auto choice = ChooseAccessPath(*stats, {0, 3}, table->page_count(),
+  const auto choice = ChooseAccessPath(*stats->model, {0, 3},
+                                       table->page_count(),
                                        table->tuples_per_page());
   // One page: the full scan costs one sequential read and must win.
   EXPECT_EQ(choice.path, AccessPath::kFullScan);

@@ -22,6 +22,7 @@
 #include "distinct/estimators.h"
 #include "sampling/block_sampler.h"
 #include "sampling/row_sampler.h"
+#include "stats/histogram_backends.h"
 #include "storage/table.h"
 
 namespace equihist {
@@ -115,7 +116,7 @@ TEST(EndToEndTest, AnalyzePipelineOverPagedTable) {
   RangeWorkloadGenerator gen(&truth, 5);
   const auto queries = gen.UniformRanges(200);
   const auto report =
-      EvaluateRangeWorkload(result->histogram, queries, truth);
+      EvaluateRangeWorkload(EquiHeightModel(result->histogram), queries, truth);
   ASSERT_TRUE(report.ok());
   const double bound = MaxErrorHistogramAbsoluteErrorBound(
       n, options.k, std::max(errors->f_max, options.f));

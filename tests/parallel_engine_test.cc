@@ -225,9 +225,10 @@ TEST(ParallelSamplingTest, ParallelFullScanMatchesSequential) {
   Table table = MakeTable(60000);
   ThreadPool pool(4);
   IoStats serial_io, parallel_io;
-  const auto serial = FullScan(table, &serial_io);
-  const auto parallel = FullScan(table, &parallel_io, &pool);
-  EXPECT_EQ(serial, parallel);
+  const auto serial = FullScanChecked(table, &serial_io);
+  const auto parallel = FullScanChecked(table, &parallel_io, &pool);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  EXPECT_EQ(*serial, *parallel);
   EXPECT_EQ(serial_io.pages_read, parallel_io.pages_read);
   EXPECT_EQ(serial_io.tuples_read, parallel_io.tuples_read);
 }

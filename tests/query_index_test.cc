@@ -59,7 +59,10 @@ TEST(OrderedIndexTest, RangeScanMatchesCountAndChargesPages) {
   Fixture fx;
   const RangeQuery q{100, 200};
   IoStats stats;
-  const std::uint64_t rows = fx.index.RangeScan(fx.table, q, &stats);
+  const Result<std::uint64_t> scanned =
+      fx.index.RangeScanChecked(fx.table, q, &stats);
+  ASSERT_TRUE(scanned.ok());
+  const std::uint64_t rows = *scanned;
   EXPECT_EQ(rows, fx.truth.CountInRange(q.lo, q.hi));
   EXPECT_EQ(stats.tuples_read, rows);
   // Pages touched: at most one table page per match plus the leaves, and
@@ -71,7 +74,10 @@ TEST(OrderedIndexTest, RangeScanMatchesCountAndChargesPages) {
 TEST(OrderedIndexTest, EmptyRangeTouchesNothing) {
   Fixture fx;
   IoStats stats;
-  EXPECT_EQ(fx.index.RangeScan(fx.table, {10000, 20000}, &stats), 0u);
+  const Result<std::uint64_t> rows =
+      fx.index.RangeScanChecked(fx.table, {10000, 20000}, &stats);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, 0u);
   EXPECT_EQ(stats.pages_read, 0u);
   EXPECT_EQ(stats.tuples_read, 0u);
 }
@@ -79,14 +85,14 @@ TEST(OrderedIndexTest, EmptyRangeTouchesNothing) {
 TEST(OrderedIndexTest, NarrowRangeIsFarCheaperThanScan) {
   Fixture fx;
   IoStats index_io;
-  fx.index.RangeScan(fx.table, {100, 102}, &index_io);
+  ASSERT_TRUE(fx.index.RangeScanChecked(fx.table, {100, 102}, &index_io).ok());
   EXPECT_LT(index_io.pages_read, fx.table.page_count() / 4);
 }
 
-// Regression: Build and RangeScan used to check ReadPage results only
+// Regression: Build and the range scan used to check ReadPage results only
 // with assert(), so on faulty storage a release build dereferenced an
 // empty Result. Both now retry transient faults and propagate permanent
-// ones (RangeScan through RangeScanChecked).
+// ones.
 
 TEST(OrderedIndexFaultTest, BuildPropagatesLostPage) {
   const auto freq = MakeAllDistinct(100);
@@ -132,18 +138,34 @@ TEST(OrderedIndexFaultTest, RangeScanCheckedPropagatesLostPage) {
 }
 
 TEST(OrderedIndexFaultTest, RangeScanCheckedMatchesRangeScanWhenFaultFree) {
+  // On fault-free storage the scan returns the plain count over the
+  // table's values and bills the leaves its entries span plus each table
+  // page holding a match, once, and one tuple per match.
   Fixture fx;
   const RangeQuery q{100, 200};
-  IoStats unchecked_io;
-  const std::uint64_t unchecked = fx.index.RangeScan(fx.table, q,
-                                                     &unchecked_io);
-  IoStats checked_io;
+  std::uint64_t rows = 0;
+  std::uint64_t pages_with_match = 0;
+  for (std::uint64_t page_id = 0; page_id < fx.table.page_count();
+       ++page_id) {
+    const Page* page = fx.table.file().ReadPage(page_id, nullptr).value();
+    std::uint64_t page_rows = 0;
+    for (std::uint32_t slot = 0; slot < page->size(); ++slot) {
+      if (q.lo < page->at(slot) && page->at(slot) <= q.hi) ++page_rows;
+    }
+    rows += page_rows;
+    pages_with_match += page_rows > 0 ? 1 : 0;
+  }
+  const std::uint64_t first = fx.truth.CountLessEqual(q.lo);
+  const std::uint64_t last = fx.truth.CountLessEqual(q.hi);
+  ASSERT_GT(last, first);
+  const std::uint64_t leaves = (last - 1) / 64 - first / 64 + 1;
+  IoStats io;
   const Result<std::uint64_t> checked =
-      fx.index.RangeScanChecked(fx.table, q, &checked_io);
+      fx.index.RangeScanChecked(fx.table, q, &io);
   ASSERT_TRUE(checked.ok());
-  EXPECT_EQ(*checked, unchecked);
-  EXPECT_EQ(checked_io.pages_read, unchecked_io.pages_read);
-  EXPECT_EQ(checked_io.tuples_read, unchecked_io.tuples_read);
+  EXPECT_EQ(*checked, rows);
+  EXPECT_EQ(io.pages_read, leaves + pages_with_match);
+  EXPECT_EQ(io.tuples_read, rows);
 }
 
 TEST(OrderedIndexTest, Validation) {

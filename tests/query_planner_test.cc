@@ -1,6 +1,7 @@
 #include "query/planner.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +34,14 @@ struct Fixture {
   ColumnStatistics stats;
 };
 
+// Runs `query` alone: the plan executor's batch of one.
+Result<BatchExecutionResult> ExecuteOne(const Fixture& fx,
+                                        const RangeQuery& query,
+                                        AccessPath path) {
+  return ExecutePlansChecked(fx.table, fx.index,
+                             std::span<const RangeQuery>(&query, 1), path);
+}
+
 TEST(YaoTest, BoundaryBehaviour) {
   EXPECT_DOUBLE_EQ(YaoPagesTouched(100, 10, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(YaoPagesTouched(0, 10, 5.0), 0.0);
@@ -54,7 +63,7 @@ TEST(YaoTest, MonotoneInMatches) {
 
 TEST(PlannerTest, NarrowQueryChoosesIndex) {
   Fixture fx;
-  const auto choice = ChooseAccessPath(fx.stats, {100, 200},
+  const auto choice = ChooseAccessPath(*fx.stats.model, {100, 200},
                                        fx.table.page_count(),
                                        fx.table.tuples_per_page());
   EXPECT_EQ(choice.path, AccessPath::kIndexRangeScan);
@@ -64,7 +73,7 @@ TEST(PlannerTest, NarrowQueryChoosesIndex) {
 
 TEST(PlannerTest, WideQueryChoosesFullScan) {
   Fixture fx;
-  const auto choice = ChooseAccessPath(fx.stats, {0, 90000},
+  const auto choice = ChooseAccessPath(*fx.stats.model, {0, 90000},
                                        fx.table.page_count(),
                                        fx.table.tuples_per_page());
   EXPECT_EQ(choice.path, AccessPath::kFullScan);
@@ -82,16 +91,16 @@ TEST(PlannerTest, ChoiceMatchesTrueOptimumAcrossSelectivities) {
   for (std::uint64_t width : {100u, 500u, 1000u, 2000u, 5000u, 10000u,
                               20000u, 50000u, 90000u}) {
     const RangeQuery q{1000, static_cast<Value>(1000 + width)};
-    const auto choice = ChooseAccessPath(fx.stats, q, fx.table.page_count(),
-                                         fx.table.tuples_per_page());
-    const auto via_index =
-        ExecutePlan(fx.table, fx.index, q, AccessPath::kIndexRangeScan);
-    const auto via_scan =
-        ExecutePlan(fx.table, fx.index, q, AccessPath::kFullScan);
-    EXPECT_EQ(via_index.rows, via_scan.rows);
-    const double index_cost = static_cast<double>(via_index.io.pages_read) *
+    const auto choice =
+        ChooseAccessPath(*fx.stats.model, q, fx.table.page_count(),
+                         fx.table.tuples_per_page());
+    const auto via_index = ExecuteOne(fx, q, AccessPath::kIndexRangeScan);
+    const auto via_scan = ExecuteOne(fx, q, AccessPath::kFullScan);
+    ASSERT_TRUE(via_index.ok() && via_scan.ok());
+    EXPECT_EQ(via_index->rows, via_scan->rows);
+    const double index_cost = static_cast<double>(via_index->io.pages_read) *
                               cost_model.random_page_cost;
-    const double scan_cost = static_cast<double>(via_scan.io.pages_read) *
+    const double scan_cost = static_cast<double>(via_scan->io.pages_read) *
                              cost_model.sequential_page_cost;
     const AccessPath truly_cheaper = (index_cost < scan_cost)
                                          ? AccessPath::kIndexRangeScan
@@ -109,64 +118,54 @@ TEST(PlannerTest, ChoiceMatchesTrueOptimumAcrossSelectivities) {
 TEST(PlannerTest, ExecuteFullScanCountsExactly) {
   Fixture fx;
   const RangeQuery q{500, 700};
-  const auto result =
-      ExecutePlan(fx.table, fx.index, q, AccessPath::kFullScan);
-  EXPECT_EQ(result.rows, fx.truth.CountInRange(q.lo, q.hi));
-  EXPECT_EQ(result.io.pages_read, fx.table.page_count());
+  const auto result = ExecuteOne(fx, q, AccessPath::kFullScan);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->rows, std::vector<std::uint64_t>{
+                              fx.truth.CountInRange(q.lo, q.hi)});
+  EXPECT_EQ(result->io.pages_read, fx.table.page_count());
 }
 
 TEST(PlannerTest, ExecutePlanCheckedMatchesExecutePlanWhenFaultFree) {
+  // On fault-free storage a batch of one answers both arms with the plain
+  // count over the table's values; the full scan bills every page once and
+  // the index arm bills what its range scan reads.
   Fixture fx;
   const RangeQuery q{500, 700};
-  for (const AccessPath path :
-       {AccessPath::kIndexRangeScan, AccessPath::kFullScan}) {
-    const auto unchecked = ExecutePlan(fx.table, fx.index, q, path);
-    const auto checked = ExecutePlanChecked(fx.table, fx.index, q, path);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_EQ(checked->rows, unchecked.rows);
-    EXPECT_EQ(checked->io.pages_read, unchecked.io.pages_read);
+  std::uint64_t rows = 0;
+  for (const Value v : fx.truth.sorted_values()) {
+    if (q.lo < v && v <= q.hi) ++rows;
   }
+  IoStats index_io;
+  ASSERT_TRUE(fx.index.RangeScanChecked(fx.table, q, &index_io).ok());
+  const auto scan = ExecuteOne(fx, q, AccessPath::kFullScan);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->rows, std::vector<std::uint64_t>{rows});
+  EXPECT_EQ(scan->io.pages_read, fx.table.page_count());
+  const auto index = ExecuteOne(fx, q, AccessPath::kIndexRangeScan);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->rows, std::vector<std::uint64_t>{rows});
+  EXPECT_EQ(index->io.pages_read, index_io.pages_read);
+  EXPECT_EQ(index->io.tuples_read, index_io.tuples_read);
 }
 
 TEST(PlannerTest, ExecutePlanCheckedPropagatesLostPageOnBothArms) {
+  // A lost page fails a batch of one and a batch of many alike, on both
+  // arms, with the page's kDataLoss.
   Fixture fx;
   FaultSpec spec;
   spec.lost_pages = {0};
   FaultInjector injector(spec);
   fx.table.set_fault_injector(&injector);
   const RangeQuery everything{-5, 1000000};
+  const std::vector<RangeQuery> many = {{100, 200}, everything, {0, 90000}};
   for (const AccessPath path :
        {AccessPath::kIndexRangeScan, AccessPath::kFullScan}) {
-    const auto result = ExecutePlanChecked(fx.table, fx.index, everything,
-                                           path);
-    ASSERT_FALSE(result.ok()) << AccessPathToString(path);
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  }
-}
-
-TEST(PlannerTest, BatchChoicesMatchPerQueryChoices) {
-  // The batch planner is the per-query planner, fused: every PlanChoice
-  // field (including the costs, which feed the decision) is bitwise what
-  // the scalar entry point computes.
-  Fixture fx;
-  std::vector<RangeQuery> queries;
-  for (std::uint64_t width : {10u, 100u, 1000u, 20000u, 90000u}) {
-    for (Value lo : {0, 5000, 50000}) {
-      queries.push_back({lo, lo + static_cast<Value>(width)});
-    }
-  }
-  const auto batch =
-      ChooseAccessPaths(*fx.stats.model, queries, fx.table.page_count(),
-                        fx.table.tuples_per_page());
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto single =
-        ChooseAccessPath(*fx.stats.model, queries[i], fx.table.page_count(),
-                         fx.table.tuples_per_page());
-    EXPECT_EQ(batch[i].path, single.path) << "query " << i;
-    EXPECT_EQ(batch[i].estimated_rows, single.estimated_rows);
-    EXPECT_EQ(batch[i].full_scan_cost, single.full_scan_cost);
-    EXPECT_EQ(batch[i].index_scan_cost, single.index_scan_cost);
+    const auto one = ExecuteOne(fx, everything, path);
+    ASSERT_FALSE(one.ok()) << AccessPathToString(path);
+    EXPECT_EQ(one.status().code(), StatusCode::kDataLoss);
+    const auto batch = ExecutePlansChecked(fx.table, fx.index, many, path);
+    ASSERT_FALSE(batch.ok()) << AccessPathToString(path);
+    EXPECT_EQ(batch.status().code(), StatusCode::kDataLoss);
   }
 }
 
@@ -207,10 +206,9 @@ TEST(PlannerTest, BatchFullScanAnswersAllQueriesWithOneScan) {
     EXPECT_EQ(batch->rows[i],
               fx.truth.CountInRange(queries[i].lo, queries[i].hi))
         << "query " << i;
-    const auto single = ExecutePlanChecked(fx.table, fx.index, queries[i],
-                                           AccessPath::kFullScan);
+    const auto single = ExecuteOne(fx, queries[i], AccessPath::kFullScan);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch->rows[i], single->rows);
+    EXPECT_EQ(single->rows, std::vector<std::uint64_t>{batch->rows[i]});
   }
 }
 
@@ -223,10 +221,11 @@ TEST(PlannerTest, BatchIndexArmMatchesPerQueryScans) {
   ASSERT_TRUE(batch.ok());
   std::uint64_t per_query_pages = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto single = ExecutePlanChecked(fx.table, fx.index, queries[i],
-                                           AccessPath::kIndexRangeScan);
+    const auto single =
+        ExecuteOne(fx, queries[i], AccessPath::kIndexRangeScan);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch->rows[i], single->rows) << "query " << i;
+    EXPECT_EQ(single->rows, std::vector<std::uint64_t>{batch->rows[i]})
+        << "query " << i;
     per_query_pages += single->io.pages_read;
   }
   // The batch I/O bill is the sum of the individual scans — no hidden

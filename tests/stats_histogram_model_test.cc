@@ -1,7 +1,7 @@
 // Tests for the pluggable HistogramModel backend layer: golden-blob
 // compatibility with serialization format v1, per-backend container
-// round-trips, every backend's batch path against its per-query loop, a
-// byte-level corruption matrix over the wire format, and the
+// round-trips, a byte-level corruption matrix over the wire format, the
+// workload scorer's report bits, and the
 // end-to-end acceptance check that an externally registered backend serves
 // through StatisticsManager, the planner, and serialization without any
 // change to those components.
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/histogram.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
@@ -216,7 +215,7 @@ TEST(HistogramModelGoldenTest, V2GmpSnapshotBlobDecodesIdentically) {
   SerializeHistogramModel(**restored, &again);
   EXPECT_EQ(again, bytes);
   // ...and estimates exactly as an equi-height model over the same
-  // histogram, bit for bit, one query at a time and in a batch.
+  // histogram, bit for bit, query by query.
   const EquiHeightModel equi(GoldenHistogram());
   EXPECT_EQ((*restored)->total(), equi.total());
   EXPECT_EQ((*restored)->bucket_count(), equi.bucket_count());
@@ -226,17 +225,9 @@ TEST(HistogramModelGoldenTest, V2GmpSnapshotBlobDecodesIdentically) {
   for (Value lo = -110; lo <= 110; lo += 7) {
     for (Value hi = -110; hi <= 110; hi += 5) queries.push_back({lo, hi});
   }
-  std::vector<double> batch(queries.size());
-  std::vector<double> reference(queries.size());
-  (*restored)->EstimateRangeCounts(queries, batch);
-  equi.EstimateRangeCounts(queries, reference);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const RangeQuery& q = queries[i];
+  for (const RangeQuery& q : queries) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>((*restored)->EstimateRangeCount(q)),
               std::bit_cast<std::uint64_t>(equi.EstimateRangeCount(q)))
-        << "(" << q.lo << ", " << q.hi << "]";
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
-              std::bit_cast<std::uint64_t>(reference[i]))
         << "(" << q.lo << ", " << q.hi << "]";
   }
 }
@@ -381,98 +372,6 @@ TEST(HistogramModelRoundTripTest, TrailingGarbageIsRejected) {
     EXPECT_TRUE(DeserializeHistogramModel(bytes, &consumed).ok())
         << backend->name;
     EXPECT_EQ(consumed, bytes.size() - 1) << backend->name;
-  }
-}
-
-// -- Batch path --------------------------------------------------------------
-
-constexpr Value kValueMin = std::numeric_limits<Value>::min();
-constexpr Value kValueMax = std::numeric_limits<Value>::max();
-
-// Bit-level comparison: catches sign-of-zero and NaN-payload divergence
-// that operator== would wave through.
-::testing::AssertionResult BitEqual(double a, double b) {
-  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << a << " (0x" << std::hex << std::bit_cast<std::uint64_t>(a)
-         << ") != " << std::dec << b << " (0x" << std::hex
-         << std::bit_cast<std::uint64_t>(b) << ")";
-}
-
-// Separator-aligned, fence-overshooting, empty, reversed and
-// out-of-domain queries.
-RangeQuery RandomQuery(Rng& rng, Value lf, Value uf,
-                       const std::vector<Value>& seps) {
-  switch (rng.NextInRange(0, 5)) {
-    case 0: {
-      if (!seps.empty()) {
-        const Value a = seps[static_cast<std::size_t>(
-            rng.NextInRange(0, static_cast<std::int64_t>(seps.size()) - 1))];
-        const Value b = seps[static_cast<std::size_t>(
-            rng.NextInRange(0, static_cast<std::int64_t>(seps.size()) - 1))];
-        return {std::min(a, b), std::max(a, b)};
-      }
-      return {lf, uf};
-    }
-    case 1:
-      return {lf == kValueMin ? kValueMin : lf - 1,
-              uf == kValueMax ? kValueMax : uf + 1};
-    case 2: {
-      const Value v = rng.NextInRange(lf, uf);
-      return rng.NextDouble() < 0.5
-                 ? RangeQuery{v, v}
-                 : RangeQuery{std::max(v, lf + 1), std::max(v, lf + 1) - 1};
-    }
-    case 3: {
-      return rng.NextDouble() < 0.5
-                 ? RangeQuery{uf, uf == kValueMax ? kValueMax : uf + 100}
-                 : RangeQuery{lf == kValueMin ? kValueMin : lf - 100, lf};
-    }
-    default: {
-      const Value a = rng.NextInRange(lf, uf);
-      const Value b = rng.NextInRange(lf, uf);
-      return {std::min(a, b), std::max(a, b)};
-    }
-  }
-}
-
-// Every registered backend (built-ins and whatever else the process added)
-// honours the batch contract bitwise: EstimateRangeCounts over any pool
-// equals the per-query loop.
-TEST(VectorizedEstimatorTest, AllBackendsBatchBitwiseEqualsLoop) {
-  Rng rng(1337);
-  ThreadPool pool(3);
-  std::vector<Value> sample;
-  for (int i = 0; i < 4000; ++i) {
-    sample.push_back(rng.NextInRange(-100000, 100000));
-  }
-  // A heavy duplicated run so the compressed backend has a singleton.
-  for (int i = 0; i < 800; ++i) sample.push_back(777);
-  std::sort(sample.begin(), sample.end());
-
-  for (const HistogramBackendId id : HistogramBackendRegistry::Global().Ids()) {
-    const auto backend = HistogramBackendRegistry::Global().Find(id).value();
-    if (!backend.build_from_sample) continue;  // decode-only
-    const auto built = backend.build_from_sample(sample, 50, 48000);
-    ASSERT_TRUE(built.ok()) << backend.name << ": " << built.status();
-    const HistogramModelPtr model = built.value();
-    std::vector<RangeQuery> queries;
-    for (int i = 0; i < 600; ++i) {
-      queries.push_back(RandomQuery(rng, model->lower_fence(),
-                                    model->upper_fence(), {}));
-    }
-    std::vector<double> batch(queries.size()), pooled(queries.size());
-    model->EstimateRangeCounts(queries, batch, nullptr);
-    model->EstimateRangeCounts(queries, pooled, &pool);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const double single = model->EstimateRangeCount(queries[i]);
-      ASSERT_TRUE(BitEqual(batch[i], single))
-          << backend.name << " batch vs loop at " << i;
-      ASSERT_TRUE(BitEqual(pooled[i], single))
-          << backend.name << " pooled batch vs loop at " << i;
-    }
   }
 }
 
@@ -723,6 +622,74 @@ TEST(ExternalBackendTest, WorkloadEvaluationGoesThroughTheInterface) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Uniform assumption on all-distinct uniform data: near-exact.
   EXPECT_LT(report->max_absolute_error, 2.0);
+}
+
+
+// -- Workload scoring --------------------------------------------------------
+
+// The spiky, INT64-fenced histogram of CompiledEstimatorTest's golden test,
+// scored over 200 point, 200 narrow and 200 wide queries against a fixed
+// truth. The expected bits were recorded from the Histogram overload of
+// EvaluateRangeWorkload, which compiled the histogram itself; scoring an
+// EquiHeightModel over it must keep every field.
+TEST(WorkloadScoringTest, GoldenReportBitsOnAFixedSpikyHistogram) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const std::vector<Value> separators = {
+      kMin, kMin, -4'000'000'000'000'000'000, -7'777'777,
+      -1000, -1000, -1000, -3, 0, 0, 17, 250, 250, 99'991,
+      1'000'000'007, 3'000'000'000'000'000'000, kMax - 1};
+  std::vector<std::uint64_t> counts;
+  for (std::size_t j = 0; j <= separators.size(); ++j) {
+    counts.push_back(37 + 1009 * ((j * 7) % 11) + (j % 3) * 250'000);
+  }
+  const Histogram histogram =
+      Histogram::Create(separators, counts, kMin, kMax).value();
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  const auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  // Half the draws sit on a separator (+-1), where the spikes' heavy
+  // values live; half are raw 64-bit draws.
+  const auto draw = [&]() -> Value {
+    const std::uint64_t r = next();
+    if ((r >> 63) != 0) return static_cast<Value>(next());
+    const Value s = separators[(r >> 8) % separators.size()];
+    const int nudge = static_cast<int>((r >> 4) % 3) - 1;
+    if (nudge < 0 && s == kMin) return s;
+    if (nudge > 0 && s == kMax) return s;
+    return s + nudge;
+  };
+  std::vector<Value> values;
+  for (int i = 0; i < 4000; ++i) values.push_back(draw());
+  const ValueSet truth(std::move(values));
+  std::vector<RangeQuery> queries;
+  for (int q = 0; q < 600; ++q) {
+    const Value x = draw();
+    if (q % 3 == 0) {  // point: (x - 1, x]
+      queries.push_back({x == kMin ? kMin : x - 1, x});
+    } else if (q % 3 == 1) {  // narrow: (x - w, x] with w below 2^10
+      const auto width = static_cast<Value>(1 + (next() >> 54));
+      queries.push_back({x > kMin + width ? x - width : kMin, x});
+    } else {  // wide: both ends anywhere
+      const Value y = draw();
+      queries.push_back({std::min(x, y), std::max(x, y)});
+    }
+  }
+  const auto report =
+      EvaluateRangeWorkload(EquiHeightModel(histogram), queries, truth);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->query_count, 600u);
+  EXPECT_EQ(report->relative_query_count, 378u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report->max_absolute_error),
+            0x414d242146f4f901ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report->mean_absolute_error),
+            0x41205704ca90e396ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report->max_relative_error),
+            0x40c59d642c8590b2ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report->mean_relative_error),
+            0x409117fe1f18c75bull);
 }
 
 }  // namespace

@@ -32,9 +32,10 @@ TEST(TableTest, CreateFromFrequenciesAppliesLayout) {
                              {.kind = LayoutKind::kSorted});
   ASSERT_TRUE(table.ok());
   IoStats stats;
-  const std::vector<Value> scanned = FullScan(*table, &stats);
-  EXPECT_TRUE(std::is_sorted(scanned.begin(), scanned.end()));
-  EXPECT_EQ(scanned.size(), 100u);
+  const auto scanned = FullScanChecked(*table, &stats);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_TRUE(std::is_sorted(scanned->begin(), scanned->end()));
+  EXPECT_EQ(scanned->size(), 100u);
 }
 
 TEST(TableTest, FullScanReadsEveryPageOnce) {
@@ -42,8 +43,9 @@ TEST(TableTest, FullScanReadsEveryPageOnce) {
                                        PageConfig{8192, 64});
   ASSERT_TRUE(table.ok());
   IoStats stats;
-  const std::vector<Value> scanned = FullScan(*table, &stats);
-  EXPECT_EQ(scanned.size(), 1000u);
+  const auto scanned = FullScanChecked(*table, &stats);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->size(), 1000u);
   EXPECT_EQ(stats.pages_read, table->page_count());
   EXPECT_EQ(stats.tuples_read, 1000u);
 }
@@ -52,7 +54,9 @@ TEST(TableTest, FullScanPreservesLayoutOrder) {
   const std::vector<Value> values = {9, 1, 8, 2, 7, 3};
   auto table = Table::CreateFromValues(values, PageConfig{32, 8});
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ(FullScan(*table, nullptr), values);
+  const auto scanned = FullScanChecked(*table, nullptr);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(*scanned, values);
 }
 
 TEST(TableTest, MoveSemantics) {
