@@ -54,7 +54,7 @@ inline constexpr Rank kConnectionWrite{
     "SocketTransportServer::Connection::write_mu", 50};
 inline constexpr Rank kBuildScheduler{"BuildScheduler::mu_", 70};
 inline constexpr Rank kShardBuild{"StatisticsShard::Entry::build_mu", 80};
-// Leaf: the PR-7 invariant "maintenance.mu never nests with the shard's
+// Leaf: the invariant "maintenance.mu never nests with the shard's
 // mu_ in either direction" — enforced, not commented. Holding it, no
 // ranked lock may be acquired; rank order forbids the reverse nesting.
 inline constexpr Rank kShardMaintenance{

@@ -26,9 +26,7 @@ std::vector<Value> QuantileSeparators(SortedView sorted, std::uint64_t k) {
 // keeps its true (scaled) share — which is what the estimation quality
 // metrics and the range estimator need, and what real systems persist.
 std::vector<std::uint64_t> ScaledCounts(
-    const std::vector<std::uint64_t>& sample_counts, std::uint64_t sample_size,
-    std::uint64_t total) {
-  (void)sample_size;  // the proportional shares carry the normalization
+    const std::vector<std::uint64_t>& sample_counts, std::uint64_t total) {
   std::vector<double> weights;
   weights.reserve(sample_counts.size());
   for (std::uint64_t c : sample_counts) {
@@ -104,8 +102,7 @@ Result<Histogram> BuildHistogramFromSeparators(SortedView sorted_sample,
     return Status::InvalidArgument("population_size must be positive");
   }
   std::vector<std::uint64_t> claimed = ScaledCounts(
-      SamplePartitionCounts(sorted_sample, separators),
-      sorted_sample.size(), population_size);
+      SamplePartitionCounts(sorted_sample, separators), population_size);
   return Histogram::Create(std::move(separators), std::move(claimed),
                            LowerFenceFor(sorted_sample.front()),
                            sorted_sample.back());

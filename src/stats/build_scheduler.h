@@ -24,7 +24,7 @@ namespace equihist {
 // (DESIGN.md §16): the fleet's answer to "thousands of columns want a
 // rebuild, storage can afford a few at a time".
 //
-// Queue order is driven by the PR-4 health signal and DML pressure:
+// Queue order is driven by column health (DESIGN.md §11) and DML pressure:
 //   1. Health class first — kDegraded beats kStale beats kFresh. A column
 //      serving the uniform fallback (or nothing) is strictly more urgent
 //      than one serving a stale snapshot, which beats a warm-up build.
@@ -34,10 +34,10 @@ namespace equihist {
 //   3. DML pressure within a table — highest modified-fraction first.
 //
 // Admission: at most `max_inflight` builds run at once on the scheduler's
-// ThreadPool (PR 1); the rest wait in the queue. Re-requesting a build
-// that is still queued coalesces into the queued entry (severity and
-// pressure are raised to the max of the two) instead of queueing twice; a
-// build that is already *running* does not absorb new requests — the new
+// ThreadPool; the rest wait in the queue. Re-requesting a build that is
+// still queued coalesces into the queued entry (severity and pressure are
+// raised to the max of the two) instead of queueing twice; a build that
+// is already *running* does not absorb new requests — the new
 // request queues behind it, because the running build may not reflect the
 // DML that motivated the re-request.
 //

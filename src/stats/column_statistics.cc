@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 
 #include "common/parallel_sort.h"
@@ -60,31 +59,6 @@ Result<ColumnStatistics> StatisticsFromCvb(CvbResult& result,
   stats.from_full_scan = false;
   stats.sample_size = result.tuples_sampled;
   stats.build_cost = result.io;
-  return stats;
-}
-
-// Everything but the model of a full-scan build: the column, read with
-// `retry` and sorted into `sorted`, and its exact statistics.
-Result<ColumnStatistics> FullScanStatistics(const Table& table,
-                                            std::uint64_t buckets,
-                                            ThreadPool* pool,
-                                            const RetryPolicy& retry,
-                                            std::vector<Value>& sorted) {
-  IoStats io;
-  // Fault-aware scan: transient faults retried, permanent ones surface as
-  // typed errors the StatisticsManager's degraded-serving layer absorbs.
-  EQUIHIST_ASSIGN_OR_RETURN(sorted, FullScanChecked(table, &io, pool, retry));
-  if (sorted.empty()) {
-    return Status::FailedPrecondition("table is empty");
-  }
-  ParallelSort(sorted, pool);
-  ColumnStatistics stats;
-  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
-      sorted, buckets, sorted.size(), /*sampled=*/false, stats));
-  stats.row_count = sorted.size();
-  stats.from_full_scan = true;
-  stats.sample_size = sorted.size();
-  stats.build_cost = io;
   return stats;
 }
 
@@ -176,10 +150,22 @@ Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
                                                  std::uint64_t buckets,
                                                  ThreadPool* pool,
                                                  const RetryPolicy& retry) {
-  std::vector<Value> sorted;
-  EQUIHIST_ASSIGN_OR_RETURN(
-      ColumnStatistics stats,
-      FullScanStatistics(table, buckets, pool, retry, sorted));
+  IoStats io;
+  // Fault-aware scan: transient faults are retried, permanent ones surface
+  // as typed errors.
+  EQUIHIST_ASSIGN_OR_RETURN(std::vector<Value> sorted,
+                            FullScanChecked(table, &io, pool, retry));
+  if (sorted.empty()) {
+    return Status::FailedPrecondition("table is empty");
+  }
+  ParallelSort(sorted, pool);
+  ColumnStatistics stats;
+  EQUIHIST_RETURN_IF_ERROR(SetSampleStatistics(
+      sorted, buckets, sorted.size(), /*sampled=*/false, stats));
+  stats.row_count = sorted.size();
+  stats.from_full_scan = true;
+  stats.sample_size = sorted.size();
+  stats.build_cost = io;
   // The ValueSet constructor detects the sorted input and skips its own
   // sequential sort.
   EQUIHIST_ASSIGN_OR_RETURN(
@@ -201,13 +187,6 @@ Result<ColumnStatistics> BuildStatisticsSampled(const Table& table,
 
 Result<ColumnStatistics> BuildStatisticsWithBackend(
     const Table& table, const BackendBuildOptions& options, ThreadPool* pool) {
-  // The paper's own pipeline for equi-height: CVB for sampled builds, the
-  // exact sort for full scans.
-  const bool equi_height = options.backend == HistogramBackendId::kEquiHeight;
-  if (equi_height && !options.prefer_sampling) {
-    return BuildStatisticsFullScan(table, options.buckets, pool,
-                                   options.retry);
-  }
   CvbOptions cvb;
   cvb.k = options.buckets;
   cvb.f = options.f;
@@ -216,50 +195,44 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
   cvb.threads = 1;  // the caller's pool is passed in explicitly
   cvb.retry = options.retry;
   cvb.max_skipped_blocks = options.max_skipped_blocks;
-  if (equi_height) return BuildStatisticsSampled(table, cvb, pool);
-
-  EQUIHIST_ASSIGN_OR_RETURN(
-      const HistogramBackendRegistry::Backend backend,
-      HistogramBackendRegistry::Global().Find(options.backend));
-  // A decode-only backend (id 3) has no builder: refuse before any read.
-  if (!backend.build_from_sample) {
-    return Status::InvalidArgument("backend '" + backend.name +
-                                   "' only decodes stored blobs; it has no "
-                                   "builder");
+  // The paper's own pipeline for equi-height.
+  if (options.backend == HistogramBackendId::kEquiHeight) {
+    return BuildStatisticsSampled(table, cvb, pool);
+  }
+  const bool incremental =
+      options.backend == HistogramBackendId::kIncrementalEquiDepth;
+  HistogramBackendRegistry::Backend backend;
+  if (!incremental) {
+    EQUIHIST_ASSIGN_OR_RETURN(
+        backend, HistogramBackendRegistry::Global().Find(options.backend));
+    // A decode-only backend (ids 3 and 4) has no builder: refuse before
+    // any read.
+    if (!backend.build_from_sample) {
+      return Status::InvalidArgument("backend '" + backend.name +
+                                     "' only decodes stored blobs; it has "
+                                     "no builder");
+    }
   }
   const std::uint64_t n = table.tuple_count();
-  // Every other backend builds from the same sorted sample: CVB's final
-  // one, expanded once, or the whole column.
+  EQUIHIST_ASSIGN_OR_RETURN(CvbResult result, RunCvb(table, cvb, pool));
+  EQUIHIST_ASSIGN_OR_RETURN(ColumnStatistics stats,
+                            StatisticsFromCvb(result, n));
+  // The rest build from CVB's final sample, expanded once into sorted
+  // values.
   std::vector<Value> sorted;
-  std::optional<Histogram> histogram;  // CVB's, on a sampled build
-  ColumnStatistics stats;
-  if (options.prefer_sampling) {
-    EQUIHIST_ASSIGN_OR_RETURN(CvbResult result, RunCvb(table, cvb, pool));
-    EQUIHIST_ASSIGN_OR_RETURN(stats, StatisticsFromCvb(result, n));
-    sorted.reserve(result.sample.size());
-    result.sample.view().ForEachDistinct(
-        [&sorted](Value value, std::uint64_t count) {
-          sorted.insert(sorted.end(), count, value);
-        });
-    histogram.emplace(std::move(result.histogram));
-  } else {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        stats, FullScanStatistics(table, options.buckets, pool, options.retry,
-                                  sorted));
-  }
-  if (options.backend != HistogramBackendId::kIncrementalEquiDepth) {
+  sorted.reserve(result.sample.size());
+  result.sample.view().ForEachDistinct(
+      [&sorted](Value value, std::uint64_t count) {
+        sorted.insert(sorted.end(), count, value);
+      });
+  if (!incremental) {
     EQUIHIST_ASSIGN_OR_RETURN(
         stats.model, backend.build_from_sample(sorted, options.buckets, n));
     return stats;
   }
-  // The incremental backend (DESIGN.md §15) publishes the sample's
-  // equi-height histogram, CVB's own when sampled, and seeds its backing
-  // reservoir from the same sample, so the model and its reservoir agree at
-  // birth.
-  if (!histogram) {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        histogram, BuildHistogramFromSample(sorted, options.buckets, n));
-  }
+  // The incremental backend (DESIGN.md §15) publishes CVB's histogram and
+  // seeds its backing reservoir from the same sample, so the model and its
+  // reservoir agree at birth.
   EQUIHIST_ASSIGN_OR_RETURN(
       BackingReservoir reservoir,
       BackingReservoir::Create(
@@ -267,7 +240,7 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
           options.seed));
   EQUIHIST_RETURN_IF_ERROR(reservoir.SeedFromSample(sorted, n));
   stats.model = std::make_shared<IncrementalEquiDepthModel>(
-      std::move(*histogram), std::move(reservoir));
+      std::move(result.histogram), std::move(reservoir));
   return stats;
 }
 

@@ -89,10 +89,11 @@ struct ColumnStatistics {
   std::string ToString() const;
 };
 
-// Builds exact statistics with a full scan and sort (the expensive
-// baseline the sampling path avoids). Transient read faults are retried per
-// `retry`. The I/O bill is recorded. With a pool, the scan and the sort
-// both run parallel; the result is identical for any thread count.
+// Builds exact statistics with a full scan and sort: the paper's exact
+// baseline, whose cost the sampling path avoids (Section 7). Transient
+// read faults are retried per `retry`. The I/O bill is recorded. With a
+// pool, the scan and the sort both run parallel; the result is identical
+// for any thread count.
 Result<ColumnStatistics> BuildStatisticsFullScan(
     const Table& table, std::uint64_t buckets, ThreadPool* pool = nullptr,
     const RetryPolicy& retry = {});
@@ -110,33 +111,27 @@ struct BackendBuildOptions {
   std::uint64_t buckets = 200;
   double f = 0.1;       // target relative max error (CVB)
   double gamma = 0.01;  // failure probability
-  // Sample with CVB rather than scanning everything.
-  bool prefer_sampling = true;
   std::uint64_t seed = 1;
   // Fault tolerance (DESIGN.md §11): transient-fault retry for every page
-  // read issued by the build, sampled or full scan, and CVB's skip budget:
-  // more than `max_skipped_blocks` permanently unreadable blocks fail a
-  // sampled build (a full scan fails on the first).
+  // read of the build's CVB run, and CVB's skip budget: more than
+  // `max_skipped_blocks` permanently unreadable blocks fail the build.
   RetryPolicy retry{};
   std::uint64_t max_skipped_blocks = 64;
   // Backing-sample size for the incremental-equi-depth backend (DESIGN.md
-  // §15): the reservoir keeps a uniform subset of this many values of the
-  // build's sample (CVB's, or the whole column), or all of a smaller
-  // sample. The effective capacity is never below `buckets`. Ignored by
-  // every other backend.
+  // §15): the reservoir keeps a uniform subset of this many values of CVB's
+  // final sample, or all of a smaller sample. The effective capacity is
+  // never below `buckets`. Ignored by every other backend.
   std::uint64_t reservoir_capacity = 4096;
 };
 
 // Builds statistics whose histogram comes from any registered backend.
-// Every sampled build runs CVB once and samples nothing else; a full scan
-// reads the column once. The equi-height backend delegates to
-// BuildStatisticsSampled / BuildStatisticsFullScan (bit-identical to
-// calling them directly). Every other backend takes density, distinct
-// estimate, heavy hitters and the bill exactly as equi-height does, and
-// builds its histogram from the same sample, sorted: the incremental
-// backend publishes CVB's histogram itself and seeds its reservoir from
-// the sample; the rest go through their registered builder. A decode-only
-// backend (no builder, e.g. id 3) fails with InvalidArgument before any
+// Every build runs CVB once and samples nothing else, and every backend
+// takes density, distinct estimate, heavy hitters and the bill from that
+// run. The equi-height backend is BuildStatisticsSampled (bit-identical to
+// calling it directly). The incremental backend publishes CVB's histogram
+// too and seeds its reservoir from CVB's sample. Every other backend goes
+// through its registered builder with that sample, sorted. A decode-only
+// backend (no builder: ids 3 and 4) fails with InvalidArgument before any
 // page is read.
 Result<ColumnStatistics> BuildStatisticsWithBackend(
     const Table& table, const BackendBuildOptions& options,

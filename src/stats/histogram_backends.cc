@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "core/histogram_builder.h"
 #include "stats/incremental_backend.h"
 #include "stats/wire_format.h"
 
@@ -284,16 +283,6 @@ void FallbackUniformModel::SerializePayload(
 
 namespace {
 
-Result<HistogramModelPtr> BuildEquiHeightFromSample(
-    std::span<const Value> sorted_sample, std::uint64_t buckets,
-    std::uint64_t population_size) {
-  EQUIHIST_ASSIGN_OR_RETURN(
-      Histogram histogram,
-      BuildHistogramFromSample(sorted_sample, buckets, population_size));
-  return HistogramModelPtr(
-      std::make_shared<EquiHeightModel>(std::move(histogram)));
-}
-
 Result<HistogramModelPtr> DeserializeEquiHeight(
     std::span<const std::uint8_t> payload, std::size_t* consumed) {
   EQUIHIST_ASSIGN_OR_RETURN(
@@ -408,22 +397,6 @@ Result<HistogramModelPtr> DeserializeCompressed(
       std::make_shared<CompressedModel>(std::move(histogram)));
 }
 
-Result<HistogramModelPtr> BuildFallbackUniformFromSample(
-    std::span<const Value> sorted_sample, std::uint64_t /*buckets*/,
-    std::uint64_t population_size) {
-  if (population_size == 0) {
-    return Status::InvalidArgument("population_size must be positive");
-  }
-  if (sorted_sample.empty()) {
-    // No data at all: the unknown-domain shape the degraded-serving path
-    // publishes from bare metadata.
-    return HistogramModelPtr(
-        std::make_shared<FallbackUniformModel>(population_size, 0, 0));
-  }
-  return HistogramModelPtr(std::make_shared<FallbackUniformModel>(
-      population_size, sorted_sample.front() - 1, sorted_sample.back()));
-}
-
 Result<HistogramModelPtr> DeserializeFallbackUniform(
     std::span<const std::uint8_t> payload, std::size_t* consumed) {
   wire::Reader reader(payload);
@@ -444,11 +417,13 @@ namespace internal {
 
 void RegisterBuiltinHistogramBackends(HistogramBackendRegistry& registry) {
   // A fresh registry cannot collide with itself; the Status results are
-  // asserted in debug builds only.
+  // asserted in debug builds only. Ids 1 and 2 build from CVB's sample;
+  // BuildStatisticsWithBackend publishes CVB's own histogram for ids 0 and
+  // 5, and ids 3 and 4 only decode.
   const Status s0 = registry.Register(
       HistogramBackendId::kEquiHeight,
       {.name = "equi-height",
-       .build_from_sample = BuildEquiHeightFromSample,
+       .build_from_sample = {},
        .deserialize_payload = DeserializeEquiHeight});
   const Status s1 = registry.Register(
       HistogramBackendId::kEquiWidth,
@@ -468,12 +443,12 @@ void RegisterBuiltinHistogramBackends(HistogramBackendRegistry& registry) {
   const Status s4 = registry.Register(
       HistogramBackendId::kFallbackUniform,
       {.name = "fallback-uniform",
-       .build_from_sample = BuildFallbackUniformFromSample,
+       .build_from_sample = {},
        .deserialize_payload = DeserializeFallbackUniform});
   const Status s5 = registry.Register(
       HistogramBackendId::kIncrementalEquiDepth,
       {.name = "incremental-equi-depth",
-       .build_from_sample = BuildIncrementalEquiDepthFromSample,
+       .build_from_sample = {},
        .deserialize_payload = DeserializeIncrementalEquiDepth});
   (void)s0;
   (void)s1;

@@ -134,6 +134,8 @@ class CompressedModel : public HistogramModel {
 // the unknown-domain sentinel (lower_fence == upper_fence, the shape the
 // manager builds from a bare row count) it answers any non-degenerate
 // range with the classical System-R magic selectivity of 1/3.
+// Decode-only: the shard constructs it itself (MakeFallbackSnapshot), so
+// its registry entry has no builder and no build can choose it.
 class FallbackUniformModel : public HistogramModel {
  public:
   static constexpr double kMagicRangeSelectivity = 1.0 / 3.0;

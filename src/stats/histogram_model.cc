@@ -51,16 +51,6 @@ Result<HistogramBackendRegistry::Backend> HistogramBackendRegistry::Find(
   return it->second;
 }
 
-Result<HistogramBackendId> HistogramBackendRegistry::IdForName(
-    std::string_view name) const {
-  MutexLock lock(mu_);
-  for (const auto& [id, backend] : backends_) {
-    if (backend.name == name) return id;
-  }
-  return Status::NotFound("no histogram backend named '" + std::string(name) +
-                          "'");
-}
-
 bool HistogramBackendRegistry::Has(HistogramBackendId id) const {
   MutexLock lock(mu_);
   return backends_.find(id) != backends_.end();

@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
@@ -79,7 +78,7 @@ class HistogramModel {
 
 using HistogramModelPtr = std::shared_ptr<const HistogramModel>;
 
-// The process-wide backend registry, keyed by HistogramBackendId. The four
+// The process-wide backend registry, keyed by HistogramBackendId. The six
 // built-in families are registered on first use; external code may register
 // additional backends at any time (thread-safe) and they immediately become
 // buildable through StatisticsManager and round-trippable through
@@ -89,11 +88,14 @@ class HistogramBackendRegistry {
   struct Backend {
     // Short stable name, e.g. "equi-height" (usable in configs/logs).
     std::string name;
-    // Builds a model from a sorted random sample of `population_size`
-    // tuples with a budget of `buckets` buckets, counts scaled to the
-    // population. Deterministic in its inputs. Empty for a decode-only
-    // backend, whose stored blobs still load and re-encode but which no
-    // build can choose (BuildStatisticsWithBackend rejects it).
+    // Builds a model from CVB's final sample, expanded into sorted values,
+    // of a column of `population_size` tuples, with a budget of `buckets`
+    // buckets and counts scaled to the population. Deterministic in its
+    // inputs. BuildStatisticsWithBackend calls it for ids 1 and 2 and for
+    // external backends. Ids 0 and 5 have none: they publish CVB's own
+    // histogram. Ids 3 and 4 have none either: they only decode, so their
+    // stored blobs load and re-encode but no build can choose them
+    // (BuildStatisticsWithBackend rejects them).
     std::function<Result<HistogramModelPtr>(
         std::span<const Value> sorted_sample, std::uint64_t buckets,
         std::uint64_t population_size)>
@@ -116,10 +118,6 @@ class HistogramBackendRegistry {
   // Looks up a backend (a copy, so no lock outlives the call); NotFound if
   // the id is unknown.
   Result<Backend> Find(HistogramBackendId id) const;
-
-  // Resolves a backend name ("equi-width", ...) to its id; NotFound if no
-  // backend has that name.
-  Result<HistogramBackendId> IdForName(std::string_view name) const;
 
   bool Has(HistogramBackendId id) const;
 

@@ -46,14 +46,10 @@ class IncrementalEquiDepthModel final : public EquiHeightModel {
   BackingReservoir reservoir_;
 };
 
-// Registry hooks (registered by RegisterBuiltinHistogramBackends under
-// HistogramBackendId::kIncrementalEquiDepth, name "incremental-equi-depth").
-// The build hook holds the whole sample in the reservoir (capacity =
-// max(sample size, buckets), fixed seed) so the build is deterministic in
-// the sample — the registry contract.
-Result<HistogramModelPtr> BuildIncrementalEquiDepthFromSample(
-    std::span<const Value> sorted_sample, std::uint64_t buckets,
-    std::uint64_t population_size);
+// The registry's decoder for HistogramBackendId::kIncrementalEquiDepth
+// (name "incremental-equi-depth"). The entry has no builder:
+// BuildStatisticsWithBackend publishes CVB's histogram and seeds the
+// reservoir from CVB's sample itself.
 Result<HistogramModelPtr> DeserializeIncrementalEquiDepth(
     std::span<const std::uint8_t> payload, std::size_t* consumed);
 

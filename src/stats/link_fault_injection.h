@@ -11,13 +11,11 @@ namespace equihist::transport {
 // Deterministic link-level fault injection for the fleet transport
 // (DESIGN.md §17) — the network-side sibling of the storage layer's
 // FaultInjector (storage/fault_injection.h). A LinkFaultInjector attached
-// to a Transport decides, per frame crossing the link, what the simulated
-// network does:
+// to a SocketTransport and its server decides, per frame crossing the
+// link, what the simulated network does:
 //
-//   kDrop      — the frame silently vanishes. On a socket link the peer
-//                never sees it and the waiting side times out against its
-//                deadline; the in-process link fails fast with
-//                kUnavailable (there is no wire to wait on).
+//   kDrop      — the frame silently vanishes: the peer never sees it and
+//                the waiting side times out against its deadline.
 //   kDelay     — the frame is delivered after a fixed injected delay,
 //                capped by the caller's remaining budget.
 //   kTruncate  — a strict prefix of the frame's bytes is delivered. The
@@ -119,10 +117,10 @@ class LinkFaultInjector {
   // True if `connection` is severed entirely.
   bool Partitioned(std::uint64_t connection) const;
 
-  // Deterministic mutators for the byte-level faults, shared by both
-  // transports so a given decision mangles the frame identically
-  // everywhere. Truncate keeps a strict prefix (possibly empty); corrupt
-  // XORs one byte with a nonzero seed-derived mask. No-ops on empty input.
+  // Deterministic mutators for the byte-level faults, so a given decision
+  // mangles the frame identically on every run. Truncate keeps a strict
+  // prefix (possibly empty); corrupt XORs one byte with a nonzero
+  // seed-derived mask. No-ops on empty input.
   void ApplyTruncate(std::uint64_t connection, std::uint64_t frame_index,
                      std::vector<std::uint8_t>& bytes) const;
   void ApplyCorrupt(std::uint64_t connection, std::uint64_t frame_index,

@@ -28,7 +28,7 @@ namespace equihist {
 //     on the calling thread, pinning each column once through the
 //     lock-free serving cache of the shard that owns it;
 //   - an async BuildScheduler with priority admission (degraded > stale >
-//     fresh, then DML pressure) on the PR-1 ThreadPool;
+//     fresh, then DML pressure) on a ThreadPool;
 //   - the fleetwire frame protocol (ServeFrame) for estimate and
 //     build-control messages;
 //   - a lock-free MetricsPlane per shard plus a fleet-level plane, all

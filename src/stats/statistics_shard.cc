@@ -89,12 +89,11 @@ Result<ColumnStatistics> StatisticsShard::Build(const std::string& column,
   build.buckets = options_.buckets;
   build.f = options_.f;
   build.gamma = options_.gamma;
-  build.prefer_sampling = options_.prefer_sampling;
   build.seed = seed;
   build.retry = options_.retry;
   build.max_skipped_blocks = options_.max_skipped_blocks;
   build.reservoir_capacity = options_.reservoir_capacity;
-  // Every backend's sampled build is one CVB run; the equi-height default
+  // Every backend's build is one CVB run; the equi-height default
   // publishes CVB's histogram, other backends build from its sample.
   return BuildStatisticsWithBackend(table, build, build_pool);
 }
@@ -311,7 +310,6 @@ void StatisticsShard::WarmMaintenance(Entry* entry,
   GmpOptions gmp;
   gmp.buckets = incremental->histogram().bucket_count();
   gmp.reservoir_capacity = incremental->reservoir().capacity();
-  gmp.seed = options_.seed;
   Result<IncrementalEquiDepth> live = IncrementalEquiDepth::FromState(
       gmp, incremental->histogram(), incremental->reservoir());
   // On failure the state stays cold and every refresh falls back to a

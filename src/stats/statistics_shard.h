@@ -103,25 +103,24 @@ class StatisticsShard {
  public:
   struct Options {
     std::uint64_t buckets = 200;
-    double f = 0.1;            // CVB target error for sampled builds
+    double f = 0.1;            // CVB target error
     double gamma = 0.01;
     // Rebuild when modifications since the last build exceed this fraction
     // of the row count (SQL Server's classical 20% rule).
     double staleness_threshold = 0.2;
-    // Build by sampling (CVB) rather than by full scan.
-    bool prefer_sampling = true;
     // Histogram family used for builds: `default_backend` unless the
-    // column has an entry in `column_backends`. Any backend registered in
-    // HistogramBackendRegistry::Global() — built-in or external — works;
-    // the serving path is family-agnostic.
+    // column has an entry in `column_backends`. Any backend in
+    // HistogramBackendRegistry::Global() that builds — built-in or
+    // external — works (a decode-only one fails its build with
+    // InvalidArgument); the serving path is family-agnostic.
     HistogramBackendId default_backend = HistogramBackendId::kEquiHeight;
     std::map<std::string, HistogramBackendId> column_backends{};
     std::uint64_t seed = 99;
     // Worker threads shared by every build issued through this manager
-    // (block reads, sample sorting, BuildAll fan-out): 0 = one per
-    // hardware thread, 1 = fully sequential (no pool is ever created);
-    // larger values are clamped to the hardware thread count — builds are
-    // CPU-bound, and over-subscription strictly regresses
+    // (the sorts of CVB batches too wide to count, and BuildAll fan-out):
+    // 0 = one per hardware thread, 1 = fully sequential (no pool is ever
+    // created); larger values are clamped to the hardware thread count —
+    // builds are CPU-bound, and over-subscription strictly regresses
     // (BENCH_parallel_scaling.json).
     std::uint64_t threads = 0;
 

@@ -221,102 +221,12 @@ std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes) {
 
 // -- InProcessTransport -----------------------------------------------------
 
-InProcessTransport::InProcessTransport(StatisticsFleet* fleet,
-                                       const Table* table,
-                                       LinkFaultInjector* injector,
-                                       std::uint64_t connection_id)
-    : fleet_(fleet),
-      table_(table),
-      injector_(injector),
-      connection_id_(connection_id) {}
-
 Result<std::vector<std::uint8_t>> InProcessTransport::RoundTrip(
     std::span<const std::uint8_t> frame, std::uint64_t budget_micros) {
   if (budget_micros == 0) {
     return Status::DeadlineExceeded("transport budget exhausted");
   }
-  const std::uint64_t deadline = DeadlineAfter(SteadyMicros(), budget_micros);
-  std::vector<std::uint8_t> request(frame.begin(), frame.end());
-  if (injector_ != nullptr) {
-    if (injector_->Partitioned(connection_id_)) {
-      injector_->RecordPartitionHit();
-      // A severed link never heals: mark it broken so pooling layers
-      // discard it and dial a fresh connection instead of retrying into
-      // the partition forever.
-      broken_ = true;
-      return Status::Unavailable("link partitioned");
-    }
-    const LinkFaultPlan plan = injector_->Decide(
-        connection_id_, frames_sent_, LinkDirection::kSend);
-    const std::uint64_t send_index = frames_sent_++;
-    if (plan.delay_micros > 0) {
-      SleepBounded(plan.delay_micros, deadline, nullptr);
-      if (RemainingMicros(deadline) == 0) {
-        return Status::DeadlineExceeded("transport budget exhausted");
-      }
-    }
-    switch (plan.kind) {
-      case LinkFaultKind::kNone:
-        break;
-      case LinkFaultKind::kDrop:
-        // With no wire to wait on, "never answered" and "link errored"
-        // are indistinguishable in-process; fail fast with the transient
-        // code the retry layer understands.
-        return Status::Unavailable("request dropped on the link");
-      case LinkFaultKind::kDelay:
-        break;  // handled above
-      case LinkFaultKind::kTruncate:
-        injector_->ApplyTruncate(connection_id_, send_index, request);
-        break;
-      case LinkFaultKind::kCorrupt:
-        injector_->ApplyCorrupt(connection_id_, send_index, request);
-        break;
-      case LinkFaultKind::kDuplicate: {
-        // Serve the duplicate first; its response is discarded, exactly
-        // like a socket client discarding a stale request id.
-        std::ignore = fleet_->ServeFrame(request, *table_);
-        break;
-      }
-    }
-  }
-  Result<std::vector<std::uint8_t>> response =
-      fleet_->ServeFrame(request, *table_);
-  if (!response.ok()) {
-    if (injector_ != nullptr &&
-        response.status().code() == StatusCode::kInvalidArgument) {
-      // A frame this transport mangled decodes as malformed on the other
-      // side; report it as the transient wire damage it is.
-      return Status::Unavailable("frame damaged on the link");
-    }
-    return response.status();
-  }
-  std::vector<std::uint8_t> reply = std::move(response).value();
-  if (injector_ != nullptr) {
-    const LinkFaultPlan plan = injector_->Decide(
-        connection_id_, frames_received_, LinkDirection::kReceive);
-    const std::uint64_t receive_index = frames_received_++;
-    if (plan.delay_micros > 0) {
-      SleepBounded(plan.delay_micros, deadline, nullptr);
-      if (RemainingMicros(deadline) == 0) {
-        return Status::DeadlineExceeded("transport budget exhausted");
-      }
-    }
-    switch (plan.kind) {
-      case LinkFaultKind::kNone:
-      case LinkFaultKind::kDelay:
-      case LinkFaultKind::kDuplicate:  // second copy is simply discarded
-        break;
-      case LinkFaultKind::kDrop:
-        return Status::Unavailable("response dropped on the link");
-      case LinkFaultKind::kTruncate:
-        injector_->ApplyTruncate(connection_id_, receive_index, reply);
-        return Status::Unavailable("response truncated on the link");
-      case LinkFaultKind::kCorrupt:
-        injector_->ApplyCorrupt(connection_id_, receive_index, reply);
-        return Status::Unavailable("response corrupted on the link");
-    }
-  }
-  return reply;
+  return fleet_->ServeFrame(frame, *table_);
 }
 
 // -- SocketTransport --------------------------------------------------------

@@ -24,9 +24,8 @@ namespace equihist::transport {
 // between a client and a StatisticsFleet. Two implementations of one
 // Transport interface:
 //
-//   InProcessTransport — the PR-8 direct path (ServeFrame behind the
-//     interface), bitwise-identical to calling the fleet, with optional
-//     link faults for tests.
+//   InProcessTransport — ServeFrame behind the interface,
+//     bitwise-identical to calling the fleet. It simulates no link.
 //   SocketTransport    — a real localhost link (Unix domain socket or
 //     TCP), speaking the length-prefixed envelope below, served by a
 //     SocketTransportServer with bounded queues and load shedding.
@@ -154,36 +153,23 @@ class Transport {
 
 // -- In-process transport ---------------------------------------------------
 
-// ServeFrame behind the Transport interface. Fault-free, the returned
-// bytes are the exact ServeFrame output (bitwise — pinned by the
-// transport tests). An attached LinkFaultInjector mangles the send and
-// receive legs exactly like the socket path does, except that a dropped
-// frame fails fast with kUnavailable: with no wire to wait on, "the
-// peer never answered" and "the link errored" are indistinguishable, so
-// the in-process link reports the cheaper one.
+// ServeFrame behind the Transport interface: the returned bytes are the
+// exact ServeFrame output (bitwise — pinned by the transport tests). It
+// injects no link faults; link chaos runs over the socket transport, the
+// link that has a wire to fail.
 class InProcessTransport final : public Transport {
  public:
-  // `fleet` and `table` must outlive the transport. `injector` (optional)
-  // must outlive it too; `connection_id` keys its decisions.
-  InProcessTransport(StatisticsFleet* fleet, const Table* table,
-                     LinkFaultInjector* injector = nullptr,
-                     std::uint64_t connection_id = 0);
+  // `fleet` and `table` must outlive the transport.
+  InProcessTransport(StatisticsFleet* fleet, const Table* table)
+      : fleet_(fleet), table_(table) {}
 
   Result<std::vector<std::uint8_t>> RoundTrip(
       std::span<const std::uint8_t> frame,
       std::uint64_t budget_micros) override;
-  // Only a partition breaks the in-process link (it never heals); other
-  // faults are per-frame and the next frame may sail through.
-  bool Broken() const override { return broken_; }
 
  private:
   StatisticsFleet* fleet_;
   const Table* table_;
-  LinkFaultInjector* injector_;
-  std::uint64_t connection_id_;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
-  bool broken_ = false;
 };
 
 // -- Socket transport (client side) -----------------------------------------

@@ -328,8 +328,8 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
     if (result.ok()) {
       const Result<fleetwire::FrameType> type = fleetwire::PeekType(*result);
       if (!type.ok()) {
-        // The peer answered with bytes no frame decoder accepts: wire
-        // damage the in-process transport cannot checksum away.
+        // The peer answered with bytes no frame decoder accepts: damage
+        // that no envelope checksum caught.
         last = Status::Unavailable("undecodable response frame");
       } else if (*type == fleetwire::FrameType::kRejection) {
         const Result<fleetwire::RejectionFrame> rejection =

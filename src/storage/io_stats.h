@@ -14,7 +14,7 @@ struct IoStats {
   std::uint64_t pages_read = 0;
   std::uint64_t tuples_read = 0;
 
-  // -- Fault accounting (PR 4) ----------------------------------------------
+  // -- Fault accounting -----------------------------------------------------
   // Reads that failed with a transient error and were re-issued by the
   // retry layer (each retry counts once, successful or not).
   std::uint64_t transient_retries = 0;

@@ -494,77 +494,72 @@ TEST(BackendFaultTest, EverySampledBackendReadsAndSkipsWhatCvbDoes) {
 }
 
 // A full-scan build retries transient faults per the build's own retry
-// policy, whatever the backend.
+// policy.
 TEST(BackendFaultTest, FullScanBuildsHonourTheRetryPolicy) {
   Table table = MakeTable(20000);
-  for (const HistogramBackendId id :
-       {HistogramBackendId::kEquiHeight, HistogramBackendId::kEquiWidth,
-        HistogramBackendId::kIncrementalEquiDepth}) {
-    SCOPED_TRACE(static_cast<int>(id));
-    BackendBuildOptions options;
-    options.backend = id;
-    options.buckets = 20;
-    options.prefer_sampling = false;
-    FaultSpec spec;
-    spec.transient_pages = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  FaultSpec spec;
+  spec.transient_pages = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  RetryPolicy retry;
 
-    // Three failed reads per page: five attempts clear every one.
-    spec.transient_failures_per_page = 3;
-    options.retry.max_attempts = 5;
-    {
-      FaultInjector injector(spec);
-      table.set_fault_injector(&injector);
-      const auto built = BuildStatisticsWithBackend(table, options);
-      table.set_fault_injector(nullptr);
-      ASSERT_TRUE(built.ok()) << built.status();
-      EXPECT_EQ(built->build_cost.transient_retries, 30u);
-      EXPECT_EQ(built->row_count, table.tuple_count());
-    }
+  // Three failed reads per page: five attempts clear every one.
+  spec.transient_failures_per_page = 3;
+  retry.max_attempts = 5;
+  {
+    FaultInjector injector(spec);
+    table.set_fault_injector(&injector);
+    const auto built = BuildStatisticsFullScan(table, 20, nullptr, retry);
+    table.set_fault_injector(nullptr);
+    ASSERT_TRUE(built.ok()) << built.status();
+    EXPECT_EQ(built->build_cost.transient_retries, 30u);
+    EXPECT_EQ(built->row_count, table.tuple_count());
+  }
 
-    // One failed read per page and no retry: the scan fails.
-    spec.transient_failures_per_page = 1;
-    options.retry.max_attempts = 1;
-    {
-      FaultInjector injector(spec);
-      table.set_fault_injector(&injector);
-      const auto built = BuildStatisticsWithBackend(table, options);
-      table.set_fault_injector(nullptr);
-      ASSERT_FALSE(built.ok());
-      EXPECT_EQ(built.status().code(), StatusCode::kUnavailable);
-    }
+  // One failed read per page and no retry: the scan fails.
+  spec.transient_failures_per_page = 1;
+  retry.max_attempts = 1;
+  {
+    FaultInjector injector(spec);
+    table.set_fault_injector(&injector);
+    const auto built = BuildStatisticsFullScan(table, 20, nullptr, retry);
+    table.set_fault_injector(nullptr);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kUnavailable);
   }
 }
 
-// Id 3 decodes only: a build of it, sampled or full scan, directly or
-// through a shard column mapped to it, fails with InvalidArgument before
-// it reads a page. Every page is lost, so any read would show in the
-// injector's count; the error is not a storage fault, so the shard
-// publishes no fallback either.
+// Ids 3 and 4 decode only: a build of either, directly or through a shard
+// column mapped to it, fails with InvalidArgument before it reads a page.
+// Every page is lost, so any read would show in the injector's count; the
+// error is not a storage fault, so the shard publishes no fallback and its
+// breaker stays closed.
 TEST(BackendFaultTest, DecodeOnlyBackendFailsBeforeReadingAPage) {
   Table table = MakeTable(20000);
   FaultSpec spec;
   spec.lost_probability = 1.0;
   FaultInjector injector(spec);
   table.set_fault_injector(&injector);
-  for (const bool sampled : {true, false}) {
-    SCOPED_TRACE(sampled);
+  for (const HistogramBackendId id : {HistogramBackendId::kGmpIncremental,
+                                      HistogramBackendId::kFallbackUniform}) {
+    SCOPED_TRACE(static_cast<int>(id));
     BackendBuildOptions options;
-    options.backend = HistogramBackendId::kGmpIncremental;
-    options.prefer_sampling = sampled;
+    options.backend = id;
     const auto built = BuildStatisticsWithBackend(table, options);
     ASSERT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+
+    StatisticsManager::Options manager_options;
+    manager_options.threads = 1;
+    manager_options.column_backends["t.decode_only"] = id;
+    StatisticsManager manager(manager_options);
+    const auto served = manager.GetOrBuildShared("t.decode_only", table);
+    ASSERT_FALSE(served.ok());
+    EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+    const ColumnHealthReport health = manager.Health("t.decode_only");
+    EXPECT_FALSE(health.serving_fallback);
+    EXPECT_EQ(health.consecutive_build_failures, 0u);
+    EXPECT_FALSE(health.breaker_open);
+    EXPECT_EQ(manager.total_build_cost().pages_read, 0u);
   }
-  StatisticsManager::Options manager_options;
-  manager_options.threads = 1;
-  manager_options.column_backends["t.gm"] =
-      HistogramBackendId::kGmpIncremental;
-  StatisticsManager manager(manager_options);
-  const auto served = manager.GetOrBuildShared("t.gm", table);
-  ASSERT_FALSE(served.ok());
-  EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(manager.Health("t.gm").serving_fallback);
-  EXPECT_EQ(manager.total_build_cost().pages_read, 0u);
   EXPECT_EQ(injector.lost_injected(), 0u);
   table.set_fault_injector(nullptr);
 }

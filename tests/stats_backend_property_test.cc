@@ -1,9 +1,8 @@
-// Cross-backend agreement properties: every backend registered in
-// HistogramBackendRegistry::Global() — built-ins and externals alike — is
-// built from the same sorted sample and must tell the same story: identical
-// totals, exact answers on degenerate/full-domain/boundary-aligned queries,
-// and interior estimates within the classical k-bucket tolerance. New
-// backends inherit these checks for free by registering.
+// Cross-backend agreement properties: every backend a build can choose
+// (ids 0, 1, 2 and 5) is built the way a shard builds it, one CVB run over
+// the same table, and must tell the same story: identical totals, exact
+// answers on degenerate/full-domain/boundary-aligned queries, and interior
+// estimates within the classical k-bucket tolerance.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,7 +14,8 @@
 #include "common/rng.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
-#include "stats/histogram_model.h"
+#include "stats/column_statistics.h"
+#include "storage/table.h"
 
 namespace equihist {
 namespace {
@@ -23,30 +23,37 @@ namespace {
 constexpr std::uint64_t kN = 10000;
 constexpr std::uint64_t kBuckets = 20;
 
-// All-distinct uniform data 1..n: every family's linear interpolation is
-// near-exact here, so the backends must agree with the truth and with each
-// other up to count-apportioning rounding.
+// Builds every buildable backend over `freq` laid out at random. The
+// target f is far below any error a partial sample shows, so CVB reads
+// every page and each histogram is the exact one: the boundary-aligned and
+// interior properties below need that, and the sample size pins it.
 std::map<HistogramBackendId, HistogramModelPtr> BuildAllBackends(
-    const ValueSet& data) {
+    const FrequencyVector& freq) {
+  const Table table = Table::Create(freq, PageConfig{8192, 64},
+                                    {.kind = LayoutKind::kRandom})
+                          .value();
   std::map<HistogramBackendId, HistogramModelPtr> models;
-  auto& registry = HistogramBackendRegistry::Global();
-  const std::vector<Value> sample = {data.sorted_values().begin(),
-                                     data.sorted_values().end()};
-  for (const HistogramBackendId id : registry.Ids()) {
-    const auto backend = registry.Find(id);
-    EXPECT_TRUE(backend.ok());
-    if (!backend->build_from_sample) continue;  // decode-only
-    const auto model = backend->build_from_sample(sample, kBuckets, data.size());
-    EXPECT_TRUE(model.ok())
-        << backend->name << ": " << model.status().ToString();
-    if (model.ok()) models[id] = *model;
+  for (const HistogramBackendId id :
+       {HistogramBackendId::kEquiHeight, HistogramBackendId::kEquiWidth,
+        HistogramBackendId::kCompressed,
+        HistogramBackendId::kIncrementalEquiDepth}) {
+    BackendBuildOptions options;
+    options.backend = id;
+    options.buckets = kBuckets;
+    options.f = 1e-6;
+    const auto stats = BuildStatisticsWithBackend(table, options);
+    EXPECT_TRUE(stats.ok())
+        << static_cast<int>(id) << ": " << stats.status().ToString();
+    if (!stats.ok()) continue;
+    EXPECT_EQ(stats->sample_size, table.tuple_count())
+        << static_cast<int>(id);
+    models[id] = stats->model;
   }
   return models;
 }
 
 TEST(BackendPropertyTest, AllBackendsReportTheSameTotal) {
-  const ValueSet data = ValueSet::FromFrequencies(*MakeAllDistinct(kN));
-  for (const auto& [id, model] : BuildAllBackends(data)) {
+  for (const auto& [id, model] : BuildAllBackends(*MakeAllDistinct(kN))) {
     EXPECT_EQ(model->total(), kN) << static_cast<int>(id);
     EXPECT_GE(model->bucket_count(), 1u) << static_cast<int>(id);
     EXPECT_LT(model->lower_fence(), model->upper_fence())
@@ -55,8 +62,7 @@ TEST(BackendPropertyTest, AllBackendsReportTheSameTotal) {
 }
 
 TEST(BackendPropertyTest, DegenerateQueriesAreExactlyZeroEverywhere) {
-  const ValueSet data = ValueSet::FromFrequencies(*MakeAllDistinct(kN));
-  for (const auto& [id, model] : BuildAllBackends(data)) {
+  for (const auto& [id, model] : BuildAllBackends(*MakeAllDistinct(kN))) {
     // hi <= lo and fully out-of-domain queries: exactly zero, any backend.
     EXPECT_EQ(model->EstimateRangeCount({50, 50}), 0.0)
         << static_cast<int>(id);
@@ -74,8 +80,7 @@ TEST(BackendPropertyTest, DegenerateQueriesAreExactlyZeroEverywhere) {
 }
 
 TEST(BackendPropertyTest, FullDomainQueryRecoversTheTotalExactly) {
-  const ValueSet data = ValueSet::FromFrequencies(*MakeAllDistinct(kN));
-  for (const auto& [id, model] : BuildAllBackends(data)) {
+  for (const auto& [id, model] : BuildAllBackends(*MakeAllDistinct(kN))) {
     const RangeQuery everything{model->lower_fence(), model->upper_fence()};
     EXPECT_NEAR(model->EstimateRangeCount(everything),
                 static_cast<double>(model->total()), 1e-6)
@@ -88,8 +93,9 @@ TEST(BackendPropertyTest, FullDomainQueryRecoversTheTotalExactly) {
 }
 
 TEST(BackendPropertyTest, BoundaryAlignedQueriesAgreeAcrossBackends) {
-  const ValueSet data = ValueSet::FromFrequencies(*MakeAllDistinct(kN));
-  const auto models = BuildAllBackends(data);
+  const auto freq = MakeAllDistinct(kN);
+  const ValueSet data = ValueSet::FromFrequencies(*freq);
+  const auto models = BuildAllBackends(*freq);
   // Queries aligned to multiples of n/k land on every family's bucket
   // boundaries for this data; interpolation error vanishes and the only
   // slack left is count-apportioning rounding (≤ 1 tuple per bucket).
@@ -108,12 +114,12 @@ TEST(BackendPropertyTest, BoundaryAlignedQueriesAgreeAcrossBackends) {
 }
 
 TEST(BackendPropertyTest, InteriorQueriesStayWithinTheBucketTolerance) {
-  const ValueSet data = ValueSet::FromFrequencies(*MakeAllDistinct(kN));
-  const auto models = BuildAllBackends(data);
+  const auto freq = MakeAllDistinct(kN);
+  const ValueSet data = ValueSet::FromFrequencies(*freq);
+  const auto models = BuildAllBackends(*freq);
   // Arbitrary interior endpoints: linear interpolation on uniform data is
   // still near-exact; allow the classical few-buckets-of-slack bound that
-  // holds for every family (4n/k is loose even for the incremental GMP
-  // snapshot).
+  // holds for every family.
   const double tolerance = 4.0 * static_cast<double>(kN) / kBuckets;
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
@@ -135,7 +141,7 @@ TEST(BackendPropertyTest, SkewedDataStillSumsAndBounds) {
   // global invariants hold for all of them.
   const auto freq = MakeZipf({.n = 50000, .domain_size = 2000, .skew = 1.5});
   const ValueSet data = ValueSet::FromFrequencies(*freq);
-  for (const auto& [id, model] : BuildAllBackends(data)) {
+  for (const auto& [id, model] : BuildAllBackends(*freq)) {
     EXPECT_EQ(model->total(), data.size()) << static_cast<int>(id);
     const RangeQuery everything{model->lower_fence(), model->upper_fence()};
     EXPECT_NEAR(model->EstimateRangeCount(everything),

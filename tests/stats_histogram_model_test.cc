@@ -234,26 +234,52 @@ TEST(HistogramModelGoldenTest, V2GmpSnapshotBlobDecodesIdentically) {
 
 // -- Per-backend container round-trips ---------------------------------------
 
-std::vector<Value> SortedSample(std::uint64_t n, std::uint64_t seed) {
+// The built-in backends a build can choose, each built the way a shard
+// builds it: ids 0 and 5 publish CVB's histogram, ids 1 and 2 build from
+// CVB's sample.
+constexpr HistogramBackendId kBuildableBackends[] = {
+    HistogramBackendId::kEquiHeight, HistogramBackendId::kEquiWidth,
+    HistogramBackendId::kCompressed,
+    HistogramBackendId::kIncrementalEquiDepth};
+
+Table ZipfTable(std::uint64_t n, std::uint64_t domain_size, double skew) {
   const auto freq =
-      MakeZipf({.n = n, .domain_size = n / 10, .skew = 1.3, .seed = seed});
-  const ValueSet data = ValueSet::FromFrequencies(*freq);
-  return {data.sorted_values().begin(), data.sorted_values().end()};
+      MakeZipf({.n = n, .domain_size = domain_size, .skew = skew});
+  return Table::Create(*freq, PageConfig{8192, 64},
+                       {.kind = LayoutKind::kRandom})
+      .value();
 }
 
+HistogramModelPtr BuildModel(const Table& table, HistogramBackendId id,
+                             std::uint64_t buckets) {
+  BackendBuildOptions options;
+  options.backend = id;
+  options.buckets = buckets;
+  const auto stats = BuildStatisticsWithBackend(table, options);
+  EXPECT_TRUE(stats.ok()) << static_cast<int>(id) << ": "
+                          << stats.status().ToString();
+  return stats.ok() ? stats->model : nullptr;
+}
+
+// Every built-in is registered; only ids 1 and 2 carry a builder.
 TEST(HistogramModelRegistryTest, BuiltinsAreRegistered) {
   auto& registry = HistogramBackendRegistry::Global();
   for (const HistogramBackendId id :
        {HistogramBackendId::kEquiHeight, HistogramBackendId::kEquiWidth,
-        HistogramBackendId::kCompressed,
-        HistogramBackendId::kGmpIncremental}) {
-    EXPECT_TRUE(registry.Has(id));
+        HistogramBackendId::kCompressed, HistogramBackendId::kGmpIncremental,
+        HistogramBackendId::kFallbackUniform,
+        HistogramBackendId::kIncrementalEquiDepth}) {
+    SCOPED_TRACE(static_cast<int>(id));
+    const auto backend = registry.Find(id);
+    ASSERT_TRUE(backend.ok());
+    EXPECT_TRUE(backend->deserialize_payload);
+    EXPECT_EQ(static_cast<bool>(backend->build_from_sample),
+              id == HistogramBackendId::kEquiWidth ||
+                  id == HistogramBackendId::kCompressed);
   }
-  EXPECT_EQ(registry.IdForName("equi-height").value(),
-            HistogramBackendId::kEquiHeight);
-  EXPECT_EQ(registry.IdForName("compressed").value(),
-            HistogramBackendId::kCompressed);
-  EXPECT_FALSE(registry.IdForName("no-such-backend").ok());
+  EXPECT_EQ(registry.Find(HistogramBackendId::kEquiHeight)->name,
+            "equi-height");
+  EXPECT_FALSE(registry.Has(static_cast<HistogramBackendId>(6)));
 }
 
 TEST(HistogramModelRegistryTest, DuplicateRegistrationIsRejected) {
@@ -310,68 +336,53 @@ TEST(HistogramModelRegistryTest, DecodeOnlyEntriesRegister) {
 }
 
 TEST(HistogramModelRoundTripTest, EveryRegisteredBackendRoundTrips) {
-  auto& registry = HistogramBackendRegistry::Global();
-  const std::vector<Value> sample = SortedSample(20000, 7);
-  for (const HistogramBackendId id : registry.Ids()) {
-    const auto backend = registry.Find(id);
-    ASSERT_TRUE(backend.ok());
-    if (!backend->build_from_sample) continue;  // decode-only
-    const auto model = backend->build_from_sample(sample, 32, 100000);
-    ASSERT_TRUE(model.ok())
-        << backend->name << ": " << model.status().ToString();
+  const Table table = ZipfTable(20000, 2000, 1.3);
+  for (const HistogramBackendId id : kBuildableBackends) {
+    SCOPED_TRACE(static_cast<int>(id));
+    const HistogramModelPtr model = BuildModel(table, id, 32);
+    ASSERT_NE(model, nullptr);
 
     std::vector<std::uint8_t> bytes;
-    SerializeHistogramModel(**model, &bytes);
+    SerializeHistogramModel(*model, &bytes);
     std::size_t consumed = 0;
     const auto restored = DeserializeHistogramModel(bytes, &consumed);
-    ASSERT_TRUE(restored.ok())
-        << backend->name << ": " << restored.status().ToString();
-    EXPECT_EQ(consumed, bytes.size()) << backend->name;
-    EXPECT_EQ((*restored)->backend_id(), id) << backend->name;
-    EXPECT_EQ((*restored)->total(), (*model)->total()) << backend->name;
-    EXPECT_EQ((*restored)->bucket_count(), (*model)->bucket_count())
-        << backend->name;
-    EXPECT_EQ((*restored)->lower_fence(), (*model)->lower_fence())
-        << backend->name;
-    EXPECT_EQ((*restored)->upper_fence(), (*model)->upper_fence())
-        << backend->name;
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_EQ((*restored)->backend_id(), id);
+    EXPECT_EQ((*restored)->total(), model->total());
+    EXPECT_EQ((*restored)->bucket_count(), model->bucket_count());
+    EXPECT_EQ((*restored)->lower_fence(), model->lower_fence());
+    EXPECT_EQ((*restored)->upper_fence(), model->upper_fence());
 
     Rng rng(13);
     for (int i = 0; i < 200; ++i) {
-      Value a = rng.NextInRange((*model)->lower_fence() - 10,
-                                (*model)->upper_fence() + 10);
-      Value b = rng.NextInRange((*model)->lower_fence() - 10,
-                                (*model)->upper_fence() + 10);
+      Value a = rng.NextInRange(model->lower_fence() - 10,
+                                model->upper_fence() + 10);
+      Value b = rng.NextInRange(model->lower_fence() - 10,
+                                model->upper_fence() + 10);
       const RangeQuery q{a, b};
       EXPECT_DOUBLE_EQ((*restored)->EstimateRangeCount(q),
-                       (*model)->EstimateRangeCount(q))
-          << backend->name << " (" << a << ", " << b << "]";
+                       model->EstimateRangeCount(q))
+          << "(" << a << ", " << b << "]";
     }
   }
 }
 
 TEST(HistogramModelRoundTripTest, TrailingGarbageIsRejected) {
-  const auto freq = MakeZipf({.n = 5000, .domain_size = 500, .skew = 1.0});
-  const ValueSet data = ValueSet::FromFrequencies(*freq);
-  auto& registry = HistogramBackendRegistry::Global();
-  const std::vector<Value> sample = {data.sorted_values().begin(),
-                                     data.sorted_values().end()};
-  for (const HistogramBackendId id : registry.Ids()) {
-    const auto backend = registry.Find(id);
-    ASSERT_TRUE(backend.ok());
-    if (!backend->build_from_sample) continue;  // decode-only
-    const auto model = backend->build_from_sample(sample, 8, 5000);
-    ASSERT_TRUE(model.ok());
+  const Table table = ZipfTable(5000, 500, 1.0);
+  for (const HistogramBackendId id : kBuildableBackends) {
+    SCOPED_TRACE(static_cast<int>(id));
+    const HistogramModelPtr model = BuildModel(table, id, 8);
+    ASSERT_NE(model, nullptr);
     std::vector<std::uint8_t> bytes;
-    SerializeHistogramModel(**model, &bytes);
+    SerializeHistogramModel(*model, &bytes);
     bytes.push_back(0x00);
     // Whole-buffer parse must reject the extra byte...
-    EXPECT_FALSE(DeserializeHistogramModel(bytes).ok()) << backend->name;
+    EXPECT_FALSE(DeserializeHistogramModel(bytes).ok());
     // ...while the consumed-reporting parse accepts the valid prefix.
     std::size_t consumed = 0;
-    EXPECT_TRUE(DeserializeHistogramModel(bytes, &consumed).ok())
-        << backend->name;
-    EXPECT_EQ(consumed, bytes.size() - 1) << backend->name;
+    EXPECT_TRUE(DeserializeHistogramModel(bytes, &consumed).ok());
+    EXPECT_EQ(consumed, bytes.size() - 1);
   }
 }
 
@@ -438,28 +449,29 @@ TEST(SerializationCorruptionTest, GoldenV2GmpSnapshotMatrix) {
 }
 
 TEST(SerializationCorruptionTest, V2StatisticsMatrixPerBackend) {
-  // A fresh v2 statistics blob for every registered backend family: the
-  // container tag byte and each backend's payload parser all get the same
-  // treatment.
-  const auto freq = MakeZipf({.n = 4000, .domain_size = 400, .skew = 1.4});
-  Table table =
-      Table::Create(*freq, PageConfig{8192, 64}, {.kind = LayoutKind::kRandom})
-          .value();
-  for (const HistogramBackendId id :
-       HistogramBackendRegistry::Global().Ids()) {
-    if (!HistogramBackendRegistry::Global().Find(id)->build_from_sample) {
-      continue;  // decode-only: GoldenV2GmpSnapshotMatrix covers id 3
-    }
+  // A fresh v2 statistics blob for every buildable backend family, built as
+  // a shard builds it, plus the uniform fallback the shard assembles
+  // itself: the container tag byte and each backend's payload parser all
+  // get the same treatment. GoldenV2GmpSnapshotMatrix covers id 3.
+  const Table table = ZipfTable(4000, 400, 1.4);
+  for (const HistogramBackendId id : kBuildableBackends) {
+    SCOPED_TRACE(static_cast<int>(id));
     BackendBuildOptions options;
     options.backend = id;
     options.buckets = 12;
-    options.prefer_sampling = false;
     const auto stats = BuildStatisticsWithBackend(table, options);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     std::vector<std::uint8_t> bytes;
     SerializeColumnStatistics(*stats, &bytes);
     RunCorruptionMatrix(bytes);
   }
+  ColumnStatistics fallback;
+  fallback.model = std::make_shared<FallbackUniformModel>(4000, -3, 400);
+  fallback.row_count = 4000;
+  fallback.distinct_estimate = 4000.0;
+  std::vector<std::uint8_t> bytes;
+  SerializeColumnStatistics(fallback, &bytes);
+  RunCorruptionMatrix(bytes);
 }
 
 // -- External backend, end to end --------------------------------------------
@@ -554,7 +566,6 @@ TEST(ExternalBackendTest, ServesEndToEndWithoutConsumerChanges) {
   // choice — the manager code has no mention of the stub.
   StatisticsManager::Options options;
   options.buckets = 16;
-  options.prefer_sampling = false;
   options.column_backends["t.stub"] = kUniformStubId;
   StatisticsManager manager(options);
 

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/density.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
+#include "stats/serialization.h"
 
 namespace equihist {
 namespace {
@@ -113,6 +115,61 @@ TEST(ColumnStatisticsTest, DistinctFractionAndToString) {
   EXPECT_NE(stats->ToString().find("full scan"), std::string::npos);
 }
 
+// The serialized statistics of a fault-free BuildStatisticsWithBackend of
+// every buildable backend, on a random and a partially clustered Zipf
+// table, frozen as byte counts and FNV-1a 64 hashes. Each build is one CVB
+// run, so a change to the pages it reads, to the sample's statistics or to
+// what a backend publishes from that sample moves a hash.
+TEST(ColumnStatisticsTest, GoldenBackendBuildsKeepTheirBytes) {
+  struct Golden {
+    LayoutKind layout;
+    HistogramBackendId backend;
+    std::size_t bytes;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {LayoutKind::kRandom, HistogramBackendId::kEquiHeight, 166,
+       0xaecb364969515ccfull},
+      {LayoutKind::kRandom, HistogramBackendId::kEquiWidth, 124,
+       0xd72921097d2c8db9ull},
+      {LayoutKind::kRandom, HistogramBackendId::kCompressed, 189,
+       0x869e6bbe2eeb2a8dull},
+      {LayoutKind::kRandom, HistogramBackendId::kIncrementalEquiDepth, 8365,
+       0x3e3cc62c6c485046ull},
+      {LayoutKind::kPartiallyClustered, HistogramBackendId::kEquiHeight, 161,
+       0x3cd5ed0ddce9d6b2ull},
+      {LayoutKind::kPartiallyClustered, HistogramBackendId::kEquiWidth, 120,
+       0x8aa6925c70a999e5ull},
+      {LayoutKind::kPartiallyClustered, HistogramBackendId::kCompressed, 184,
+       0x5fc77880fbce7457ull},
+      {LayoutKind::kPartiallyClustered,
+       HistogramBackendId::kIncrementalEquiDepth, 8356,
+       0x3e5027b3a1736faeull},
+  };
+  const auto freq = MakeZipf(
+      {.n = 100000, .domain_size = 5000, .skew = 1.2, .seed = 11});
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(std::string(LayoutKindToString(golden.layout)) + " id " +
+                 std::to_string(static_cast<int>(golden.backend)));
+    const Table table =
+        Table::Create(*freq, kPage, {.kind = golden.layout, .seed = 11})
+            .value();
+    BackendBuildOptions options;
+    options.backend = golden.backend;
+    options.buckets = 32;
+    options.f = 0.2;
+    options.seed = 5;
+    const auto stats = BuildStatisticsWithBackend(table, options);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    std::vector<std::uint8_t> bytes;
+    SerializeColumnStatistics(*stats, &bytes);
+    std::uint64_t hash = kFnv1aOffsetBasis;
+    for (const std::uint8_t byte : bytes) hash = Fnv1aRound(hash, byte);
+    EXPECT_EQ(bytes.size(), golden.bytes);
+    EXPECT_EQ(hash, golden.hash);
+  }
+}
+
 TEST(StatisticsManagerTest, BuildsOnFirstAccessAndCaches) {
   Table table = SkewedTable();
   StatisticsManager manager({.buckets = 50, .f = 0.2});
@@ -175,15 +232,6 @@ TEST(StatisticsManagerTest, TracksCumulativeBuildCost) {
   EXPECT_GT(after_one, 0u);
   ASSERT_TRUE(manager.GetOrBuildShared("b", table).ok());
   EXPECT_GT(manager.total_build_cost().pages_read, after_one);
-}
-
-TEST(StatisticsManagerTest, FullScanModeIsExact) {
-  Table table = SkewedTable();
-  StatisticsManager manager(
-      {.buckets = 50, .f = 0.2, .prefer_sampling = false});
-  const auto stats = manager.GetOrBuildShared("t.x", table);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE((*stats)->from_full_scan);
 }
 
 // -- Modification accounting across a build -----------------------------------

@@ -1,8 +1,8 @@
 // Transport link-chaos suite (DESIGN.md §17): a pinned-seed fault matrix
 // ({drop, delay, truncate, corrupt, duplicate, partition} x {estimate,
-// build-control}) over the real socket transport, the same matrix over the
-// in-process transport, and a randomized mixed-fault sweep driven by
-// EQUIHIST_CHAOS_SEED (seed printed for replay). The invariant under every
+// build-control}) over the real socket transport, and a randomized
+// mixed-fault sweep driven by EQUIHIST_CHAOS_SEED (seed printed for
+// replay). The invariant under every
 // fault class is degraded-but-correct: each call returns a typed Status
 // within its deadline — no wedged threads — and every success is bitwise
 // identical to fault-free serving. Label `transport`; CI runs this under
@@ -36,7 +36,6 @@ namespace equihist {
 namespace {
 
 using transport::Endpoint;
-using transport::InProcessTransport;
 using transport::LinkFaultInjector;
 using transport::LinkFaultSpec;
 using transport::SocketTransport;
@@ -215,34 +214,6 @@ TEST(TransportChaosTest, PinnedSeedFaultMatrixOverSocket) {
     DriveCalls(client, requests, direct.estimates, 10, fault.name);
     server.Stop();
     // The fault class actually fired (the matrix is not vacuous).
-    EXPECT_GT(injector.total_injected(), 0u) << fault.name;
-  }
-}
-
-TEST(TransportChaosTest, PinnedSeedFaultMatrixInProcess) {
-  constexpr std::uint64_t kSeed = 0xBEEF2026ULL;
-  Table table = ChaosTable(kSeed & 0xFFFF);
-  StatisticsFleet fleet(FleetOptions());
-  ASSERT_TRUE(fleet.BuildAll({"t.a", "t.b"}, table).ok());
-
-  const std::vector<BatchEstimateRequest> requests{
-      {"t.a", {10, 200}}, {"t.b", {50, 400}}, {"t.a", {0, 600}}};
-  BatchEstimateResult direct;
-  ASSERT_TRUE(fleet.EstimateBatch(table, requests, &direct).ok());
-
-  for (const FaultCase& fault : FaultMatrix(kSeed)) {
-    SCOPED_TRACE(fault.name);
-    LinkFaultInjector injector(fault.spec);
-    TransportClient client(ChaosClientOptions(kSeed));
-    std::atomic<std::uint64_t> next_connection{1};
-    client.AddPeer({"chaos", [&](std::uint64_t)
-                                 -> Result<std::unique_ptr<Transport>> {
-                      return std::unique_ptr<Transport>(
-                          std::make_unique<InProcessTransport>(
-                              &fleet, &table, &injector,
-                              next_connection.fetch_add(1)));
-                    }});
-    DriveCalls(client, requests, direct.estimates, 10, fault.name);
     EXPECT_GT(injector.total_injected(), 0u) << fault.name;
   }
 }
